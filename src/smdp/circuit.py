@@ -6,6 +6,10 @@ zero-input constants. References are strings: ``i<k>`` for input k, ``g<j>``
 for the gate with id j. Gate ids are strictly increasing and every operand
 must refer to an input or an earlier gate, so acyclicity holds by
 construction.
+
+Each circuit is compiled once, when it is constructed, to one integer
+instruction per gate. `eval` and `eval_batch` both run that program in one
+kernel over Python ints used as bit vectors, one bit per input row.
 """
 
 from __future__ import annotations
@@ -18,6 +22,8 @@ import numpy as np
 from .bits import bits_to_int, int_to_bits
 
 ARITY = {"AND": 2, "OR": 2, "XOR": 2, "NOT": 1, "CONST0": 0, "CONST1": 0}
+_AND, _OR, _XOR, _NOT, _CONST0, _CONST1 = range(6)
+_OPCODE = {"AND": _AND, "OR": _OR, "XOR": _XOR, "NOT": _NOT, "CONST0": _CONST0, "CONST1": _CONST1}
 
 
 class CircuitError(ValueError):
@@ -45,42 +51,90 @@ class Circuit:
     name: str = "c"
 
     def __post_init__(self):
-        known = {}
+        # Compile once into one (opcode, a, b) instruction per gate. Operands
+        # are slot indices: input k is slot k, and each gate takes the next
+        # slot after the inputs and the gates before it. The instructions
+        # are kept as three int columns, not a tuple per gate: surviving
+        # tuples would make the garbage collector run far more often while
+        # models with many circuits are built.
+        gate_slots: Dict[str, int] = {}
+        ops: List[int] = []
+        a_slots: List[int] = []
+        b_slots: List[int] = []
         prev = -1
-        for pos, g in enumerate(self.gates):
-            if g.gid <= prev:
-                raise CircuitError(f"gate ids must be strictly increasing, got g{g.gid}")
+        for g in self.gates:
+            op, a, b = _compile_gate(g, prev, self.num_inputs, gate_slots)
+            ops.append(op)
+            a_slots.append(a)
+            b_slots.append(b)
             prev = g.gid
-            if g.kind not in ARITY:
-                raise CircuitError(f"unknown gate kind {g.kind}")
-            if len(g.args) != ARITY[g.kind]:
-                raise CircuitError(
-                    f"gate g{g.gid}: {g.kind} takes {ARITY[g.kind]} operands, got {len(g.args)}"
-                )
-            for ref in g.args:
-                self._check_ref(ref, known, f"gate g{g.gid}")
-            known[f"g{g.gid}"] = pos
-        for ref in self.outputs:
-            self._check_ref(ref, known, "outputs")
-        object.__setattr__(self, "_gate_pos", known)
-
-    def _check_ref(self, ref: str, known: Dict[str, int], where: str):
-        if ref.startswith("i"):
-            try:
-                k = int(ref[1:])
-            except ValueError:
-                raise CircuitError(f"{where}: bad ref {ref!r}")
-            if not 0 <= k < self.num_inputs:
-                raise CircuitError(f"{where}: input ref {ref} out of range")
-        elif ref.startswith("g"):
-            if ref not in known:
-                raise CircuitError(f"{where}: ref {ref} is undefined or a forward reference")
-        else:
-            raise CircuitError(f"{where}: bad ref {ref!r}")
+        object.__setattr__(self, "_program", (tuple(ops), tuple(a_slots), tuple(b_slots)))
+        object.__setattr__(
+            self, "_output_slots", tuple(_resolve(r, self.num_inputs, gate_slots) for r in self.outputs)
+        )
 
     @property
     def num_outputs(self) -> int:
         return len(self.outputs)
+
+
+def _resolve(ref: str, num_inputs: int, gate_slots: Dict[str, int]) -> int:
+    """Slot of a ref: ``i<k>`` is slot k, and ``gate_slots`` maps each gate
+    defined so far (``g<j>``) to its slot. Refs are spelled as `serialize`
+    writes them."""
+    slot = gate_slots.get(ref)
+    if slot is not None:
+        return slot
+    if ref[:1] == "i":
+        try:
+            k = int(ref[1:])
+        except ValueError:
+            k = -1
+        if 0 <= k < num_inputs and ref == f"i{k}":
+            return k
+    raise CircuitError(
+        f"ref {ref!r} is neither one of {num_inputs} inputs nor an earlier gate"
+    )
+
+
+def _compile_gate(g: Gate, prev_gid: int, num_inputs: int, gate_slots: Dict[str, int]):
+    """Check one gate against the gates before it, register its slot, and
+    return its ``(opcode, a, b)`` instruction."""
+    if g.gid <= prev_gid:
+        raise CircuitError(f"gate ids must be strictly increasing, got g{g.gid}")
+    arity = ARITY.get(g.kind)
+    if arity is None:
+        raise CircuitError(f"unknown gate kind {g.kind!r}")
+    if len(g.args) != arity:
+        raise CircuitError(f"gate g{g.gid}: {g.kind} takes {arity} operands, got {len(g.args)}")
+    a = _resolve(g.args[0], num_inputs, gate_slots) if arity else 0
+    b = _resolve(g.args[1], num_inputs, gate_slots) if arity == 2 else 0
+    gate_slots[f"g{g.gid}"] = num_inputs + len(gate_slots)
+    return (_OPCODE[g.kind], a, b)
+
+
+def _run(c: Circuit, vals: List[int], mask: int) -> List[int]:
+    """Evaluate the compiled program on the input column words in ``vals``,
+    appending one word per gate; returns the output words.
+
+    Bit r of every word is row r, so one Python-int operation evaluates a
+    gate on all rows at once; ``mask`` has one bit set per row.
+    """
+    push = vals.append
+    for op, a, b in zip(*c._program):
+        if op == _AND:
+            push(vals[a] & vals[b])
+        elif op == _OR:
+            push(vals[a] | vals[b])
+        elif op == _XOR:
+            push(vals[a] ^ vals[b])
+        elif op == _NOT:
+            push(vals[a] ^ mask)
+        elif op == _CONST0:
+            push(0)
+        else:
+            push(mask)
+    return [vals[k] for k in c._output_slots]
 
 
 def size(c: Circuit) -> int:
@@ -92,22 +146,7 @@ def eval(c: Circuit, inputs: Sequence[int]) -> Tuple[int, ...]:  # noqa: A001 - 
     """Evaluate the circuit on one input vector; returns output bits in order."""
     if len(inputs) != c.num_inputs:
         raise CircuitError(f"expected {c.num_inputs} input bits, got {len(inputs)}")
-    vals: Dict[str, int] = {f"i{k}": (1 if b else 0) for k, b in enumerate(inputs)}
-    for g in c.gates:
-        if g.kind == "AND":
-            v = vals[g.args[0]] & vals[g.args[1]]
-        elif g.kind == "OR":
-            v = vals[g.args[0]] | vals[g.args[1]]
-        elif g.kind == "XOR":
-            v = vals[g.args[0]] ^ vals[g.args[1]]
-        elif g.kind == "NOT":
-            v = 1 - vals[g.args[0]]
-        elif g.kind == "CONST0":
-            v = 0
-        else:
-            v = 1
-        vals[f"g{g.gid}"] = v
-    return tuple(vals[ref] for ref in c.outputs)
+    return tuple(_run(c, [1 if b else 0 for b in inputs], 1))
 
 
 def eval_batch(c: Circuit, inputs: np.ndarray) -> np.ndarray:
@@ -118,24 +157,16 @@ def eval_batch(c: Circuit, inputs: np.ndarray) -> np.ndarray:
             f"expected (rows, {c.num_inputs}) input array, got {inputs.shape}"
         )
     rows = inputs.shape[0]
-    vals: Dict[str, np.ndarray] = {f"i{k}": inputs[:, k] for k in range(c.num_inputs)}
-    for g in c.gates:
-        if g.kind == "AND":
-            v = vals[g.args[0]] & vals[g.args[1]]
-        elif g.kind == "OR":
-            v = vals[g.args[0]] | vals[g.args[1]]
-        elif g.kind == "XOR":
-            v = vals[g.args[0]] ^ vals[g.args[1]]
-        elif g.kind == "NOT":
-            v = ~vals[g.args[0]]
-        elif g.kind == "CONST0":
-            v = np.zeros(rows, dtype=bool)
-        else:
-            v = np.ones(rows, dtype=bool)
-        vals[f"g{g.gid}"] = v
-    if not c.outputs:
-        return np.zeros((rows, 0), dtype=bool)
-    return np.stack([vals[ref] for ref in c.outputs], axis=1)
+    nbytes = (rows + 7) // 8
+    packed = np.packbits(inputs, axis=0, bitorder="little").T.tobytes()
+    columns = [
+        int.from_bytes(packed[k * nbytes:(k + 1) * nbytes], "little")
+        for k in range(c.num_inputs)
+    ]
+    words = _run(c, columns, (1 << rows) - 1)
+    out = np.frombuffer(b"".join(w.to_bytes(nbytes, "little") for w in words), dtype=np.uint8)
+    out = np.unpackbits(out.reshape(len(words), nbytes), axis=1, count=rows, bitorder="little")
+    return np.ascontiguousarray(out.T).view(bool)
 
 
 def all_input_rows(n: int) -> np.ndarray:
@@ -345,18 +376,17 @@ def canonical_dnf(c: Circuit, max_inputs: int = 20) -> Circuit:
 def count_dnf_terms(c: Circuit, output_index: int) -> int:
     """Number of terms in the OR ladder feeding one output of a DNF circuit."""
     by_ref = {f"g{g.gid}": g for g in c.gates}
-
-    def walk(ref: str) -> int:
-        g = by_ref.get(ref)
+    count = 0
+    stack = [c.outputs[output_index]]
+    while stack:
+        g = by_ref.get(stack.pop())
         if g is None:  # bare input literal
-            return 1
-        if g.kind == "CONST0":
-            return 0
-        if g.kind == "OR":
-            return walk(g.args[0]) + walk(g.args[1])
-        return 1
-
-    return walk(c.outputs[output_index])
+            count += 1
+        elif g.kind == "OR":
+            stack.extend(g.args)
+        elif g.kind != "CONST0":
+            count += 1
+    return count
 
 
 def circuit_from_values(
@@ -401,8 +431,8 @@ def parse(text: str) -> Circuit:
     name = None
     num_inputs = None
     gates: List[Gate] = []
+    gate_slots: Dict[str, int] = {}
     outputs = None
-    seen_gids = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -426,25 +456,20 @@ def parse(text: str) -> Circuit:
                 gid = int(parts[1][1:])
             except ValueError:
                 raise NetlistError(f"bad gate id {parts[1]!r}", lineno)
-            kind = parts[2]
-            if kind not in ARITY:
-                raise NetlistError(f"unknown gate kind {kind!r}", lineno)
-            args = tuple(parts[3:])
-            if len(args) != ARITY[kind]:
-                raise NetlistError(
-                    f"{kind} takes {ARITY[kind]} operands, got {len(args)}", lineno
-                )
-            if gates and gid <= gates[-1].gid:
-                raise NetlistError(f"gate id g{gid} not strictly increasing", lineno)
-            for ref in args:
-                _check_parse_ref(ref, num_inputs, seen_gids, lineno)
-            gates.append(Gate(gid, kind, args))
-            seen_gids.add(gid)
+            g = Gate(gid, parts[2], tuple(parts[3:]))
+            try:
+                _compile_gate(g, gates[-1].gid if gates else -1, num_inputs, gate_slots)
+            except CircuitError as exc:
+                raise NetlistError(str(exc), lineno) from None
+            gates.append(g)
         elif kw == "outputs":
             if num_inputs is None:
                 raise NetlistError("outputs before inputs declaration", lineno)
-            for ref in parts[1:]:
-                _check_parse_ref(ref, num_inputs, seen_gids, lineno)
+            try:
+                for ref in parts[1:]:
+                    _resolve(ref, num_inputs, gate_slots)
+            except CircuitError as exc:
+                raise NetlistError(str(exc), lineno) from None
             outputs = tuple(parts[1:])
         else:
             raise NetlistError(f"unknown construct {kw!r}", lineno)
@@ -453,25 +478,6 @@ def parse(text: str) -> Circuit:
     if outputs is None:
         raise NetlistError("missing outputs declaration", 1)
     return Circuit(num_inputs, tuple(gates), outputs, name or "c")
-
-
-def _check_parse_ref(ref: str, num_inputs: int, seen_gids, lineno: int):
-    if ref.startswith("i"):
-        try:
-            k = int(ref[1:])
-        except ValueError:
-            raise NetlistError(f"bad ref {ref!r}", lineno)
-        if not 0 <= k < num_inputs:
-            raise NetlistError(f"input ref {ref} out of range", lineno)
-    elif ref.startswith("g"):
-        try:
-            gid = int(ref[1:])
-        except ValueError:
-            raise NetlistError(f"bad ref {ref!r}", lineno)
-        if gid not in seen_gids:
-            raise NetlistError(f"ref {ref} is undefined or a forward reference", lineno)
-    else:
-        raise NetlistError(f"bad ref {ref!r}", lineno)
 
 
 def read_netlist(path) -> Circuit:

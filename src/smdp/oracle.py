@@ -104,6 +104,8 @@ class OptimalSolution:
 def solve_optimal(em: md.ExplicitMdp, horizon: int) -> OptimalSolution:
     """Exact backward induction; ties keep every optimal action, greedy picks
     the lowest index."""
+    if horizon < 0:
+        raise ValueError(f"horizon must be nonnegative, got {horizon}")
     n_states = len(em.states)
     n_actions = len(em.actions)
     all_actions = tuple(range(n_actions))

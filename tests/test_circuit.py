@@ -36,7 +36,58 @@ def test_eval_batch_matches_single(seed):
     rows = ct.all_input_rows(n)
     batch = ct.eval_batch(c, rows)
     for k, row in enumerate(rows):
-        assert tuple(int(b) for b in batch[k]) == ct.eval(c, tuple(int(b) for b in row))
+        single = ct.eval(c, tuple(int(b) for b in row))
+        assert tuple(int(b) for b in batch[k]) == single == reference_eval(c, row)
+
+
+def reference_eval(c, bits):
+    """Independent reference: walks the gates of one row through a dict
+    keyed by ref string, dispatching on the gate kind."""
+    vals = {f"i{k}": int(b) for k, b in enumerate(bits)}
+    for g in c.gates:
+        x = [vals[ref] for ref in g.args]
+        if g.kind == "AND":
+            v = x[0] & x[1]
+        elif g.kind == "OR":
+            v = x[0] | x[1]
+        elif g.kind == "XOR":
+            v = x[0] ^ x[1]
+        elif g.kind == "NOT":
+            v = 1 - x[0]
+        elif g.kind == "CONST0":
+            v = 0
+        else:
+            v = 1
+        vals[f"g{g.gid}"] = v
+    return tuple(vals[ref] for ref in c.outputs)
+
+
+def reference_cases(rng):
+    yield random_circuit(rng, 0, 6, 2)  # zero inputs: starts from a constant
+    yield random_circuit(rng, 4, 10, 0)  # zero outputs
+    for n in (1, 5, 9):
+        yield random_circuit(rng, n, 40, 3)
+    G = ct.Gate
+    yield ct.Circuit(
+        2,
+        (G(0, "CONST1", ()), G(1, "CONST0", ()), G(2, "XOR", ("g0", "i1")),
+         G(3, "OR", ("g1", "i0")), G(4, "NOT", ("g0",)), G(5, "AND", ("g1", "i1"))),
+        ("g2", "g3", "g4", "g5", "g1", "i0", "g0"),
+    )
+
+
+@pytest.mark.parametrize("rows", [0, 1, 7, 8, 9, 63, 64, 65, 1000])
+def test_eval_and_eval_batch_match_reference(rows):
+    rng = random.Random(rows)
+    for c in reference_cases(rng):
+        inputs = np.array(
+            [[rng.random() < 0.5 for _ in range(c.num_inputs)] for _ in range(rows)], dtype=bool
+        ).reshape(rows, c.num_inputs)
+        want = [reference_eval(c, row) for row in inputs]
+        got = ct.eval_batch(c, inputs)
+        assert got.dtype == bool and got.shape == (rows, c.num_outputs)
+        assert [tuple(int(b) for b in r) for r in got] == want
+        assert [ct.eval(c, tuple(int(b) for b in row)) for row in inputs] == want
 
 
 def test_acyclicity_enforced():
@@ -68,6 +119,13 @@ def test_netlist_parse_errors_carry_line_numbers():
         ct.parse("circuit c\ninputs 1\ngate g0 NOT i0\noutputs g9\n")
 
 
+def test_refs_must_be_spelled_as_serialized():
+    with pytest.raises(ct.NetlistError, match="line 3"):
+        ct.parse("circuit c\ninputs 2\ngate g0 AND i01 i1\noutputs g0\n")
+    with pytest.raises(ct.CircuitError):
+        ct.Circuit(2, (ct.Gate(0, "NOT", ("i1",)),), ("g00",))
+
+
 def test_netlist_comments_and_blank_lines():
     text = "# header\ncircuit c\n\ninputs 2\ngate g0 AND i0 i1  # conjunction\noutputs g0\n"
     c = ct.parse(text)
@@ -92,6 +150,12 @@ def test_canonical_dnf_term_count_is_satisfying_assignment_count():
     out = b.or_(b.inp(0), b.and_(b.inp(1), b.inp(2)))
     dnf = ct.canonical_dnf(b.build([out]))
     assert ct.count_dnf_terms(dnf, 0) == 5  # x0 or (x1 and x2) has 5 models
+
+
+def test_count_dnf_terms_on_a_1024_term_ladder():
+    parity = [bin(row).count("1") & 1 for row in range(1 << 11)]
+    dnf = ct.canonical_dnf(ct.circuit_from_values(11, 1, parity))
+    assert ct.count_dnf_terms(dnf, 0) == 1024
 
 
 def test_circuit_from_values_roundtrip():

@@ -113,6 +113,14 @@ def test_solve_reports_value_and_actions(tmp_path, capsys):
     assert records["optimal_actions"] == "toss"
 
 
+@pytest.mark.parametrize("horizon", ["-1", "-3"])
+def test_solve_rejects_negative_horizon(tmp_path, capsys, horizon):
+    mpath, _ = coin_files(tmp_path)
+    code, text, err = run(["solve", mpath, "--horizon", horizon], capsys)
+    assert code == 1 and text == ""
+    assert "horizon must be nonnegative" in err
+
+
 def test_check_consistency_exit_codes(tmp_path, capsys):
     cnf_unsat = write_cnf(tmp_path, Cnf(1, ((1,), (-1,))), "u.cnf")
     cnf_sat = write_cnf(tmp_path, Cnf(1, ((1,),)), "s.cnf")
