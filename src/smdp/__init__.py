@@ -28,7 +28,6 @@ from .circuit import (
 from .cnf import Cnf, CnfError, parse_dimacs, read_dimacs, to_dimacs
 from .evaluator import McEstimate, RewardReport, expected_reward_exact, expected_reward_mc
 from .mdp import (
-    BoundedActionMdp,
     EnumerationLimitError,
     ExplicitMdp,
     ModelError,

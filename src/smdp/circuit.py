@@ -446,6 +446,8 @@ def parse(text: str) -> Circuit:
         elif kw == "inputs":
             if len(parts) != 2 or not parts[1].isdigit():
                 raise NetlistError("inputs line needs a count", lineno)
+            if num_inputs is not None:
+                raise NetlistError("second inputs declaration", lineno)
             num_inputs = int(parts[1])
         elif kw == "gate":
             if num_inputs is None:

@@ -64,10 +64,6 @@ def _resolve_horizon(declared: Optional[int], flag: Optional[int], parser) -> in
     parser.error("no horizon: the manifest declares none, pass --horizon")
 
 
-def _load_mdp_arg(path):
-    return md.load_mdp(path)
-
-
 def build_parser() -> _Parser:
     parser = _Parser(prog="smdp", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -190,7 +186,7 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_eval(args, parser) -> int:
-    m, declared = _load_mdp_arg(args.mdp)
+    m, declared = md.load_mdp(args.mdp)
     policy = load_policy(args.policy)
     horizon = _resolve_horizon(declared, args.horizon, parser)
     report = expected_reward_exact(m, policy, horizon)
@@ -204,7 +200,7 @@ def _cmd_eval(args, parser) -> int:
 
 
 def _cmd_eval_mc(args, parser) -> int:
-    m, declared = _load_mdp_arg(args.mdp)
+    m, declared = md.load_mdp(args.mdp)
     policy = load_policy(args.policy)
     horizon = _resolve_horizon(declared, args.horizon, parser)
     est = expected_reward_mc(m, policy, horizon, samples=args.samples, seed=args.seed)
@@ -225,8 +221,8 @@ def _cmd_value(args) -> int:
 
 
 def _cmd_check_consistency(args, parser) -> int:
-    m, declared = _load_mdp_arg(args.mdp)
-    if not isinstance(m, md.BoundedActionMdp):
+    m, declared = md.load_mdp(args.mdp)
+    if not m.successor_circuits:
         parser.error("consistency checking needs a bounded-action manifest (successor lines)")
     v = load_valuefn(args.valuefn)
     horizon = _resolve_horizon(declared, args.horizon, parser)
@@ -244,8 +240,8 @@ def _cmd_check_consistency(args, parser) -> int:
 
 
 def _cmd_extract_policy(args, parser) -> int:
-    m, declared = _load_mdp_arg(args.mdp)
-    if not isinstance(m, md.BoundedActionMdp):
+    m, declared = md.load_mdp(args.mdp)
+    if not m.successor_circuits:
         parser.error("policy extraction needs a bounded-action manifest (successor lines)")
     v = load_valuefn(args.valuefn)
     s = parse_bitstring(args.state)
@@ -259,7 +255,7 @@ def _cmd_extract_policy(args, parser) -> int:
 
 
 def _cmd_solve(args, parser) -> int:
-    m, declared = _load_mdp_arg(args.mdp)
+    m, declared = md.load_mdp(args.mdp)
     horizon = _resolve_horizon(declared, args.horizon, parser)
     em = md.expand(m)
     sol = oracle.solve_optimal(em, horizon)
@@ -276,7 +272,7 @@ def _cmd_solve(args, parser) -> int:
 
 
 def _cmd_next_action(args, parser) -> int:
-    m, _ = _load_mdp_arg(args.mdp)
+    m, _ = md.load_mdp(args.mdp)
     s = parse_bitstring(args.state)
     acts = oracle.best_next_action(m, args.steps, s)
     names = tuple(m.actions[a] for a in acts)

@@ -42,7 +42,7 @@ def _decide_at(policy, s: BitVector, history, depth: int, horizon: int) -> int:
     return policy.decide(s)
 
 
-def history_probability(m: md.Mdp, policy, states: Sequence[BitVector]) -> Fraction:
+def history_probability(m: md.SuccinctMdp, policy, states: Sequence[BitVector]) -> Fraction:
     """Probability that states[0..d] is the realized history under the policy."""
     if policy.kind == "timed":
         raise PolicyError("history probability of a step-indexed table policy is ambiguous")
@@ -54,7 +54,7 @@ def history_probability(m: md.Mdp, policy, states: Sequence[BitVector]) -> Fract
     return prob
 
 
-def enumerate_trajectories(m: md.Mdp, policy, depth: int) -> Iterator[Trajectory]:
+def enumerate_trajectories(m: md.SuccinctMdp, policy, depth: int) -> Iterator[Trajectory]:
     """All positive-probability trajectories of exactly `depth` steps."""
 
     def rec(history: Tuple[BitVector, ...], prob: Fraction):
@@ -68,7 +68,7 @@ def enumerate_trajectories(m: md.Mdp, policy, depth: int) -> Iterator[Trajectory
     yield from rec((tuple(m.initial),), Fraction(1))
 
 
-def expected_reward_exact(m: md.Mdp, policy, horizon: int) -> RewardReport:
+def expected_reward_exact(m: md.SuccinctMdp, policy, horizon: int) -> RewardReport:
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
     if policy.kind == "history":
@@ -76,7 +76,7 @@ def expected_reward_exact(m: md.Mdp, policy, horizon: int) -> RewardReport:
     return _exact_marginal(m, policy, horizon)
 
 
-def _exact_marginal(m: md.Mdp, policy, horizon: int) -> RewardReport:
+def _exact_marginal(m: md.SuccinctMdp, policy, horizon: int) -> RewardReport:
     s0 = tuple(m.initial)
     rewards: Dict[BitVector, int] = {}
 
@@ -123,7 +123,7 @@ def _exact_marginal(m: md.Mdp, policy, horizon: int) -> RewardReport:
     )
 
 
-def _exact_history(m: md.Mdp, policy, horizon: int) -> RewardReport:
+def _exact_history(m: md.SuccinctMdp, policy, horizon: int) -> RewardReport:
     per_depth = [Fraction(0)] * (horizon + 1)
     masses = [Fraction(0)] * (horizon + 1)
     leaves = 0
@@ -162,9 +162,11 @@ class McEstimate:
 
 
 def expected_reward_mc(
-    m: md.Mdp, policy, horizon: int, samples: int, seed: int
+    m: md.SuccinctMdp, policy, horizon: int, samples: int, seed: int
 ) -> McEstimate:
     """Plain Monte-Carlo estimate; deterministic for a fixed seed."""
+    if horizon < 0:
+        raise ValueError("horizon must be nonnegative")
     if samples < 1:
         raise ValueError("need at least one sample")
     rng = random.Random(seed)

@@ -1,22 +1,26 @@
-"""Succinct MDPs, bounded-action MDPs, and their explicit expansion.
+"""Succinct MDPs and their explicit expansion.
 
 States are assignments to Boolean variables. The transition circuit takes
 ``[s bits | s' bits | action-index bits]`` and outputs the probability
 numerator over a single declared denominator D, so all probability
 arithmetic is exact. The reward circuit maps a state to a two's-complement
-integer.
+integer. A bounded-action MDP also has one successor circuit per action that
+lists the successors of a state slot by slot; without them, every one of
+the 2**n states is a candidate successor.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import lru_cache
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import circuit as ct
+from ._manifest import read_manifest
 from .bits import BitVector, bits_to_int, int_to_bits, twos_to_int, width_for_count
 
 DEFAULT_STATE_LIMIT = 1 << 20
@@ -42,6 +46,14 @@ def state_limit() -> int:
 
 @dataclass(frozen=True)
 class SuccinctMdp:
+    """A circuit-represented MDP.
+
+    With `successor_circuits` it is a bounded-action MDP: the circuit of each
+    action maps ``[s bits | slot bits]`` to ``[valid | s' bits]`` for slots
+    0..max_branching-1, and the valid slots must list every
+    positive-probability successor of s exactly once.
+    """
+
     var_names: Tuple[str, ...]
     initial: BitVector
     actions: Tuple[str, ...]
@@ -49,6 +61,8 @@ class SuccinctMdp:
     r_circuit: ct.Circuit
     prob_denominator: int
     name: str = "mdp"
+    successor_circuits: Tuple[ct.Circuit, ...] = ()
+    max_branching: int = 0
 
     def __post_init__(self):
         n = len(self.var_names)
@@ -69,6 +83,22 @@ class SuccinctMdp:
             )
         if self.t_circuit.num_outputs < 1 or self.r_circuit.num_outputs < 1:
             raise ModelError("transition and reward circuits need at least one output")
+        if not self.successor_circuits:
+            return
+        if len(self.successor_circuits) != len(self.actions):
+            raise ModelError("need one successor circuit per action")
+        if self.max_branching < 1:
+            raise ModelError("max branching must be positive")
+        want_in = n + self.slot_width
+        for a, c in zip(self.actions, self.successor_circuits):
+            if c.num_inputs != want_in:
+                raise ModelError(
+                    f"successor circuit for {a} takes {c.num_inputs} inputs, expected {want_in}"
+                )
+            if c.num_outputs != 1 + n:
+                raise ModelError(
+                    f"successor circuit for {a} has {c.num_outputs} outputs, expected {1 + n}"
+                )
 
     @property
     def num_vars(self) -> int:
@@ -86,73 +116,9 @@ class SuccinctMdp:
     def reward_width(self) -> int:
         return self.r_circuit.num_outputs
 
-
-@dataclass(frozen=True)
-class BoundedActionMdp:
-    base: SuccinctMdp
-    successor_circuits: Tuple[ct.Circuit, ...]
-    max_branching: int
-
-    def __post_init__(self):
-        if len(self.successor_circuits) != len(self.base.actions):
-            raise ModelError("need one successor circuit per action")
-        if self.max_branching < 1:
-            raise ModelError("max branching must be positive")
-        n = self.base.num_vars
-        want_in = n + self.slot_width
-        for a, c in zip(self.base.actions, self.successor_circuits):
-            if c.num_inputs != want_in:
-                raise ModelError(
-                    f"successor circuit for {a} takes {c.num_inputs} inputs, expected {want_in}"
-                )
-            if c.num_outputs != 1 + n:
-                raise ModelError(
-                    f"successor circuit for {a} has {c.num_outputs} outputs, expected {1 + n}"
-                )
-
     @property
     def slot_width(self) -> int:
         return width_for_count(self.max_branching)
-
-    # proxies so callers can treat both model kinds uniformly
-    @property
-    def var_names(self):
-        return self.base.var_names
-
-    @property
-    def initial(self):
-        return self.base.initial
-
-    @property
-    def actions(self):
-        return self.base.actions
-
-    @property
-    def t_circuit(self):
-        return self.base.t_circuit
-
-    @property
-    def r_circuit(self):
-        return self.base.r_circuit
-
-    @property
-    def prob_denominator(self):
-        return self.base.prob_denominator
-
-    @property
-    def name(self):
-        return self.base.name
-
-    @property
-    def num_vars(self):
-        return self.base.num_vars
-
-    @property
-    def action_width(self):
-        return self.base.action_width
-
-
-Mdp = Union[SuccinctMdp, BoundedActionMdp]
 
 
 @dataclass(frozen=True)
@@ -172,147 +138,138 @@ class ExplicitMdp:
 
 
 def _unsigned_rows(out: np.ndarray) -> np.ndarray:
+    """Unsigned reading of each bool row, MSB first: int64 up to 62 bits,
+    exact Python ints (object dtype) beyond, so no width wraps."""
     width = out.shape[1]
-    weights = (1 << np.arange(width - 1, -1, -1)).astype(np.int64)
-    return out.astype(np.int64) @ weights
+    dtype = np.int64 if width < 63 else object
+    weights = np.array([1 << k for k in range(width - 1, -1, -1)], dtype=dtype)
+    return out.astype(dtype) @ weights
 
 
-def transition_prob(m: Mdp, s: BitVector, s2: BitVector, a: int) -> Fraction:
+def transition_prob(m: SuccinctMdp, s: BitVector, s2: BitVector, a: int) -> Fraction:
     """Exact probability of reaching s2 from s under action index a."""
     if not 0 <= a < len(m.actions):
         raise ModelError(f"action index {a} out of range")
-    base = m.base if isinstance(m, BoundedActionMdp) else m
-    bits = tuple(s) + tuple(s2) + int_to_bits(a, base.action_width)
-    num = bits_to_int(ct.eval(base.t_circuit, bits))
-    if num > base.prob_denominator:
+    bits = tuple(s) + tuple(s2) + int_to_bits(a, m.action_width)
+    num = bits_to_int(ct.eval(m.t_circuit, bits))
+    if num > m.prob_denominator:
         raise ModelError(
-            f"transition numerator {num} exceeds denominator {base.prob_denominator}"
+            f"transition numerator {num} exceeds denominator {m.prob_denominator}"
         )
-    return Fraction(num, base.prob_denominator)
+    return Fraction(num, m.prob_denominator)
 
 
-def reward(m: Mdp, s: BitVector) -> int:
+def reward(m: SuccinctMdp, s: BitVector) -> int:
     """Two's-complement reading of the reward circuit output."""
     return twos_to_int(ct.eval(m.r_circuit, tuple(s)))
 
 
-def reward_batch(m: Mdp, states: Sequence[BitVector]) -> List[int]:
+def reward_batch(m: SuccinctMdp, states: Sequence[BitVector]) -> List[int]:
     if not states:
         return []
     out = ct.eval_batch(m.r_circuit, np.array(states, dtype=bool))
-    width = out.shape[1]
     vals = _unsigned_rows(out)
-    vals = np.where(out[:, 0], vals - (1 << width), vals)
+    vals = np.where(out[:, 0], vals - (1 << out.shape[1]), vals)
     return [int(v) for v in vals]
 
 
-def successors(m: Mdp, s: BitVector, a: int) -> List[Tuple[BitVector, Fraction]]:
+@lru_cache(maxsize=None)
+def _slot_rows(width: int, count: int) -> np.ndarray:
+    """The first ``count`` slot indices as bool rows (shared, never written)."""
+    return ct.all_input_rows(width)[:count]
+
+
+def _step(m: SuccinctMdp, states_arr: np.ndarray, a: int):
+    """One checked step of action a from every row of a bool state array.
+
+    Returns ``(src, succ, nums)`` with one row per positive-probability
+    transition, in source order: the source row index, the successor bits
+    and the numerator over D. Candidates are the valid slots of the successor
+    circuit, or all 2**n states for a model without one. Raises ModelError,
+    checking in this order, if an enumerator lists a state twice, a
+    numerator exceeds D, an enumerator lists a zero-probability state, or a
+    source's numerators do not sum to D.
+    """
+    n_src = len(states_arr)
+    D = m.prob_denominator
+    if m.successor_circuits:
+        B = m.max_branching
+        slots = _slot_rows(m.slot_width, B)
+        out = ct.eval_batch(
+            m.successor_circuits[a],
+            np.concatenate(
+                [np.repeat(states_arr, B, axis=0), np.tile(slots, (n_src, 1))], axis=1
+            ),
+        )
+        # packed rows keep the valid bit, so two equal rows are both valid or
+        # both not; compare each slot with the later slots of the same source
+        packed = np.packbits(out.reshape(n_src, B, -1), axis=2)
+        for i in range(B - 1):
+            same = (packed[:, i + 1 :] == packed[:, i : i + 1]).all(axis=2)
+            if (same & out[i::B, :1]).any():
+                raise ModelError(f"duplicate successor slot in enumerator for {m.actions[a]}")
+        keep = np.flatnonzero(out[:, 0])
+        src, succ = keep // B, out[keep, 1:]
+    else:
+        n = m.num_vars
+        if (1 << n) > state_limit():
+            raise EnumerationLimitError(
+                f"cannot enumerate 2^{n} successor candidates (limit {state_limit()})"
+            )
+        all_rows = ct.all_input_rows(n)
+        src = np.repeat(np.arange(n_src, dtype=np.int64), len(all_rows))
+        succ = np.tile(all_rows, (n_src, 1))
+    a_bits = np.array(int_to_bits(a, m.action_width), dtype=bool)
+    t_rows = np.concatenate(
+        [states_arr[src], succ, np.repeat(a_bits[None], len(src), axis=0)], axis=1
+    )
+    nums = _unsigned_rows(ct.eval_batch(m.t_circuit, t_rows))
+    over = nums > D
+    if over.any():
+        raise ModelError(f"transition numerator {int(nums[over][0])} exceeds denominator {D}")
+    positive = nums > 0
+    if not positive.all():
+        if m.successor_circuits:
+            raise ModelError(
+                f"successor enumerator for {m.actions[a]} lists a zero-probability state"
+            )
+        src, succ, nums = src[positive], succ[positive], nums[positive]
+    # every numerator is at most D, so int64 sums cannot wrap while D * len(src) < 2**63
+    totals = np.zeros(n_src, dtype=np.int64 if D * len(src) < 1 << 63 else object)
+    np.add.at(totals, src, nums.astype(totals.dtype))
+    if (totals != D).any():
+        k = int(np.flatnonzero(totals != D)[0])
+        raise ModelError(
+            f"probabilities from state {tuple(states_arr[k].astype(int).tolist())} under "
+            f"{m.actions[a]} sum to {int(totals[k])}/{D}, not 1"
+        )
+    return src, succ, nums
+
+
+def successors(m: SuccinctMdp, s: BitVector, a: int) -> List[Tuple[BitVector, Fraction]]:
     """All positive-probability successors of s under action a, with exact
     probabilities summing to 1."""
     return successors_batch(m, [tuple(s)], a)[0]
 
 
 def successors_batch(
-    m: Mdp, states: Sequence[BitVector], a: int
+    m: SuccinctMdp, states: Sequence[BitVector], a: int
 ) -> List[List[Tuple[BitVector, Fraction]]]:
     if not 0 <= a < len(m.actions):
         raise ModelError(f"action index {a} out of range")
     if not states:
         return []
-    if isinstance(m, BoundedActionMdp):
-        cands, cand_arr, src_idx = _bounded_candidates(m, states, a)
-    else:
-        cands, cand_arr, src_idx = _enumerated_candidates(m, states, a)
-    base = m.base if isinstance(m, BoundedActionMdp) else m
-    # one transition-circuit evaluation over every (s, s') candidate pair
-    a_bits = int_to_bits(a, base.action_width)
-    if len(cand_arr):
-        states_arr = np.array(states, dtype=bool)
-        rows = np.concatenate(
-            [
-                states_arr[src_idx],
-                cand_arr,
-                np.tile(np.array(a_bits, dtype=bool), (len(cand_arr), 1)),
-            ],
-            axis=1,
-        )
-        nums = _unsigned_rows(ct.eval_batch(base.t_circuit, rows))
-    else:
-        nums = []
-    result = []
-    pos = 0
-    D = base.prob_denominator
-    for s, succ_list in zip(states, cands):
-        pairs = []
-        total = 0
-        for s2 in succ_list:
-            num = int(nums[pos])
-            pos += 1
-            if num > D:
-                raise ModelError(f"transition numerator {num} exceeds denominator {D}")
-            if num > 0:
-                pairs.append((s2, Fraction(num, D)))
-                total += num
-            elif isinstance(m, BoundedActionMdp):
-                raise ModelError(
-                    f"successor enumerator for {m.actions[a]} lists a zero-probability state"
-                )
-        if total != D:
-            raise ModelError(
-                f"probabilities from state {s} under {m.actions[a]} sum to {total}/{D}, not 1"
-            )
-        result.append(pairs)
+    src, succ, nums = _step(m, np.array(states, dtype=bool), a)
+    n, D = m.num_vars, m.prob_denominator
+    bits = succ.astype(np.uint8).tobytes()  # row r is bits[r * n : (r + 1) * n]
+    result: List[List[Tuple[BitVector, Fraction]]] = [[] for _ in states]
+    for r, (k, num) in enumerate(zip(src.tolist(), nums.tolist())):
+        result[k].append((tuple(bits[r * n : (r + 1) * n]), Fraction(num, D)))
     return result
 
 
-def _bounded_candidates(m: BoundedActionMdp, states, a):
-    """Candidate successors per state plus the flat bool array and source-state
-    index of every candidate (for one batched transition evaluation)."""
-    n_states = len(states)
-    B = m.max_branching
-    slot_rows = ct.all_input_rows(m.slot_width)[:B]
-    states_arr = np.array(states, dtype=bool)
-    rows = np.concatenate(
-        [np.repeat(states_arr, B, axis=0), np.tile(slot_rows, (n_states, 1))], axis=1
-    )
-    out = ct.eval_batch(m.successor_circuits[a], rows)
-    valid = out[:, 0]
-    succ_tuples = [tuple(r) for r in out[:, 1:].astype(np.uint8).tolist()]
-    result = []
-    keep = []
-    for si in range(n_states):
-        succ = []
-        seen = set()
-        for slot in range(si * B, (si + 1) * B):
-            if valid[slot]:
-                s2 = succ_tuples[slot]
-                if s2 in seen:
-                    raise ModelError(
-                        f"duplicate successor slot in enumerator for {m.actions[a]}"
-                    )
-                seen.add(s2)
-                succ.append(s2)
-                keep.append(slot)
-        result.append(succ)
-    keep_arr = np.array(keep, dtype=np.int64)
-    return result, out[keep_arr, 1:] if keep else out[:0, 1:], keep_arr // B
-
-
-def _enumerated_candidates(m: SuccinctMdp, states, a):
-    n = m.num_vars
-    if (1 << n) > state_limit():
-        raise EnumerationLimitError(
-            f"cannot enumerate 2^{n} successor candidates (limit {state_limit()})"
-        )
-    rows = ct.all_input_rows(n)
-    all_states = [tuple(r) for r in rows.astype(np.uint8).tolist()]
-    cand_arr = np.tile(rows, (len(states), 1))
-    src_idx = np.repeat(np.arange(len(states), dtype=np.int64), len(all_states))
-    return [list(all_states) for _ in states], cand_arr, src_idx
-
-
 def expand(
-    m: Mdp, s0: Optional[BitVector] = None, max_states: Optional[int] = None
+    m: SuccinctMdp, s0: Optional[BitVector] = None, max_states: Optional[int] = None
 ) -> ExplicitMdp:
     """Enumerate the states reachable from s0 (closure under all actions)."""
     if s0 is None:
@@ -321,193 +278,94 @@ def expand(
     return em
 
 
-def _candidate_arrays(m: Mdp, states_arr: np.ndarray, a: int):
-    """Flat candidate-successor array plus the source-state index per row.
-
-    For bounded-action models only the enumerator's valid slots appear; for
-    plain succinct models every state appears as a candidate of every source.
-    """
-    n_states = len(states_arr)
-    if isinstance(m, BoundedActionMdp):
-        B = m.max_branching
-        slot_rows = ct.all_input_rows(m.slot_width)[:B]
-        rows = np.concatenate(
-            [np.repeat(states_arr, B, axis=0), np.tile(slot_rows, (n_states, 1))],
-            axis=1,
-        )
-        out = ct.eval_batch(m.successor_circuits[a], rows)
-        keep = np.flatnonzero(out[:, 0])
-        return out[keep, 1:], keep // B
-    n = m.num_vars
-    if (1 << n) > state_limit():
-        raise EnumerationLimitError(
-            f"cannot enumerate 2^{n} successor candidates (limit {state_limit()})"
-        )
-    all_rows = ct.all_input_rows(n)
-    cand = np.tile(all_rows, (n_states, 1))
-    src = np.repeat(np.arange(n_states, dtype=np.int64), len(all_rows))
-    return cand, src
-
-
 def _pack_keys(arr: np.ndarray) -> Tuple[bytes, int]:
     """Per-row byte keys of a bool array: (flat buffer, bytes per row)."""
-    if arr.shape[1] == 0:
-        return b"\x00" * len(arr), 1
     packed = np.packbits(arr, axis=1)
     return packed.tobytes(), packed.shape[1]
 
 
 def expand_many(
-    m: Mdp, roots: Sequence[BitVector], max_states: Optional[int] = None
+    m: SuccinctMdp, roots: Sequence[BitVector], max_states: Optional[int] = None
 ) -> Tuple[ExplicitMdp, List[int]]:
     """Joint closure of several root states; returns the model plus the index
     of each root. Useful when many instances share one circuit MDP."""
     if not roots:
         raise ModelError("need at least one root state")
     limit = max_states if max_states is not None else state_limit()
-    base = m.base if isinstance(m, BoundedActionMdp) else m
-    D = base.prob_denominator
-    frac = [Fraction(num, D) for num in range(D + 1)]
-    n_actions = len(m.actions)
-    a_bits = [
-        np.tile(np.array(int_to_bits(a, base.action_width), dtype=bool), (1, 1))
-        for a in range(n_actions)
-    ]
+    n = m.num_vars
 
     states: List[BitVector] = []
     index: Dict[bytes, int] = {}
     root_arr = np.array([tuple(s) for s in roots], dtype=bool)
-    root_keys, _ = _pack_keys(root_arr)
-    root_kw = max(1, (root_arr.shape[1] + 7) // 8)
-    frontier_rows: List[BitVector] = []
+    root_keys, root_kw = _pack_keys(root_arr)
+    frontier: List[BitVector] = []
+    root_idx: List[int] = []
     for i, s in enumerate(roots):
         key = root_keys[i * root_kw : (i + 1) * root_kw]
         if key not in index:
             index[key] = len(states)
             states.append(tuple(s))
-            frontier_rows.append(tuple(s))
-    rows: List[List[Tuple[Tuple[int, Fraction], ...]]] = []
-    frontier_arr = np.array(frontier_rows, dtype=bool)
+            frontier.append(tuple(s))
+        root_idx.append(index[key])
+    rows: List[Tuple[Tuple[Tuple[int, Fraction], ...], ...]] = []
+    frontier_arr = np.array(frontier, dtype=bool)
     while len(frontier_arr):
-        n_frontier = len(frontier_arr)
-        layer: List[List[Optional[Tuple]]] = [[None] * n_actions for _ in range(n_frontier)]
+        per_action = []
         next_frontier: List[BitVector] = []
-        for a in range(n_actions):
-            cand, src = _candidate_arrays(m, frontier_arr, a)
-            t_rows = np.concatenate(
-                [frontier_arr[src], cand, np.repeat(a_bits[a], len(cand), axis=0)],
-                axis=1,
-            )
-            nums = _unsigned_rows(ct.eval_batch(base.t_circuit, t_rows))
-            keys, kw = _pack_keys(cand)
-            bounded = isinstance(m, BoundedActionMdp)
-            pairs: List[Tuple[int, Fraction]] = []
-            seen = set()
-            total = 0
-            prev_src = src[0] if len(src) else -1
-            cand_list = None  # lazy row unpacking for new states only
-
-            def flush(si: int):
-                nonlocal pairs, seen, total
-                if total != D:
-                    raise ModelError(
-                        f"probabilities from state {states_of(si)} under "
-                        f"{m.actions[a]} sum to {total}/{D}, not 1"
-                    )
-                layer[si][a] = tuple(pairs)
-                pairs, seen, total = [], set(), 0
-
-            def states_of(si: int) -> BitVector:
-                return tuple(int(b) for b in frontier_arr[si])
-
-            for r in range(len(src)):
-                si = int(src[r])
-                if si != prev_src:
-                    flush(prev_src)
-                    prev_src = si
-                num = int(nums[r])
-                if num > D:
-                    raise ModelError(
-                        f"transition numerator {num} exceeds denominator {D}"
-                    )
+        for a in range(len(m.actions)):
+            src, succ, nums = _step(m, frontier_arr, a)
+            nums = nums.tolist()
+            frac = {num: Fraction(num, m.prob_denominator) for num in set(nums)}
+            keys, kw = _pack_keys(succ)
+            bits = None  # successor rows as bytes, made for new states only
+            pairs: List[List[Tuple[int, Fraction]]] = [[] for _ in range(len(frontier_arr))]
+            for r, (k, num) in enumerate(zip(src.tolist(), nums)):
                 key = keys[r * kw : (r + 1) * kw]
-                if bounded:
-                    if key in seen:
-                        raise ModelError(
-                            f"duplicate successor slot in enumerator for {m.actions[a]}"
-                        )
-                    seen.add(key)
-                    if num == 0:
-                        raise ModelError(
-                            f"successor enumerator for {m.actions[a]} lists a "
-                            f"zero-probability state"
-                        )
-                if num == 0:
-                    continue
                 j = index.get(key)
                 if j is None:
                     j = len(states)
                     if j >= limit:
-                        raise EnumerationLimitError(
-                            f"reachable state count exceeds limit {limit}"
-                        )
-                    if cand_list is None:
-                        cand_list = cand.astype(np.uint8)
-                    s2 = tuple(int(b) for b in cand_list[r])
+                        raise EnumerationLimitError(f"reachable state count exceeds limit {limit}")
+                    if bits is None:
+                        bits = succ.astype(np.uint8).tobytes()
+                    s2 = tuple(bits[r * n : (r + 1) * n])
                     index[key] = j
                     states.append(s2)
                     next_frontier.append(s2)
-                pairs.append((j, frac[num]))
-                total += num
-            if len(src):
-                flush(prev_src)
-            # states with no candidate rows at all cannot normalize
-            for si in range(n_frontier):
-                if layer[si][a] is None:
-                    raise ModelError(
-                        f"probabilities from state {states_of(si)} under "
-                        f"{m.actions[a]} sum to 0/{D}, not 1"
-                    )
-        rows.extend([tuple(row) for row in layer])
-        frontier_arr = np.array(next_frontier, dtype=bool) if next_frontier else np.zeros(
-            (0, root_arr.shape[1]), dtype=bool
-        )
-    rewards = tuple(reward_batch(m, states))
+                pairs[k].append((j, frac[num]))
+            per_action.append([tuple(p) for p in pairs])
+        rows.extend(zip(*per_action))
+        frontier_arr = np.array(next_frontier, dtype=bool) if next_frontier else root_arr[:0]
     em = ExplicitMdp(
         states=tuple(states),
         initial=0,
         actions=tuple(m.actions),
-        transitions=tuple(tuple(row) for row in rows),
-        rewards=rewards,
+        transitions=tuple(rows),
+        rewards=tuple(reward_batch(m, states)),
     )
-    root_idx = [
-        index[root_keys[i * root_kw : (i + 1) * root_kw]] for i in range(len(roots))
-    ]
     return em, root_idx
 
 
-def save_mdp(m: Mdp, directory, horizon: Optional[int] = None) -> str:
+def save_mdp(m: SuccinctMdp, directory, horizon: Optional[int] = None) -> str:
     """Write the manifest and companion netlists; returns the manifest path."""
-    base = m.base if isinstance(m, BoundedActionMdp) else m
     os.makedirs(directory, exist_ok=True)
-    ct.write_netlist(base.t_circuit, os.path.join(directory, "transition.net"))
-    ct.write_netlist(base.r_circuit, os.path.join(directory, "reward.net"))
+    ct.write_netlist(m.t_circuit, os.path.join(directory, "transition.net"))
+    ct.write_netlist(m.r_circuit, os.path.join(directory, "reward.net"))
     lines = [
-        f"mdp {base.name}",
-        "vars " + " ".join(base.var_names),
-        "init " + "".join(str(b) for b in base.initial),
-        "actions " + " ".join(base.actions),
-        f"prob_denominator {base.prob_denominator}",
-        f"prob_width {base.prob_num_width}",
-        f"reward_width {base.reward_width}",
+        f"mdp {m.name}",
+        "vars " + " ".join(m.var_names),
+        "init " + "".join(str(b) for b in m.initial),
+        "actions " + " ".join(m.actions),
+        f"prob_denominator {m.prob_denominator}",
+        f"prob_width {m.prob_num_width}",
+        f"reward_width {m.reward_width}",
         "transition transition.net",
         "reward reward.net",
     ]
-    if isinstance(m, BoundedActionMdp):
-        for a, c in zip(base.actions, m.successor_circuits):
-            fname = f"succ_{a}.net"
-            ct.write_netlist(c, os.path.join(directory, fname))
-            lines.append(f"successor {a} {fname} branching {m.max_branching}")
+    for a, c in zip(m.actions, m.successor_circuits):
+        fname = f"succ_{a}.net"
+        ct.write_netlist(c, os.path.join(directory, fname))
+        lines.append(f"successor {a} {fname} branching {m.max_branching}")
     if horizon is not None:
         lines.append(f"horizon {horizon}")
     path = os.path.join(directory, "mdp.manifest")
@@ -516,63 +374,61 @@ def save_mdp(m: Mdp, directory, horizon: Optional[int] = None) -> str:
     return path
 
 
-def load_mdp(manifest_path) -> Tuple[Mdp, Optional[int]]:
+def load_mdp(manifest_path) -> Tuple[SuccinctMdp, Optional[int]]:
     """Read a manifest; returns the model and the declared horizon, if any."""
-    fields: Dict[str, str] = {}
-    succ_lines: List[Tuple[str, str, int]] = []
-    with open(manifest_path, "r", encoding="ascii") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            if parts[0] == "successor":
-                if len(parts) != 5 or parts[3] != "branching":
-                    raise ModelError(f"line {lineno}: malformed successor line")
-                succ_lines.append((parts[1], parts[2], int(parts[4])))
-            else:
-                fields[parts[0]] = " ".join(parts[1:])
-    for key in (
-        "mdp", "vars", "init", "actions", "prob_denominator",
-        "prob_width", "reward_width", "transition", "reward",
-    ):
-        if key not in fields:
-            raise ModelError(f"MDP manifest missing {key!r} line")
-    directory = os.path.dirname(os.path.abspath(manifest_path))
-    t_circuit = ct.read_netlist(os.path.join(directory, fields["transition"]))
-    r_circuit = ct.read_netlist(os.path.join(directory, fields["reward"]))
+    fields = read_manifest(
+        manifest_path,
+        "MDP",
+        ModelError,
+        required=(
+            "mdp", "vars", "init", "actions", "prob_denominator",
+            "prob_width", "reward_width", "transition", "reward",
+        ),
+        ints=("prob_denominator", "prob_width", "reward_width", "horizon"),
+        repeated=("successor",),
+    )
+    actions = tuple(fields["actions"].split())
+    succ_files: Dict[str, str] = {}
+    branchings = set()
+    for lineno, value in fields["successor"]:
+        parts = value.split()
+        if len(parts) != 4 or parts[2] != "branching" or not parts[3].isdigit():
+            raise ModelError(f"line {lineno}: malformed successor line")
+        if parts[0] in succ_files:
+            raise ModelError(f"line {lineno}: second successor line for action {parts[0]}")
+        succ_files[parts[0]] = parts[1]
+        branchings.add(int(parts[3]))
+    if succ_files and set(succ_files) != set(actions):
+        raise ModelError("successor lines must cover every action exactly once")
+    if len(branchings) > 1:
+        raise ModelError("successor lines disagree on branching")
     init = fields["init"]
     if any(ch not in "01" for ch in init):
         raise ModelError(f"bad init bitstring {init!r}")
-    base = SuccinctMdp(
+    directory = os.path.dirname(os.path.abspath(manifest_path))
+
+    def netlist(fname: str) -> ct.Circuit:
+        return ct.read_netlist(os.path.join(directory, fname))
+
+    m = SuccinctMdp(
         var_names=tuple(fields["vars"].split()),
         initial=tuple(int(ch) for ch in init),
-        actions=tuple(fields["actions"].split()),
-        t_circuit=t_circuit,
-        r_circuit=r_circuit,
-        prob_denominator=int(fields["prob_denominator"]),
+        actions=actions,
+        t_circuit=netlist(fields["transition"]),
+        r_circuit=netlist(fields["reward"]),
+        prob_denominator=fields["prob_denominator"],
         name=fields["mdp"],
+        successor_circuits=tuple(netlist(succ_files[a]) for a in actions) if succ_files else (),
+        max_branching=branchings.pop() if branchings else 0,
     )
-    if base.prob_num_width != int(fields["prob_width"]):
+    if m.prob_num_width != fields["prob_width"]:
         raise ModelError("declared prob_width does not match transition circuit")
-    if base.reward_width != int(fields["reward_width"]):
+    if m.reward_width != fields["reward_width"]:
         raise ModelError("declared reward_width does not match reward circuit")
-    horizon = int(fields["horizon"]) if "horizon" in fields else None
-    if not succ_lines:
-        return base, horizon
-    by_action = {a: (f, b) for a, f, b in succ_lines}
-    if set(by_action) != set(base.actions):
-        raise ModelError("successor lines must cover every action exactly once")
-    branchings = {b for _, b in by_action.values()}
-    if len(branchings) != 1:
-        raise ModelError("successor lines disagree on branching")
-    circuits = tuple(
-        ct.read_netlist(os.path.join(directory, by_action[a][0])) for a in base.actions
-    )
-    return BoundedActionMdp(base, circuits, branchings.pop()), horizon
+    return m, fields.get("horizon")
 
 
-def validate(m: Mdp, sample: int = 64, seed: int = 0) -> List[str]:
+def validate(m: SuccinctMdp, sample: int = 64, seed: int = 0) -> List[str]:
     """Best-effort well-formedness report; empty list means no violation found.
 
     Checks normalization and (for bounded-action models) enumerator fidelity,
@@ -582,38 +438,31 @@ def validate(m: Mdp, sample: int = 64, seed: int = 0) -> List[str]:
     import random
 
     report: List[str] = []
-    base = m.base if isinstance(m, BoundedActionMdp) else m
-    n = base.num_vars
+    n = m.num_vars
     if (1 << n) <= 4096:
         states = [tuple(int(b) for b in row) for row in ct.all_input_rows(n)]
         exhaustive = True
     else:
         rng = random.Random(seed)
         states = [tuple(rng.randrange(2) for _ in range(n)) for _ in range(sample)]
-        states.append(tuple(base.initial))
+        states.append(tuple(m.initial))
         exhaustive = False
-    for a in range(len(base.actions)):
+    # cross-check the enumerator against brute-force t enumeration
+    plain = None
+    if m.successor_circuits and exhaustive and (1 << n) <= 256:
+        plain = replace(m, successor_circuits=(), max_branching=0)
+    for a in range(len(m.actions)):
         try:
             succ = successors_batch(m, states, a)
         except ModelError as exc:
-            report.append(f"action {base.actions[a]}: {exc}")
+            report.append(f"action {m.actions[a]}: {exc}")
             continue
-        if isinstance(m, BoundedActionMdp) and exhaustive and (1 << n) <= 256:
-            # cross-check the enumerator against brute-force t enumeration
-            plain = SuccinctMdp(
-                base.var_names,
-                base.initial,
-                base.actions,
-                base.t_circuit,
-                base.r_circuit,
-                base.prob_denominator,
-                base.name,
-            )
+        if plain is not None:
             brute = successors_batch(plain, states, a)
             for s, got, want in zip(states, succ, brute):
                 if sorted(got) != sorted(want):
                     report.append(
-                        f"action {base.actions[a]}: enumerator mismatch at state {s}"
+                        f"action {m.actions[a]}: enumerator mismatch at state {s}"
                     )
                     break
     return report

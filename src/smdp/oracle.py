@@ -139,7 +139,7 @@ def solve_optimal(em: md.ExplicitMdp, horizon: int) -> OptimalSolution:
 
 
 def best_next_action(
-    m: md.Mdp, steps_remaining: int, s: BitVector, max_states: Optional[int] = None
+    m: md.SuccinctMdp, steps_remaining: int, s: BitVector, max_states: Optional[int] = None
 ) -> Tuple[int, ...]:
     """Actions taken at s by some optimal policy with the given number of
     steps before the horizon, from exhaustive expansion rooted at s."""
@@ -182,7 +182,7 @@ def _enumerate_candidate_circuits(
 
 
 def bounded_policy_exists(
-    m: md.Mdp,
+    m: md.SuccinctMdp,
     horizon: int,
     size_bound: int,
     reward_bound: Fraction,

@@ -16,6 +16,7 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from . import circuit as ct
+from ._manifest import read_manifest
 from .bits import BitVector, bits_to_int, int_to_bits, width_for_count
 
 
@@ -176,24 +177,22 @@ def save_policy(p, directory, basename: str = "policy") -> str:
 def load_policy(manifest_path):
     import os
 
-    fields: Dict[str, str] = {}
-    with open(manifest_path, "r", encoding="ascii") as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            key, _, rest = line.partition(" ")
-            fields[key] = rest.strip()
-    for key in ("policy", "kind", "actions", "circuit"):
-        if key not in fields:
-            raise PolicyError(f"policy manifest missing {key!r} line")
+    fields = read_manifest(
+        manifest_path,
+        "policy",
+        PolicyError,
+        required=("policy", "kind", "actions", "circuit"),
+        ints=("actions", "horizon"),
+    )
     base = os.path.dirname(os.path.abspath(manifest_path))
     circ = ct.read_netlist(os.path.join(base, fields["circuit"]))
-    count = int(fields["actions"])
+    count = fields["actions"]
     if fields["kind"] == "stationary":
         return StationaryPolicy(circ, count, name=fields["policy"])
     if fields["kind"] == "history":
-        horizon = int(fields["horizon"])
+        if "horizon" not in fields:
+            raise PolicyError("policy manifest missing 'horizon' line")
+        horizon = fields["horizon"]
         tw = width_for_count(horizon + 1)
         num_vars = (circ.num_inputs - tw) // (horizon + 1)
         return HistoryPolicy(circ, count, horizon, num_vars, name=fields["policy"])

@@ -12,7 +12,7 @@ from typing import Dict, List, Tuple
 from . import circuit as ct
 from .bits import BitVector, int_to_bits, width_for_count
 from .cnf import Cnf
-from .mdp import BoundedActionMdp, SuccinctMdp
+from .mdp import SuccinctMdp
 from .policy import StationaryPolicy, compile_explicit
 
 
@@ -54,7 +54,7 @@ class RandomMdp:
     """A circuit-backed model together with the explicit dynamics it was
     compiled from."""
 
-    mdp: BoundedActionMdp
+    mdp: SuccinctMdp
     transitions: Dict[Tuple[BitVector, int], Tuple[Tuple[BitVector, Fraction], ...]]
     rewards: Dict[BitVector, int]
 
@@ -129,7 +129,7 @@ def random_bounded_mdp(
             ct.circuit_from_values(n + sw, 1 + n, values, name=f"succ_random_{a}")
         )
 
-    base = SuccinctMdp(
+    mdp = SuccinctMdp(
         var_names=tuple(f"x{i + 1}" for i in range(n)),
         initial=states[rng.randrange(num_states)],
         actions=tuple(f"u{a + 1}" for a in range(num_actions)),
@@ -137,8 +137,9 @@ def random_bounded_mdp(
         r_circuit=r_circuit,
         prob_denominator=denominator,
         name="random",
+        successor_circuits=tuple(succ_circuits),
+        max_branching=max_branching,
     )
-    mdp = BoundedActionMdp(base, tuple(succ_circuits), max_branching=max_branching)
     return RandomMdp(mdp=mdp, transitions=transitions, rewards=rewards)
 
 

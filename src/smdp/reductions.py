@@ -20,7 +20,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .bits import BitVector, bits_to_int, int_to_bits, width_for_count
 from .circuit import Circuit, CircuitBuilder
 from .cnf import Cnf
-from .mdp import BoundedActionMdp, SuccinctMdp
+from .mdp import SuccinctMdp
 from .policy import StationaryPolicy
 from .valuefn import ValueCircuit
 
@@ -231,7 +231,7 @@ def _cnf_sat_wire(b, cnf: Cnf, var_true: Sequence[str]) -> str:
 @dataclass(frozen=True)
 class ReductionInstance:
     name: str
-    mdp: BoundedActionMdp
+    mdp: SuccinctMdp
     horizon: int
     cnf: Cnf
     layout: Optional[SequenceStateLayout]
@@ -331,7 +331,7 @@ def sat_to_next_action(cnf: Cnf, mode: str = "compact") -> ReductionInstance:
     )
     actions = ("A", "S", "U") + tuple(f"a{i}" for i in range(1, n + 1))
     D = 2 * n
-    base = SuccinctMdp(
+    mdp = SuccinctMdp(
         var_names=layout.var_names(),
         initial=layout.encode([]),
         actions=actions,
@@ -339,9 +339,8 @@ def sat_to_next_action(cnf: Cnf, mode: str = "compact") -> ReductionInstance:
         r_circuit=_satnext_reward(layout, m, n),
         prob_denominator=D,
         name=f"satnext_{mode}",
-    )
-    mdp = BoundedActionMdp(
-        base, _satnext_successors(layout, actions), max_branching=2 * n
+        successor_circuits=_satnext_successors(layout, actions),
+        max_branching=2 * n,
     )
     # the clause block spells out the formula (repeating the last clause when
     # the faithful block is larger than the instance)
@@ -352,7 +351,7 @@ def sat_to_next_action(cnf: Cnf, mode: str = "compact") -> ReductionInstance:
     state = layout.encode(block)
     policy = _satnext_optimal_policy(layout, m, n, len(actions)) if n <= 6 else None
     return ReductionInstance(
-        name=base.name,
+        name=mdp.name,
         mdp=mdp,
         horizon=layout.max_length,
         cnf=cnf,
@@ -528,7 +527,7 @@ def majsat_to_eval(cnf: Cnf) -> ReductionInstance:
         raise ReductionError("need at least one variable")
     layout = SequenceStateLayout(num_formula_vars=n, max_length=n)
     actions = tuple(f"a{i}" for i in range(1, n + 1))
-    base = SuccinctMdp(
+    mdp = SuccinctMdp(
         var_names=layout.var_names(),
         initial=layout.encode([]),
         actions=actions,
@@ -536,10 +535,9 @@ def majsat_to_eval(cnf: Cnf) -> ReductionInstance:
         r_circuit=_majsat_reward(layout, cnf),
         prob_denominator=2,
         name="majsat",
-    )
-    mdp = BoundedActionMdp(
-        base,
-        _coin_append_successors(layout, actions, {f"a{i}": (2 * i, 2 * i + 1) for i in range(1, n + 1)}),
+        successor_circuits=_coin_append_successors(
+            layout, actions, {f"a{i}": (2 * i, 2 * i + 1) for i in range(1, n + 1)}
+        ),
         max_branching=2,
     )
     aw = width_for_count(len(actions))
@@ -628,7 +626,7 @@ def _majsat_reward(layout, cnf: Cnf) -> Circuit:
 # ------------------------------------------------- X/Y sequence constructions
 
 
-def _xy_mdp(cnf: Cnf, num_x: int, name: str) -> Tuple[BoundedActionMdp, SequenceStateLayout]:
+def _xy_mdp(cnf: Cnf, num_x: int, name: str) -> Tuple[SuccinctMdp, SequenceStateLayout]:
     """Shared MDP of the bounded-policy and value-function hardness
     constructions: deterministic choices over X, then coin flips over Y,
     reward 1 on ordered full sequences that satisfy the formula."""
@@ -677,7 +675,7 @@ def _xy_mdp(cnf: Cnf, num_x: int, name: str) -> Tuple[BoundedActionMdp, Sequence
         codes_by_action[f"b{i}"] = (2 * i,)
         codes_by_action[f"c{i}"] = (2 * i + 1,)
         codes_by_action[f"a{i}"] = (2 * (n + i), 2 * (n + i) + 1)
-    base = SuccinctMdp(
+    mdp = SuccinctMdp(
         var_names=layout.var_names(),
         initial=layout.encode([]),
         actions=actions,
@@ -685,15 +683,14 @@ def _xy_mdp(cnf: Cnf, num_x: int, name: str) -> Tuple[BoundedActionMdp, Sequence
         r_circuit=r_circuit,
         prob_denominator=2,
         name=name,
-    )
-    mdp = BoundedActionMdp(
-        base, _coin_append_successors(layout, actions, codes_by_action), max_branching=2
+        successor_circuits=_coin_append_successors(layout, actions, codes_by_action),
+        max_branching=2,
     )
     return mdp, layout
 
 
 def xy_sequential_policy(
-    mdp: BoundedActionMdp, layout: SequenceStateLayout, x_assignment: Sequence[bool]
+    mdp: SuccinctMdp, layout: SequenceStateLayout, x_assignment: Sequence[bool]
 ) -> StationaryPolicy:
     """The shape every positive-reward policy must take: commit to the given
     X-assignment in order, then flip each Y variable."""
@@ -809,7 +806,7 @@ def unsat_to_consistency(cnf: Cnf) -> ReductionInstance:
         out.append(sb.xor(state[i], here))
     succ = sb.build([sb.const(1)] + out, "succ_flip")
 
-    base = SuccinctMdp(
+    mdp = SuccinctMdp(
         var_names=tuple(f"x{i + 1}" for i in range(n)),
         initial=tuple([0] * n),
         actions=("a",),
@@ -817,8 +814,9 @@ def unsat_to_consistency(cnf: Cnf) -> ReductionInstance:
         r_circuit=r_circuit,
         prob_denominator=n,
         name="unsatcons",
+        successor_circuits=(succ,),
+        max_branching=n,
     )
-    mdp = BoundedActionMdp(base, (succ,), max_branching=n)
 
     vb = CircuitBuilder(n + width_for_count(horizon + 1))
     value = ValueCircuit(

@@ -19,6 +19,7 @@ import numpy as np
 
 from . import circuit as ct
 from . import mdp as md
+from ._manifest import read_manifest
 from .bits import BitVector, int_to_bits, twos_to_int, width_for_count
 
 
@@ -148,7 +149,7 @@ def value_of_history_policy(
     return memo
 
 
-def _value_accessor(m: md.BoundedActionMdp, E, states: Sequence[BitVector]):
+def _value_accessor(m: md.SuccinctMdp, E, states: Sequence[BitVector]):
     if isinstance(E, ValueCircuit):
         if E.num_vars != m.num_vars:
             raise ValueFunctionError(
@@ -159,7 +160,7 @@ def _value_accessor(m: md.BoundedActionMdp, E, states: Sequence[BitVector]):
 
 
 def check_consistency(
-    m: md.BoundedActionMdp, E, horizon: int
+    m: md.SuccinctMdp, E, horizon: int
 ) -> ConsistencyResult:
     """Decide whether some policy realizes E on the bounded-action MDP.
 
@@ -216,7 +217,7 @@ def check_consistency(
 
 
 def extract_policy(
-    m: md.BoundedActionMdp, E, horizon: int, s: BitVector, i: int
+    m: md.SuccinctMdp, E, horizon: int, s: BitVector, i: int
 ) -> int:
     """First action (declared order) whose successor-weighted sum equals
     E(s, i) - r(s)."""
@@ -260,26 +261,22 @@ def save_valuefn(v: ValueCircuit, directory, basename: str = "valuefn") -> str:
 def load_valuefn(manifest_path) -> ValueCircuit:
     import os
 
-    fields: Dict[str, str] = {}
-    with open(manifest_path, "r", encoding="ascii") as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            key, _, rest = line.partition(" ")
-            fields[key] = rest.strip()
-    for key in ("valuefn", "horizon", "value_width", "value_denominator", "circuit"):
-        if key not in fields:
-            raise ValueFunctionError(f"value-function manifest missing {key!r} line")
+    fields = read_manifest(
+        manifest_path,
+        "value-function",
+        ValueFunctionError,
+        required=("valuefn", "horizon", "value_width", "value_denominator", "circuit"),
+        ints=("horizon", "value_width", "value_denominator"),
+    )
     base = os.path.dirname(os.path.abspath(manifest_path))
     circ = ct.read_netlist(os.path.join(base, fields["circuit"]))
     v = ValueCircuit(
         circ,
-        horizon=int(fields["horizon"]),
-        value_denominator=int(fields["value_denominator"]),
+        horizon=fields["horizon"],
+        value_denominator=fields["value_denominator"],
         name=fields["valuefn"],
     )
-    if v.value_width != int(fields["value_width"]):
+    if v.value_width != fields["value_width"]:
         raise ValueFunctionError(
             f"declared value_width {fields['value_width']} does not match circuit "
             f"output width {v.value_width}"

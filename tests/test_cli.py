@@ -98,6 +98,23 @@ def test_eval_mc_output(tmp_path, capsys):
     assert code == 0 and "stderr" in text
 
 
+def test_eval_mc_rejects_negative_horizon(tmp_path, capsys):
+    mpath, ppath = coin_files(tmp_path)
+    code, text, err = run(["eval-mc", mpath, ppath, "--horizon", "-2"], capsys)
+    assert code == 1 and text == ""
+    assert "horizon must be nonnegative" in err and "Traceback" not in err
+
+
+def test_bad_manifest_integer_names_its_key(tmp_path, capsys):
+    mpath, ppath = coin_files(tmp_path)
+    text = open(ppath).read().replace("actions 1", "actions two")
+    with open(ppath, "w") as fh:
+        fh.write(text)
+    code, _, err = run(["eval", mpath, ppath], capsys)
+    assert code == 1
+    assert "'actions' must be an integer, got 'two'" in err
+
+
 def test_horizon_flag_overrides_manifest(tmp_path, capsys):
     mpath, ppath = coin_files(tmp_path)
     code, text, _ = run(["eval", mpath, ppath, "--horizon", "1"], capsys)

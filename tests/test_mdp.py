@@ -1,5 +1,6 @@
 import os
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -44,7 +45,7 @@ def test_rewards_match_tables():
 def test_plain_succinct_agrees_with_bounded():
     rm = make_random(4)
     m = rm.mdp
-    plain = m.base
+    plain = replace(m, successor_circuits=(), max_branching=0)
     for (s, a) in list(rm.transitions)[:12]:
         assert sorted(md.successors(m, s, a)) == sorted(md.successors(plain, s, a))
 
@@ -89,6 +90,62 @@ def test_numerator_above_denominator_rejected():
         md.successors(m, (0,), 0)
 
 
+def test_normalization_sums_do_not_wrap():
+    # five of the eight candidates get numerator D = 2**62; their sum is
+    # 2**64 + D, which a 64-bit total would wrap to exactly D
+    D = 1 << 62
+    values = [D if (row >> 1) % 8 < 5 else 0 for row in range(1 << 7)]
+    t = ct.circuit_from_values(7, 63, values)
+    rb = ct.CircuitBuilder(3)
+    m = md.SuccinctMdp(("x1", "x2", "x3"), (0, 0, 0), ("a",), t, rb.build([rb.const(0)]), D)
+    with pytest.raises(md.ModelError, match=f"sum to {5 * D}/{D}"):
+        md.successors(m, (0, 0, 0), 0)
+    with pytest.raises(md.ModelError, match=f"sum to {5 * D}/{D}"):
+        md.expand(m)
+
+
+@pytest.mark.parametrize(
+    "width,nums",
+    [
+        # 63 bits: 2 * (2**63 - 1) + 4 = 2**64 + 2 wraps to exactly D in 64 bits
+        (63, [2**63 - 1, 2**63 - 1, 4, 0]),
+        # 65 bits: 2**64 + 1 reads as 1 if the top bit is dropped, and 1 + 1 = D
+        (65, [2**64 + 1, 1, 0, 0]),
+    ],
+)
+def test_wide_numerators_rejected(width, nums):
+    # plain two-variable model over D = 2; the numerator depends on s' only
+    t = ct.circuit_from_values(5, width, [nums[(row >> 1) % 4] for row in range(32)])
+    rb = ct.CircuitBuilder(2)
+    m = md.SuccinctMdp(("x1", "x2"), (0, 0), ("a",), t, rb.build([rb.const(0)]), 2)
+    msg = f"transition numerator {max(nums)} exceeds denominator 2"
+    with pytest.raises(md.ModelError, match=msg):
+        md.successors(m, (0, 0), 0)
+    with pytest.raises(md.ModelError, match=msg):
+        md.expand(m)
+
+
+def test_wide_numerators_rejected_by_enumerator(tmp_path):
+    # slot k lists state k; numerators 2**64 + 1 and 1 over D = 2
+    t = ct.circuit_from_values(3, 65, [(2**64 + 1, 1)[(row >> 1) % 2] for row in range(8)])
+    sb = ct.CircuitBuilder(2)
+    m = load_bounded(tmp_path, t, sb.build([sb.const(1), sb.inp(1)]), 2, 2)
+    msg = f"transition numerator {2**64 + 1} exceeds denominator 2"
+    with pytest.raises(md.ModelError, match=msg):
+        md.successors(m, (0,), 0)
+    with pytest.raises(md.ModelError, match=msg):
+        md.expand(m)
+
+
+def test_wide_reward_batch_matches_reward():
+    # 66-bit two's-complement rewards 3 - 2**65 and 5
+    tb = ct.CircuitBuilder(3)
+    rewards = ct.circuit_from_values(1, 66, [2**65 + 3, 5])
+    m = md.SuccinctMdp(("x1",), (0,), ("a",), tb.build([tb.const(1)]), rewards, 2)
+    assert md.reward_batch(m, [(0,), (1,)]) == [3 - 2**65, 5]
+    assert [md.reward(m, (0,)), md.reward(m, (1,))] == [3 - 2**65, 5]
+
+
 def test_state_limit_env(monkeypatch):
     monkeypatch.setenv("SMDP_LIMIT_STATES", "2")
     rm = make_random(7)
@@ -104,7 +161,7 @@ def test_save_load_roundtrip(tmp_path):
     manifest = md.save_mdp(rm.mdp, tmp_path, horizon=3)
     m2, horizon = md.load_mdp(manifest)
     assert horizon == 3
-    assert isinstance(m2, md.BoundedActionMdp)
+    assert m2.successor_circuits
     assert m2.actions == rm.mdp.actions
     assert m2.prob_denominator == rm.mdp.prob_denominator
     for (s, a) in list(rm.transitions)[:8]:
@@ -123,6 +180,26 @@ def test_load_rejects_missing_fields(tmp_path):
         md.load_mdp(manifest)
 
 
+def test_load_rejects_repeated_successor_line(tmp_path):
+    rm = make_random(9, num_actions=2)
+    manifest = md.save_mdp(rm.mdp, tmp_path)
+    lines = open(manifest).read().splitlines()
+    first = next(ln for ln in lines if ln.startswith("successor u1 "))
+    with open(manifest, "a") as fh:
+        fh.write(first.replace("succ_u1", "succ_u2") + "\n")
+    with pytest.raises(md.ModelError, match="second successor line for action u1"):
+        md.load_mdp(manifest)
+
+
+def test_load_rejects_repeated_key(tmp_path):
+    rm = make_random(9)
+    manifest = md.save_mdp(rm.mdp, tmp_path, horizon=3)
+    with open(manifest, "a") as fh:
+        fh.write("horizon 5\n")
+    with pytest.raises(md.ModelError, match="second 'horizon' line"):
+        md.load_mdp(manifest)
+
+
 def test_validate_passes_on_generated_models():
     for seed in range(3):
         rm = make_random(seed)
@@ -133,9 +210,59 @@ def test_validate_reports_enumerator_mismatch():
     rm = make_random(10)
     m = rm.mdp
     # swap successor circuits between two actions with different dynamics
-    broken = md.BoundedActionMdp(
-        m.base,
-        (m.successor_circuits[1], m.successor_circuits[0]),
-        m.max_branching,
+    broken = replace(
+        m, successor_circuits=(m.successor_circuits[1], m.successor_circuits[0])
     )
     assert md.validate(broken) != []
+
+
+def load_bounded(tmp_path, t, succ, branching, D):
+    """One-variable, one-action model whose successors are listed by `succ`,
+    built through a manifest so the test does not depend on how the model
+    type spells its successor circuits."""
+    rb = ct.CircuitBuilder(1)
+    base = md.SuccinctMdp(("x1",), (0,), ("a",), t, rb.build([rb.const(0)]), D)
+    manifest = md.save_mdp(base, tmp_path)
+    ct.write_netlist(succ, os.path.join(tmp_path, "succ_a.net"))
+    with open(manifest, "a") as fh:
+        fh.write(f"successor a succ_a.net branching {branching}\n")
+    return md.load_mdp(manifest)[0]
+
+
+def test_enumerator_duplicate_slot_rejected(tmp_path):
+    # both slots list state 0, each with numerator 1 of 2
+    tb = ct.CircuitBuilder(3)
+    t = tb.build([tb.const(0), tb.const(1)])
+    sb = ct.CircuitBuilder(2)
+    succ = sb.build([sb.const(1), sb.const(0)])
+    m = load_bounded(tmp_path, t, succ, 2, 2)
+    msg = "duplicate successor slot in enumerator for a"
+    with pytest.raises(md.ModelError, match=msg):
+        md.successors(m, (0,), 0)
+    with pytest.raises(md.ModelError, match=msg):
+        md.expand(m)
+
+
+def test_enumerator_zero_probability_state_rejected(tmp_path):
+    # slot k lists state k, but only state 0 has positive probability
+    tb = ct.CircuitBuilder(3)
+    t = tb.build([tb.not_(tb.inp(1)), tb.const(0)])
+    sb = ct.CircuitBuilder(2)
+    succ = sb.build([sb.const(1), sb.inp(1)])
+    m = load_bounded(tmp_path, t, succ, 2, 2)
+    msg = "successor enumerator for a lists a zero-probability state"
+    with pytest.raises(md.ModelError, match=msg):
+        md.successors(m, (0,), 0)
+    with pytest.raises(md.ModelError, match=msg):
+        md.expand(m)
+
+
+def test_expand_matches_ground_truth_tables():
+    for seed in (11, 12, 13):
+        rm = make_random(seed, num_vars=3, num_actions=3)
+        em = md.expand(rm.mdp)
+        for k, s in enumerate(em.states):
+            assert em.rewards[k] == rm.rewards[s]
+            for a in range(len(em.actions)):
+                got = sorted((em.states[j], p) for j, p in em.transitions[k][a])
+                assert got == sorted(rm.transitions[(s, a)])

@@ -92,3 +92,13 @@ def test_save_load_roundtrip(tmp_path):
     assert h2.kind == "history"
     assert h2.horizon == 2 and h2.num_vars == 2
     assert h2.decide_history([(1, 0)], 0) == 1
+
+
+def test_history_manifest_needs_horizon(tmp_path):
+    hb = ct.CircuitBuilder(3 * 2 + 2)
+    path = save_policy(HistoryPolicy(hb.build([hb.inp(0)]), 2, 2, 2), tmp_path, "hist")
+    text = open(path).read().replace("horizon 2\n", "")
+    with open(path, "w") as fh:
+        fh.write(text)
+    with pytest.raises(PolicyError, match="missing 'horizon' line"):
+        load_policy(path)
