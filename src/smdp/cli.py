@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from typing import List, Optional
 
 from . import circuit as ct
@@ -64,7 +65,9 @@ def _resolve_horizon(declared: Optional[int], flag: Optional[int], parser) -> in
     parser.error("no horizon: the manifest declares none, pass --horizon")
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> _Parser:
+    """The `smdp` parser, built once per process (parsing leaves it unchanged)."""
     parser = _Parser(prog="smdp", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
     common = argparse.ArgumentParser(add_help=False)
@@ -168,7 +171,7 @@ def _cmd_generate(args) -> int:
         extra.append(f"expected_exists {'yes' if ans else 'no'}  [derived: brute-force enumeration]")
     elif args.command == "gen-unsatcons":
         inst = unsat_to_consistency(cnf)
-        unsat = oracle.model_count(cnf) == 0
+        unsat = not oracle.sat_oracle(cnf)
         extra.append(
             f"expected_{'consistent' if unsat else 'inconsistent'}  [derived: brute-force model count]"
         )

@@ -146,6 +146,13 @@ def _unsigned_rows(out: np.ndarray) -> np.ndarray:
     return out.astype(dtype) @ weights
 
 
+def _signed_rows(out: np.ndarray) -> np.ndarray:
+    """Two's-complement reading of each bool row, MSB first, with the dtype
+    rule of `_unsigned_rows`."""
+    vals = _unsigned_rows(out)
+    return np.where(out[:, 0], vals - (1 << out.shape[1]), vals)
+
+
 def transition_prob(m: SuccinctMdp, s: BitVector, s2: BitVector, a: int) -> Fraction:
     """Exact probability of reaching s2 from s under action index a."""
     if not 0 <= a < len(m.actions):
@@ -168,9 +175,7 @@ def reward_batch(m: SuccinctMdp, states: Sequence[BitVector]) -> List[int]:
     if not states:
         return []
     out = ct.eval_batch(m.r_circuit, np.array(states, dtype=bool))
-    vals = _unsigned_rows(out)
-    vals = np.where(out[:, 0], vals - (1 << out.shape[1]), vals)
-    return [int(v) for v in vals]
+    return [int(v) for v in _signed_rows(out)]
 
 
 @lru_cache(maxsize=None)

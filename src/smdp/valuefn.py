@@ -11,6 +11,7 @@ step index i. All comparisons are exact, no tolerance.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -39,6 +40,8 @@ class ValueCircuit:
     name: str = "valuefn"
 
     def __post_init__(self):
+        if self.horizon < 0:
+            raise ValueFunctionError(f"horizon must be >= 0, got {self.horizon}")
         if self.value_denominator < 1:
             raise ValueFunctionError("value denominator must be positive")
         if self.circuit.num_inputs <= self.step_width:
@@ -62,29 +65,42 @@ class ValueCircuit:
         bits = tuple(s) + int_to_bits(i, self.step_width)
         return Fraction(twos_to_int(ct.eval(self.circuit, bits)), self.value_denominator)
 
+    def _numerators(self, states: np.ndarray, steps: int) -> np.ndarray:
+        """Value numerators over `value_denominator` of each row of a bool
+        state array at step indices 0..steps-1, as a (states, steps) array
+        from one batch evaluation (dtype as `mdp._signed_rows`)."""
+        step_rows = ct.all_input_rows(self.step_width)[:steps]
+        rows = np.concatenate(
+            [np.repeat(states, steps, axis=0), np.tile(step_rows, (len(states), 1))], axis=1
+        )
+        return md._signed_rows(ct.eval_batch(self.circuit, rows)).reshape(len(states), steps)
+
     def value_table(self, states: Sequence[BitVector]) -> "ValueTable":
         """Tabulate the circuit over the given states for all step indices."""
-        rows = []
-        for s in states:
-            for i in range(self.horizon + 1):
-                rows.append(tuple(s) + int_to_bits(i, self.step_width))
-        out = ct.eval_batch(self.circuit, np.array(rows, dtype=bool))
-        values: Dict[BitVector, Tuple[Fraction, ...]] = {}
-        pos = 0
-        for s in states:
-            row = []
-            for _ in range(self.horizon + 1):
-                num = twos_to_int(tuple(int(b) for b in out[pos]))
-                row.append(Fraction(num, self.value_denominator))
-                pos += 1
-            values[tuple(s)] = tuple(row)
-        return ValueTable(values, self.horizon)
+        nums = self._numerators(np.array(states, dtype=bool), self.horizon + 1)
+        L = self.value_denominator
+        return ValueTable(
+            {
+                tuple(s): tuple(Fraction(v, L) for v in row)
+                for s, row in zip(states, nums.tolist())
+            },
+            self.horizon,
+        )
 
 
 @dataclass(frozen=True)
 class ValueTable:
     values: Dict[BitVector, Tuple[Fraction, ...]]
     horizon: int
+
+    def __post_init__(self):
+        if self.horizon < 0:
+            raise ValueFunctionError(f"horizon must be >= 0, got {self.horizon}")
+        for s, row in self.values.items():
+            if len(row) != self.horizon + 1:
+                raise ValueFunctionError(
+                    f"state {s} has {len(row)} values, expected {self.horizon + 1}"
+                )
 
     def value(self, s: BitVector, i: int) -> Fraction:
         if not 0 <= i <= self.horizon:
@@ -149,12 +165,16 @@ def value_of_history_policy(
     return memo
 
 
+def _check_num_vars(m: md.SuccinctMdp, E: ValueCircuit) -> None:
+    if E.num_vars != m.num_vars:
+        raise ValueFunctionError(
+            f"value circuit covers {E.num_vars} variables, MDP has {m.num_vars}"
+        )
+
+
 def _value_accessor(m: md.SuccinctMdp, E, states: Sequence[BitVector]):
     if isinstance(E, ValueCircuit):
-        if E.num_vars != m.num_vars:
-            raise ValueFunctionError(
-                f"value circuit covers {E.num_vars} variables, MDP has {m.num_vars}"
-            )
+        _check_num_vars(m, E)
         return E.value_table(states)
     return E
 
@@ -162,58 +182,77 @@ def _value_accessor(m: md.SuccinctMdp, E, states: Sequence[BitVector]):
 def check_consistency(
     m: md.SuccinctMdp, E, horizon: int
 ) -> ConsistencyResult:
-    """Decide whether some policy realizes E on the bounded-action MDP.
+    """Decide whether some policy realizes E on the bounded-action MDP for
+    step indices 0..horizon (0 <= horizon <= E.horizon).
 
-    Iterates every state (all 2**n for a value circuit, the table's domain
-    for a table); the first failing state in ascending order is reported.
+    Covers every state: all 2**n for a value circuit, the table's domain for
+    a table. The test runs on integers in one batched pass. Values are
+    numerators V over one denominator L (the circuit's value denominator, or
+    the lcm of the table's denominators) and probabilities are numerators
+    over D, so E(s,i) = r(s) + sum p(s'|s,a) E(s',i-1) reads
+
+        D·V[s,i] == D·L·r(s) + sum num(s'|s,a)·V[s',i-1],
+
+    checked for all states and step indices at once, one action at a time.
+    The arrays are int64 when the bound D·(L·max(|r|, 1) + max|V|) on every
+    term is below 2**63, and exact Python ints otherwise. A successor outside a
+    table's domain fails that action at that state. Every action is stepped
+    (and its ModelErrors raised) before any verdict; the witness is the
+    first passing action in declared order, and the first failing state in
+    ascending order is reported.
     """
+    if not 0 <= horizon <= E.horizon:
+        raise ValueFunctionError(
+            f"horizon {horizon} out of range 0..{E.horizon} of the value function"
+        )
     if isinstance(E, ValueTable):
         states = E.states()
+        if not states:
+            return ConsistencyResult(True, witness={})
+        S = np.array(states, dtype=bool)
+        rows = [E.values[s][: horizon + 1] for s in states]
+        L = math.lcm(*(v.denominator for row in rows for v in row))
+        V = np.array([[v.numerator * (L // v.denominator) for v in row] for row in rows], dtype=object)
     else:
         n = m.num_vars
         if (1 << n) > md.state_limit():
             raise md.EnumerationLimitError(
                 f"cannot enumerate 2^{n} states for consistency (limit {md.state_limit()})"
             )
-        states = [tuple(int(b) for b in row) for row in ct.all_input_rows(n)]
-    table = _value_accessor(m, E, states)
-    rewards = md.reward_batch(m, states)
-    succ_by_action = [
-        md.successors_batch(m, states, a) for a in range(len(m.actions))
-    ]
-    witness: Dict[BitVector, int] = {}
-    for k, s in enumerate(states):
-        if table.value(s, 0) != rewards[k]:
-            return ConsistencyResult(
-                False,
-                counterexample=s,
-                reason=f"E(s,0) = {table.value(s, 0)} but r(s) = {rewards[k]}",
-            )
-        chosen = None
-        for a in range(len(m.actions)):
-            ok = True
-            for i in range(1, horizon + 1):
-                total = Fraction(rewards[k])
-                try:
-                    for s2, p in succ_by_action[a][k]:
-                        total += p * table.value(s2, i - 1)
-                except ValueFunctionError:
-                    ok = False
-                    break
-                if total != table.value(s, i):
-                    ok = False
-                    break
-            if ok:
-                chosen = a
-                break
-        if chosen is None:
-            return ConsistencyResult(
-                False,
-                counterexample=s,
-                reason="no action satisfies the value recursion at every step index",
-            )
-        witness[s] = chosen
-    return ConsistencyResult(True, witness=witness)
+        _check_num_vars(m, E)
+        S = ct.all_input_rows(n)
+        states = [tuple(row) for row in S.astype(np.int8).tolist()]
+        L = E.value_denominator
+        V = E._numerators(S, horizon + 1)
+    R = md._signed_rows(ct.eval_batch(m.r_circuit, S))
+    steps = [md._step(m, S, a) for a in range(len(m.actions))]
+
+    D = m.prob_denominator
+    bound = D * (L * max(int(np.abs(R).max()), 1) + int(np.abs(V).max()))
+    dtype = np.int64 if bound < 1 << 63 else object
+    V, R = V.astype(dtype), R.astype(dtype)
+    N = len(states)
+    keys = md._unsigned_rows(S)  # ascending: states are in MSB-first order
+    target = D * V[:, 1:] - (D * L) * R[:, None]
+    ok = np.empty((len(steps), N), dtype=bool)
+    for a, (src, succ, nums) in enumerate(steps):
+        succ_keys = md._unsigned_rows(succ)
+        j = np.minimum(np.searchsorted(keys, succ_keys), N - 1)
+        sums = np.zeros((N, horizon), dtype=dtype)
+        np.add.at(sums, src, nums.astype(dtype)[:, None] * V[j, :horizon])
+        ok[a] = (sums == target).all(axis=1)
+        if horizon:
+            ok[a, src[keys[j] != succ_keys]] = False
+    base_ok = V[:, 0] == L * R
+    bad = ~(base_ok & ok.any(axis=0))
+    if bad.any():
+        k = int(np.argmax(bad))
+        if not base_ok[k]:
+            reason = f"E(s,0) = {Fraction(int(V[k, 0]), L)} but r(s) = {int(R[k])}"
+        else:
+            reason = "no action satisfies the value recursion at every step index"
+        return ConsistencyResult(False, counterexample=states[k], reason=reason)
+    return ConsistencyResult(True, witness=dict(zip(states, ok.argmax(axis=0).tolist())))
 
 
 def extract_policy(

@@ -2,7 +2,7 @@ import pytest
 
 from smdp import circuit as ct
 from smdp import mdp as md
-from smdp.cli import main
+from smdp.cli import build_parser, main
 from smdp.cnf import Cnf, to_dimacs
 from smdp.policy import StationaryPolicy, save_policy
 
@@ -154,6 +154,54 @@ def test_check_consistency_exit_codes(tmp_path, capsys):
         capsys,
     )
     assert code == 2 and "inconsistent at state" in text
+
+
+@pytest.mark.parametrize("horizon", ["5", "-1"])
+def test_check_consistency_rejects_horizon_out_of_range(tmp_path, capsys, horizon):
+    # the all-zero state is a model, so the check used to answer "inconsistent
+    # at state 000" before it read a step index the value function lacks
+    cnf = write_cnf(tmp_path, Cnf(3, ((-1, -2),)))
+    out = tmp_path / "inst"
+    assert run(["gen-unsatcons", cnf, "-o", str(out)], capsys)[0] == 0
+    args = ["check-consistency", str(out / "mdp.manifest"), str(out / "valuefn.manifest")]
+    code, text, err = run(args + ["--horizon", horizon], capsys)
+    assert code == 1 and text == ""
+    assert f"horizon {horizon} out of range 0..3" in err and "Traceback" not in err
+    code, text, _ = run(args + ["--horizon", "3"], capsys)
+    assert code == 2 and "inconsistent at state 000" in text
+
+
+def test_parser_is_built_once_and_reusable(tmp_path, capsys):
+    cnf = write_cnf(tmp_path, Cnf(2, ((1, 2),)))
+    out = tmp_path / "inst"
+    check = ["check-consistency", str(out / "mdp.manifest"), str(out / "valuefn.manifest")]
+    calls = [
+        ["gen-unsatcons", cnf, "-o", str(out)],
+        check,
+        check + ["--emit", "records"],
+        ["value", str(out / "valuefn.manifest"), "--state", "01", "--step", "1"],
+        ["value", str(out / "valuefn.manifest"), "--state", "01"],  # usage error
+        check + ["--horizon", "9"],
+        ["no-such-command"],
+        check,
+    ]
+
+    def outcome(argv):
+        try:
+            code = main(argv)
+        except SystemExit as e:
+            code = ("exit", e.code)
+        out = capsys.readouterr()
+        return code, out.out, out.err
+
+    fresh = []
+    for argv in calls:
+        build_parser.cache_clear()
+        fresh.append(outcome(argv))
+    assert build_parser() is build_parser()
+    reused = [outcome(argv) for argv in calls + calls]
+    assert reused == fresh + fresh
+    assert [r[0] for r in fresh] == [0, 2, 2, 0, ("exit", 1), 1, ("exit", 1), 2]
 
 
 def test_canon_prints_term_counts(tmp_path, capsys):

@@ -1,16 +1,25 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
 from smdp import circuit as ct
 from smdp import mdp as md
-from smdp.bits import width_for_count
+from smdp.bits import int_to_bits, width_for_count
 from smdp.policy import TimedExplicitPolicy
-from smdp.random_models import random_bounded_mdp, random_stationary_policy
+from smdp.random_models import (
+    random_bounded_mdp,
+    random_circuit,
+    random_cnf,
+    random_stationary_policy,
+)
+from smdp.reductions import unsat_to_consistency
 from smdp.valuefn import (
+    ConsistencyResult,
     InconsistentValueError,
     ValueCircuit,
+    ValueFunctionError,
     ValueTable,
     check_consistency,
     extract_policy,
@@ -127,3 +136,196 @@ def test_value_circuit_signed_reading_and_io(tmp_path):
     assert v2.value((1, 0), 1) == Fraction(-1, 4)
     table = v2.value_table([(0, 0), (1, 1)])
     assert table.value((1, 1), 2) == Fraction(-1, 4)
+
+
+def test_value_table_reads_wide_outputs_like_value():
+    # 63 and more output bits take the exact-int path of the signed reader
+    rng = random.Random(8)
+    horizon = 2
+    for width in (63, 64, 70):
+        c = random_circuit(rng, 2 + width_for_count(horizon + 1), 12, width)
+        v = ValueCircuit(c, horizon, value_denominator=3)
+        states = [(0, 0), (0, 1), (1, 0), (1, 1)]
+        table = v.value_table(states)
+        for s in states:
+            assert table.values[s] == tuple(v.value(s, i) for i in range(horizon + 1))
+
+
+# ------------------------------------------------- check_consistency vs reference
+
+
+def reference_check_consistency(m, E, horizon):
+    """The per-state Fraction loop `check_consistency` replaced, kept as the
+    test-side reference. Circuit values are read one at a time through
+    `ValueCircuit.value`."""
+    if isinstance(E, ValueTable):
+        states, table = E.states(), E
+    else:
+        states = [tuple(int(b) for b in row) for row in ct.all_input_rows(m.num_vars)]
+        table = ValueTable(
+            {s: tuple(E.value(s, i) for i in range(E.horizon + 1)) for s in states},
+            E.horizon,
+        )
+    rewards = md.reward_batch(m, states)
+    succ_by_action = [md.successors_batch(m, states, a) for a in range(len(m.actions))]
+    witness = {}
+    for k, s in enumerate(states):
+        if table.value(s, 0) != rewards[k]:
+            return ConsistencyResult(
+                False,
+                counterexample=s,
+                reason=f"E(s,0) = {table.value(s, 0)} but r(s) = {rewards[k]}",
+            )
+        chosen = None
+        for a in range(len(m.actions)):
+            ok = True
+            for i in range(1, horizon + 1):
+                total = Fraction(rewards[k])
+                try:
+                    for s2, p in succ_by_action[a][k]:
+                        total += p * table.value(s2, i - 1)
+                except ValueFunctionError:
+                    ok = False
+                    break
+                if total != table.value(s, i):
+                    ok = False
+                    break
+            if ok:
+                chosen = a
+                break
+        if chosen is None:
+            return ConsistencyResult(
+                False,
+                counterexample=s,
+                reason="no action satisfies the value recursion at every step index",
+            )
+        witness[s] = chosen
+    return ConsistencyResult(True, witness=witness)
+
+
+def assert_same_verdict(m, E, horizon):
+    got = check_consistency(m, E, horizon)
+    want = reference_check_consistency(m, E, horizon)
+    assert got == want
+    return got
+
+
+def realized_table(rng, rm, horizon):
+    p = random_stationary_policy(rng, rm.mdp.num_vars, len(rm.mdp.actions))
+    em = md.expand_many(rm.mdp, sorted(rm.rewards))[0]
+    return value_of_policy(em, p, horizon)
+
+
+def value_circuit_of(table):
+    """A value circuit over all states reproducing a table's values."""
+    n = len(next(iter(table.values)))
+    L = lcm(*(v.denominator for row in table.values.values() for v in row))
+    nums = {(s, i): int(v * L) for s, row in table.values.items() for i, v in enumerate(row)}
+    width = max(abs(x) for x in nums.values()).bit_length() + 1
+    sw = width_for_count(table.horizon + 1)
+    values = []
+    for row in range(1 << (n + sw)):
+        s, i = tuple(int_to_bits(row >> sw, n)), row & ((1 << sw) - 1)
+        values.append(nums.get((s, i), 0) & ((1 << width) - 1))
+    c = ct.circuit_from_values(n + sw, width, values, name="e_table")
+    return ValueCircuit(c, table.horizon, value_denominator=L)
+
+
+def test_consistency_matches_reference_on_random_tables():
+    rng = random.Random(9)
+    verdicts = set()
+    for _ in range(40):
+        rm = random_bounded_mdp(rng, rng.randint(1, 3), rng.randint(1, 3))
+        horizon = rng.randint(0, 3)
+        table = realized_table(rng, rm, horizon)
+        verdicts.add(assert_same_verdict(rm.mdp, table, horizon).consistent)
+        # a shorter check of the same table
+        assert_same_verdict(rm.mdp, table, rng.randint(0, horizon))
+        for i in range(horizon + 1):
+            s = rng.choice(table.states())
+            broken = dict(table.values)
+            row = list(broken[s])
+            row[i] += Fraction(rng.choice((1, -1)), rng.randint(1, 7))
+            broken[s] = tuple(row)
+            verdicts.add(assert_same_verdict(rm.mdp, ValueTable(broken, horizon), horizon).consistent)
+        partial = dict(table.values)
+        del partial[rng.choice(table.states())]
+        assert_same_verdict(rm.mdp, ValueTable(partial, horizon), horizon)
+    assert verdicts == {True, False}
+
+
+def test_consistency_matches_reference_on_value_circuits():
+    rng = random.Random(10)
+    verdicts = set()
+    for _ in range(15):
+        rm = random_bounded_mdp(rng, rng.randint(1, 3), rng.randint(1, 3))
+        horizon = rng.randint(0, 2)
+        table = realized_table(rng, rm, horizon)
+        verdicts.add(assert_same_verdict(rm.mdp, value_circuit_of(table), horizon).consistent)
+        s = rng.choice(table.states())
+        broken = dict(table.values)
+        row = list(broken[s])
+        row[-1] += 1
+        broken[s] = tuple(row)
+        E = value_circuit_of(ValueTable(broken, horizon))
+        verdicts.add(assert_same_verdict(rm.mdp, E, horizon).consistent)
+        n, sw = rm.mdp.num_vars, width_for_count(horizon + 1)
+        E = ValueCircuit(random_circuit(rng, n + sw, 10, 4), horizon, value_denominator=2)
+        assert_same_verdict(rm.mdp, E, horizon)
+    assert verdicts == {True, False}
+
+
+def test_consistency_matches_reference_on_unsatcons():
+    rng = random.Random(12)
+    verdicts = set()
+    for n in range(1, 9):
+        for num_clauses in (1, 4, 12):
+            inst = unsat_to_consistency(random_cnf(rng, n, num_clauses, clause_size=rng.randint(1, 3)))
+            verdicts.add(assert_same_verdict(inst.mdp, inst.value, inst.horizon).consistent)
+    assert verdicts == {True, False}
+
+
+def test_consistency_is_exact_where_int64_would_wrap():
+    # D = 2**32, so D * 2**32 = 2**64 vanishes in int64: a value off by
+    # 2**32 would pass the recursion if the sums wrapped
+    rng = random.Random(13)
+    rm = random_bounded_mdp(rng, 1, 1, max_branching=1, denominator=1 << 32, reward_range=(0, 0))
+    table = ValueTable({s: (Fraction(0), Fraction(0)) for s in rm.rewards}, 1)
+    assert assert_same_verdict(rm.mdp, table, 1).consistent
+    broken = dict(table.values)
+    broken[(0,)] = (Fraction(0), Fraction(1 << 32))
+    res = assert_same_verdict(rm.mdp, ValueTable(broken, 1), 1)
+    assert not res.consistent and res.counterexample == (0,)
+
+
+# ------------------------------------------------------- horizon and row checks
+
+
+def test_consistency_rejects_negative_horizon():
+    rng = random.Random(14)
+    rm = random_bounded_mdp(rng, 2, 2)
+    table = realized_table(rng, rm, 1)
+    broken = {s: (row[0], row[1] + 1) for s, row in table.values.items()}
+    with pytest.raises(ValueFunctionError, match="horizon -1"):
+        check_consistency(rm.mdp, ValueTable(broken, 1), -1)
+
+
+def test_consistency_rejects_horizon_beyond_value_function():
+    rng = random.Random(15)
+    rm = random_bounded_mdp(rng, 2, 2)
+    table = realized_table(rng, rm, 2)
+    # the first state fails at step 0, which used to be reported before the
+    # out-of-range step index was noticed
+    s0 = table.states()[0]
+    broken = dict(table.values)
+    broken[s0] = (broken[s0][0] + 1,) + broken[s0][1:]
+    for E in (ValueTable(broken, 2), value_circuit_of(ValueTable(broken, 2))):
+        with pytest.raises(ValueFunctionError, match="out of range 0..2"):
+            check_consistency(rm.mdp, E, 3)
+
+
+def test_value_table_rejects_bad_horizon_and_rows():
+    with pytest.raises(ValueFunctionError, match="horizon must be >= 0"):
+        ValueTable({(0,): ()}, -1)
+    with pytest.raises(ValueFunctionError, match="has 1 values, expected 3"):
+        ValueTable({(0,): (Fraction(0), Fraction(0), Fraction(0)), (1,): (Fraction(0),)}, 2)
