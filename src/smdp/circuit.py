@@ -354,23 +354,8 @@ def canonical_dnf(c: Circuit, max_inputs: int = 20) -> Circuit:
     One term per satisfying assignment of that output, so at most 2**n terms
     per output. CONST0 stands in for the empty disjunction.
     """
-    tt = truth_table(c, max_inputs)
-    n = c.num_inputs
-    b = CircuitBuilder(n)
-    lits_pos = [b.inp(k) for k in range(n)]
-    lits_neg = [b.not_(b.inp(k)) for k in range(n)]
-    outputs = []
-    for o in range(c.num_outputs):
-        rows = np.flatnonzero(tt[:, o])
-        if n == 0:
-            outputs.append(b.const(1 if len(rows) else 0))
-            continue
-        terms = []
-        for row in rows:
-            bits = int_to_bits(int(row), n)
-            terms.append(b.and_all([lits_pos[k] if bit else lits_neg[k] for k, bit in enumerate(bits)]))
-        outputs.append(b.or_all(terms) if terms else b.const(0))
-    return b.build(outputs, name=f"{c.name}_dnf")
+    values = [bits_to_int(row) for row in truth_table(c, max_inputs).tolist()]
+    return circuit_from_values(c.num_inputs, c.num_outputs, values, name=f"{c.name}_dnf")
 
 
 def count_dnf_terms(c: Circuit, output_index: int) -> int:

@@ -55,17 +55,18 @@ def history_probability(m: md.SuccinctMdp, policy, states: Sequence[BitVector]) 
 
 
 def enumerate_trajectories(m: md.SuccinctMdp, policy, depth: int) -> Iterator[Trajectory]:
-    """All positive-probability trajectories of exactly `depth` steps."""
-
-    def rec(history: Tuple[BitVector, ...], prob: Fraction):
+    """All positive-probability trajectories of exactly `depth` steps, depth
+    first with successors in `md.successors` order."""
+    stack = [((tuple(m.initial),), Fraction(1))]
+    while stack:
+        history, prob = stack.pop()
         if len(history) == depth + 1:
             yield Trajectory(history, prob)
-            return
+            continue
         a = _decide_at(policy, history[-1], history, len(history) - 1, depth)
-        for s2, p in md.successors(m, history[-1], a):
-            yield from rec(history + (s2,), prob * p)
-
-    yield from rec((tuple(m.initial),), Fraction(1))
+        stack.extend(
+            (history + (s2,), prob * p) for s2, p in reversed(md.successors(m, history[-1], a))
+        )
 
 
 def expected_reward_exact(m: md.SuccinctMdp, policy, horizon: int) -> RewardReport:
@@ -108,9 +109,7 @@ def _exact_marginal(m: md.SuccinctMdp, policy, horizon: int) -> RewardReport:
                     new_dist[s2] = new_dist.get(s2, Fraction(0)) + dist[s] * p
                     new_paths[s2] = new_paths.get(s2, 0) + paths[s]
         if len(new_dist) > limit:
-            raise md.EnumerationLimitError(
-                f"trajectory frontier exceeds state limit {limit}"
-            )
+            raise md._limit_error(f"trajectory frontier at depth {d}", len(new_dist), limit)
         dist, paths = new_dist, new_paths
         fill_rewards(sorted(dist))
         per_depth.append(sum((pr * rewards[s] for s, pr in dist.items()), Fraction(0)))
@@ -129,23 +128,22 @@ def _exact_history(m: md.SuccinctMdp, policy, horizon: int) -> RewardReport:
     leaves = 0
     limit = md.state_limit()
     visited = 0
-
-    def rec(history: Tuple[BitVector, ...], prob: Fraction):
-        nonlocal leaves, visited
+    stack = [((tuple(m.initial),), Fraction(1))]  # depth first, successors in order
+    while stack:
+        history, prob = stack.pop()
         visited += 1
         if visited > limit:
-            raise md.EnumerationLimitError(f"history count exceeds state limit {limit}")
+            raise md._limit_error("history count", visited, limit)
         depth = len(history) - 1
         per_depth[depth] += prob * md.reward(m, history[-1])
         masses[depth] += prob
         if depth == horizon:
             leaves += 1
-            return
+            continue
         a = policy.decide_history(history, depth)
-        for s2, p in md.successors(m, history[-1], a):
-            rec(history + (s2,), prob * p)
-
-    rec((tuple(m.initial),), Fraction(1))
+        stack.extend(
+            (history + (s2,), prob * p) for s2, p in reversed(md.successors(m, history[-1], a))
+        )
     return RewardReport(
         expected_reward=sum(per_depth, Fraction(0)),
         per_depth=tuple(per_depth),

@@ -38,10 +38,20 @@ def state_limit() -> int:
     raw = os.environ.get("SMDP_LIMIT_STATES")
     if raw is None:
         return DEFAULT_STATE_LIMIT
-    limit = int(raw)
+    try:
+        limit = int(raw)
+    except ValueError:
+        raise ModelError(f"SMDP_LIMIT_STATES must be an integer, got {raw!r}") from None
     if limit <= 0:
         raise ModelError(f"SMDP_LIMIT_STATES must be positive, got {limit}")
     return limit
+
+
+def _limit_error(
+    what: str, count: int, limit: int, knob: str = "SMDP_LIMIT_STATES"
+) -> EnumerationLimitError:
+    """The error for a count past a limit; names the knob that raises it."""
+    return EnumerationLimitError(f"{what} reached {count}, over the limit {limit}; raise {knob}")
 
 
 @dataclass(frozen=True)
@@ -123,18 +133,45 @@ class SuccinctMdp:
 
 @dataclass(frozen=True)
 class ExplicitMdp:
+    """An expanded MDP over integers.
+
+    ``transitions[a]`` holds the checked rows of action a as three equal-length
+    integer arrays ``(src, dst, num)`` in source order: the source state
+    index, the successor state index and the probability numerator over
+    `denominator` (the model's D). Every state has rows under every action,
+    and the numerators of one source sum to D.
+    """
+
     states: Tuple[BitVector, ...]
     initial: int
     actions: Tuple[str, ...]
-    transitions: Tuple[Tuple[Tuple[Tuple[int, Fraction], ...], ...], ...]
+    denominator: int
+    transitions: Tuple[Tuple[np.ndarray, np.ndarray, np.ndarray], ...]
     rewards: Tuple[int, ...]
 
-    def index_of(self, s: BitVector) -> int:
-        try:
-            return self._index[tuple(s)]
-        except AttributeError:
-            object.__setattr__(self, "_index", {st: i for i, st in enumerate(self.states)})
-            return self._index[tuple(s)]
+
+def _rewards_level(em: ExplicitMdp, horizon: int) -> np.ndarray:
+    """The step-0 values (the rewards) as an array in the dtype of every
+    level up to `horizon`: int64 when max(|r|, 1)·(horizon+1)·D**horizon, a
+    bound on every scaled value and partial sum, is below 2**63, exact Python
+    ints (object dtype) otherwise."""
+    h = max(horizon, 0)
+    worst = max(max(map(abs, em.rewards)), 1) * (h + 1) * em.denominator**h
+    return np.array(em.rewards, dtype=np.int64 if worst < 1 << 63 else object)
+
+
+def _bellman(em: ExplicitMdp, prev: np.ndarray, i: int) -> np.ndarray:
+    """One exact Bellman step: Q[a, s] at step index i, scaled by D**i, from
+    the values `prev` at step index i-1, scaled by D**(i-1) (a `_rewards_level`
+    array or a level derived from one). With p = num/D,
+
+        D**i·Q(s, a) = D**i·r(s) + sum num·D**(i-1)·V(s', i-1).
+    """
+    q = np.array(em.rewards, dtype=prev.dtype) * em.denominator**i
+    Q = np.tile(q, (len(em.actions), 1))
+    for a, (src, dst, num) in enumerate(em.transitions):
+        np.add.at(Q[a], src, num.astype(prev.dtype) * prev[dst])
+    return Q
 
 
 def _unsigned_rows(out: np.ndarray) -> np.ndarray:
@@ -217,10 +254,9 @@ def _step(m: SuccinctMdp, states_arr: np.ndarray, a: int):
         src, succ = keep // B, out[keep, 1:]
     else:
         n = m.num_vars
-        if (1 << n) > state_limit():
-            raise EnumerationLimitError(
-                f"cannot enumerate 2^{n} successor candidates (limit {state_limit()})"
-            )
+        limit = state_limit()
+        if (1 << n) > limit:
+            raise _limit_error(f"successor candidates (2^{n})", 1 << n, limit)
         all_rows = ct.all_input_rows(n)
         src = np.repeat(np.arange(n_src, dtype=np.int64), len(all_rows))
         succ = np.tile(all_rows, (n_src, 1))
@@ -296,7 +332,10 @@ def expand_many(
     of each root. Useful when many instances share one circuit MDP."""
     if not roots:
         raise ModelError("need at least one root state")
-    limit = max_states if max_states is not None else state_limit()
+    if max_states is None:
+        limit, knob = state_limit(), "SMDP_LIMIT_STATES"
+    else:
+        limit, knob = max_states, "max_states"
     n = m.num_vars
 
     states: List[BitVector] = []
@@ -312,40 +351,39 @@ def expand_many(
             states.append(tuple(s))
             frontier.append(tuple(s))
         root_idx.append(index[key])
-    rows: List[Tuple[Tuple[Tuple[int, Fraction], ...], ...]] = []
+    layers: List[List[Tuple[np.ndarray, ...]]] = [[] for _ in m.actions]  # (src, dst, num)
     frontier_arr = np.array(frontier, dtype=bool)
+    base = 0  # the frontier holds the states base .. base + len(frontier_arr) - 1
     while len(frontier_arr):
-        per_action = []
         next_frontier: List[BitVector] = []
         for a in range(len(m.actions)):
             src, succ, nums = _step(m, frontier_arr, a)
-            nums = nums.tolist()
-            frac = {num: Fraction(num, m.prob_denominator) for num in set(nums)}
             keys, kw = _pack_keys(succ)
             bits = None  # successor rows as bytes, made for new states only
-            pairs: List[List[Tuple[int, Fraction]]] = [[] for _ in range(len(frontier_arr))]
-            for r, (k, num) in enumerate(zip(src.tolist(), nums)):
+            dst: List[int] = []
+            for r in range(len(src)):
                 key = keys[r * kw : (r + 1) * kw]
                 j = index.get(key)
                 if j is None:
                     j = len(states)
                     if j >= limit:
-                        raise EnumerationLimitError(f"reachable state count exceeds limit {limit}")
+                        raise _limit_error("reachable state count", j + 1, limit, knob)
                     if bits is None:
                         bits = succ.astype(np.uint8).tobytes()
                     s2 = tuple(bits[r * n : (r + 1) * n])
                     index[key] = j
                     states.append(s2)
                     next_frontier.append(s2)
-                pairs[k].append((j, frac[num]))
-            per_action.append([tuple(p) for p in pairs])
-        rows.extend(zip(*per_action))
+                dst.append(j)
+            layers[a].append((src + base, np.array(dst, dtype=np.int64), nums))
+        base += len(frontier_arr)
         frontier_arr = np.array(next_frontier, dtype=bool) if next_frontier else root_arr[:0]
     em = ExplicitMdp(
         states=tuple(states),
         initial=0,
         actions=tuple(m.actions),
-        transitions=tuple(rows),
+        denominator=m.prob_denominator,
+        transitions=tuple(tuple(map(np.concatenate, zip(*rows))) for rows in layers),
         rewards=tuple(reward_batch(m, states)),
     )
     return em, root_idx

@@ -18,7 +18,7 @@ from . import circuit as ct
 from . import mdp as md
 from .bits import BitVector
 from .cnf import Cnf, assignments
-from .policy import ExplicitPolicy, PolicyError, StationaryPolicy, TimedExplicitPolicy
+from .policy import PolicyError, StationaryPolicy, TimedExplicitPolicy
 from .valuefn import value_of_policy
 
 ORACLE_VAR_LIMIT = 20
@@ -91,49 +91,31 @@ class OptimalSolution:
     def value(self, s: BitVector, i: int) -> Fraction:
         return self.values[tuple(s)][i]
 
-    def greedy_stationary(self, i: Optional[int] = None) -> ExplicitPolicy:
-        """Greedy table at one step index (the horizon by default)."""
-        i = self.horizon if i is None else i
-        mapping = {
-            s: (acts[i][0] if i >= 1 else 0)
-            for s, acts in self.optimal_actions.items()
-        }
-        return ExplicitPolicy(mapping, len(self.explicit.actions))
-
 
 def solve_optimal(em: md.ExplicitMdp, horizon: int) -> OptimalSolution:
     """Exact backward induction; ties keep every optimal action, greedy picks
     the lowest index."""
     if horizon < 0:
         raise ValueError(f"horizon must be nonnegative, got {horizon}")
-    n_states = len(em.states)
     n_actions = len(em.actions)
-    all_actions = tuple(range(n_actions))
-    values: List[List[Fraction]] = [[Fraction(em.rewards[k])] for k in range(n_states)]
-    opt: List[List[Tuple[int, ...]]] = [[all_actions] for _ in range(n_states)]
-    for i in range(1, horizon + 1):
-        for k in range(n_states):
-            best = None
-            best_actions: List[int] = []
-            for a in range(n_actions):
-                total = Fraction(em.rewards[k])
-                for j, p in em.transitions[k][a]:
-                    total += p * values[j][i - 1]
-                if best is None or total > best:
-                    best, best_actions = total, [a]
-                elif total == best:
-                    best_actions.append(a)
-            values[k].append(best)
-            opt[k].append(tuple(best_actions))
+    level = md._rewards_level(em, horizon)
+    columns = [[Fraction(v) for v in level.tolist()]]
+    opt_columns = [[tuple(range(n_actions))] * len(em.states)]
     greedy_map = {}
-    for k in range(n_states):
-        for i in range(1, horizon + 1):
-            greedy_map[(em.states[k], i)] = opt[k][i][0]
+    for i in range(1, horizon + 1):
+        Q = md._bellman(em, level, i)
+        level = Q.max(axis=0)
+        scale = em.denominator**i
+        columns.append([Fraction(v, scale) for v in level.tolist()])
+        tied = list(map(tuple, (Q == level).T.tolist()))
+        actions = {row: tuple(a for a, t in enumerate(row) if t) for row in set(tied)}
+        opt_columns.append([actions[row] for row in tied])
+        greedy_map.update(((s, i), a) for s, a in zip(em.states, Q.argmax(axis=0).tolist()))
     return OptimalSolution(
         explicit=em,
         horizon=horizon,
-        values={em.states[k]: tuple(values[k]) for k in range(n_states)},
-        optimal_actions={em.states[k]: tuple(opt[k]) for k in range(n_states)},
+        values=dict(zip(em.states, zip(*columns))),
+        optimal_actions=dict(zip(em.states, zip(*opt_columns))),
         greedy=TimedExplicitPolicy(greedy_map, n_actions),
     )
 

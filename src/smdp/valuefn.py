@@ -22,6 +22,7 @@ from . import circuit as ct
 from . import mdp as md
 from ._manifest import read_manifest
 from .bits import BitVector, int_to_bits, twos_to_int, width_for_count
+from .policy import PolicyError
 
 
 class ValueFunctionError(ValueError):
@@ -123,46 +124,21 @@ class ConsistencyResult:
 
 
 def value_of_policy(em: md.ExplicitMdp, policy, horizon: int) -> ValueTable:
-    """Exact value table of a policy over an explicit MDP."""
-    n_states = len(em.states)
-    table: List[List[Fraction]] = [[Fraction(em.rewards[k])] for k in range(n_states)]
+    """Exact value table of a stationary or timed policy over an explicit MDP."""
+    if policy.kind == "history":
+        raise PolicyError("value_of_policy needs a stationary or timed policy, not a history one")
+    level = md._rewards_level(em, horizon)
+    columns = [[Fraction(v) for v in level.tolist()]]
+    every_state = np.arange(len(em.states))
     for i in range(1, horizon + 1):
-        for k in range(n_states):
-            s = em.states[k]
-            if policy.kind == "timed":
-                a = policy.decide_timed(s, i)
-            else:
-                a = policy.decide(s)
-            total = Fraction(em.rewards[k])
-            for j, p in em.transitions[k][a]:
-                total += p * table[j][i - 1]
-            table[k].append(total)
-    return ValueTable(
-        {em.states[k]: tuple(table[k]) for k in range(n_states)}, horizon
-    )
-
-
-def value_of_history_policy(
-    em: md.ExplicitMdp, policy, horizon: int
-) -> Dict[Tuple[BitVector, ...], Fraction]:
-    """Values E(s0..sj, T-j) for histories reachable with positive probability."""
-    memo: Dict[Tuple[BitVector, ...], Fraction] = {}
-
-    def rec(history: Tuple[BitVector, ...]) -> Fraction:
-        if history in memo:
-            return memo[history]
-        k = em.index_of(history[-1])
-        i = horizon - (len(history) - 1)
-        total = Fraction(em.rewards[k])
-        if i > 0:
-            a = policy.decide_history(history, len(history) - 1)
-            for j, p in em.transitions[k][a]:
-                total += p * rec(history + (em.states[j],))
-        memo[history] = total
-        return total
-
-    rec((em.states[em.initial],))
-    return memo
+        if policy.kind == "timed":
+            acts = [policy.decide_timed(s, i) for s in em.states]
+        elif i == 1:
+            acts = policy.decide_batch(em.states)
+        level = md._bellman(em, level, i)[acts, every_state]
+        scale = em.denominator**i
+        columns.append([Fraction(v, scale) for v in level.tolist()])
+    return ValueTable(dict(zip(em.states, zip(*columns))), horizon)
 
 
 def _check_num_vars(m: md.SuccinctMdp, E: ValueCircuit) -> None:
@@ -170,13 +146,6 @@ def _check_num_vars(m: md.SuccinctMdp, E: ValueCircuit) -> None:
         raise ValueFunctionError(
             f"value circuit covers {E.num_vars} variables, MDP has {m.num_vars}"
         )
-
-
-def _value_accessor(m: md.SuccinctMdp, E, states: Sequence[BitVector]):
-    if isinstance(E, ValueCircuit):
-        _check_num_vars(m, E)
-        return E.value_table(states)
-    return E
 
 
 def check_consistency(
@@ -215,10 +184,9 @@ def check_consistency(
         V = np.array([[v.numerator * (L // v.denominator) for v in row] for row in rows], dtype=object)
     else:
         n = m.num_vars
-        if (1 << n) > md.state_limit():
-            raise md.EnumerationLimitError(
-                f"cannot enumerate 2^{n} states for consistency (limit {md.state_limit()})"
-            )
+        limit = md.state_limit()
+        if (1 << n) > limit:
+            raise md._limit_error(f"states to check (2^{n})", 1 << n, limit)
         _check_num_vars(m, E)
         S = ct.all_input_rows(n)
         states = [tuple(row) for row in S.astype(np.int8).tolist()]
@@ -261,15 +229,16 @@ def extract_policy(
     """First action (declared order) whose successor-weighted sum equals
     E(s, i) - r(s)."""
     s = tuple(s)
-    table = _value_accessor(m, E, [s]) if isinstance(E, ValueCircuit) else E
+    if isinstance(E, ValueCircuit):
+        _check_num_vars(m, E)
     if not 1 <= i <= horizon:
         raise ValueFunctionError(f"step index {i} must be in 1..{horizon}")
-    target = table.value(s, i) - md.reward(m, s)
+    target = E.value(s, i) - md.reward(m, s)
     for a in range(len(m.actions)):
         total = Fraction(0)
         try:
             for s2, p in md.successors(m, s, a):
-                total += p * table.value(s2, i - 1)
+                total += p * E.value(s2, i - 1)
         except ValueFunctionError:
             continue
         if total == target:

@@ -95,48 +95,6 @@ def _random_triple_cnf(rng: random.Random, n: int, max_clauses: int = 3) -> Cnf:
     return Cnf(n, tuple(rng.sample(clauses, k)))
 
 
-def _int_backward(em: md.ExplicitMdp, horizon: int, D: int):
-    """Backward induction on D**i - scaled int64 values (much faster than
-    Fraction arithmetic when everything shares the denominator D).
-
-    Returns (succ_idx, succ_num, levels): per-(state, action) padded successor
-    index/numerator matrices and the scaled value vector per step.
-    """
-    import numpy as np
-
-    n_states = len(em.states)
-    n_actions = len(em.actions)
-    width = max(
-        len(em.transitions[k][a]) for k in range(n_states) for a in range(n_actions)
-    )
-    max_abs = max(1, max(abs(r) for r in em.rewards))
-    if max_abs * (horizon + 1) * D ** horizon >= 1 << 62:
-        raise OverflowError("scaled values do not fit int64")
-    succ_idx = np.zeros((n_actions, n_states, width), dtype=np.int64)
-    succ_num = np.zeros((n_actions, n_states, width), dtype=np.int64)
-    for k in range(n_states):
-        for a in range(n_actions):
-            for pos, (j, p) in enumerate(em.transitions[k][a]):
-                succ_idx[a, k, pos] = j
-                succ_num[a, k, pos] = p.numerator * (D // p.denominator)
-    rewards = np.array(em.rewards, dtype=np.int64)
-    level = rewards.copy()
-    levels = [level]
-    for i in range(1, horizon + 1):
-        q = (succ_num * level[succ_idx]).sum(axis=2)  # (actions, states)
-        level = rewards * D ** i + q.max(axis=0)
-        levels.append(level)
-    return (succ_idx, succ_num), levels
-
-
-def _q_value(em, trans, levels, D: int, k: int, a: int, i: int) -> Fraction:
-    succ_idx, succ_num = trans
-    total = em.rewards[k] * D ** i + int(
-        (succ_num[a, k] * levels[i - 1][succ_idx[a, k]]).sum()
-    )
-    return Fraction(total, D ** i)
-
-
 def _nextaction_group(cnfs: List[Cnf], n: int) -> List[VerifyRow]:
     """All formulas share one clause count, hence one circuit MDP; the states
     differ, so one joint expansion answers every formula in the group."""
@@ -148,18 +106,18 @@ def _nextaction_group(cnfs: List[Cnf], n: int) -> List[VerifyRow]:
     ]
     em, roots = md.expand_many(mdp, states)
     steps = inst0.steps_remaining()  # n + 1 for every instance
-    D = mdp.prob_denominator
-    trans, levels = _int_backward(em, steps, D)
+    level = md._rewards_level(em, steps)
+    for i in range(1, steps):
+        level = md._bellman(em, level, i).max(axis=0)
+    Q = md._bellman(em, level, steps)
+    scale = em.denominator**steps
     idx_S = mdp.actions.index("S")
     idx_U = mdp.actions.index("U")
     sat_bound = Fraction((1 << n) - 1, 1 << n) + Fraction(1 << (n + 1), 1 << n)
     rows = []
     for cnf, root in zip(cnfs, roots):
         satisfiable = oracle.sat_oracle(cnf)
-        q_by_action = [
-            _q_value(em, trans, levels, D, root, a, steps)
-            for a in range(len(mdp.actions))
-        ]
+        q_by_action = [Fraction(int(q), scale) for q in Q[:, root]]
         best = max(q_by_action)
         opt = tuple(
             mdp.actions[a] for a, q in enumerate(q_by_action) if q == best

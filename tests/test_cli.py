@@ -171,6 +171,41 @@ def test_check_consistency_rejects_horizon_out_of_range(tmp_path, capsys, horizo
     assert code == 2 and "inconsistent at state 000" in text
 
 
+def test_extract_policy_reads_successors_of_a_value_circuit(tmp_path, capsys):
+    # every successor of 01 differs from it, so a table over 01 alone covered none
+    cnf = write_cnf(tmp_path, Cnf(2, ((1, 2), (1, -2), (-1, 2), (-1, -2))))
+    out = tmp_path / "inst"
+    assert run(["gen-unsatcons", cnf, "-o", str(out)], capsys)[0] == 0
+    files = [str(out / "mdp.manifest"), str(out / "valuefn.manifest")]
+    code, text, _ = run(["check-consistency"] + files, capsys)
+    assert code == 0 and text.strip() == "consistent"
+    code, text, err = run(["extract-policy"] + files + ["--state", "01", "--step", "1"], capsys)
+    assert code == 0 and text.strip() == "a" and err == ""
+
+
+@pytest.mark.parametrize(
+    "command, limit, message",
+    [
+        ("solve", "abc", "SMDP_LIMIT_STATES must be an integer, got 'abc'"),
+        ("solve", "5", "reachable state count reached 6, over the limit 5"),
+        ("check-consistency", "5", "states to check (2^3) reached 8, over the limit 5"),
+    ],
+)
+def test_state_limit_errors_name_the_knob(
+    tmp_path, capsys, monkeypatch, command, limit, message
+):
+    cnf = write_cnf(tmp_path, Cnf(3, ((1, 2, 3),)))
+    out = tmp_path / "inst"
+    assert run(["gen-unsatcons", cnf, "-o", str(out)], capsys)[0] == 0
+    files = [str(out / "mdp.manifest")]
+    if command == "check-consistency":
+        files.append(str(out / "valuefn.manifest"))
+    monkeypatch.setenv("SMDP_LIMIT_STATES", limit)
+    code, text, err = run([command] + files, capsys)
+    assert code == 1 and text == ""
+    assert message in err and "SMDP_LIMIT_STATES" in err and "Traceback" not in err
+
+
 def test_parser_is_built_once_and_reusable(tmp_path, capsys):
     cnf = write_cnf(tmp_path, Cnf(2, ((1, 2),)))
     out = tmp_path / "inst"

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -5,6 +6,7 @@ import pytest
 
 from smdp import circuit as ct
 from smdp import mdp as md
+from smdp.bits import width_for_count
 from smdp.evaluator import (
     enumerate_trajectories,
     expected_reward_exact,
@@ -109,3 +111,46 @@ def test_mc_requires_samples():
     m = coin_mdp()
     with pytest.raises(ValueError):
         expected_reward_mc(m, always_act0(1), 1, samples=0, seed=0)
+
+
+def stay_mdp():
+    """One bit, one action, deterministic: the state never changes; reward 1
+    in state 1."""
+    b = ct.CircuitBuilder(3)
+    t = b.build([b.not_(b.xor(b.inp(0), b.inp(1)))])
+    rb = ct.CircuitBuilder(1)
+    r = rb.build([rb.const(0), rb.inp(0)])
+    return md.SuccinctMdp(("x1",), (1,), ("stay",), t, r, prob_denominator=1)
+
+
+def test_deep_stationary_walk_does_not_recurse():
+    (traj,) = enumerate_trajectories(stay_mdp(), always_act0(1), 1500)
+    assert traj.states == ((1,),) * 1501 and traj.probability == 1
+
+
+def test_deep_history_walk_does_not_recurse():
+    horizon = 1500
+    b = ct.CircuitBuilder((horizon + 1) * 1 + width_for_count(horizon + 1))
+    h = HistoryPolicy(b.build([b.const(0)]), 1, horizon=horizon, num_vars=1)
+    rep = expected_reward_exact(stay_mdp(), h, horizon)
+    assert rep.expected_reward == horizon + 1 and rep.trajectory_count == 1
+
+
+def test_trajectory_order_is_depth_first_in_successor_order():
+    m, p = coin_mdp(), always_act0(1)
+    got = [traj.states for traj in enumerate_trajectories(m, p, 3)]
+    assert got == [((0,),) + rest for rest in itertools.product(((0,), (1,)), repeat=3)]
+
+
+def test_evaluator_limit_errors_name_the_knob(monkeypatch):
+    # the initial state has three successors
+    rm = random_bounded_mdp(random.Random(0), 2, 1)
+    monkeypatch.setenv("SMDP_LIMIT_STATES", "2")
+    msg = r"trajectory frontier at depth 1 reached 3, over the limit 2; raise SMDP_LIMIT_STATES"
+    with pytest.raises(md.EnumerationLimitError, match=msg):
+        expected_reward_exact(rm.mdp, always_act0(2), 1)
+    b = ct.CircuitBuilder(2 * 2 + 1)
+    h = HistoryPolicy(b.build([b.const(0)]), 1, horizon=1, num_vars=2)
+    msg = r"history count reached 3, over the limit 2; raise SMDP_LIMIT_STATES"
+    with pytest.raises(md.EnumerationLimitError, match=msg):
+        expected_reward_exact(rm.mdp, h, 1)

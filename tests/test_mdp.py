@@ -9,6 +9,8 @@ from smdp import circuit as ct
 from smdp import mdp as md
 from smdp.random_models import random_bounded_mdp
 
+from helpers import transition_pairs
+
 
 def make_random(seed=0, **kw):
     rng = random.Random(seed)
@@ -57,9 +59,9 @@ def test_expand_covers_reachable_closure():
     # every listed transition stays inside the state set and normalizes
     for k in range(len(em.states)):
         for a in range(len(em.actions)):
-            total = sum((p for _, p in em.transitions[k][a]), Fraction(0))
+            total = sum((p for _, p in transition_pairs(em, k, a)), Fraction(0))
             assert total == 1
-            assert all(0 <= j < len(em.states) for j, _ in em.transitions[k][a])
+            assert all(0 <= j < len(em.states) for j, _ in transition_pairs(em, k, a))
 
 
 def test_expand_many_shares_states():
@@ -154,6 +156,18 @@ def test_state_limit_env(monkeypatch):
     monkeypatch.setenv("SMDP_LIMIT_STATES", "0")
     with pytest.raises(md.ModelError):
         md.state_limit()
+
+
+def test_limit_errors_name_count_limit_and_knob(monkeypatch):
+    m = make_random(7).mdp  # three variables
+    msg = r"reachable state count reached 3, over the limit 2; raise max_states"
+    with pytest.raises(md.EnumerationLimitError, match=msg):
+        md.expand(m, max_states=2)
+    monkeypatch.setenv("SMDP_LIMIT_STATES", "4")
+    plain = replace(m, successor_circuits=(), max_branching=0)
+    msg = r"successor candidates \(2\^3\) reached 8, over the limit 4; raise SMDP_LIMIT_STATES"
+    with pytest.raises(md.EnumerationLimitError, match=msg):
+        md.successors(plain, m.initial, 0)
 
 
 def test_save_load_roundtrip(tmp_path):
@@ -264,5 +278,5 @@ def test_expand_matches_ground_truth_tables():
         for k, s in enumerate(em.states):
             assert em.rewards[k] == rm.rewards[s]
             for a in range(len(em.actions)):
-                got = sorted((em.states[j], p) for j, p in em.transitions[k][a])
+                got = sorted((em.states[j], p) for j, p in transition_pairs(em, k, a))
                 assert got == sorted(rm.transitions[(s, a)])

@@ -7,9 +7,18 @@ from smdp import circuit as ct
 from smdp import mdp as md
 from smdp import oracle
 from smdp.cnf import Cnf
-from smdp.policy import compile_explicit
+from smdp.policy import (
+    ExplicitPolicy,
+    HistoryPolicy,
+    PolicyError,
+    TimedExplicitPolicy,
+    compile_explicit,
+)
 from smdp.random_models import random_bounded_mdp, random_stationary_policy
+from smdp.reductions import majsat_to_eval, sat_to_next_action
 from smdp.valuefn import value_of_policy
+
+from helpers import transition_pairs
 
 
 def test_sat_family_oracles():
@@ -110,3 +119,121 @@ def test_bounded_policy_exists_refuses_midscale():
     rm = random_bounded_mdp(rng, 2, 2)
     with pytest.raises(oracle.OracleScaleError):
         oracle.bounded_policy_exists(rm.mdp, 2, 7, Fraction(1, 2))
+
+
+# ------------------------------------------ differential: the integer core
+
+
+def reference_solve_optimal(em, horizon):
+    """Backward induction as a per-state Fraction loop: (values, optimal
+    actions, greedy map), the fields `solve_optimal` must reproduce."""
+    n_states, n_actions = len(em.states), len(em.actions)
+    pairs = [[transition_pairs(em, k, a) for a in range(n_actions)] for k in range(n_states)]
+    values = [[Fraction(em.rewards[k])] for k in range(n_states)]
+    opt = [[tuple(range(n_actions))] for _ in range(n_states)]
+    for i in range(1, horizon + 1):
+        for k in range(n_states):
+            best, best_actions = None, []
+            for a in range(n_actions):
+                total = Fraction(em.rewards[k])
+                for j, p in pairs[k][a]:
+                    total += p * values[j][i - 1]
+                if best is None or total > best:
+                    best, best_actions = total, [a]
+                elif total == best:
+                    best_actions.append(a)
+            values[k].append(best)
+            opt[k].append(tuple(best_actions))
+    greedy = {
+        (em.states[k], i): opt[k][i][0] for k in range(n_states) for i in range(1, horizon + 1)
+    }
+    return (
+        {em.states[k]: tuple(values[k]) for k in range(n_states)},
+        {em.states[k]: tuple(opt[k]) for k in range(n_states)},
+        greedy,
+    )
+
+
+def reference_value_of_policy(em, policy, horizon):
+    """Value table of a stationary or timed policy as a per-state Fraction loop."""
+    n_states = len(em.states)
+    table = [[Fraction(em.rewards[k])] for k in range(n_states)]
+    for i in range(1, horizon + 1):
+        for k in range(n_states):
+            s = em.states[k]
+            a = policy.decide_timed(s, i) if policy.kind == "timed" else policy.decide(s)
+            total = Fraction(em.rewards[k])
+            for j, p in transition_pairs(em, k, a):
+                total += p * table[j][i - 1]
+            table[k].append(total)
+    return {em.states[k]: tuple(table[k]) for k in range(n_states)}
+
+
+def assert_core_matches_reference(em, horizon, rng):
+    sol = oracle.solve_optimal(em, horizon)
+    values, opt, greedy = reference_solve_optimal(em, horizon)
+    assert sol.values == values
+    assert sol.optimal_actions == opt
+    assert sol.greedy.mapping == greedy
+    n_actions = len(em.actions)
+    policies = [
+        sol.greedy,
+        ExplicitPolicy({s: rng.randrange(n_actions) for s in em.states}, n_actions),
+        TimedExplicitPolicy(
+            {(s, i): rng.randrange(n_actions) for s in em.states for i in range(1, horizon + 1)},
+            n_actions,
+        ),
+    ]
+    for p in policies:
+        assert value_of_policy(em, p, horizon).values == reference_value_of_policy(em, p, horizon)
+
+
+def test_core_matches_reference_on_random_models():
+    rng = random.Random(21)
+    for _ in range(40):
+        D = rng.choice((1, 2, 6, 7, 1000))
+        rm = random_bounded_mdp(
+            rng, rng.randint(1, 3), rng.randint(1, 3), max_branching=min(3, D), denominator=D
+        )
+        em = md.expand(rm.mdp)
+        horizon = rng.randint(0, 4)
+        assert_core_matches_reference(em, horizon, rng)
+        p = random_stationary_policy(rng, rm.mdp.num_vars, len(rm.mdp.actions))
+        assert value_of_policy(em, p, horizon).values == reference_value_of_policy(em, p, horizon)
+
+
+def test_core_matches_reference_on_satnext_and_majsat():
+    rng = random.Random(22)
+    for cnf in (
+        Cnf(1, ((1, 1, 1),)),
+        Cnf(1, ((1, 1, 1), (-1, -1, -1))),
+        Cnf(2, ((1, 2, 2), (-1, -2, -2))),
+    ):
+        inst = sat_to_next_action(cnf, mode="compact")
+        em = md.expand(inst.mdp, inst.state)
+        assert_core_matches_reference(em, inst.steps_remaining(), rng)
+    for cnf in (Cnf(1, ((1,),)), Cnf(2, ((1, -2),))):
+        inst = majsat_to_eval(cnf)
+        em = md.expand(inst.mdp)
+        assert_core_matches_reference(em, inst.horizon, rng)
+        assert value_of_policy(em, inst.policy, inst.horizon).values == (
+            reference_value_of_policy(em, inst.policy, inst.horizon)
+        )
+
+
+def test_core_is_exact_where_int64_would_wrap():
+    # D = 2**31 - 1, so values scaled by D**3 leave int64
+    rng = random.Random(23)
+    rm = random_bounded_mdp(rng, 2, 2, denominator=(1 << 31) - 1)
+    em = md.expand(rm.mdp)
+    assert em.denominator**3 >= 1 << 63
+    assert_core_matches_reference(em, 3, rng)
+
+
+def test_value_of_policy_rejects_history_policy():
+    rng = random.Random(24)
+    rm = random_bounded_mdp(rng, 1, 1)
+    b = ct.CircuitBuilder(2 * 1 + 1)
+    h = HistoryPolicy(b.build([b.const(0)]), 1, horizon=1, num_vars=1)
+    with pytest.raises(PolicyError, match="needs a stationary or timed policy"):
+        value_of_policy(md.expand(rm.mdp), h, 1)

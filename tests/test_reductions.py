@@ -23,6 +23,8 @@ from smdp.reductions import (
 )
 from smdp.valuefn import check_consistency
 
+from helpers import transition_pairs
+
 
 # ------------------------------------------------------------------ layout
 
@@ -91,7 +93,7 @@ def test_satnext_branch_values_by_hand():
 
     def q(a):
         total = Fraction(em.rewards[roots[0]])
-        for j, p in em.transitions[roots[0]][idx[a]]:
+        for j, p in transition_pairs(em, roots[0], idx[a]):
             total += p * sol.values[em.states[j]][steps - 1]
         return total
 

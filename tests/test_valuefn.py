@@ -7,6 +7,7 @@ import pytest
 from smdp import circuit as ct
 from smdp import mdp as md
 from smdp.bits import int_to_bits, width_for_count
+from smdp.cnf import Cnf
 from smdp.policy import TimedExplicitPolicy
 from smdp.random_models import (
     random_bounded_mdp,
@@ -120,6 +121,16 @@ def test_extract_policy_raises_on_unrealizable_values():
     )
     with pytest.raises(InconsistentValueError):
         extract_policy(rm.mdp, table, 1, s0, 1)
+
+
+def test_extract_policy_reads_successors_of_a_value_circuit():
+    # unsatisfiable, so the all-zero value circuit is consistent; every
+    # successor of a state differs from it
+    inst = unsat_to_consistency(Cnf(2, ((1, 2), (1, -2), (-1, 2), (-1, -2))))
+    assert check_consistency(inst.mdp, inst.value, inst.horizon).consistent
+    for s in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        for i in range(1, inst.horizon + 1):
+            assert extract_policy(inst.mdp, inst.value, inst.horizon, s, i) == 0
 
 
 def test_value_circuit_signed_reading_and_io(tmp_path):
