@@ -8,6 +8,9 @@ parameters, and expected.txt with brute-force-derived answers.
 
 import argparse
 import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from smdp import oracle
 from smdp.cnf import Cnf

@@ -7,6 +7,9 @@ Exit code is 0 only if every case in every suite passes.
 import argparse
 import sys
 import time
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from smdp.verify import SUITES, run_suite
 

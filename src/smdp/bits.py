@@ -6,7 +6,9 @@ numeric reading applies.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable, List, Sequence
+
+import numpy as np
 
 BitVector = tuple  # tuple of 0/1 ints
 
@@ -47,6 +49,11 @@ def twos_to_int(bits: Sequence[int]) -> int:
     if bits and bits[0]:
         v -= 1 << len(bits)
     return v
+
+
+def row_tuples(rows) -> List[BitVector]:
+    """Each row of a 2-D array of bools or 0/1 ints as a bit vector."""
+    return [tuple(r) for r in np.asarray(rows, dtype=np.uint8).tolist()]
 
 
 def concat(*parts: Iterable[int]) -> BitVector:

@@ -1,23 +1,31 @@
 """Exact and Monte-Carlo expected undiscounted reward over a finite horizon.
 
-The exact evaluator enumerates the positive-probability trajectory tree of a
-policy (collapsed to state marginals for stationary policies) and accumulates
-``r(s0)`` plus, for every depth d in 1..T, the probability-weighted reward of
-each depth-d state. Everything is exact rational arithmetic; the Monte-Carlo
-path exists only as a statistical cross-check.
+The exact evaluator accumulates ``r(s0)`` plus, for every depth d in 1..T,
+the probability-weighted reward of each depth-d state. Probabilities are
+integer numerators over D**d, D the model's denominator, built from the
+checked rows of `mdp._step`; a `Fraction` is made only for the values
+returned. A stationary or timed policy is evaluated on the state marginals,
+one layer at a time: the frontier is a bool state array in MSB-first order,
+and equal successors are merged by sorting their unsigned keys. A history
+policy walks the trajectory tree depth first. The Monte-Carlo path draws each
+successor exactly from its integer numerators and exists only as a
+statistical cross-check.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterator, List, Sequence, Tuple
+from itertools import accumulate
+from typing import Dict, Iterator, List, Tuple
+
+import numpy as np
 
 from . import mdp as md
-from .bits import BitVector
-from .policy import PolicyError
+from .bits import BitVector, row_tuples
 
 
 @dataclass(frozen=True)
@@ -42,30 +50,26 @@ def _decide_at(policy, s: BitVector, history, depth: int, horizon: int) -> int:
     return policy.decide(s)
 
 
-def history_probability(m: md.SuccinctMdp, policy, states: Sequence[BitVector]) -> Fraction:
-    """Probability that states[0..d] is the realized history under the policy."""
-    if policy.kind == "timed":
-        raise PolicyError("history probability of a step-indexed table policy is ambiguous")
-    prob = Fraction(1)
-    history = [tuple(s) for s in states]
-    for i in range(len(states) - 1):
-        a = _decide_at(policy, history[i], history, i, len(states) - 1)
-        prob *= md.transition_prob(m, history[i], history[i + 1], a)
-    return prob
+def _successors(m: md.SuccinctMdp, s: BitVector, a: int) -> List[Tuple[BitVector, int]]:
+    """The checked successors of one state under action a, each with its
+    numerator over D, in `md._step` order (the order of `md.successors`)."""
+    _, succ, nums = md._step(m, np.array([s], dtype=bool), a)
+    return list(zip(row_tuples(succ), nums.tolist()))
 
 
 def enumerate_trajectories(m: md.SuccinctMdp, policy, depth: int) -> Iterator[Trajectory]:
     """All positive-probability trajectories of exactly `depth` steps, depth
     first with successors in `md.successors` order."""
-    stack = [((tuple(m.initial),), Fraction(1))]
+    scale = m.prob_denominator**depth
+    stack = [((tuple(m.initial),), 1)]  # (history, numerator over D**(len(history) - 1))
     while stack:
-        history, prob = stack.pop()
+        history, num = stack.pop()
         if len(history) == depth + 1:
-            yield Trajectory(history, prob)
+            yield Trajectory(history, Fraction(num, scale))
             continue
         a = _decide_at(policy, history[-1], history, len(history) - 1, depth)
         stack.extend(
-            (history + (s2,), prob * p) for s2, p in reversed(md.successors(m, history[-1], a))
+            (history + (s2,), num * p) for s2, p in reversed(_successors(m, history[-1], a))
         )
 
 
@@ -77,79 +81,93 @@ def expected_reward_exact(m: md.SuccinctMdp, policy, horizon: int) -> RewardRepo
     return _exact_marginal(m, policy, horizon)
 
 
-def _exact_marginal(m: md.SuccinctMdp, policy, horizon: int) -> RewardReport:
-    s0 = tuple(m.initial)
-    rewards: Dict[BitVector, int] = {}
-
-    def fill_rewards(states: List[BitVector]):
-        missing = [s for s in states if s not in rewards]
-        for s, r in zip(missing, md.reward_batch(m, missing)):
-            rewards[s] = r
-
-    fill_rewards([s0])
-    dist: Dict[BitVector, Fraction] = {s0: Fraction(1)}
-    paths: Dict[BitVector, int] = {s0: 1}
-    per_depth = [Fraction(rewards[s0])]
-    masses = [Fraction(1)]
-    limit = md.state_limit()
-    for d in range(1, horizon + 1):
-        states = sorted(dist)
-        if policy.kind == "timed":
-            actions = [policy.decide_timed(s, horizon - (d - 1)) for s in states]
-        else:
-            actions = policy.decide_batch(states)
-        by_action: Dict[int, List[BitVector]] = {}
-        for s, a in zip(states, actions):
-            by_action.setdefault(a, []).append(s)
-        new_dist: Dict[BitVector, Fraction] = {}
-        new_paths: Dict[BitVector, int] = {}
-        for a, group in by_action.items():
-            for s, succ in zip(group, md.successors_batch(m, group, a)):
-                for s2, p in succ:
-                    new_dist[s2] = new_dist.get(s2, Fraction(0)) + dist[s] * p
-                    new_paths[s2] = new_paths.get(s2, 0) + paths[s]
-        if len(new_dist) > limit:
-            raise md._limit_error(f"trajectory frontier at depth {d}", len(new_dist), limit)
-        dist, paths = new_dist, new_paths
-        fill_rewards(sorted(dist))
-        per_depth.append(sum((pr * rewards[s] for s, pr in dist.items()), Fraction(0)))
-        masses.append(sum(dist.values(), Fraction(0)))
+def _report(m: md.SuccinctMdp, per_depth, masses, trajectories: int) -> RewardReport:
+    """The report of integer sums per depth d, each over D**d."""
+    D = m.prob_denominator
+    per_depth = tuple(Fraction(int(v), D**d) for d, v in enumerate(per_depth))
     return RewardReport(
         expected_reward=sum(per_depth, Fraction(0)),
-        per_depth=tuple(per_depth),
-        per_depth_mass=tuple(masses),
-        trajectory_count=sum(paths.values()),
+        per_depth=per_depth,
+        per_depth_mass=tuple(Fraction(int(v), D**d) for d, v in enumerate(masses)),
+        trajectory_count=int(trajectories),
     )
 
 
+def _exact_marginal(m: md.SuccinctMdp, policy, horizon: int) -> RewardReport:
+    """Layer-at-a-time pass over the state marginals. The depth-d frontier is
+    a bool state array in MSB-first order; each state carries its numerator
+    over D**d and the number of trajectories that reach it. Each numerator is
+    at most D**d and each reward at most 2**(w-1) in size, w the reward width,
+    so the numerators, path counts and reward sums are int64 while
+    2**(w-1)·D**horizon < 2**63 and exact Python ints otherwise."""
+    D = m.prob_denominator
+    dtype = np.int64 if (1 << (m.reward_width - 1)) * D**horizon < 1 << 63 else object
+    frontier = np.array([m.initial], dtype=bool)
+    num = np.ones(1, dtype=dtype)
+    paths = np.ones(1, dtype=dtype)
+    per_depth = [md.reward_batch(m, frontier)[0]]
+    masses = [1]
+    limit = md.state_limit()
+    for d in range(1, horizon + 1):
+        if policy.kind == "timed":
+            steps = horizon - (d - 1)
+            acts = np.array([policy.decide_timed(s, steps) for s in row_tuples(frontier)])
+        else:
+            acts = np.array(policy.decide_batch(frontier))
+        _, first = np.unique(acts, return_index=True)
+        src_parts, succ_parts, num_parts = [], [], []
+        for a in acts[np.sort(first)].tolist():  # actions in order of first use
+            rows = np.flatnonzero(acts == a)
+            src, succ, nums = md._step(m, frontier[rows], a)
+            src_parts.append(rows[src])
+            succ_parts.append(succ)
+            num_parts.append(nums)
+        src = np.concatenate(src_parts)
+        succ = np.concatenate(succ_parts)
+        weights = num[src] * np.concatenate(num_parts).astype(dtype)
+        # sort-based duplicate detection: unsigned keys sort as the bit tuples do
+        _, first, inverse = np.unique(
+            md._unsigned_rows(succ), return_index=True, return_inverse=True
+        )
+        if len(first) > limit:
+            raise md._limit_error(f"trajectory frontier at depth {d}", len(first), limit)
+        frontier = succ[first]
+        num = np.zeros(len(first), dtype=dtype)
+        np.add.at(num, inverse, weights)
+        reached = np.zeros(len(first), dtype=dtype)
+        np.add.at(reached, inverse, paths[src])
+        paths = reached
+        rewards = np.array(md.reward_batch(m, frontier), dtype=dtype)
+        per_depth.append((num * rewards).sum())
+        masses.append(num.sum())
+    return _report(m, per_depth, masses, paths.sum())
+
+
 def _exact_history(m: md.SuccinctMdp, policy, horizon: int) -> RewardReport:
-    per_depth = [Fraction(0)] * (horizon + 1)
-    masses = [Fraction(0)] * (horizon + 1)
+    """Depth-first walk of the trajectory tree; a depth-d history carries its
+    numerator over D**d."""
+    per_depth = [0] * (horizon + 1)
+    masses = [0] * (horizon + 1)
     leaves = 0
     limit = md.state_limit()
     visited = 0
-    stack = [((tuple(m.initial),), Fraction(1))]  # depth first, successors in order
+    stack = [((tuple(m.initial),), 1)]  # depth first, successors in order
     while stack:
-        history, prob = stack.pop()
+        history, num = stack.pop()
         visited += 1
         if visited > limit:
             raise md._limit_error("history count", visited, limit)
         depth = len(history) - 1
-        per_depth[depth] += prob * md.reward(m, history[-1])
-        masses[depth] += prob
+        per_depth[depth] += num * md.reward(m, history[-1])
+        masses[depth] += num
         if depth == horizon:
             leaves += 1
             continue
         a = policy.decide_history(history, depth)
         stack.extend(
-            (history + (s2,), prob * p) for s2, p in reversed(md.successors(m, history[-1], a))
+            (history + (s2,), num * p) for s2, p in reversed(_successors(m, history[-1], a))
         )
-    return RewardReport(
-        expected_reward=sum(per_depth, Fraction(0)),
-        per_depth=tuple(per_depth),
-        per_depth_mass=tuple(masses),
-        trajectory_count=leaves,
-    )
+    return _report(m, per_depth, masses, leaves)
 
 
 @dataclass(frozen=True)
@@ -169,7 +187,9 @@ def expected_reward_mc(
         raise ValueError("need at least one sample")
     rng = random.Random(seed)
     s0 = tuple(m.initial)
-    succ_cache: Dict[Tuple[BitVector, int], Tuple[List[BitVector], List[float]]] = {}
+    D = m.prob_denominator
+    # (state, action) -> (successors, cumulative numerators over D)
+    succ_cache: Dict[Tuple[BitVector, int], Tuple[List[BitVector], List[int]]] = {}
     reward_cache: Dict[BitVector, int] = {}
 
     def r_of(s: BitVector) -> int:
@@ -190,20 +210,11 @@ def expected_reward_mc(
             key = (s, a)
             cached = succ_cache.get(key)
             if cached is None:
-                pairs = md.successors(m, s, a)
-                cum: List[float] = []
-                acc = Fraction(0)
-                for _, p in pairs:
-                    acc += p
-                    cum.append(float(acc))
-                cached = ([s2 for s2, _ in pairs], cum)
+                pairs = _successors(m, s, a)
+                cached = ([s2 for s2, _ in pairs], list(accumulate(p for _, p in pairs)))
                 succ_cache[key] = cached
             nxt, cum = cached
-            u = rng.random()
-            idx = 0
-            while idx < len(cum) - 1 and u > cum[idx]:
-                idx += 1
-            s = nxt[idx]
+            s = nxt[bisect_right(cum, rng.randrange(D))]
             history.append(s)
             ret += r_of(s)
         total += ret

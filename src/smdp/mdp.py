@@ -21,7 +21,7 @@ import numpy as np
 
 from . import circuit as ct
 from ._manifest import read_manifest
-from .bits import BitVector, bits_to_int, int_to_bits, twos_to_int, width_for_count
+from .bits import BitVector, int_to_bits, row_tuples, twos_to_int, width_for_count
 
 DEFAULT_STATE_LIMIT = 1 << 20
 
@@ -190,26 +190,14 @@ def _signed_rows(out: np.ndarray) -> np.ndarray:
     return np.where(out[:, 0], vals - (1 << out.shape[1]), vals)
 
 
-def transition_prob(m: SuccinctMdp, s: BitVector, s2: BitVector, a: int) -> Fraction:
-    """Exact probability of reaching s2 from s under action index a."""
-    if not 0 <= a < len(m.actions):
-        raise ModelError(f"action index {a} out of range")
-    bits = tuple(s) + tuple(s2) + int_to_bits(a, m.action_width)
-    num = bits_to_int(ct.eval(m.t_circuit, bits))
-    if num > m.prob_denominator:
-        raise ModelError(
-            f"transition numerator {num} exceeds denominator {m.prob_denominator}"
-        )
-    return Fraction(num, m.prob_denominator)
-
-
 def reward(m: SuccinctMdp, s: BitVector) -> int:
     """Two's-complement reading of the reward circuit output."""
     return twos_to_int(ct.eval(m.r_circuit, tuple(s)))
 
 
 def reward_batch(m: SuccinctMdp, states: Sequence[BitVector]) -> List[int]:
-    if not states:
+    """Rewards of a sequence of states or of a (rows, n) bool array."""
+    if len(states) == 0:
         return []
     out = ct.eval_batch(m.r_circuit, np.array(states, dtype=bool))
     return [int(v) for v in _signed_rows(out)]
@@ -228,10 +216,12 @@ def _step(m: SuccinctMdp, states_arr: np.ndarray, a: int):
     transition, in source order: the source row index, the successor bits
     and the numerator over D. Candidates are the valid slots of the successor
     circuit, or all 2**n states for a model without one. Raises ModelError,
-    checking in this order, if an enumerator lists a state twice, a
-    numerator exceeds D, an enumerator lists a zero-probability state, or a
-    source's numerators do not sum to D.
+    checking in this order, if the action index is out of range, an
+    enumerator lists a state twice, a numerator exceeds D, an enumerator
+    lists a zero-probability state, or a source's numerators do not sum to D.
     """
+    if not 0 <= a < len(m.actions):
+        raise ModelError(f"action index {a} out of range")
     n_src = len(states_arr)
     D = m.prob_denominator
     if m.successor_circuits:
@@ -301,11 +291,10 @@ def successors_batch(
     if not states:
         return []
     src, succ, nums = _step(m, np.array(states, dtype=bool), a)
-    n, D = m.num_vars, m.prob_denominator
-    bits = succ.astype(np.uint8).tobytes()  # row r is bits[r * n : (r + 1) * n]
+    D = m.prob_denominator
     result: List[List[Tuple[BitVector, Fraction]]] = [[] for _ in states]
-    for r, (k, num) in enumerate(zip(src.tolist(), nums.tolist())):
-        result[k].append((tuple(bits[r * n : (r + 1) * n]), Fraction(num, D)))
+    for k, s2, num in zip(src.tolist(), row_tuples(succ), nums.tolist()):
+        result[k].append((s2, Fraction(num, D)))
     return result
 
 

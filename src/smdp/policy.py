@@ -17,7 +17,7 @@ import numpy as np
 
 from . import circuit as ct
 from ._manifest import read_manifest
-from .bits import BitVector, bits_to_int, int_to_bits, width_for_count
+from .bits import BitVector, bits_to_int, int_to_bits, row_tuples, width_for_count
 
 
 class PolicyError(ValueError):
@@ -49,17 +49,20 @@ class StationaryPolicy:
         return a
 
     def decide_batch(self, states: Sequence[BitVector]) -> List[int]:
-        if not states:
+        """Actions of a sequence of states or of a (rows, n) bool array."""
+        if len(states) == 0:
             return []
-        out = ct.eval_batch(self.circuit, np.array(states, dtype=bool))
+        arr = np.array(states, dtype=bool)
+        out = ct.eval_batch(self.circuit, arr)
         width = out.shape[1]
         weights = (1 << np.arange(width - 1, -1, -1)).astype(np.int64)
         vals = out.astype(np.int64) @ weights
         bad = np.flatnonzero(vals >= self.action_count)
         if bad.size:
+            k = int(bad[0])
             raise PolicyError(
-                f"policy decoded action {int(vals[bad[0]])} >= {self.action_count} "
-                f"at {states[int(bad[0])]}"
+                f"policy decoded action {int(vals[k])} >= {self.action_count} "
+                f"at {row_tuples(arr[k : k + 1])[0]}"
             )
         return [int(v) for v in vals]
 
@@ -115,6 +118,9 @@ class ExplicitPolicy:
         return a
 
     def decide_batch(self, states: Sequence[BitVector]) -> List[int]:
+        """Actions of a sequence of states or of a (rows, n) bool array."""
+        if isinstance(states, np.ndarray):
+            states = row_tuples(states)
         return [self.decide(s) for s in states]
 
 

@@ -5,9 +5,10 @@ ground-truth tables)."""
 from __future__ import annotations
 
 import random
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Tuple
+from typing import Dict, List, Set, Tuple
 
 from . import circuit as ct
 from .bits import BitVector, int_to_bits, width_for_count
@@ -59,6 +60,18 @@ class RandomMdp:
     rewards: Dict[BitVector, int]
 
 
+def _distinct_cuts(rng: random.Random, denominator: int, count: int) -> List[int]:
+    """`count` distinct integers in 1..denominator-1. `rng.sample` cannot
+    index a range past sys.maxsize, so larger denominators draw with
+    `randrange` until the cuts are distinct."""
+    if denominator <= sys.maxsize:
+        return rng.sample(range(1, denominator), count)
+    cuts: Set[int] = set()
+    while len(cuts) < count:
+        cuts.add(rng.randrange(1, denominator))
+    return list(cuts)
+
+
 def random_bounded_mdp(
     rng: random.Random,
     num_vars: int,
@@ -82,7 +95,7 @@ def random_bounded_mdp(
         for a in range(num_actions):
             k = rng.randint(1, min(max_branching, num_states))
             targets = sorted(rng.sample(range(num_states), k))
-            cuts = sorted(rng.sample(range(1, denominator), k - 1)) if k > 1 else []
+            cuts = sorted(_distinct_cuts(rng, denominator, k - 1)) if k > 1 else []
             weights = [
                 b - a_ for a_, b in zip([0] + cuts, cuts + [denominator])
             ]

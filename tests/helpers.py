@@ -1,6 +1,14 @@
-"""Shared test helpers."""
+"""Shared test helpers, and the per-state `Fraction` references that the
+integer code paths are compared against."""
 
 from fractions import Fraction
+from typing import Dict, List
+
+from smdp import circuit as ct
+from smdp import mdp as md
+from smdp.bits import BitVector, bits_to_int, int_to_bits
+from smdp.evaluator import RewardReport
+from smdp.policy import PolicyError
 
 
 def transition_pairs(em, k, a):
@@ -11,3 +19,115 @@ def transition_pairs(em, k, a):
         (int(j), Fraction(int(p), em.denominator))
         for j, p in zip(dst[src == k].tolist(), num[src == k].tolist())
     ]
+
+
+def transition_prob(m: md.SuccinctMdp, s: BitVector, s2: BitVector, a: int) -> Fraction:
+    """Exact probability of reaching s2 from s under action index a, read
+    pointwise from the transition circuit."""
+    if not 0 <= a < len(m.actions):
+        raise md.ModelError(f"action index {a} out of range")
+    bits = tuple(s) + tuple(s2) + int_to_bits(a, m.action_width)
+    num = bits_to_int(ct.eval(m.t_circuit, bits))
+    if num > m.prob_denominator:
+        raise md.ModelError(
+            f"transition numerator {num} exceeds denominator {m.prob_denominator}"
+        )
+    return Fraction(num, m.prob_denominator)
+
+
+def history_probability(m: md.SuccinctMdp, policy, states) -> Fraction:
+    """Probability that states[0..d] is the realized history under the policy."""
+    if policy.kind == "timed":
+        raise PolicyError("history probability of a step-indexed table policy is ambiguous")
+    prob = Fraction(1)
+    history = [tuple(s) for s in states]
+    for i in range(len(states) - 1):
+        if policy.kind == "history":
+            a = policy.decide_history(history, i)
+        else:
+            a = policy.decide(history[i])
+        prob *= transition_prob(m, history[i], history[i + 1], a)
+    return prob
+
+
+def expected_reward_reference(m: md.SuccinctMdp, policy, horizon: int) -> RewardReport:
+    """`expected_reward_exact` as per-state `Fraction` loops over
+    `md.successors_batch` and `md.successors`."""
+    if policy.kind == "history":
+        return _history_reference(m, policy, horizon)
+    return _marginal_reference(m, policy, horizon)
+
+
+def _marginal_reference(m: md.SuccinctMdp, policy, horizon: int) -> RewardReport:
+    s0 = tuple(m.initial)
+    rewards: Dict[BitVector, int] = {}
+
+    def fill_rewards(states: List[BitVector]):
+        missing = [s for s in states if s not in rewards]
+        for s, r in zip(missing, md.reward_batch(m, missing)):
+            rewards[s] = r
+
+    fill_rewards([s0])
+    dist: Dict[BitVector, Fraction] = {s0: Fraction(1)}
+    paths: Dict[BitVector, int] = {s0: 1}
+    per_depth = [Fraction(rewards[s0])]
+    masses = [Fraction(1)]
+    limit = md.state_limit()
+    for d in range(1, horizon + 1):
+        states = sorted(dist)
+        if policy.kind == "timed":
+            actions = [policy.decide_timed(s, horizon - (d - 1)) for s in states]
+        else:
+            actions = policy.decide_batch(states)
+        by_action: Dict[int, List[BitVector]] = {}
+        for s, a in zip(states, actions):
+            by_action.setdefault(a, []).append(s)
+        new_dist: Dict[BitVector, Fraction] = {}
+        new_paths: Dict[BitVector, int] = {}
+        for a, group in by_action.items():
+            for s, succ in zip(group, md.successors_batch(m, group, a)):
+                for s2, p in succ:
+                    new_dist[s2] = new_dist.get(s2, Fraction(0)) + dist[s] * p
+                    new_paths[s2] = new_paths.get(s2, 0) + paths[s]
+        if len(new_dist) > limit:
+            raise md._limit_error(f"trajectory frontier at depth {d}", len(new_dist), limit)
+        dist, paths = new_dist, new_paths
+        fill_rewards(sorted(dist))
+        per_depth.append(sum((pr * rewards[s] for s, pr in dist.items()), Fraction(0)))
+        masses.append(sum(dist.values(), Fraction(0)))
+    return RewardReport(
+        expected_reward=sum(per_depth, Fraction(0)),
+        per_depth=tuple(per_depth),
+        per_depth_mass=tuple(masses),
+        trajectory_count=sum(paths.values()),
+    )
+
+
+def _history_reference(m: md.SuccinctMdp, policy, horizon: int) -> RewardReport:
+    per_depth = [Fraction(0)] * (horizon + 1)
+    masses = [Fraction(0)] * (horizon + 1)
+    leaves = 0
+    limit = md.state_limit()
+    visited = 0
+    stack = [((tuple(m.initial),), Fraction(1))]  # depth first, successors in order
+    while stack:
+        history, prob = stack.pop()
+        visited += 1
+        if visited > limit:
+            raise md._limit_error("history count", visited, limit)
+        depth = len(history) - 1
+        per_depth[depth] += prob * md.reward(m, history[-1])
+        masses[depth] += prob
+        if depth == horizon:
+            leaves += 1
+            continue
+        a = policy.decide_history(history, depth)
+        stack.extend(
+            (history + (s2,), prob * p) for s2, p in reversed(md.successors(m, history[-1], a))
+        )
+    return RewardReport(
+        expected_reward=sum(per_depth, Fraction(0)),
+        per_depth=tuple(per_depth),
+        per_depth_mass=tuple(masses),
+        trajectory_count=leaves,
+    )

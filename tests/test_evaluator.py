@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -6,16 +8,26 @@ import pytest
 
 from smdp import circuit as ct
 from smdp import mdp as md
-from smdp.bits import width_for_count
-from smdp.evaluator import (
-    enumerate_trajectories,
-    expected_reward_exact,
-    expected_reward_mc,
-    history_probability,
+from smdp.bits import int_to_bits, width_for_count
+from smdp.evaluator import enumerate_trajectories, expected_reward_exact, expected_reward_mc
+from smdp.oracle import model_count
+from smdp.policy import (
+    ExplicitPolicy,
+    HistoryPolicy,
+    PolicyError,
+    StationaryPolicy,
+    TimedExplicitPolicy,
 )
-from smdp.policy import HistoryPolicy, StationaryPolicy
-from smdp.random_models import random_bounded_mdp, random_stationary_policy
+from smdp.random_models import (
+    random_bounded_mdp,
+    random_circuit,
+    random_cnf,
+    random_stationary_policy,
+)
+from smdp.reductions import majsat_to_eval
 from smdp.valuefn import value_of_policy
+
+from helpers import expected_reward_reference, history_probability
 
 
 def coin_mdp():
@@ -107,6 +119,16 @@ def test_mc_deterministic_and_close():
     assert abs(float(est1.mean - exact)) <= max(5 * est1.stderr, 1e-12)
 
 
+def test_mc_draws_from_integer_numerators_past_int64():
+    rng = random.Random(3)
+    rm = random_bounded_mdp(rng, 2, 2, denominator=3**40)
+    p = random_stationary_policy(rng, 2, 2)
+    exact = expected_reward_exact(rm.mdp, p, 3).expected_reward
+    est = expected_reward_mc(rm.mdp, p, 3, samples=2000, seed=7)
+    assert est == expected_reward_mc(rm.mdp, p, 3, samples=2000, seed=7)
+    assert abs(float(est.mean - exact)) <= max(5 * est.stderr, 1e-12)
+
+
 def test_mc_requires_samples():
     m = coin_mdp()
     with pytest.raises(ValueError):
@@ -154,3 +176,71 @@ def test_evaluator_limit_errors_name_the_knob(monkeypatch):
     msg = r"history count reached 3, over the limit 2; raise SMDP_LIMIT_STATES"
     with pytest.raises(md.EnumerationLimitError, match=msg):
         expected_reward_exact(rm.mdp, h, 1)
+
+
+def _outcome(m, policy, horizon, evaluate):
+    """SHA-256 of the report as a tuple, or the error raised."""
+    try:
+        report = evaluate(m, policy, horizon)
+    except (md.ModelError, PolicyError) as exc:
+        return type(exc).__name__, str(exc)
+    return hashlib.sha256(repr(dataclasses.astuple(report)).encode()).hexdigest()
+
+
+def _random_history_policy(rng, num_vars, num_actions, horizon):
+    """A random history circuit over every index its output width can
+    decode, so on a model with 1 or 3 actions it may pick a missing one."""
+    width = (horizon + 1) * num_vars + width_for_count(horizon + 1)
+    aw = width_for_count(num_actions)
+    c = random_circuit(rng, width, rng.randint(1, 8), aw)
+    return HistoryPolicy(c, 1 << aw, horizon=horizon, num_vars=num_vars)
+
+
+def _random_timed_policy(rng, num_vars, num_actions, horizon):
+    states = [tuple(int_to_bits(k, num_vars)) for k in range(1 << num_vars)]
+    mapping = {
+        (s, steps): rng.randrange(num_actions) for s in states for steps in range(1, horizon + 1)
+    }
+    return TimedExplicitPolicy(mapping, num_actions)
+
+
+@pytest.mark.parametrize("denominator", [6, 2**31 - 1, 3**40])
+def test_exact_reports_match_fraction_reference_on_random_models(denominator):
+    # the reward width is 4, so 2**3·D**h passes 2**63 from h = 2 at D = 2**31-1
+    # and from h = 1 at D = 3**40: both sides of the int64 switch are covered
+    rng = random.Random(denominator % 1000)
+    for _ in range(10):
+        n, k = rng.randint(1, 3), rng.randint(1, 4)
+        rm = random_bounded_mdp(rng, n, k, denominator=denominator)
+        horizon = rng.randint(1, 4)
+        policies = [
+            random_stationary_policy(rng, n, k),
+            ExplicitPolicy({tuple(int_to_bits(s, n)): rng.randrange(k) for s in range(1 << n)}, k),
+            _random_timed_policy(rng, n, k, horizon),
+            _random_history_policy(rng, n, k, horizon),
+        ]
+        for p in policies:
+            want = _outcome(rm.mdp, p, horizon, expected_reward_reference)
+            assert _outcome(rm.mdp, p, horizon, expected_reward_exact) == want
+
+
+def test_exact_reports_match_fraction_reference_on_majsat():
+    rng = random.Random(5)
+    for n in (1, 2, 4, 6, 8, 10):
+        inst = majsat_to_eval(random_cnf(rng, n, 3 * n))
+        m, p, h = inst.mdp, inst.policy, inst.horizon
+        assert _outcome(m, p, h, expected_reward_exact) == _outcome(
+            m, p, h, expected_reward_reference
+        )
+        got = expected_reward_exact(m, p, h).expected_reward
+        assert got == Fraction(model_count(inst.cnf), 1 << n)
+
+
+def test_exact_checks_the_action_index():
+    # a 2-action policy on a 1-action model decodes action 1
+    b = ct.CircuitBuilder(1)
+    p = StationaryPolicy(b.build([b.const(1)]), 2)
+    with pytest.raises(md.ModelError, match="action index 1 out of range"):
+        expected_reward_exact(coin_mdp(), p, 1)
+    with pytest.raises(md.ModelError, match="action index 1 out of range"):
+        expected_reward_mc(coin_mdp(), p, 1, samples=1, seed=0)

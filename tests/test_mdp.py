@@ -3,13 +3,14 @@ import random
 from dataclasses import replace
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from smdp import circuit as ct
 from smdp import mdp as md
 from smdp.random_models import random_bounded_mdp
 
-from helpers import transition_pairs
+from helpers import transition_pairs, transition_prob
 
 
 def make_random(seed=0, **kw):
@@ -32,7 +33,7 @@ def test_transition_prob_pointwise():
         by_state = dict(pairs)
         for row in range(1 << m.num_vars):
             s2 = tuple(int(b) for b in format(row, f"0{m.num_vars}b"))
-            assert md.transition_prob(m, s, s2, a) == by_state.get(s2, Fraction(0))
+            assert transition_prob(m, s, s2, a) == by_state.get(s2, Fraction(0))
 
 
 def test_rewards_match_tables():
@@ -42,6 +43,23 @@ def test_rewards_match_tables():
     assert got == [rm.rewards[s] for s in states]
     for s in states[:8]:
         assert md.reward(rm.mdp, s) == rm.rewards[s]
+
+
+def test_reward_batch_takes_a_bool_array():
+    rm = make_random(3)
+    states = sorted(rm.rewards)[:2]
+    got = md.reward_batch(rm.mdp, np.array(states, dtype=bool))
+    assert got == [rm.rewards[s] for s in states]
+    assert md.reward_batch(rm.mdp, np.zeros((0, rm.mdp.num_vars), dtype=bool)) == []
+
+
+def test_random_model_denominator_past_sys_maxsize():
+    D = 3**40
+    rm = random_bounded_mdp(random.Random(0), 2, 2, denominator=D)
+    assert rm.mdp.prob_denominator == D and md.validate(rm.mdp) == []
+    for (s, a), want in rm.transitions.items():
+        assert sorted(md.successors(rm.mdp, s, a)) == sorted(want)
+        assert sum(p for _, p in want) == 1
 
 
 def test_plain_succinct_agrees_with_bounded():

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from smdp import circuit as ct
@@ -31,6 +32,21 @@ def test_out_of_range_action_is_hard_error():
         p.decide((0,))
     with pytest.raises(PolicyError):
         p.decide_batch([(0,)])
+
+
+def test_decide_batch_takes_a_bool_array():
+    b = ct.CircuitBuilder(2)
+    p = StationaryPolicy(b.build([b.and_(b.inp(0), b.inp(1))]), action_count=2)
+    rows = np.array([[0, 1], [1, 1]], dtype=bool)
+    assert p.decide_batch(rows) == p.decide_batch([(0, 1), (1, 1)]) == [0, 1]
+    e = ExplicitPolicy({(0, 1): 1, (1, 1): 0}, 2)
+    assert e.decide_batch(rows) == [1, 0]
+    with pytest.raises(PolicyError, match=r"explicit policy undefined at state \(0, 0\)"):
+        e.decide_batch(np.array([[0, 1], [0, 0]], dtype=bool))
+    b = ct.CircuitBuilder(2)
+    bad = StationaryPolicy(b.build([b.const(1), b.const(1)]), action_count=3)
+    with pytest.raises(PolicyError, match=r"decoded action 3 >= 3 at \(1, 0\)$"):
+        bad.decide_batch(np.array([[1, 0], [0, 0]], dtype=bool))
 
 
 def test_output_width_must_match_action_count():
