@@ -7,9 +7,15 @@ checked rows of `mdp._step`; a `Fraction` is made only for the values
 returned. A stationary or timed policy is evaluated on the state marginals,
 one layer at a time: the frontier is a bool state array in MSB-first order,
 and equal successors are merged by sorting their unsigned keys. A history
-policy walks the trajectory tree depth first. The Monte-Carlo path draws each
-successor exactly from its integer numerators and exists only as a
-statistical cross-check.
+policy walks the trajectory tree depth first.
+
+The Monte-Carlo sampler exists only as a statistical cross-check. It steps
+the samples of a block together, depth by depth: each depth makes one batched
+circuit call per kind of work (policy actions, successor rows, rewards) on
+the states and (state, action) pairs not met before in the run. Each
+successor is drawn exactly from its integer numerators, with the draws of a
+sample-by-sample walk, so the estimate for a seed does not depend on the
+batching.
 """
 
 from __future__ import annotations
@@ -26,6 +32,9 @@ import numpy as np
 
 from . import mdp as md
 from .bits import BitVector, row_tuples
+from .policy import HistoryPolicy, PolicyError, StationaryPolicy
+
+_MC_BLOCK = 4096  # samples stepped together; their draws are held in one list
 
 
 @dataclass(frozen=True)
@@ -40,6 +49,14 @@ class RewardReport:
     per_depth: Tuple[Fraction, ...]  # contribution of depth d states, d = 0..T
     per_depth_mass: Tuple[Fraction, ...]  # total probability mass at each depth
     trajectory_count: int  # positive-probability trajectories of full length T
+
+
+def _check_policy_width(m: md.SuccinctMdp, policy) -> None:
+    """A circuit policy must read as many state bits as the model has."""
+    if isinstance(policy, (StationaryPolicy, HistoryPolicy)) and policy.num_vars != m.num_vars:
+        raise PolicyError(
+            f"policy reads {policy.num_vars} state bits, the model has {m.num_vars}"
+        )
 
 
 def _decide_at(policy, s: BitVector, history, depth: int, horizon: int) -> int:
@@ -60,6 +77,7 @@ def _successors(m: md.SuccinctMdp, s: BitVector, a: int) -> List[Tuple[BitVector
 def enumerate_trajectories(m: md.SuccinctMdp, policy, depth: int) -> Iterator[Trajectory]:
     """All positive-probability trajectories of exactly `depth` steps, depth
     first with successors in `md.successors` order."""
+    _check_policy_width(m, policy)
     scale = m.prob_denominator**depth
     stack = [((tuple(m.initial),), 1)]  # (history, numerator over D**(len(history) - 1))
     while stack:
@@ -76,6 +94,7 @@ def enumerate_trajectories(m: md.SuccinctMdp, policy, depth: int) -> Iterator[Tr
 def expected_reward_exact(m: md.SuccinctMdp, policy, horizon: int) -> RewardReport:
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
+    _check_policy_width(m, policy)
     if policy.kind == "history":
         return _exact_history(m, policy, horizon)
     return _exact_marginal(m, policy, horizon)
@@ -180,45 +199,43 @@ class McEstimate:
 def expected_reward_mc(
     m: md.SuccinctMdp, policy, horizon: int, samples: int, seed: int
 ) -> McEstimate:
-    """Plain Monte-Carlo estimate; deterministic for a fixed seed."""
+    """Plain Monte-Carlo estimate; deterministic for a fixed seed.
+
+    The samples of a block step through the horizon together. The draws are
+    those of a sample-by-sample walk, one ``randrange(D)`` per (sample, step)
+    in sample-major order, so the estimate does not depend on the block size.
+    """
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
     if samples < 1:
         raise ValueError("need at least one sample")
+    _check_policy_width(m, policy)
     rng = random.Random(seed)
-    s0 = tuple(m.initial)
-    D = m.prob_denominator
-    # (state, action) -> (successors, cumulative numerators over D)
-    succ_cache: Dict[Tuple[BitVector, int], Tuple[List[BitVector], List[int]]] = {}
-    reward_cache: Dict[BitVector, int] = {}
-
-    def r_of(s: BitVector) -> int:
-        v = reward_cache.get(s)
-        if v is None:
-            v = md.reward(m, s)
-            reward_cache[s] = v
-        return v
-
+    walk = _LockstepWalk(m, policy, horizon)
+    s0_bits = tuple(m.initial)
+    s0 = walk.id_of(s0_bits)
+    walk.fill_rewards([s0])
     total = 0
     total_sq = 0
-    for _ in range(samples):
-        s = s0
-        history = [s0]
-        ret = r_of(s0)
-        for depth in range(horizon):
-            a = _decide_at(policy, s, history, depth, horizon)
-            key = (s, a)
-            cached = succ_cache.get(key)
-            if cached is None:
-                pairs = _successors(m, s, a)
-                cached = ([s2 for s2, _ in pairs], list(accumulate(p for _, p in pairs)))
-                succ_cache[key] = cached
-            nxt, cum = cached
-            s = nxt[bisect_right(cum, rng.randrange(D))]
-            history.append(s)
-            ret += r_of(s)
-        total += ret
-        total_sq += ret * ret
+    for start in range(0, samples, _MC_BLOCK):
+        block = min(_MC_BLOCK, samples - start)
+        draws = [rng.randrange(m.prob_denominator) for _ in range(block * horizon)]
+        cur = [s0] * block  # the state id of each sample of the block
+        history = [[s0_bits] for _ in range(block)] if policy.kind == "history" else None
+        returns = [walk.rewards[s0]] * block
+        for d in range(horizon):
+            pairs = list(zip(cur, walk.actions(cur, history, d)))
+            walk.fill_successors(pairs)
+            steps = [walk.succ[p] for p in pairs]
+            # the draw of sample k at step d is draws[k * horizon + d]
+            cur = [nxt[bisect_right(cum, u)] for (nxt, cum), u in zip(steps, draws[d::horizon])]
+            walk.fill_rewards(cur)
+            returns = [r + walk.rewards[i] for r, i in zip(returns, cur)]
+            if history is not None:
+                for h, i in zip(history, cur):
+                    h.append(walk.states[i])
+        total += sum(returns)
+        total_sq += sum(r * r for r in returns)
     mean = Fraction(total, samples)
     if samples > 1:
         var = (total_sq - samples * float(mean) ** 2) / (samples - 1)
@@ -226,3 +243,68 @@ def expected_reward_mc(
     else:
         stderr = float("inf")
     return McEstimate(mean=mean, stderr=stderr, samples=samples)
+
+
+class _LockstepWalk:
+    """The caches of one Monte-Carlo run, keyed by integer state ids: the
+    reward of each visited state, the action of each state a stationary
+    policy decided, and the successor ids and cumulative numerators over D of
+    each stepped (state, action) pair. Each cache is filled by one batched
+    call per kind of work, on the keys seen for the first time, so the
+    stepped pairs and the rewarded states are those a sample-by-sample walk
+    computes."""
+
+    def __init__(self, m: md.SuccinctMdp, policy, horizon: int):
+        self.m = m
+        self.policy = policy
+        self.horizon = horizon
+        self.ids: Dict[BitVector, int] = {}
+        self.states: List[BitVector] = []
+        self.rewards: Dict[int, int] = {}
+        self.decided: Dict[int, int] = {}
+        self.succ: Dict[Tuple[int, int], Tuple[List[int], List[int]]] = {}
+
+    def id_of(self, s: BitVector) -> int:
+        i = self.ids.get(s)
+        if i is None:
+            i = self.ids[s] = len(self.states)
+            self.states.append(s)
+        return i
+
+    def actions(self, cur: List[int], history, d: int) -> List[int]:
+        """The action of each sample at depth d; `history` holds each
+        sample's states for a history policy."""
+        policy = self.policy
+        if history is not None:
+            return [policy.decide_history(h, d) for h in history]
+        if policy.kind == "timed":
+            steps = self.horizon - d
+            decided = {i: policy.decide_timed(self.states[i], steps) for i in dict.fromkeys(cur)}
+        else:
+            decided = self.decided
+            new = [i for i in dict.fromkeys(cur) if i not in decided]
+            if new:
+                decided.update(zip(new, policy.decide_batch([self.states[i] for i in new])))
+        return [decided[i] for i in cur]
+
+    def fill_successors(self, pairs: List[Tuple[int, int]]) -> None:
+        """Step the (state id, action) pairs not yet cached: one `md._step`
+        call per action, its sources in first-seen order."""
+        by_action: Dict[int, List[int]] = {}
+        for i, a in dict.fromkeys(pairs):
+            if (i, a) not in self.succ:
+                by_action.setdefault(a, []).append(i)
+        for a, sources in by_action.items():
+            src, succ, nums = md._step(
+                self.m, np.array([self.states[i] for i in sources], dtype=bool), a
+            )
+            dst = [self.id_of(s2) for s2 in row_tuples(succ)]
+            nums = nums.tolist()
+            ends = np.cumsum(np.bincount(src, minlength=len(sources))).tolist()
+            for i, lo, hi in zip(sources, [0] + ends, ends):
+                self.succ[(i, a)] = (dst[lo:hi], list(accumulate(nums[lo:hi])))
+
+    def fill_rewards(self, ids: List[int]) -> None:
+        new = [i for i in dict.fromkeys(ids) if i not in self.rewards]
+        if new:
+            self.rewards.update(zip(new, md.reward_batch(self.m, [self.states[i] for i in new])))

@@ -286,9 +286,11 @@ def successors(m: SuccinctMdp, s: BitVector, a: int) -> List[Tuple[BitVector, Fr
 def successors_batch(
     m: SuccinctMdp, states: Sequence[BitVector], a: int
 ) -> List[List[Tuple[BitVector, Fraction]]]:
+    """The successors of each of a sequence of states or of a (rows, n) bool
+    array, as `successors` lists them."""
     if not 0 <= a < len(m.actions):
         raise ModelError(f"action index {a} out of range")
-    if not states:
+    if len(states) == 0:
         return []
     src, succ, nums = _step(m, np.array(states, dtype=bool), a)
     D = m.prob_denominator

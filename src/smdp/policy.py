@@ -87,7 +87,7 @@ class HistoryPolicy:
 
     def decide_history(self, states: Sequence[BitVector], j: int) -> int:
         """Action after observing states[0..j]; later slots are zero-filled."""
-        if j >= len(states) or j > self.horizon:
+        if not 0 <= j < len(states) or j > self.horizon:
             raise PolicyError(f"time index {j} out of range")
         bits: List[int] = []
         for idx in range(self.horizon + 1):

@@ -1,13 +1,18 @@
-"""Shared test helpers, and the per-state `Fraction` references that the
-integer code paths are compared against."""
+"""Shared test helpers, the per-state `Fraction` references that the
+integer code paths are compared against, and the sample-by-sample
+Monte-Carlo walk that the lockstep sampler is compared against."""
 
+import math
+import random
+from bisect import bisect_right
 from fractions import Fraction
-from typing import Dict, List
+from itertools import accumulate
+from typing import Dict, List, Tuple
 
 from smdp import circuit as ct
 from smdp import mdp as md
 from smdp.bits import BitVector, bits_to_int, int_to_bits
-from smdp.evaluator import RewardReport
+from smdp.evaluator import McEstimate, RewardReport, _decide_at, _successors
 from smdp.policy import PolicyError
 
 
@@ -131,3 +136,56 @@ def _history_reference(m: md.SuccinctMdp, policy, horizon: int) -> RewardReport:
         per_depth_mass=tuple(masses),
         trajectory_count=leaves,
     )
+
+
+def expected_reward_mc_reference(
+    m: md.SuccinctMdp, policy, horizon: int, samples: int, seed: int
+) -> McEstimate:
+    """`expected_reward_mc` as a sample-by-sample walk: one scalar policy
+    decision per step, one `randrange(D)` per step, and one one-row step per
+    (state, action) pair not met before."""
+    if horizon < 0:
+        raise ValueError("horizon must be nonnegative")
+    if samples < 1:
+        raise ValueError("need at least one sample")
+    rng = random.Random(seed)
+    s0 = tuple(m.initial)
+    D = m.prob_denominator
+    # (state, action) -> (successors, cumulative numerators over D)
+    succ_cache: Dict[Tuple[BitVector, int], Tuple[List[BitVector], List[int]]] = {}
+    reward_cache: Dict[BitVector, int] = {}
+
+    def r_of(s: BitVector) -> int:
+        v = reward_cache.get(s)
+        if v is None:
+            v = md.reward(m, s)
+            reward_cache[s] = v
+        return v
+
+    total = 0
+    total_sq = 0
+    for _ in range(samples):
+        s = s0
+        history = [s0]
+        ret = r_of(s0)
+        for depth in range(horizon):
+            a = _decide_at(policy, s, history, depth, horizon)
+            key = (s, a)
+            cached = succ_cache.get(key)
+            if cached is None:
+                pairs = _successors(m, s, a)
+                cached = ([s2 for s2, _ in pairs], list(accumulate(p for _, p in pairs)))
+                succ_cache[key] = cached
+            nxt, cum = cached
+            s = nxt[bisect_right(cum, rng.randrange(D))]
+            history.append(s)
+            ret += r_of(s)
+        total += ret
+        total_sq += ret * ret
+    mean = Fraction(total, samples)
+    if samples > 1:
+        var = (total_sq - samples * float(mean) ** 2) / (samples - 1)
+        stderr = math.sqrt(max(var, 0.0) / samples)
+    else:
+        stderr = float("inf")
+    return McEstimate(mean=mean, stderr=stderr, samples=samples)

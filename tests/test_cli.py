@@ -105,6 +105,16 @@ def test_eval_mc_rejects_negative_horizon(tmp_path, capsys):
     assert "horizon must be nonnegative" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["eval", "eval-mc"])
+def test_eval_rejects_a_policy_of_another_width(tmp_path, capsys, command):
+    mpath, _ = coin_files(tmp_path)
+    pb = ct.CircuitBuilder(3)
+    ppath = save_policy(StationaryPolicy(pb.build([pb.const(0)]), 1), tmp_path, "wide")
+    code, text, err = run([command, mpath, str(ppath)], capsys)
+    assert code == 1 and text == ""
+    assert "policy reads 3 state bits, the model has 1" in err and "Traceback" not in err
+
+
 def test_bad_manifest_integer_names_its_key(tmp_path, capsys):
     mpath, ppath = coin_files(tmp_path)
     text = open(ppath).read().replace("actions 1", "actions two")

@@ -9,7 +9,12 @@ import pytest
 from smdp import circuit as ct
 from smdp import mdp as md
 from smdp.bits import int_to_bits, width_for_count
-from smdp.evaluator import enumerate_trajectories, expected_reward_exact, expected_reward_mc
+from smdp.evaluator import (
+    _MC_BLOCK,
+    enumerate_trajectories,
+    expected_reward_exact,
+    expected_reward_mc,
+)
 from smdp.oracle import model_count
 from smdp.policy import (
     ExplicitPolicy,
@@ -27,7 +32,7 @@ from smdp.random_models import (
 from smdp.reductions import majsat_to_eval
 from smdp.valuefn import value_of_policy
 
-from helpers import expected_reward_reference, history_probability
+from helpers import expected_reward_mc_reference, expected_reward_reference, history_probability
 
 
 def coin_mdp():
@@ -204,6 +209,16 @@ def _random_timed_policy(rng, num_vars, num_actions, horizon):
     return TimedExplicitPolicy(mapping, num_actions)
 
 
+def _random_policies(rng, n, k, horizon):
+    """A compiled, an explicit, a timed and a history policy."""
+    return [
+        random_stationary_policy(rng, n, k),
+        ExplicitPolicy({tuple(int_to_bits(s, n)): rng.randrange(k) for s in range(1 << n)}, k),
+        _random_timed_policy(rng, n, k, horizon),
+        _random_history_policy(rng, n, k, horizon),
+    ]
+
+
 @pytest.mark.parametrize("denominator", [6, 2**31 - 1, 3**40])
 def test_exact_reports_match_fraction_reference_on_random_models(denominator):
     # the reward width is 4, so 2**3·D**h passes 2**63 from h = 2 at D = 2**31-1
@@ -213,13 +228,7 @@ def test_exact_reports_match_fraction_reference_on_random_models(denominator):
         n, k = rng.randint(1, 3), rng.randint(1, 4)
         rm = random_bounded_mdp(rng, n, k, denominator=denominator)
         horizon = rng.randint(1, 4)
-        policies = [
-            random_stationary_policy(rng, n, k),
-            ExplicitPolicy({tuple(int_to_bits(s, n)): rng.randrange(k) for s in range(1 << n)}, k),
-            _random_timed_policy(rng, n, k, horizon),
-            _random_history_policy(rng, n, k, horizon),
-        ]
-        for p in policies:
+        for p in _random_policies(rng, n, k, horizon):
             want = _outcome(rm.mdp, p, horizon, expected_reward_reference)
             assert _outcome(rm.mdp, p, horizon, expected_reward_exact) == want
 
@@ -244,3 +253,80 @@ def test_exact_checks_the_action_index():
         expected_reward_exact(coin_mdp(), p, 1)
     with pytest.raises(md.ModelError, match="action index 1 out of range"):
         expected_reward_mc(coin_mdp(), p, 1, samples=1, seed=0)
+
+
+def _mc_outcome(estimate, m, policy, horizon, samples, seed):
+    """The estimate as a (mean, stderr, samples) tuple, or the error type."""
+    try:
+        est = estimate(m, policy, horizon, samples, seed)
+    except (md.ModelError, PolicyError) as exc:
+        return type(exc).__name__
+    return est.mean, est.stderr, est.samples
+
+
+@pytest.mark.parametrize("denominator", [6, 2**31 - 1, 3**40])
+def test_mc_matches_sequential_reference_on_random_models(denominator):
+    rng = random.Random(denominator % 1000)
+    for horizon in range(6):
+        n, k = rng.randint(1, 3), rng.randint(1, 4)
+        rm = random_bounded_mdp(rng, n, k, denominator=denominator)
+        for p in _random_policies(rng, n, k, horizon):
+            for samples in (1, 2, 300):
+                seed = rng.randrange(1 << 30)
+                want = _mc_outcome(expected_reward_mc_reference, rm.mdp, p, horizon, samples, seed)
+                assert _mc_outcome(expected_reward_mc, rm.mdp, p, horizon, samples, seed) == want
+
+
+@pytest.mark.parametrize("denominator", [6, 2**31 - 1, 3**40])
+def test_mc_matches_sequential_reference_across_a_block_boundary(denominator):
+    rng = random.Random(denominator % 1000 + 1)
+    rm = random_bounded_mdp(rng, 2, 3, denominator=denominator)
+    for p in _random_policies(rng, 2, 3, 2):
+        want = _mc_outcome(expected_reward_mc_reference, rm.mdp, p, 2, _MC_BLOCK + 3, 11)
+        assert _mc_outcome(expected_reward_mc, rm.mdp, p, 2, _MC_BLOCK + 3, 11) == want
+
+
+def test_mc_matches_sequential_reference_on_majsat():
+    rng = random.Random(6)
+    for n in range(1, 8):
+        inst = majsat_to_eval(random_cnf(rng, n, 2 * n))
+        m, p, h = inst.mdp, inst.policy, inst.horizon
+        want = _mc_outcome(expected_reward_mc_reference, m, p, h, 300, n)
+        assert _mc_outcome(expected_reward_mc, m, p, h, 300, n) == want
+
+
+def test_mc_makes_no_scalar_circuit_call_for_a_stationary_policy(monkeypatch):
+    inst = majsat_to_eval(random_cnf(random.Random(7), 4, 8))
+    want = expected_reward_mc(inst.mdp, inst.policy, inst.horizon, 200, 1)
+
+    def scalar_eval(*args):
+        raise AssertionError("scalar circuit.eval call")
+
+    monkeypatch.setattr(ct, "eval", scalar_eval)
+    assert expected_reward_mc(inst.mdp, inst.policy, inst.horizon, 200, 1) == want
+
+
+def test_mc_rejects_an_out_of_range_action_at_a_visited_state():
+    # decodes action 3 of 3 at state (1,), which is visited from depth 1 on
+    b = ct.CircuitBuilder(1)
+    p = StationaryPolicy(b.build([b.inp(0), b.inp(0)]), 3)
+    est = expected_reward_mc(coin_mdp(), p, 1, samples=50, seed=0)
+    assert est == expected_reward_mc_reference(coin_mdp(), p, 1, 50, 0)
+    with pytest.raises(PolicyError, match=r"policy decoded action 3 >= 3 at \(1,\)"):
+        expected_reward_mc(coin_mdp(), p, 2, samples=50, seed=0)
+
+
+def test_evaluators_reject_a_policy_of_another_width():
+    m = coin_mdp()  # one state bit
+    msg = "policy reads 3 state bits, the model has 1"
+    b = ct.CircuitBuilder(3)
+    stationary = StationaryPolicy(b.build([b.const(0)]), 1)
+    hb = ct.CircuitBuilder(2 * 3 + 1)
+    history = HistoryPolicy(hb.build([hb.const(0)]), 1, horizon=1, num_vars=3)
+    for p in (stationary, history):
+        with pytest.raises(PolicyError, match=msg):
+            expected_reward_exact(m, p, 1)
+        with pytest.raises(PolicyError, match=msg):
+            expected_reward_mc(m, p, 1, samples=10, seed=0)
+        with pytest.raises(PolicyError, match=msg):
+            list(enumerate_trajectories(m, p, 1))

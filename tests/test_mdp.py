@@ -53,6 +53,15 @@ def test_reward_batch_takes_a_bool_array():
     assert md.reward_batch(rm.mdp, np.zeros((0, rm.mdp.num_vars), dtype=bool)) == []
 
 
+def test_successors_batch_takes_a_bool_array():
+    rm = make_random(1)
+    states = sorted(rm.rewards)[:2]
+    got = md.successors_batch(rm.mdp, np.array(states, dtype=bool), 1)
+    assert got == md.successors_batch(rm.mdp, states, 1)
+    assert [sorted(g) for g in got] == [sorted(rm.transitions[(s, 1)]) for s in states]
+    assert md.successors_batch(rm.mdp, np.zeros((0, rm.mdp.num_vars), dtype=bool), 1) == []
+
+
 def test_random_model_denominator_past_sys_maxsize():
     D = 3**40
     rm = random_bounded_mdp(random.Random(0), 2, 2, denominator=D)

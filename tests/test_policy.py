@@ -81,6 +81,8 @@ def test_history_policy_layout():
     assert p.decide_history([(0, 1), (1, 1)], 1) == 0
     with pytest.raises(PolicyError):
         p.decide_history([(0, 0)], 1)  # time index beyond observed states
+    with pytest.raises(PolicyError, match=r"^time index -1 out of range$"):
+        p.decide_history([(0, 0)], -1)
 
 
 def test_explicit_and_timed_policies():
