@@ -6,7 +6,7 @@ numeric reading applies.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
@@ -51,16 +51,25 @@ def twos_to_int(bits: Sequence[int]) -> int:
     return v
 
 
+def unsigned_rows(rows: np.ndarray) -> np.ndarray:
+    """Unsigned reading of each row of a 2-D bool array, MSB first: int64 up
+    to 62 bits, exact Python ints (object dtype) beyond, so no width wraps."""
+    width = rows.shape[1]
+    dtype = np.int64 if width < 63 else object
+    weights = np.array([1 << k for k in range(width - 1, -1, -1)], dtype=dtype)
+    return rows.astype(dtype) @ weights
+
+
+def signed_rows(rows: np.ndarray) -> np.ndarray:
+    """Two's-complement reading of each row of a 2-D bool array, MSB first,
+    with the dtype rule of `unsigned_rows`."""
+    vals = unsigned_rows(rows)
+    return np.where(rows[:, 0], vals - (1 << rows.shape[1]), vals)
+
+
 def row_tuples(rows) -> List[BitVector]:
     """Each row of a 2-D array of bools or 0/1 ints as a bit vector."""
     return [tuple(r) for r in np.asarray(rows, dtype=np.uint8).tolist()]
-
-
-def concat(*parts: Iterable[int]) -> BitVector:
-    out = []
-    for p in parts:
-        out.extend(p)
-    return tuple(out)
 
 
 def parse_bitstring(text: str) -> BitVector:

@@ -4,10 +4,13 @@ The exact evaluator accumulates ``r(s0)`` plus, for every depth d in 1..T,
 the probability-weighted reward of each depth-d state. Probabilities are
 integer numerators over D**d, D the model's denominator, built from the
 checked rows of `mdp._step`; a `Fraction` is made only for the values
-returned. A stationary or timed policy is evaluated on the state marginals,
-one layer at a time: the frontier is a bool state array in MSB-first order,
-and equal successors are merged by sorting their unsigned keys. A history
-policy walks the trajectory tree depth first.
+returned. One layer-at-a-time pass serves every policy kind. For a
+stationary or timed policy its frontier is the state marginals: a bool state
+array in MSB-first order, where equal successors are merged by sorting their
+unsigned keys. For a history policy, and to enumerate trajectories, each
+frontier row holds the states of one trajectory so far; the rows are never
+merged and stay in depth-first order, and a history policy decides a whole
+layer with one batched circuit call.
 
 The Monte-Carlo sampler exists only as a statistical cross-check. It steps
 the samples of a block together, depth by depth: each depth makes one batched
@@ -31,7 +34,7 @@ from typing import Dict, Iterator, List, Tuple
 import numpy as np
 
 from . import mdp as md
-from .bits import BitVector, row_tuples
+from .bits import BitVector, row_tuples, unsigned_rows
 from .policy import HistoryPolicy, PolicyError, StationaryPolicy
 
 _MC_BLOCK = 4096  # samples stepped together; their draws are held in one list
@@ -59,134 +62,113 @@ def _check_policy_width(m: md.SuccinctMdp, policy) -> None:
         )
 
 
-def _decide_at(policy, s: BitVector, history, depth: int, horizon: int) -> int:
-    if policy.kind == "history":
-        return policy.decide_history(history, depth)
-    if policy.kind == "timed":
-        return policy.decide_timed(s, horizon - depth)
-    return policy.decide(s)
+def _forward(
+    m: md.SuccinctMdp, policy, horizon: int, histories: bool
+) -> Iterator[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The layer-at-a-time integer pass: for each depth d = 0..horizon, the
+    frontier rows, each row's numerator over D**d and each row's path count.
 
-
-def _successors(m: md.SuccinctMdp, s: BitVector, a: int) -> List[Tuple[BitVector, int]]:
-    """The checked successors of one state under action a, each with its
-    numerator over D, in `md._step` order (the order of `md.successors`)."""
-    _, succ, nums = md._step(m, np.array([s], dtype=bool), a)
-    return list(zip(row_tuples(succ), nums.tolist()))
-
-
-def enumerate_trajectories(m: md.SuccinctMdp, policy, depth: int) -> Iterator[Trajectory]:
-    """All positive-probability trajectories of exactly `depth` steps, depth
-    first with successors in `md.successors` order."""
-    _check_policy_width(m, policy)
-    scale = m.prob_denominator**depth
-    stack = [((tuple(m.initial),), 1)]  # (history, numerator over D**(len(history) - 1))
-    while stack:
-        history, num = stack.pop()
-        if len(history) == depth + 1:
-            yield Trajectory(history, Fraction(num, scale))
-            continue
-        a = _decide_at(policy, history[-1], history, len(history) - 1, depth)
-        stack.extend(
-            (history + (s2,), num * p) for s2, p in reversed(_successors(m, history[-1], a))
-        )
-
-
-def expected_reward_exact(m: md.SuccinctMdp, policy, horizon: int) -> RewardReport:
-    if horizon < 0:
-        raise ValueError("horizon must be nonnegative")
-    _check_policy_width(m, policy)
-    if policy.kind == "history":
-        return _exact_history(m, policy, horizon)
-    return _exact_marginal(m, policy, horizon)
-
-
-def _report(m: md.SuccinctMdp, per_depth, masses, trajectories: int) -> RewardReport:
-    """The report of integer sums per depth d, each over D**d."""
-    D = m.prob_denominator
-    per_depth = tuple(Fraction(int(v), D**d) for d, v in enumerate(per_depth))
-    return RewardReport(
-        expected_reward=sum(per_depth, Fraction(0)),
-        per_depth=per_depth,
-        per_depth_mass=tuple(Fraction(int(v), D**d) for d, v in enumerate(masses)),
-        trajectory_count=int(trajectories),
-    )
-
-
-def _exact_marginal(m: md.SuccinctMdp, policy, horizon: int) -> RewardReport:
-    """Layer-at-a-time pass over the state marginals. The depth-d frontier is
-    a bool state array in MSB-first order; each state carries its numerator
-    over D**d and the number of trajectories that reach it. Each numerator is
-    at most D**d and each reward at most 2**(w-1) in size, w the reward width,
-    so the numerators, path counts and reward sums are int64 while
-    2**(w-1)·D**horizon < 2**63 and exact Python ints otherwise."""
+    A row is a state, or with `histories` the states 0..d of one trajectory
+    as (d+1)·n bool columns; the successor step and the policy (unless it is
+    a history policy) read the last n columns. Equal state rows are merged by
+    their unsigned keys, so the frontier is in MSB-first order. History rows
+    are never equal, since a step lists each successor of a row once; they are
+    kept in source order, which is depth-first leaf order. Each numerator is
+    at most D**d, each path count at most D**d (a positive numerator is at
+    least 1) and each reward at most 2**(w-1) in size, w the reward width, so
+    they are int64 while 2**(w-1)·D**horizon < 2**63 and exact Python ints
+    otherwise."""
+    n = m.num_vars
     D = m.prob_denominator
     dtype = np.int64 if (1 << (m.reward_width - 1)) * D**horizon < 1 << 63 else object
     frontier = np.array([m.initial], dtype=bool)
     num = np.ones(1, dtype=dtype)
     paths = np.ones(1, dtype=dtype)
-    per_depth = [md.reward_batch(m, frontier)[0]]
-    masses = [1]
     limit = md.state_limit()
+    visited = 1
+    yield frontier, num, paths
     for d in range(1, horizon + 1):
-        if policy.kind == "timed":
+        states = frontier[:, frontier.shape[1] - n :]
+        if policy.kind == "history":
+            acts = np.array(policy.decide_batch(frontier, d - 1))
+        elif policy.kind == "timed":
             steps = horizon - (d - 1)
-            acts = np.array([policy.decide_timed(s, steps) for s in row_tuples(frontier)])
+            acts = np.array([policy.decide_timed(s, steps) for s in row_tuples(states)])
         else:
-            acts = np.array(policy.decide_batch(frontier))
+            acts = np.array(policy.decide_batch(states))
         _, first = np.unique(acts, return_index=True)
         src_parts, succ_parts, num_parts = [], [], []
         for a in acts[np.sort(first)].tolist():  # actions in order of first use
             rows = np.flatnonzero(acts == a)
-            src, succ, nums = md._step(m, frontier[rows], a)
+            src, succ, nums = md._step(m, states[rows], a)
             src_parts.append(rows[src])
             succ_parts.append(succ)
             num_parts.append(nums)
         src = np.concatenate(src_parts)
         succ = np.concatenate(succ_parts)
         weights = num[src] * np.concatenate(num_parts).astype(dtype)
-        # sort-based duplicate detection: unsigned keys sort as the bit tuples do
-        _, first, inverse = np.unique(
-            md._unsigned_rows(succ), return_index=True, return_inverse=True
-        )
-        if len(first) > limit:
-            raise md._limit_error(f"trajectory frontier at depth {d}", len(first), limit)
-        frontier = succ[first]
-        num = np.zeros(len(first), dtype=dtype)
-        np.add.at(num, inverse, weights)
-        reached = np.zeros(len(first), dtype=dtype)
-        np.add.at(reached, inverse, paths[src])
-        paths = reached
-        rewards = np.array(md.reward_batch(m, frontier), dtype=dtype)
-        per_depth.append((num * rewards).sum())
-        masses.append(num.sum())
-    return _report(m, per_depth, masses, paths.sum())
+        if histories:
+            visited += len(src)
+            if visited > limit:
+                raise md._limit_error("history count", limit + 1, limit)
+            order = np.argsort(src, kind="stable")
+            src = src[order]
+            frontier = np.concatenate([frontier[src], succ[order]], axis=1)
+            num = weights[order]
+            paths = paths[src]
+        else:
+            # sort-based duplicate detection: unsigned keys sort as the bit tuples do
+            _, first, inverse = np.unique(
+                unsigned_rows(succ), return_index=True, return_inverse=True
+            )
+            if len(first) > limit:
+                raise md._limit_error(f"trajectory frontier at depth {d}", len(first), limit)
+            frontier = succ[first]
+            num = np.zeros(len(first), dtype=dtype)
+            np.add.at(num, inverse, weights)
+            reached = np.zeros(len(first), dtype=dtype)
+            np.add.at(reached, inverse, paths[src])
+            paths = reached
+        yield frontier, num, paths
 
 
-def _exact_history(m: md.SuccinctMdp, policy, horizon: int) -> RewardReport:
-    """Depth-first walk of the trajectory tree; a depth-d history carries its
-    numerator over D**d."""
-    per_depth = [0] * (horizon + 1)
-    masses = [0] * (horizon + 1)
-    leaves = 0
-    limit = md.state_limit()
-    visited = 0
-    stack = [((tuple(m.initial),), 1)]  # depth first, successors in order
-    while stack:
-        history, num = stack.pop()
-        visited += 1
-        if visited > limit:
-            raise md._limit_error("history count", visited, limit)
-        depth = len(history) - 1
-        per_depth[depth] += num * md.reward(m, history[-1])
-        masses[depth] += num
-        if depth == horizon:
-            leaves += 1
-            continue
-        a = policy.decide_history(history, depth)
-        stack.extend(
-            (history + (s2,), num * p) for s2, p in reversed(_successors(m, history[-1], a))
-        )
-    return _report(m, per_depth, masses, leaves)
+def enumerate_trajectories(m: md.SuccinctMdp, policy, depth: int) -> Iterator[Trajectory]:
+    """All positive-probability trajectories of exactly `depth` steps, depth
+    first with successors in `md.successors` order. They are all computed
+    before the first is yielded."""
+    if depth < 0:
+        raise ValueError("depth must be nonnegative")
+    _check_policy_width(m, policy)
+    for rows, num, _ in _forward(m, policy, depth, histories=True):
+        pass  # only the last layer holds whole trajectories
+    n = m.num_vars
+    scale = m.prob_denominator**depth
+    for bits, p in zip(row_tuples(rows), num.tolist()):
+        states = tuple(bits[k * n : (k + 1) * n] for k in range(depth + 1))
+        yield Trajectory(states, Fraction(p, scale))
+
+
+def expected_reward_exact(m: md.SuccinctMdp, policy, horizon: int) -> RewardReport:
+    """The expected reward of a policy of any kind, with the reward and the
+    probability mass of each depth."""
+    if horizon < 0:
+        raise ValueError("horizon must be nonnegative")
+    _check_policy_width(m, policy)
+    n = m.num_vars
+    D = m.prob_denominator
+    per_depth, masses = [], []
+    for d, (rows, num, paths) in enumerate(
+        _forward(m, policy, horizon, histories=policy.kind == "history")
+    ):
+        rewards = np.array(md.reward_batch(m, rows[:, rows.shape[1] - n :]), dtype=num.dtype)
+        per_depth.append(Fraction(int((num * rewards).sum()), D**d))
+        masses.append(Fraction(int(num.sum()), D**d))
+    return RewardReport(
+        expected_reward=sum(per_depth, Fraction(0)),
+        per_depth=tuple(per_depth),
+        per_depth_mass=tuple(masses),
+        trajectory_count=int(paths.sum()),
+    )
 
 
 @dataclass(frozen=True)
@@ -221,7 +203,10 @@ def expected_reward_mc(
         block = min(_MC_BLOCK, samples - start)
         draws = [rng.randrange(m.prob_denominator) for _ in range(block * horizon)]
         cur = [s0] * block  # the state id of each sample of the block
-        history = [[s0_bits] for _ in range(block)] if policy.kind == "history" else None
+        # the states 0..d of each sample as one bool row, for a history policy
+        history = None
+        if policy.kind == "history":
+            history = np.tile(np.array(s0_bits, dtype=bool), (block, 1))
         returns = [walk.rewards[s0]] * block
         for d in range(horizon):
             pairs = list(zip(cur, walk.actions(cur, history, d)))
@@ -232,8 +217,8 @@ def expected_reward_mc(
             walk.fill_rewards(cur)
             returns = [r + walk.rewards[i] for r, i in zip(returns, cur)]
             if history is not None:
-                for h, i in zip(history, cur):
-                    h.append(walk.states[i])
+                states = np.array([walk.states[i] for i in cur], dtype=bool)
+                history = np.concatenate([history, states], axis=1)
         total += sum(returns)
         total_sq += sum(r * r for r in returns)
     mean = Fraction(total, samples)
@@ -273,10 +258,10 @@ class _LockstepWalk:
 
     def actions(self, cur: List[int], history, d: int) -> List[int]:
         """The action of each sample at depth d; `history` holds each
-        sample's states for a history policy."""
+        sample's states 0..d as one bool row for a history policy."""
         policy = self.policy
         if history is not None:
-            return [policy.decide_history(h, d) for h in history]
+            return policy.decide_batch(history, d)
         if policy.kind == "timed":
             steps = self.horizon - d
             decided = {i: policy.decide_timed(self.states[i], steps) for i in dict.fromkeys(cur)}

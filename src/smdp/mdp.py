@@ -21,7 +21,15 @@ import numpy as np
 
 from . import circuit as ct
 from ._manifest import read_manifest
-from .bits import BitVector, int_to_bits, row_tuples, twos_to_int, width_for_count
+from .bits import (
+    BitVector,
+    int_to_bits,
+    row_tuples,
+    signed_rows,
+    twos_to_int,
+    unsigned_rows,
+    width_for_count,
+)
 
 DEFAULT_STATE_LIMIT = 1 << 20
 
@@ -174,22 +182,6 @@ def _bellman(em: ExplicitMdp, prev: np.ndarray, i: int) -> np.ndarray:
     return Q
 
 
-def _unsigned_rows(out: np.ndarray) -> np.ndarray:
-    """Unsigned reading of each bool row, MSB first: int64 up to 62 bits,
-    exact Python ints (object dtype) beyond, so no width wraps."""
-    width = out.shape[1]
-    dtype = np.int64 if width < 63 else object
-    weights = np.array([1 << k for k in range(width - 1, -1, -1)], dtype=dtype)
-    return out.astype(dtype) @ weights
-
-
-def _signed_rows(out: np.ndarray) -> np.ndarray:
-    """Two's-complement reading of each bool row, MSB first, with the dtype
-    rule of `_unsigned_rows`."""
-    vals = _unsigned_rows(out)
-    return np.where(out[:, 0], vals - (1 << out.shape[1]), vals)
-
-
 def reward(m: SuccinctMdp, s: BitVector) -> int:
     """Two's-complement reading of the reward circuit output."""
     return twos_to_int(ct.eval(m.r_circuit, tuple(s)))
@@ -200,7 +192,7 @@ def reward_batch(m: SuccinctMdp, states: Sequence[BitVector]) -> List[int]:
     if len(states) == 0:
         return []
     out = ct.eval_batch(m.r_circuit, np.array(states, dtype=bool))
-    return [int(v) for v in _signed_rows(out)]
+    return [int(v) for v in signed_rows(out)]
 
 
 @lru_cache(maxsize=None)
@@ -254,7 +246,7 @@ def _step(m: SuccinctMdp, states_arr: np.ndarray, a: int):
     t_rows = np.concatenate(
         [states_arr[src], succ, np.repeat(a_bits[None], len(src), axis=0)], axis=1
     )
-    nums = _unsigned_rows(ct.eval_batch(m.t_circuit, t_rows))
+    nums = unsigned_rows(ct.eval_batch(m.t_circuit, t_rows))
     over = nums > D
     if over.any():
         raise ModelError(f"transition numerator {int(nums[over][0])} exceeds denominator {D}")

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import circuit as ct
 from ._manifest import read_manifest
-from .bits import BitVector, bits_to_int, int_to_bits, row_tuples, width_for_count
+from .bits import BitVector, bits_to_int, int_to_bits, row_tuples, unsigned_rows, width_for_count
 
 
 class PolicyError(ValueError):
@@ -53,10 +53,7 @@ class StationaryPolicy:
         if len(states) == 0:
             return []
         arr = np.array(states, dtype=bool)
-        out = ct.eval_batch(self.circuit, arr)
-        width = out.shape[1]
-        weights = (1 << np.arange(width - 1, -1, -1)).astype(np.int64)
-        vals = out.astype(np.int64) @ weights
+        vals = unsigned_rows(ct.eval_batch(self.circuit, arr))
         bad = np.flatnonzero(vals >= self.action_count)
         if bad.size:
             k = int(bad[0])
@@ -87,19 +84,27 @@ class HistoryPolicy:
 
     def decide_history(self, states: Sequence[BitVector], j: int) -> int:
         """Action after observing states[0..j]; later slots are zero-filled."""
-        if not 0 <= j < len(states) or j > self.horizon:
+        if not 0 <= j < len(states):
             raise PolicyError(f"time index {j} out of range")
-        bits: List[int] = []
-        for idx in range(self.horizon + 1):
-            if idx <= j:
-                bits.extend(states[idx])
-            else:
-                bits.extend([0] * self.num_vars)
-        bits.extend(int_to_bits(j, width_for_count(self.horizon + 1)))
-        a = bits_to_int(ct.eval(self.circuit, tuple(bits)))
-        if a >= self.action_count:
-            raise PolicyError(f"policy decoded action {a} >= {self.action_count}")
-        return a
+        row = np.array(states[: j + 1], dtype=bool).reshape(1, (j + 1) * self.num_vars)
+        return self.decide_batch(row, j)[0]
+
+    def decide_batch(self, histories, j: int) -> List[int]:
+        """Actions after observing states 0..j of each row of a (rows,
+        (j+1)·n) bool array of state sequences; later slots are zero-filled."""
+        if not 0 <= j <= self.horizon:
+            raise PolicyError(f"time index {j} out of range")
+        if len(histories) == 0:
+            return []
+        tw = width_for_count(self.horizon + 1)
+        rows = np.zeros((len(histories), self.circuit.num_inputs), dtype=bool)
+        rows[:, : (j + 1) * self.num_vars] = histories
+        rows[:, -tw:] = int_to_bits(j, tw)
+        vals = unsigned_rows(ct.eval_batch(self.circuit, rows))
+        bad = np.flatnonzero(vals >= self.action_count)
+        if bad.size:
+            raise PolicyError(f"policy decoded action {int(vals[bad[0]])} >= {self.action_count}")
+        return [int(v) for v in vals]
 
 
 @dataclass(frozen=True)

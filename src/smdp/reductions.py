@@ -527,17 +527,16 @@ def majsat_to_eval(cnf: Cnf) -> ReductionInstance:
         raise ReductionError("need at least one variable")
     layout = SequenceStateLayout(num_formula_vars=n, max_length=n)
     actions = tuple(f"a{i}" for i in range(1, n + 1))
+    appends = {f"a{i}": [(2 * i, 1), (2 * i + 1, 1)] for i in range(1, n + 1)}
     mdp = SuccinctMdp(
         var_names=layout.var_names(),
         initial=layout.encode([]),
         actions=actions,
-        t_circuit=_coin_append_transition(layout, actions, random_vars=range(1, n + 1)),
+        t_circuit=_coin_append_transition(layout, actions, appends, "t_coin"),
         r_circuit=_majsat_reward(layout, cnf),
         prob_denominator=2,
         name="majsat",
-        successor_circuits=_coin_append_successors(
-            layout, actions, {f"a{i}": (2 * i, 2 * i + 1) for i in range(1, n + 1)}
-        ),
+        successor_circuits=_coin_append_successors(layout, actions, appends),
         max_branching=2,
     )
     aw = width_for_count(len(actions))
@@ -560,30 +559,32 @@ def majsat_to_eval(cnf: Cnf) -> ReductionInstance:
     )
 
 
-def _coin_append_transition(layout, actions, random_vars) -> Circuit:
-    """Transitions where action a_i appends the literals of variable i with
-    equal probability (denominator 2), self-looping when the sequence is full."""
+def _coin_append_transition(layout, actions, appends, name: str) -> Circuit:
+    """Transitions over denominator 2: each action appends the codes of its
+    ``appends`` list of (code, numerator) pairs, one code with numerator 2 (a
+    deterministic append) or two with 1 (a coin flip), and self-loops when
+    the sequence is full."""
     aw = width_for_count(len(actions))
     b = CircuitBuilder(2 * layout.state_width + aw)
     pair = _SeqPair(b, layout)
     a_refs = [b.inp(2 * layout.state_width + i) for i in range(aw)]
     room = pair.cur.can_append()
     cases: List[Tuple[str, int]] = []
-    for idx, var in enumerate(random_vars):
+    for idx, action in enumerate(actions):
         sel = b.eq_const(a_refs, idx)
-        cases.append((b.and_all([sel, room, pair.append_cond(2 * var)]), 1))
-        cases.append((b.and_all([sel, room, pair.append_cond(2 * var + 1)]), 1))
+        for code, num in appends[action]:
+            cases.append((b.and_all([sel, room, pair.append_cond(code)]), num))
         cases.append((b.and_all([sel, b.not_(room), pair.same]), 2))
-    return b.build(b.select_value(cases, 2), "t_coin")
+    return b.build(b.select_value(cases, 2), name)
 
 
-def _coin_append_successors(layout, actions, codes_by_action) -> Tuple[Circuit, ...]:
-    """Successor enumerators for actions that append one of one or two fixed
-    codes (two slots for coin flips, one for deterministic appends)."""
+def _coin_append_successors(layout, actions, appends) -> Tuple[Circuit, ...]:
+    """Successor enumerators for the actions of `_coin_append_transition`
+    (two slots for coin flips, one for deterministic appends)."""
     sw = 1
     circuits = []
     for name in actions:
-        codes = codes_by_action[name]
+        codes = [code for code, _ in appends[name]]
         b = CircuitBuilder(layout.state_width + sw)
         v = _SeqView(b, layout, 0)
         slot = b.inp(layout.state_width)
@@ -641,25 +642,12 @@ def _xy_mdp(cnf: Cnf, num_x: int, name: str) -> Tuple[SuccinctMdp, SequenceState
         + tuple(f"c{i}" for i in range(1, n + 1))
         + tuple(f"a{i}" for i in range(1, n + 1))
     )
-    aw = width_for_count(len(actions))
-    b = CircuitBuilder(2 * layout.state_width + aw)
-    pair = _SeqPair(b, layout)
-    a_refs = [b.inp(2 * layout.state_width + i) for i in range(aw)]
-    room = pair.cur.can_append()
-    cases: List[Tuple[str, int]] = []
-    for idx in range(len(actions)):
-        sel = b.eq_const(a_refs, idx)
-        if idx < n:  # b_i appends x_i
-            appends = [(2 * (idx + 1), 2)]
-        elif idx < 2 * n:  # c_i appends not x_i
-            appends = [(2 * (idx - n + 1) + 1, 2)]
-        else:  # a_i flips y_i
-            var = n + (idx - 2 * n) + 1
-            appends = [(2 * var, 1), (2 * var + 1, 1)]
-        for code, num in appends:
-            cases.append((b.and_all([sel, room, pair.append_cond(code)]), num))
-        cases.append((b.and_all([sel, b.not_(room), pair.same]), 2))
-    t_circuit = b.build(b.select_value(cases, 2), f"t_{name}")
+    appends = {}
+    for i in range(1, n + 1):
+        appends[f"b{i}"] = [(2 * i, 2)]  # b_i appends x_i
+        appends[f"c{i}"] = [(2 * i + 1, 2)]  # c_i appends not x_i
+        appends[f"a{i}"] = [(2 * (n + i), 1), (2 * (n + i) + 1, 1)]  # a_i flips y_i
+    t_circuit = _coin_append_transition(layout, actions, appends, f"t_{name}")
 
     rb = CircuitBuilder(layout.state_width)
     v = _SeqView(rb, layout, 0)
@@ -670,11 +658,6 @@ def _xy_mdp(cnf: Cnf, num_x: int, name: str) -> Tuple[SuccinctMdp, SequenceState
     conds.append(_cnf_sat_wire(rb, cnf, var_true))
     r_circuit = rb.build(rb.select_value([(rb.and_all(conds), 1)], 2), f"r_{name}")
 
-    codes_by_action = {}
-    for i in range(1, n + 1):
-        codes_by_action[f"b{i}"] = (2 * i,)
-        codes_by_action[f"c{i}"] = (2 * i + 1,)
-        codes_by_action[f"a{i}"] = (2 * (n + i), 2 * (n + i) + 1)
     mdp = SuccinctMdp(
         var_names=layout.var_names(),
         initial=layout.encode([]),
@@ -683,7 +666,7 @@ def _xy_mdp(cnf: Cnf, num_x: int, name: str) -> Tuple[SuccinctMdp, SequenceState
         r_circuit=r_circuit,
         prob_denominator=2,
         name=name,
-        successor_circuits=_coin_append_successors(layout, actions, codes_by_action),
+        successor_circuits=_coin_append_successors(layout, actions, appends),
         max_branching=2,
     )
     return mdp, layout

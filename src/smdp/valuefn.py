@@ -21,7 +21,14 @@ import numpy as np
 from . import circuit as ct
 from . import mdp as md
 from ._manifest import read_manifest
-from .bits import BitVector, int_to_bits, twos_to_int, width_for_count
+from .bits import (
+    BitVector,
+    int_to_bits,
+    signed_rows,
+    twos_to_int,
+    unsigned_rows,
+    width_for_count,
+)
 from .policy import PolicyError
 
 
@@ -69,12 +76,12 @@ class ValueCircuit:
     def _numerators(self, states: np.ndarray, steps: int) -> np.ndarray:
         """Value numerators over `value_denominator` of each row of a bool
         state array at step indices 0..steps-1, as a (states, steps) array
-        from one batch evaluation (dtype as `mdp._signed_rows`)."""
+        from one batch evaluation (dtype as `bits.signed_rows`)."""
         step_rows = ct.all_input_rows(self.step_width)[:steps]
         rows = np.concatenate(
             [np.repeat(states, steps, axis=0), np.tile(step_rows, (len(states), 1))], axis=1
         )
-        return md._signed_rows(ct.eval_batch(self.circuit, rows)).reshape(len(states), steps)
+        return signed_rows(ct.eval_batch(self.circuit, rows)).reshape(len(states), steps)
 
     def value_table(self, states: Sequence[BitVector]) -> "ValueTable":
         """Tabulate the circuit over the given states for all step indices."""
@@ -192,7 +199,7 @@ def check_consistency(
         states = [tuple(row) for row in S.astype(np.int8).tolist()]
         L = E.value_denominator
         V = E._numerators(S, horizon + 1)
-    R = md._signed_rows(ct.eval_batch(m.r_circuit, S))
+    R = signed_rows(ct.eval_batch(m.r_circuit, S))
     steps = [md._step(m, S, a) for a in range(len(m.actions))]
 
     D = m.prob_denominator
@@ -200,11 +207,11 @@ def check_consistency(
     dtype = np.int64 if bound < 1 << 63 else object
     V, R = V.astype(dtype), R.astype(dtype)
     N = len(states)
-    keys = md._unsigned_rows(S)  # ascending: states are in MSB-first order
+    keys = unsigned_rows(S)  # ascending: states are in MSB-first order
     target = D * V[:, 1:] - (D * L) * R[:, None]
     ok = np.empty((len(steps), N), dtype=bool)
     for a, (src, succ, nums) in enumerate(steps):
-        succ_keys = md._unsigned_rows(succ)
+        succ_keys = unsigned_rows(succ)
         j = np.minimum(np.searchsorted(keys, succ_keys), N - 1)
         sums = np.zeros((N, horizon), dtype=dtype)
         np.add.at(sums, src, nums.astype(dtype)[:, None] * V[j, :horizon])

@@ -31,7 +31,7 @@ from .reductions import (
     unsat_to_consistency,
     xy_sequential_policy,
 )
-from .valuefn import check_consistency, load_valuefn, save_valuefn
+from .valuefn import check_consistency, load_valuefn, save_valuefn, value_of_policy
 
 
 @dataclass(frozen=True)
@@ -346,8 +346,6 @@ def suite_roundtrip(cases: int = 10, seed: int = 0) -> List[VerifyRow]:
             m2, h2 = md.load_mdp(manifest)
             p2 = load_policy(save_policy(policy, tmp))
             em = md.expand(rm.mdp)
-            from .valuefn import value_of_policy
-
             table = value_of_policy(em, policy, horizon)
             before = expected_reward_exact(rm.mdp, policy, horizon).expected_reward
             after = expected_reward_exact(m2, p2, h2).expected_reward

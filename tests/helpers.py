@@ -9,10 +9,12 @@ from fractions import Fraction
 from itertools import accumulate
 from typing import Dict, List, Tuple
 
+import numpy as np
+
 from smdp import circuit as ct
 from smdp import mdp as md
-from smdp.bits import BitVector, bits_to_int, int_to_bits
-from smdp.evaluator import McEstimate, RewardReport, _decide_at, _successors
+from smdp.bits import BitVector, bits_to_int, int_to_bits, row_tuples
+from smdp.evaluator import McEstimate, RewardReport
 from smdp.policy import PolicyError
 
 
@@ -136,6 +138,21 @@ def _history_reference(m: md.SuccinctMdp, policy, horizon: int) -> RewardReport:
         per_depth_mass=tuple(masses),
         trajectory_count=leaves,
     )
+
+
+def _decide_at(policy, s: BitVector, history, depth: int, horizon: int) -> int:
+    if policy.kind == "history":
+        return policy.decide_history(history, depth)
+    if policy.kind == "timed":
+        return policy.decide_timed(s, horizon - depth)
+    return policy.decide(s)
+
+
+def _successors(m: md.SuccinctMdp, s: BitVector, a: int) -> List[Tuple[BitVector, int]]:
+    """The checked successors of one state under action a, each with its
+    numerator over D, in `md._step` order (the order of `md.successors`)."""
+    _, succ, nums = md._step(m, np.array([s], dtype=bool), a)
+    return list(zip(row_tuples(succ), nums.tolist()))
 
 
 def expected_reward_mc_reference(

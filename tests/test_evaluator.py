@@ -183,6 +183,50 @@ def test_evaluator_limit_errors_name_the_knob(monkeypatch):
         expected_reward_exact(rm.mdp, h, 1)
 
 
+def test_enumerate_trajectories_rejects_a_negative_depth():
+    trajectories = enumerate_trajectories(stay_mdp(), always_act0(1), -1)
+    with pytest.raises(ValueError, match="depth must be nonnegative"):
+        next(trajectories)
+
+
+def test_enumerate_trajectories_counts_histories_against_the_limit(monkeypatch):
+    # the initial state has three successors: four histories in all
+    rm = random_bounded_mdp(random.Random(0), 2, 1)
+    monkeypatch.setenv("SMDP_LIMIT_STATES", "3")
+    msg = r"history count reached 4, over the limit 3; raise SMDP_LIMIT_STATES"
+    with pytest.raises(md.EnumerationLimitError, match=msg):
+        next(enumerate_trajectories(rm.mdp, always_act0(2), 1))
+    monkeypatch.setenv("SMDP_LIMIT_STATES", "4")
+    assert len(list(enumerate_trajectories(rm.mdp, always_act0(2), 1))) == 3
+
+
+def test_history_policy_trajectories_carry_their_probabilities():
+    rng = random.Random(9)
+    rm = random_bounded_mdp(rng, 2, 4)
+    h = _random_history_policy(rng, 2, 4, 3)
+    for depth in range(4):
+        trajectories = list(enumerate_trajectories(rm.mdp, h, depth))
+        assert len(trajectories) == expected_reward_exact(rm.mdp, h, depth).trajectory_count
+        for traj in trajectories:
+            assert history_probability(rm.mdp, h, traj.states) == traj.probability
+        assert sum(traj.probability for traj in trajectories) == 1
+
+
+def test_history_policies_make_no_scalar_circuit_call(monkeypatch):
+    rng = random.Random(8)
+    rm = random_bounded_mdp(rng, 3, 4)
+    h = _random_history_policy(rng, 3, 4, 4)
+    exact = expected_reward_exact(rm.mdp, h, 4)
+    mc = expected_reward_mc(rm.mdp, h, 4, 300, 1)
+
+    def scalar_eval(*args):
+        raise AssertionError("scalar circuit.eval call")
+
+    monkeypatch.setattr(ct, "eval", scalar_eval)
+    assert expected_reward_exact(rm.mdp, h, 4) == exact
+    assert expected_reward_mc(rm.mdp, h, 4, 300, 1) == mc
+
+
 def _outcome(m, policy, horizon, evaluate):
     """SHA-256 of the report as a tuple, or the error raised."""
     try:

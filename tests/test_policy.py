@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from smdp import circuit as ct
-from smdp.bits import int_to_bits
+from smdp.bits import bits_to_int, int_to_bits, width_for_count
 from smdp.policy import (
     ExplicitPolicy,
     HistoryPolicy,
@@ -15,6 +15,7 @@ from smdp.policy import (
     load_policy,
     save_policy,
 )
+from smdp.random_models import random_circuit
 
 
 def test_stationary_decides_from_circuit():
@@ -83,6 +84,32 @@ def test_history_policy_layout():
         p.decide_history([(0, 0)], 1)  # time index beyond observed states
     with pytest.raises(PolicyError, match=r"^time index -1 out of range$"):
         p.decide_history([(0, 0)], -1)
+
+
+def test_history_decide_batch_reads_the_padded_circuit_input():
+    rng = random.Random(4)
+    horizon, n = 3, 2
+    tw = width_for_count(horizon + 1)
+    c = random_circuit(rng, (horizon + 1) * n + tw, 12, 2)
+    p = HistoryPolicy(c, 4, horizon=horizon, num_vars=n)
+    for j in range(horizon + 1):
+        rows = [tuple(rng.randrange(2) for _ in range((j + 1) * n)) for _ in range(20)]
+        pad = (0,) * ((horizon - j) * n) + int_to_bits(j, tw)
+        want = [bits_to_int(ct.eval(c, row + pad)) for row in rows]
+        assert p.decide_batch(np.array(rows, dtype=bool), j) == want
+        histories = [[row[k * n : (k + 1) * n] for k in range(j + 1)] for row in rows]
+        assert [p.decide_history(h, j) for h in histories] == want
+    with pytest.raises(PolicyError, match=r"^time index 4 out of range$"):
+        p.decide_batch(np.zeros((1, 5 * n), dtype=bool), 4)
+
+
+def test_history_decide_batch_rejects_an_out_of_range_action():
+    # decodes action 3 of 3 when the state in slot 0 is 1
+    b = ct.CircuitBuilder(2 * 1 + 1)
+    p = HistoryPolicy(b.build([b.inp(0), b.inp(0)]), 3, horizon=1, num_vars=1)
+    assert p.decide_batch(np.array([[0], [0]], dtype=bool), 0) == [0, 0]
+    with pytest.raises(PolicyError, match=r"^policy decoded action 3 >= 3$"):
+        p.decide_batch(np.array([[0], [1]], dtype=bool), 0)
 
 
 def test_explicit_and_timed_policies():

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from smdp import circuit as ct
 from smdp import mdp as md
 from smdp import oracle
 from smdp.cnf import Cnf
@@ -215,6 +217,31 @@ def test_forallexists_correspondence():
                 got = True
         assert got == want
         assert got == oracle.forall_exists_oracle(cnf, 1)
+
+
+# ------------------------------------------------------------ golden netlists
+
+
+def test_reduction_circuits_are_byte_stable():
+    # every circuit of a fixed set of majsat, emajsat and forallexists
+    # instances: transition, reward, successor enumerators and policy
+    majsat = [
+        Cnf(1, ((1,),)),
+        Cnf(3, ((1, -2), (2, 3), (-1, -3))),
+        Cnf(4, ((1, 2, -3), (-2, 4), (3, -4, 1))),
+    ]
+    xy = [(Cnf(2, ((1, -2),)), 1), (Cnf(4, ((1, 3), (-2, 4), (2, -3, -4))), 2)]
+    instances = [majsat_to_eval(cnf) for cnf in majsat]
+    for cnf, num_x in xy:
+        instances.append(emajsat_to_bounded_policy(cnf, num_x))
+        instances.append(forallexists_to_valuefn(cnf, num_x))
+    digest = hashlib.sha256()
+    for inst in instances:
+        m = inst.mdp
+        for c in (m.t_circuit, m.r_circuit, *m.successor_circuits, inst.policy.circuit):
+            digest.update(ct.serialize(c).encode())
+    want = "03389b69ee504a47f1f7015ff3bbb7a0dbc0155c5c84385c69547fe61c2f0716"
+    assert digest.hexdigest() == want
 
 
 # -------------------------------------------------------------- instance files
