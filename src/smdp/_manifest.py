@@ -3,7 +3,10 @@ one ``key value...`` pair per line, ``#`` starts a comment."""
 
 from __future__ import annotations
 
+import os
 from typing import Dict, Sequence, Type
+
+from . import circuit as ct
 
 
 def read_manifest(
@@ -45,3 +48,13 @@ def read_manifest(
         if key not in fields:
             raise error(f"{kind} manifest missing {key!r} line")
     return fields
+
+
+def read_netlist_beside(manifest_path, fname: str, error: Type[ValueError]) -> ct.Circuit:
+    """The circuit of the netlist file `fname` that a manifest names, read
+    relative to the manifest's directory; `error` if the file cannot be read."""
+    path = os.path.join(os.path.dirname(os.path.abspath(manifest_path)), fname)
+    try:
+        return ct.read_netlist(path)
+    except OSError as exc:
+        raise error(f"cannot read netlist {fname!r}: {exc.strerror or exc}") from None

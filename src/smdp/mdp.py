@@ -20,7 +20,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import circuit as ct
-from ._manifest import read_manifest
+from ._manifest import read_manifest, read_netlist_beside
 from .bits import (
     BitVector,
     int_to_bits,
@@ -312,14 +312,25 @@ def expand_many(
     m: SuccinctMdp, roots: Sequence[BitVector], max_states: Optional[int] = None
 ) -> Tuple[ExplicitMdp, List[int]]:
     """Joint closure of several root states; returns the model plus the index
-    of each root. Useful when many instances share one circuit MDP."""
+    of each root. Useful when many instances share one circuit MDP.
+
+    Raises ModelError for a root that is not a 0/1 state of the model's width
+    or a nonpositive `max_states`, and EnumerationLimitError once the states
+    found, roots included, pass the limit."""
     if not roots:
         raise ModelError("need at least one root state")
     if max_states is None:
         limit, knob = state_limit(), "SMDP_LIMIT_STATES"
+    elif max_states < 1:
+        raise ModelError(f"max_states must be positive, got {max_states}")
     else:
         limit, knob = max_states, "max_states"
     n = m.num_vars
+    for s in roots:
+        if len(s) != n or not set(s) <= {0, 1}:
+            raise ModelError(
+                f"root {tuple(s)} is not a 0/1 state of width {n} (it has width {len(s)})"
+            )
 
     states: List[BitVector] = []
     index: Dict[bytes, int] = {}
@@ -330,6 +341,8 @@ def expand_many(
     for i, s in enumerate(roots):
         key = root_keys[i * root_kw : (i + 1) * root_kw]
         if key not in index:
+            if len(states) >= limit:
+                raise _limit_error("reachable state count", len(states) + 1, limit, knob)
             index[key] = len(states)
             states.append(tuple(s))
             frontier.append(tuple(s))
@@ -431,10 +444,9 @@ def load_mdp(manifest_path) -> Tuple[SuccinctMdp, Optional[int]]:
     init = fields["init"]
     if any(ch not in "01" for ch in init):
         raise ModelError(f"bad init bitstring {init!r}")
-    directory = os.path.dirname(os.path.abspath(manifest_path))
 
     def netlist(fname: str) -> ct.Circuit:
-        return ct.read_netlist(os.path.join(directory, fname))
+        return read_netlist_beside(manifest_path, fname, ModelError)
 
     m = SuccinctMdp(
         var_names=tuple(fields["vars"].split()),

@@ -177,6 +177,8 @@ def bounded_policy_exists(
     compilation bound) answered by backward induction, or micro-scale circuit
     enumeration. Anything in between is refused: no efficient search exists.
     """
+    if size_bound < 0:
+        raise ValueError(f"size bound must be nonnegative, got {size_bound}")
     n_bits = m.num_vars
     n_actions = len(m.actions)
     meets = (lambda v: v > reward_bound) if strict else (lambda v: v >= reward_bound)

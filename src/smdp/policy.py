@@ -16,7 +16,7 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from . import circuit as ct
-from ._manifest import read_manifest
+from ._manifest import read_manifest, read_netlist_beside
 from .bits import BitVector, bits_to_int, int_to_bits, row_tuples, unsigned_rows, width_for_count
 
 
@@ -186,8 +186,6 @@ def save_policy(p, directory, basename: str = "policy") -> str:
 
 
 def load_policy(manifest_path):
-    import os
-
     fields = read_manifest(
         manifest_path,
         "policy",
@@ -195,8 +193,7 @@ def load_policy(manifest_path):
         required=("policy", "kind", "actions", "circuit"),
         ints=("actions", "horizon"),
     )
-    base = os.path.dirname(os.path.abspath(manifest_path))
-    circ = ct.read_netlist(os.path.join(base, fields["circuit"]))
+    circ = read_netlist_beside(manifest_path, fields["circuit"], PolicyError)
     count = fields["actions"]
     if fields["kind"] == "stationary":
         return StationaryPolicy(circ, count, name=fields["policy"])

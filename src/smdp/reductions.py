@@ -9,6 +9,14 @@ slot L]``. Slot elements are coded as integers: 0 for an empty slot, then
 two trailing codes for the sat / unsat markers when present. Transition
 circuits are built so every state, including junk encodings, normalizes
 exactly: any state from which the action cannot act is a self-loop.
+
+The four sequence reductions (next action, policy reward, bounded-size policy
+and the value-function choice) share one append-MDP builder,
+`_append_circuits`. Each action has a list of (code, numerator) pairs and a
+guard, ``guard(view, action) -> wire``: while the guard holds the action
+appends one of its codes with that numerator over D, and otherwise it
+self-loops. The coin reductions guard on room to append (`_room`); next
+action also freezes its actions on the markers already present.
 """
 
 from __future__ import annotations
@@ -228,6 +236,58 @@ def _cnf_sat_wire(b, cnf: Cnf, var_true: Sequence[str]) -> str:
     return b.and_all(clause_wires)
 
 
+def _room(view: _SeqView, action: str) -> str:
+    """Append guard of the coin reductions: every action appends until the
+    sequence is full."""
+    return view.can_append()
+
+
+def _append_circuits(
+    layout, actions, appends, D: int, guard, name: str
+) -> Tuple[Circuit, Tuple[Circuit, ...], int]:
+    """Transition circuit, successor circuits and branching of a sequence-append
+    MDP over denominator D.
+
+    Action a appends the codes of its ``appends[a]`` list of (code,
+    numerator) pairs while ``guard(view, a)`` holds, and self-loops with
+    numerator D otherwise. Successor slot k lists the k-th code while the
+    guard holds; otherwise slot 0 lists the state unchanged.
+    """
+    aw = width_for_count(len(actions))
+    b = CircuitBuilder(2 * layout.state_width + aw)
+    pair = _SeqPair(b, layout)
+    a_refs = [b.inp(2 * layout.state_width + i) for i in range(aw)]
+    guards = [guard(pair.cur, action) for action in actions]
+    cases: List[Tuple[str, int]] = []
+    for idx, action in enumerate(actions):
+        sel = b.eq_const(a_refs, idx)
+        for code, num in appends[action]:
+            cases.append((b.and_all([sel, guards[idx], pair.append_cond(code)]), num))
+        cases.append((b.and_all([sel, b.not_(guards[idx]), pair.same]), D))
+    t_circuit = b.build(b.select_value(cases, width_for_count(D + 1)), name)
+
+    branching = max(len(appends[action]) for action in actions)
+    sw = width_for_count(branching)
+    successors = []
+    for action in actions:
+        codes = [code for code, _ in appends[action]]
+        b = CircuitBuilder(layout.state_width + sw)
+        v = _SeqView(b, layout, 0)
+        slot_refs = [b.inp(layout.state_width + i) for i in range(sw)]
+        active = guard(v, action)
+        hits = [b.eq_const(slot_refs, k) for k in range(len(codes))]
+        if len(codes) == 1:
+            code = _const_bits(b, codes[0], layout.element_width)
+        else:
+            code = b.select_value(list(zip(hits, codes)), layout.element_width)
+        listed = b.const(1) if len(codes) == branching else b.or_all(hits)
+        appended = _append_outputs(b, v, code)
+        valid = b.mux(active, listed, hits[0])
+        state_out = b.mux_refs(active, appended, v.all_refs)
+        successors.append(b.build([valid] + state_out, f"succ_{action}"))
+    return t_circuit, tuple(successors), branching
+
+
 @dataclass(frozen=True)
 class ReductionInstance:
     name: str
@@ -331,16 +391,37 @@ def sat_to_next_action(cnf: Cnf, mode: str = "compact") -> ReductionInstance:
     )
     actions = ("A", "S", "U") + tuple(f"a{i}" for i in range(1, n + 1))
     D = 2 * n
+    # A draws a uniform literal, S and U append their marker, a_i flips a
+    # coin over the literals of variable i
+    appends = {"A": [(code, 1) for code in range(2, 2 * n + 2)]}
+    appends["S"] = [(layout.sat_code, D)]
+    appends["U"] = [(layout.unsat_code, D)]
+    for i in range(1, n + 1):
+        appends[f"a{i}"] = [(2 * i, n), (2 * i + 1, n)]
+
+    def guard(view: _SeqView, action: str) -> str:
+        b, room = view.b, view.can_append()
+        if action in ("S", "U"):
+            return room
+        has_sat = view.has_code(layout.sat_code)
+        has_unsat = view.has_code(layout.unsat_code)
+        if action == "A":  # frozen once a marker is present
+            return b.not_(b.or_(b.or_(has_sat, has_unsat), b.not_(room)))
+        return b.and_(b.xor(has_sat, has_unsat), room)  # exactly one marker
+
+    t_circuit, successors, branching = _append_circuits(
+        layout, actions, appends, D, guard, "t_satnext"
+    )
     mdp = SuccinctMdp(
         var_names=layout.var_names(),
         initial=layout.encode([]),
         actions=actions,
-        t_circuit=_satnext_transition(layout, actions, D),
+        t_circuit=t_circuit,
         r_circuit=_satnext_reward(layout, m, n),
         prob_denominator=D,
         name=f"satnext_{mode}",
-        successor_circuits=_satnext_successors(layout, actions),
-        max_branching=2 * n,
+        successor_circuits=successors,
+        max_branching=branching,
     )
     # the clause block spells out the formula (repeating the last clause when
     # the faithful block is larger than the instance)
@@ -366,45 +447,6 @@ def sat_to_next_action(cnf: Cnf, mode: str = "compact") -> ReductionInstance:
             "exactly 2"
         ),
     )
-
-
-def _satnext_transition(layout: SequenceStateLayout, actions, D: int) -> Circuit:
-    n = layout.num_formula_vars
-    aw = width_for_count(len(actions))
-    b = CircuitBuilder(2 * layout.state_width + aw)
-    pair = _SeqPair(b, layout)
-    a_refs = [b.inp(2 * layout.state_width + i) for i in range(aw)]
-    cur = pair.cur
-    has_sat = cur.has_code(layout.sat_code)
-    has_unsat = cur.has_code(layout.unsat_code)
-    terminated = b.or_(has_sat, has_unsat)
-    room = cur.can_append()
-    cases: List[Tuple[str, int]] = []
-
-    def act(idx: int) -> str:
-        return b.eq_const(a_refs, idx)
-
-    # A: uniform random literal, frozen once a marker is present
-    a_frozen = b.or_(terminated, b.not_(room))
-    cases.append((b.and_all([act(0), a_frozen, pair.same]), D))
-    for code in range(2, 2 * n + 2):
-        cases.append(
-            (b.and_all([act(0), b.not_(a_frozen), pair.append_cond(code)]), 1)
-        )
-    # S and U: deterministic marker appends
-    for idx, code in ((1, layout.sat_code), (2, layout.unsat_code)):
-        cases.append((b.and_all([act(idx), room, pair.append_cond(code)]), D))
-        cases.append((b.and_all([act(idx), b.not_(room), pair.same]), D))
-    # a_i: coin-flip literal of variable i, active once exactly one marker is in
-    marker_xor = b.xor(has_sat, has_unsat)
-    for i in range(1, n + 1):
-        sel = act(2 + i)
-        active = b.and_(marker_xor, room)
-        cases.append((b.and_all([sel, active, pair.append_cond(2 * i)]), n))
-        cases.append((b.and_all([sel, active, pair.append_cond(2 * i + 1)]), n))
-        cases.append((b.and_all([sel, b.not_(active), pair.same]), D))
-    out = b.select_value(cases, width_for_count(D + 1))
-    return b.build(out, "t_satnext")
 
 
 def _satnext_reward(layout: SequenceStateLayout, m: int, n: int) -> Circuit:
@@ -439,47 +481,6 @@ def _satnext_reward(layout: SequenceStateLayout, m: int, n: int) -> Circuit:
         (b.and_all([proper, is_sat_m, b.not_(formula_sat)]), 1),
     ]
     return b.build(b.select_value(cases, width), "r_satnext")
-
-
-def _satnext_successors(layout: SequenceStateLayout, actions) -> Tuple[Circuit, ...]:
-    n = layout.num_formula_vars
-    B = 2 * n
-    sw = width_for_count(B)
-    circuits = []
-    for idx, name in enumerate(actions):
-        b = CircuitBuilder(layout.state_width + sw)
-        v = _SeqView(b, layout, 0)
-        slot_refs = [b.inp(layout.state_width + i) for i in range(sw)]
-        has_sat = v.has_code(layout.sat_code)
-        has_unsat = v.has_code(layout.unsat_code)
-        room = v.can_append()
-        slot0 = b.eq_const(slot_refs, 0)
-        if name == "A":
-            frozen = b.or_(b.or_(has_sat, has_unsat), b.not_(room))
-            code = b.select_value(
-                [(b.eq_const(slot_refs, k), k + 2) for k in range(2 * n)],
-                layout.element_width,
-            )
-            appended = _append_outputs(b, v, code)
-            valid = b.mux(frozen, slot0, b.const(1))
-            state_out = b.mux_refs(frozen, v.all_refs, appended)
-        elif name in ("S", "U"):
-            code_val = layout.sat_code if name == "S" else layout.unsat_code
-            appended = _append_outputs(b, v, _const_bits(b, code_val, layout.element_width))
-            valid = slot0
-            state_out = b.mux_refs(b.not_(room), v.all_refs, appended)
-        else:
-            i = int(name[1:])
-            active = b.and_(b.xor(has_sat, has_unsat), room)
-            slot1 = b.eq_const(slot_refs, 1)
-            code = b.select_value(
-                [(slot0, 2 * i), (slot1, 2 * i + 1)], layout.element_width
-            )
-            appended = _append_outputs(b, v, code)
-            valid = b.mux(active, b.or_(slot0, slot1), slot0)
-            state_out = b.mux_refs(active, appended, v.all_refs)
-        circuits.append(b.build([valid] + state_out, f"succ_{name}"))
-    return tuple(circuits)
 
 
 def _satnext_optimal_policy(
@@ -528,16 +529,19 @@ def majsat_to_eval(cnf: Cnf) -> ReductionInstance:
     layout = SequenceStateLayout(num_formula_vars=n, max_length=n)
     actions = tuple(f"a{i}" for i in range(1, n + 1))
     appends = {f"a{i}": [(2 * i, 1), (2 * i + 1, 1)] for i in range(1, n + 1)}
+    t_circuit, successors, branching = _append_circuits(
+        layout, actions, appends, 2, _room, "t_coin"
+    )
     mdp = SuccinctMdp(
         var_names=layout.var_names(),
         initial=layout.encode([]),
         actions=actions,
-        t_circuit=_coin_append_transition(layout, actions, appends, "t_coin"),
+        t_circuit=t_circuit,
         r_circuit=_majsat_reward(layout, cnf),
         prob_denominator=2,
         name="majsat",
-        successor_circuits=_coin_append_successors(layout, actions, appends),
-        max_branching=2,
+        successor_circuits=successors,
+        max_branching=branching,
     )
     aw = width_for_count(len(actions))
     b = CircuitBuilder(layout.state_width)
@@ -557,52 +561,6 @@ def majsat_to_eval(cnf: Cnf) -> ReductionInstance:
             "(brute-force model count)"
         ),
     )
-
-
-def _coin_append_transition(layout, actions, appends, name: str) -> Circuit:
-    """Transitions over denominator 2: each action appends the codes of its
-    ``appends`` list of (code, numerator) pairs, one code with numerator 2 (a
-    deterministic append) or two with 1 (a coin flip), and self-loops when
-    the sequence is full."""
-    aw = width_for_count(len(actions))
-    b = CircuitBuilder(2 * layout.state_width + aw)
-    pair = _SeqPair(b, layout)
-    a_refs = [b.inp(2 * layout.state_width + i) for i in range(aw)]
-    room = pair.cur.can_append()
-    cases: List[Tuple[str, int]] = []
-    for idx, action in enumerate(actions):
-        sel = b.eq_const(a_refs, idx)
-        for code, num in appends[action]:
-            cases.append((b.and_all([sel, room, pair.append_cond(code)]), num))
-        cases.append((b.and_all([sel, b.not_(room), pair.same]), 2))
-    return b.build(b.select_value(cases, 2), name)
-
-
-def _coin_append_successors(layout, actions, appends) -> Tuple[Circuit, ...]:
-    """Successor enumerators for the actions of `_coin_append_transition`
-    (two slots for coin flips, one for deterministic appends)."""
-    sw = 1
-    circuits = []
-    for name in actions:
-        codes = [code for code, _ in appends[name]]
-        b = CircuitBuilder(layout.state_width + sw)
-        v = _SeqView(b, layout, 0)
-        slot = b.inp(layout.state_width)
-        room = v.can_append()
-        slot0 = b.not_(slot)
-        if len(codes) == 2:
-            code = b.select_value(
-                [(slot0, codes[0]), (slot, codes[1])], layout.element_width
-            )
-            valid_when_room = b.const(1)
-        else:
-            code = _const_bits(b, codes[0], layout.element_width)
-            valid_when_room = slot0
-        appended = _append_outputs(b, v, code)
-        valid = b.mux(room, valid_when_room, slot0)
-        state_out = b.mux_refs(room, appended, v.all_refs)
-        circuits.append(b.build([valid] + state_out, f"succ_{name}"))
-    return tuple(circuits)
 
 
 def _majsat_reward(layout, cnf: Cnf) -> Circuit:
@@ -647,7 +605,9 @@ def _xy_mdp(cnf: Cnf, num_x: int, name: str) -> Tuple[SuccinctMdp, SequenceState
         appends[f"b{i}"] = [(2 * i, 2)]  # b_i appends x_i
         appends[f"c{i}"] = [(2 * i + 1, 2)]  # c_i appends not x_i
         appends[f"a{i}"] = [(2 * (n + i), 1), (2 * (n + i) + 1, 1)]  # a_i flips y_i
-    t_circuit = _coin_append_transition(layout, actions, appends, f"t_{name}")
+    t_circuit, successors, branching = _append_circuits(
+        layout, actions, appends, 2, _room, f"t_{name}"
+    )
 
     rb = CircuitBuilder(layout.state_width)
     v = _SeqView(rb, layout, 0)
@@ -666,8 +626,8 @@ def _xy_mdp(cnf: Cnf, num_x: int, name: str) -> Tuple[SuccinctMdp, SequenceState
         r_circuit=r_circuit,
         prob_denominator=2,
         name=name,
-        successor_circuits=_coin_append_successors(layout, actions, appends),
-        max_branching=2,
+        successor_circuits=successors,
+        max_branching=branching,
     )
     return mdp, layout
 

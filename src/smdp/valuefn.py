@@ -20,7 +20,7 @@ import numpy as np
 
 from . import circuit as ct
 from . import mdp as md
-from ._manifest import read_manifest
+from ._manifest import read_manifest, read_netlist_beside
 from .bits import (
     BitVector,
     int_to_bits,
@@ -274,8 +274,6 @@ def save_valuefn(v: ValueCircuit, directory, basename: str = "valuefn") -> str:
 
 
 def load_valuefn(manifest_path) -> ValueCircuit:
-    import os
-
     fields = read_manifest(
         manifest_path,
         "value-function",
@@ -283,8 +281,7 @@ def load_valuefn(manifest_path) -> ValueCircuit:
         required=("valuefn", "horizon", "value_width", "value_denominator", "circuit"),
         ints=("horizon", "value_width", "value_denominator"),
     )
-    base = os.path.dirname(os.path.abspath(manifest_path))
-    circ = ct.read_netlist(os.path.join(base, fields["circuit"]))
+    circ = read_netlist_beside(manifest_path, fields["circuit"], ValueFunctionError)
     v = ValueCircuit(
         circ,
         horizon=fields["horizon"],

@@ -80,6 +80,17 @@ def test_gen_satnext_and_next_action_exit_codes(tmp_path, capsys):
     assert e.value.code == 1
 
 
+def test_next_action_rejects_a_state_of_the_wrong_width(tmp_path, capsys):
+    cnf = write_cnf(tmp_path, Cnf(1, ((1, 1, 1),)))
+    out = tmp_path / "inst"
+    assert run(["gen-satnext", cnf, "-o", str(out)], capsys)[0] == 0
+    args = ["next-action", str(out / "mdp.manifest"), "--state", "01", "--steps", "1"]
+    code, text, err = run(args, capsys)
+    assert code == 1 and text == ""
+    assert "is not a 0/1 state of width" in err and "(it has width 2)" in err
+    assert "Traceback" not in err
+
+
 def test_emit_records_format(tmp_path, capsys):
     mpath, ppath = coin_files(tmp_path)
     code, text, _ = run(["eval", mpath, ppath, "--emit", "records"], capsys)

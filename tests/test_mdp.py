@@ -8,7 +8,9 @@ import pytest
 
 from smdp import circuit as ct
 from smdp import mdp as md
+from smdp.cnf import Cnf
 from smdp.random_models import random_bounded_mdp
+from smdp.reductions import majsat_to_eval
 
 from helpers import transition_pairs, transition_prob
 
@@ -195,6 +197,42 @@ def test_limit_errors_name_count_limit_and_knob(monkeypatch):
     msg = r"successor candidates \(2\^3\) reached 8, over the limit 4; raise SMDP_LIMIT_STATES"
     with pytest.raises(md.EnumerationLimitError, match=msg):
         md.successors(plain, m.initial, 0)
+
+
+def stay_bit_mdp():
+    """One bit, one action: every state is a self-loop."""
+    b = ct.CircuitBuilder(3)
+    t = b.build([b.not_(b.xor(b.inp(0), b.inp(1)))])
+    rb = ct.CircuitBuilder(1)
+    return md.SuccinctMdp(("x1",), (0,), ("stay",), t, rb.build([rb.inp(0)]), prob_denominator=1)
+
+
+def test_expand_many_counts_roots_against_the_limit(monkeypatch):
+    m = stay_bit_mdp()
+    msg = r"reachable state count reached 2, over the limit 1; raise max_states"
+    with pytest.raises(md.EnumerationLimitError, match=msg):
+        md.expand_many(m, [(0,), (1,)], max_states=1)
+    em, roots = md.expand_many(m, [(1,), (1,)], max_states=1)  # a repeated root counts once
+    assert em.states == ((1,),) and roots == [0, 0]
+    monkeypatch.setenv("SMDP_LIMIT_STATES", "1")
+    msg = r"reachable state count reached 2, over the limit 1; raise SMDP_LIMIT_STATES"
+    with pytest.raises(md.EnumerationLimitError, match=msg):
+        md.expand_many(m, [(0,), (1,)])
+
+
+@pytest.mark.parametrize("limit", [0, -5])
+def test_expand_many_rejects_a_nonpositive_limit(limit):
+    with pytest.raises(md.ModelError, match=f"max_states must be positive, got {limit}"):
+        md.expand_many(stay_bit_mdp(), [(0,)], max_states=limit)
+
+
+@pytest.mark.parametrize("root", [(2,) * 8, (1, 0), (0,) * 9])
+def test_expand_many_rejects_a_root_outside_the_model(root):
+    m = majsat_to_eval(Cnf(2, ((1, 2),))).mdp
+    assert m.num_vars == 8
+    msg = rf"root \({root[0]}, .*\) is not a 0/1 state of width 8 \(it has width {len(root)}\)"
+    with pytest.raises(md.ModelError, match=msg):
+        md.expand_many(m, [m.initial, root])
 
 
 def test_save_load_roundtrip(tmp_path):

@@ -121,6 +121,12 @@ def test_bounded_policy_exists_refuses_midscale():
         oracle.bounded_policy_exists(rm.mdp, 2, 7, Fraction(1, 2))
 
 
+def test_bounded_policy_exists_rejects_a_negative_size_bound():
+    rm = random_bounded_mdp(random.Random(3), 2, 2)
+    with pytest.raises(ValueError, match="size bound must be nonnegative, got -1"):
+        oracle.bounded_policy_exists(rm.mdp, 2, -1, Fraction(-100))
+
+
 # ------------------------------------------ differential: the integer core
 
 

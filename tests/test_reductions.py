@@ -3,6 +3,7 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -241,6 +242,31 @@ def test_reduction_circuits_are_byte_stable():
         for c in (m.t_circuit, m.r_circuit, *m.successor_circuits, inst.policy.circuit):
             digest.update(ct.serialize(c).encode())
     want = "03389b69ee504a47f1f7015ff3bbb7a0dbc0155c5c84385c69547fe61c2f0716"
+    assert digest.hexdigest() == want
+
+
+def test_satnext_expansion_is_stable():
+    # the explicit model of fixed next-action instances: from the encoded
+    # clause-list state (compact n = 1..3, faithful n = 1) and from the
+    # initial state (compact n = 1, 2)
+    at_state = [
+        (Cnf(1, ((1, 1, 1), (-1, -1, -1))), "compact"),
+        (Cnf(2, ((1, 2, 2), (-1, -2, -2))), "compact"),
+        (Cnf(3, ((1, -2, 3), (-1, 2, -3))), "compact"),
+        (Cnf(1, ((1, 1, 1),)), "faithful"),
+    ]
+    at_initial = [Cnf(1, ((1, 1, 1),)), Cnf(2, ((1, 2, -2),))]
+    runs = [(sat_to_next_action(cnf, mode=mode), True) for cnf, mode in at_state]
+    runs += [(sat_to_next_action(cnf, mode="compact"), False) for cnf in at_initial]
+    digest = hashlib.sha256()
+    for inst, from_state in runs:
+        em = md.expand(inst.mdp, inst.state if from_state else None)
+        digest.update(np.array(em.states, dtype=np.uint8).tobytes())
+        digest.update(repr([str(r) for r in em.rewards]).encode())
+        for arrays in em.transitions:
+            for arr in arrays:
+                digest.update(np.asarray(arr, dtype=np.int64).tobytes())
+    want = "ff11708216cfbc0ec88dbd13a47065cd4b6bbd7aae86a9baca9b60134e80b0cf"
     assert digest.hexdigest() == want
 
 
