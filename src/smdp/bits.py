@@ -1,12 +1,15 @@
 """Bit-vector helpers.
 
 Bit vectors are tuples of 0/1 ints, most-significant bit first whenever a
-numeric reading applies.
+numeric reading applies. Batches of them are 2-D bool arrays, one row per
+vector, or column words: one Python int per column, bit r being row r, the
+form the circuit kernel works on.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from functools import lru_cache
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -65,6 +68,46 @@ def signed_rows(rows: np.ndarray) -> np.ndarray:
     with the dtype rule of `unsigned_rows`."""
     vals = unsigned_rows(rows)
     return np.where(rows[:, 0], vals - (1 << rows.shape[1]), vals)
+
+
+def column_words(arr: np.ndarray, blocks: int = 1) -> Tuple[List[int], int]:
+    """The columns of a 2-D bool array as Python-int words, bit r of a word
+    being row r, plus the block height npad = 8·ceil(rows/8).
+
+    With ``blocks`` > 1 each column is repeated that many times, one
+    byte-aligned block of npad rows per copy, so bit b·npad + r is row r in
+    every block b and the padding rows read 0."""
+    nbytes = (arr.shape[0] + 7) // 8
+    packed = np.packbits(arr, axis=0, bitorder="little").T.tobytes()
+    return [
+        int.from_bytes(packed[k * nbytes : (k + 1) * nbytes] * blocks, "little")
+        for k in range(arr.shape[1])
+    ], 8 * nbytes
+
+
+@lru_cache(maxsize=64)
+def block_index_words(width: int, blocks: int, npad: int) -> Tuple[int, ...]:
+    """The `width` MSB-first bits of the block index as column words over
+    ``blocks`` blocks of npad rows: every row of block b reads b."""
+    size = blocks * (npad // 8)  # bytes per word
+    words = []
+    for k in range(width):
+        # bit k of the block index alternates: `run` bytes of 0 blocks, `run` of 1
+        run = min(1 << (width - 1 - k), blocks) * (npad // 8)
+        period = b"\x00" * run + b"\xff" * run
+        data = period * (size // max(len(period), 1) + 1)
+        words.append(int.from_bytes(data[:size], "little"))
+    return tuple(words)
+
+
+def word_bits(words: Sequence[int], rows: int) -> np.ndarray:
+    """The low `rows` bits of each word as a (len(words), rows) bool array;
+    the inverse of `column_words` up to a transpose."""
+    nbytes = (rows + 7) // 8
+    buf = np.frombuffer(b"".join(w.to_bytes(nbytes, "little") for w in words), dtype=np.uint8)
+    return np.unpackbits(
+        buf.reshape(len(words), nbytes), axis=1, count=rows, bitorder="little"
+    ).view(bool)
 
 
 def row_tuples(rows) -> List[BitVector]:

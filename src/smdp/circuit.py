@@ -10,16 +10,20 @@ construction.
 Each circuit is compiled once, when it is constructed, to one integer
 instruction per gate. `eval` and `eval_batch` both run that program in one
 kernel over Python ints used as bit vectors, one bit per input row.
+`eval_batch` takes either a bool array, which it packs into those column
+words and unpacks again, or the words themselves as `Columns`, which it
+returns as `Columns`: a caller that builds its inputs as words and reads its
+outputs as words never converts representations per call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
-from .bits import bits_to_int, int_to_bits
+from .bits import bits_to_int, column_words, int_to_bits, word_bits
 
 ARITY = {"AND": 2, "OR": 2, "XOR": 2, "NOT": 1, "CONST0": 0, "CONST1": 0}
 _AND, _OR, _XOR, _NOT, _CONST0, _CONST1 = range(6)
@@ -34,6 +38,19 @@ class NetlistError(CircuitError):
     def __init__(self, message: str, line: int):
         super().__init__(f"line {line}: {message}")
         self.line = line
+
+
+class Columns(NamedTuple):
+    """A (rows, k) bool matrix as k Python-int column words: bit r of
+    ``words[j]`` is row r of column j, and no word has a bit at or above
+    ``rows``."""
+
+    words: Sequence[int]
+    rows: int
+
+    @property
+    def shape(self) -> Tuple[int, int]:
+        return (self.rows, len(self.words))
 
 
 @dataclass(frozen=True)
@@ -149,24 +166,25 @@ def eval(c: Circuit, inputs: Sequence[int]) -> Tuple[int, ...]:  # noqa: A001 - 
     return tuple(_run(c, [1 if b else 0 for b in inputs], 1))
 
 
-def eval_batch(c: Circuit, inputs: np.ndarray) -> np.ndarray:
-    """Evaluate on a (rows, num_inputs) bool array; returns (rows, num_outputs)."""
+def eval_batch(c: Circuit, inputs):
+    """Evaluate on a (rows, num_inputs) bool array, returning a (rows,
+    num_outputs) bool array, or on `Columns` of num_inputs words, returning
+    `Columns` of num_outputs words over the same rows."""
+    if isinstance(inputs, Columns):
+        words, rows = inputs
+        if len(words) != c.num_inputs:
+            raise CircuitError(f"expected {c.num_inputs} input columns, got {len(words)}")
+        if rows < 0 or words and (min(words) < 0 or max(words) >> rows):
+            raise CircuitError(f"input columns must be words of {rows} rows")
+        return Columns(_run(c, list(words), (1 << rows) - 1), rows)
     inputs = np.asarray(inputs, dtype=bool)
     if inputs.ndim != 2 or inputs.shape[1] != c.num_inputs:
         raise CircuitError(
             f"expected (rows, {c.num_inputs}) input array, got {inputs.shape}"
         )
     rows = inputs.shape[0]
-    nbytes = (rows + 7) // 8
-    packed = np.packbits(inputs, axis=0, bitorder="little").T.tobytes()
-    columns = [
-        int.from_bytes(packed[k * nbytes:(k + 1) * nbytes], "little")
-        for k in range(c.num_inputs)
-    ]
-    words = _run(c, columns, (1 << rows) - 1)
-    out = np.frombuffer(b"".join(w.to_bytes(nbytes, "little") for w in words), dtype=np.uint8)
-    out = np.unpackbits(out.reshape(len(words), nbytes), axis=1, count=rows, bitorder="little")
-    return np.ascontiguousarray(out.T).view(bool)
+    words = _run(c, column_words(inputs)[0], (1 << rows) - 1)
+    return np.ascontiguousarray(word_bits(words, rows).T)
 
 
 def all_input_rows(n: int) -> np.ndarray:

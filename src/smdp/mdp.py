@@ -7,13 +7,17 @@ arithmetic is exact. The reward circuit maps a state to a two's-complement
 integer. A bounded-action MDP also has one successor circuit per action that
 lists the successors of a state slot by slot; without them, every one of
 the 2**n states is a candidate successor.
+
+`_step` is the one checked successor step. It packs the frontier once into
+column words (`circuit.Columns`), runs both circuits on slot-major
+byte-aligned blocks of rows and unpacks once, so no bool array is built per
+circuit call. `expand_many` keeps its frontier as a bool array.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -23,12 +27,15 @@ from . import circuit as ct
 from ._manifest import read_manifest, read_netlist_beside
 from .bits import (
     BitVector,
+    block_index_words,
+    column_words,
     int_to_bits,
     row_tuples,
     signed_rows,
     twos_to_int,
     unsigned_rows,
     width_for_count,
+    word_bits,
 )
 
 DEFAULT_STATE_LIMIT = 1 << 20
@@ -182,6 +189,14 @@ def _bellman(em: ExplicitMdp, prev: np.ndarray, i: int) -> np.ndarray:
     return Q
 
 
+def _fractions(level: np.ndarray, scale: int = 1) -> List[Fraction]:
+    """The values of a level, each read as ``Fraction(v, scale)``: one
+    Fraction per distinct value, shared by the states that hold it."""
+    values = level.tolist()
+    exact = {v: Fraction(v, scale) for v in set(values)}
+    return [exact[v] for v in values]
+
+
 def reward(m: SuccinctMdp, s: BitVector) -> int:
     """Two's-complement reading of the reward circuit output."""
     return twos_to_int(ct.eval(m.r_circuit, tuple(s)))
@@ -195,12 +210,6 @@ def reward_batch(m: SuccinctMdp, states: Sequence[BitVector]) -> List[int]:
     return [int(v) for v in signed_rows(out)]
 
 
-@lru_cache(maxsize=None)
-def _slot_rows(width: int, count: int) -> np.ndarray:
-    """The first ``count`` slot indices as bool rows (shared, never written)."""
-    return ct.all_input_rows(width)[:count]
-
-
 def _step(m: SuccinctMdp, states_arr: np.ndarray, a: int):
     """One checked step of action a from every row of a bool state array.
 
@@ -211,42 +220,57 @@ def _step(m: SuccinctMdp, states_arr: np.ndarray, a: int):
     checking in this order, if the action index is out of range, an
     enumerator lists a state twice, a numerator exceeds D, an enumerator
     lists a zero-probability state, or a source's numerators do not sum to D.
+
+    The circuits run on column words (`bits.column_words`) in slot-major
+    order: block k of npad rows holds candidate k of every source, source r
+    in row k·npad + r. A model without successor circuits has 2**n blocks,
+    block k listing state k. The frontier is packed once, and the valid,
+    successor and numerator columns are unpacked once.
     """
     if not 0 <= a < len(m.actions):
         raise ModelError(f"action index {a} out of range")
-    n_src = len(states_arr)
+    n_src, n = len(states_arr), m.num_vars
     D = m.prob_denominator
     if m.successor_circuits:
-        B = m.max_branching
-        slots = _slot_rows(m.slot_width, B)
-        out = ct.eval_batch(
-            m.successor_circuits[a],
-            np.concatenate(
-                [np.repeat(states_arr, B, axis=0), np.tile(slots, (n_src, 1))], axis=1
-            ),
-        )
-        # packed rows keep the valid bit, so two equal rows are both valid or
-        # both not; compare each slot with the later slots of the same source
-        packed = np.packbits(out.reshape(n_src, B, -1), axis=2)
-        for i in range(B - 1):
-            same = (packed[:, i + 1 :] == packed[:, i : i + 1]).all(axis=2)
-            if (same & out[i::B, :1]).any():
-                raise ModelError(f"duplicate successor slot in enumerator for {m.actions[a]}")
-        keep = np.flatnonzero(out[:, 0])
-        src, succ = keep // B, out[keep, 1:]
+        B, index_width = m.max_branching, m.slot_width
     else:
-        n = m.num_vars
         limit = state_limit()
         if (1 << n) > limit:
             raise _limit_error(f"successor candidates (2^{n})", 1 << n, limit)
-        all_rows = ct.all_input_rows(n)
-        src = np.repeat(np.arange(n_src, dtype=np.int64), len(all_rows))
-        succ = np.tile(all_rows, (n_src, 1))
-    a_bits = np.array(int_to_bits(a, m.action_width), dtype=bool)
-    t_rows = np.concatenate(
-        [states_arr[src], succ, np.repeat(a_bits[None], len(src), axis=0)], axis=1
-    )
-    nums = unsigned_rows(ct.eval_batch(m.t_circuit, t_rows))
+        B, index_width = 1 << n, n
+    s_words, npad = column_words(states_arr, B)
+    rows = B * npad
+    index = block_index_words(index_width, B, npad)
+    real = int.from_bytes(((1 << n_src) - 1).to_bytes(npad // 8, "little") * B, "little")
+    if m.successor_circuits:
+        valid, *succ_words = ct.eval_batch(
+            m.successor_circuits[a], ct.Columns(s_words + list(index), rows)
+        ).words
+        valid &= real
+        # a row of slot k and the row d blocks up are the same source's slots
+        # k and k + d: both valid with no successor bit differing is a duplicate
+        for d in range(1, B):
+            shift = d * npad
+            same = valid & (valid >> shift)
+            for w in succ_words:
+                if not same:
+                    break
+                same &= ~(w ^ (w >> shift))
+            if same:
+                raise ModelError(f"duplicate successor slot in enumerator for {m.actions[a]}")
+    else:
+        valid, succ_words = real, list(index)
+    a_words = [(1 << rows) - 1 if bit else 0 for bit in int_to_bits(a, m.action_width)]
+    num_words = ct.eval_batch(
+        m.t_circuit, ct.Columns(s_words + succ_words + a_words, rows)
+    ).words
+    grid = word_bits([valid, *succ_words, *num_words], rows)
+    # the valid rows in source order: the transposed (B, npad) grid is source-major
+    keep = np.flatnonzero(grid[0].reshape(B, npad).T)
+    src = keep // B
+    picked = grid[1:, (keep % B) * npad + src]
+    succ = np.ascontiguousarray(picked[:n].T)
+    nums = unsigned_rows(picked[n:].T)
     over = nums > D
     if over.any():
         raise ModelError(f"transition numerator {int(nums[over][0])} exceeds denominator {D}")
@@ -332,50 +356,44 @@ def expand_many(
                 f"root {tuple(s)} is not a 0/1 state of width {n} (it has width {len(s)})"
             )
 
-    states: List[BitVector] = []
     index: Dict[bytes, int] = {}
     root_arr = np.array([tuple(s) for s in roots], dtype=bool)
     root_keys, root_kw = _pack_keys(root_arr)
-    frontier: List[BitVector] = []
+    first: List[int] = []  # the row of each distinct root
     root_idx: List[int] = []
-    for i, s in enumerate(roots):
+    for i in range(len(roots)):
         key = root_keys[i * root_kw : (i + 1) * root_kw]
         if key not in index:
-            if len(states) >= limit:
-                raise _limit_error("reachable state count", len(states) + 1, limit, knob)
-            index[key] = len(states)
-            states.append(tuple(s))
-            frontier.append(tuple(s))
+            if len(index) >= limit:
+                raise _limit_error("reachable state count", len(index) + 1, limit, knob)
+            index[key] = len(index)
+            first.append(i)
         root_idx.append(index[key])
     layers: List[List[Tuple[np.ndarray, ...]]] = [[] for _ in m.actions]  # (src, dst, num)
-    frontier_arr = np.array(frontier, dtype=bool)
-    base = 0  # the frontier holds the states base .. base + len(frontier_arr) - 1
-    while len(frontier_arr):
-        next_frontier: List[BitVector] = []
+    found = [root_arr[first]]  # the states in index order, one array per layer
+    base = 0  # the frontier holds the states base .. base + len(frontier) - 1
+    while len(found[-1]):
+        frontier, fresh = found[-1], []
         for a in range(len(m.actions)):
-            src, succ, nums = _step(m, frontier_arr, a)
+            src, succ, nums = _step(m, frontier, a)
             keys, kw = _pack_keys(succ)
-            bits = None  # successor rows as bytes, made for new states only
-            dst: List[int] = []
-            for r in range(len(src)):
-                key = keys[r * kw : (r + 1) * kw]
-                j = index.get(key)
-                if j is None:
-                    j = len(states)
-                    if j >= limit:
-                        raise _limit_error("reachable state count", j + 1, limit, knob)
-                    if bits is None:
-                        bits = succ.astype(np.uint8).tobytes()
-                    s2 = tuple(bits[r * n : (r + 1) * n])
-                    index[key] = j
-                    states.append(s2)
-                    next_frontier.append(s2)
-                dst.append(j)
-            layers[a].append((src + base, np.array(dst, dtype=np.int64), nums))
-        base += len(frontier_arr)
-        frontier_arr = np.array(next_frontier, dtype=bool) if next_frontier else root_arr[:0]
+            old = len(index)
+            # a new key takes the next index, so new states keep discovery order
+            dst = np.array(
+                [index.setdefault(keys[r * kw : r * kw + kw], len(index)) for r in range(len(src))],
+                dtype=np.int64,
+            )
+            if len(index) > old:
+                if len(index) > limit:
+                    raise _limit_error("reachable state count", limit + 1, limit, knob)
+                new = np.flatnonzero(dst >= old)
+                fresh.append(succ[new[np.unique(dst[new], return_index=True)[1]]])
+            layers[a].append((src + base, dst, nums))
+        base += len(frontier)
+        found.append(np.concatenate(fresh) if fresh else root_arr[:0])
+    states = np.concatenate(found)
     em = ExplicitMdp(
-        states=tuple(states),
+        states=tuple(row_tuples(states)),
         initial=0,
         actions=tuple(m.actions),
         denominator=m.prob_denominator,

@@ -99,14 +99,13 @@ def solve_optimal(em: md.ExplicitMdp, horizon: int) -> OptimalSolution:
         raise ValueError(f"horizon must be nonnegative, got {horizon}")
     n_actions = len(em.actions)
     level = md._rewards_level(em, horizon)
-    columns = [[Fraction(v) for v in level.tolist()]]
+    columns = [md._fractions(level)]
     opt_columns = [[tuple(range(n_actions))] * len(em.states)]
     greedy_map = {}
     for i in range(1, horizon + 1):
         Q = md._bellman(em, level, i)
         level = Q.max(axis=0)
-        scale = em.denominator**i
-        columns.append([Fraction(v, scale) for v in level.tolist()])
+        columns.append(md._fractions(level, em.denominator**i))
         tied = list(map(tuple, (Q == level).T.tolist()))
         actions = {row: tuple(a for a, t in enumerate(row) if t) for row in set(tied)}
         opt_columns.append([actions[row] for row in tied])

@@ -23,11 +23,14 @@ from . import mdp as md
 from ._manifest import read_manifest, read_netlist_beside
 from .bits import (
     BitVector,
+    block_index_words,
+    column_words,
     int_to_bits,
     signed_rows,
     twos_to_int,
     unsigned_rows,
     width_for_count,
+    word_bits,
 )
 from .policy import PolicyError
 
@@ -76,15 +79,17 @@ class ValueCircuit:
     def _numerators(self, states: np.ndarray, steps: int) -> np.ndarray:
         """Value numerators over `value_denominator` of each row of a bool
         state array at step indices 0..steps-1, as a (states, steps) array
-        from one batch evaluation (dtype as `bits.signed_rows`)."""
-        step_rows = ct.all_input_rows(self.step_width)[:steps]
-        rows = np.concatenate(
-            [np.repeat(states, steps, axis=0), np.tile(step_rows, (len(states), 1))], axis=1
-        )
-        return signed_rows(ct.eval_batch(self.circuit, rows)).reshape(len(states), steps)
+        from one batch evaluation (dtype as `bits.signed_rows`). The rows are
+        step-major column words: block i holds step index i of every state."""
+        words, npad = column_words(states, steps)
+        index = block_index_words(self.step_width, steps, npad)
+        out = ct.eval_batch(self.circuit, ct.Columns(words + list(index), steps * npad))
+        vals = signed_rows(word_bits(out.words, out.rows).T)
+        return np.ascontiguousarray(vals.reshape(steps, npad)[:, : len(states)].T)
 
     def value_table(self, states: Sequence[BitVector]) -> "ValueTable":
         """Tabulate the circuit over the given states for all step indices."""
+        _check_cells(len(states), self.horizon, f"{len(states)}")
         nums = self._numerators(np.array(states, dtype=bool), self.horizon + 1)
         L = self.value_denominator
         return ValueTable(
@@ -94,6 +99,16 @@ class ValueCircuit:
             },
             self.horizon,
         )
+
+
+def _check_cells(states: int, horizon: int, spelled: str) -> None:
+    """Count the value cells of `states` states at step indices 0..horizon
+    against the state limit before they are tabulated; `spelled` names the
+    state count in the error."""
+    limit = md.state_limit()
+    cells = states * (horizon + 1)
+    if cells > limit:
+        raise md._limit_error(f"value cells ({spelled}·{horizon + 1})", cells, limit)
 
 
 @dataclass(frozen=True)
@@ -135,7 +150,7 @@ def value_of_policy(em: md.ExplicitMdp, policy, horizon: int) -> ValueTable:
     if policy.kind == "history":
         raise PolicyError("value_of_policy needs a stationary or timed policy, not a history one")
     level = md._rewards_level(em, horizon)
-    columns = [[Fraction(v) for v in level.tolist()]]
+    columns = [md._fractions(level)]
     every_state = np.arange(len(em.states))
     for i in range(1, horizon + 1):
         if policy.kind == "timed":
@@ -143,8 +158,7 @@ def value_of_policy(em: md.ExplicitMdp, policy, horizon: int) -> ValueTable:
         elif i == 1:
             acts = policy.decide_batch(em.states)
         level = md._bellman(em, level, i)[acts, every_state]
-        scale = em.denominator**i
-        columns.append([Fraction(v, scale) for v in level.tolist()])
+        columns.append(md._fractions(level, em.denominator**i))
     return ValueTable(dict(zip(em.states, zip(*columns))), horizon)
 
 
@@ -194,6 +208,7 @@ def check_consistency(
         limit = md.state_limit()
         if (1 << n) > limit:
             raise md._limit_error(f"states to check (2^{n})", 1 << n, limit)
+        _check_cells(1 << n, horizon, f"2^{n}")
         _check_num_vars(m, E)
         S = ct.all_input_rows(n)
         states = [tuple(row) for row in S.astype(np.int8).tolist()]

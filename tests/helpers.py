@@ -13,7 +13,7 @@ import numpy as np
 
 from smdp import circuit as ct
 from smdp import mdp as md
-from smdp.bits import BitVector, bits_to_int, int_to_bits, row_tuples
+from smdp.bits import BitVector, bits_to_int, int_to_bits, row_tuples, unsigned_rows
 from smdp.evaluator import McEstimate, RewardReport
 from smdp.policy import PolicyError
 
@@ -40,6 +40,67 @@ def transition_prob(m: md.SuccinctMdp, s: BitVector, s2: BitVector, a: int) -> F
             f"transition numerator {num} exceeds denominator {m.prob_denominator}"
         )
     return Fraction(num, m.prob_denominator)
+
+
+def step_reference(m: md.SuccinctMdp, states_arr: np.ndarray, a: int):
+    """`md._step` on bool arrays: the successor circuit on every
+    (source, slot) row in source-major order, or every (source, state) row
+    for a model without one, then the transition circuit on the valid rows.
+    Same rows, same order, same errors in the same order."""
+    if not 0 <= a < len(m.actions):
+        raise md.ModelError(f"action index {a} out of range")
+    n_src = len(states_arr)
+    D = m.prob_denominator
+    if m.successor_circuits:
+        B = m.max_branching
+        slots = ct.all_input_rows(m.slot_width)[:B]
+        out = ct.eval_batch(
+            m.successor_circuits[a],
+            np.concatenate(
+                [np.repeat(states_arr, B, axis=0), np.tile(slots, (n_src, 1))], axis=1
+            ),
+        )
+        # packed rows keep the valid bit, so two equal rows are both valid or
+        # both not; compare each slot with the later slots of the same source
+        packed = np.packbits(out.reshape(n_src, B, 1 + m.num_vars), axis=2)
+        for i in range(B - 1):
+            same = (packed[:, i + 1 :] == packed[:, i : i + 1]).all(axis=2)
+            if (same & out[i::B, :1]).any():
+                raise md.ModelError(f"duplicate successor slot in enumerator for {m.actions[a]}")
+        keep = np.flatnonzero(out[:, 0])
+        src, succ = keep // B, out[keep, 1:]
+    else:
+        n = m.num_vars
+        limit = md.state_limit()
+        if (1 << n) > limit:
+            raise md._limit_error(f"successor candidates (2^{n})", 1 << n, limit)
+        all_rows = ct.all_input_rows(n)
+        src = np.repeat(np.arange(n_src, dtype=np.int64), len(all_rows))
+        succ = np.tile(all_rows, (n_src, 1))
+    a_bits = np.array(int_to_bits(a, m.action_width), dtype=bool)
+    t_rows = np.concatenate(
+        [states_arr[src], succ, np.repeat(a_bits[None], len(src), axis=0)], axis=1
+    )
+    nums = unsigned_rows(ct.eval_batch(m.t_circuit, t_rows))
+    over = nums > D
+    if over.any():
+        raise md.ModelError(f"transition numerator {int(nums[over][0])} exceeds denominator {D}")
+    positive = nums > 0
+    if not positive.all():
+        if m.successor_circuits:
+            raise md.ModelError(
+                f"successor enumerator for {m.actions[a]} lists a zero-probability state"
+            )
+        src, succ, nums = src[positive], succ[positive], nums[positive]
+    totals = np.zeros(n_src, dtype=np.int64 if D * len(src) < 1 << 63 else object)
+    np.add.at(totals, src, nums.astype(totals.dtype))
+    if (totals != D).any():
+        k = int(np.flatnonzero(totals != D)[0])
+        raise md.ModelError(
+            f"probabilities from state {tuple(states_arr[k].astype(int).tolist())} under "
+            f"{m.actions[a]} sum to {int(totals[k])}/{D}, not 1"
+        )
+    return src, succ, nums
 
 
 def history_probability(m: md.SuccinctMdp, policy, states) -> Fraction:

@@ -1,14 +1,21 @@
+import random
+
+import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from smdp.bits import (
     bits_to_int,
+    block_index_words,
+    column_words,
     format_bitstring,
     int_to_bits,
     int_to_twos,
     parse_bitstring,
     twos_to_int,
     width_for_count,
+    word_bits,
 )
 
 
@@ -42,3 +49,26 @@ def test_twos_complement_examples():
 def test_bitstring_roundtrip(bits):
     bits = tuple(bits)
     assert parse_bitstring(format_bitstring(bits)) == bits
+
+
+@pytest.mark.parametrize("rows", [0, 1, 7, 8, 9, 65])
+def test_column_words_repeat_byte_aligned_blocks(rows):
+    rng = random.Random(rows)
+    arr = np.array([[rng.random() < 0.5 for _ in range(3)] for _ in range(rows)], dtype=bool)
+    arr = arr.reshape(rows, 3)
+    for blocks in (1, 2, 5):
+        words, npad = column_words(arr, blocks)
+        assert npad == 8 * ((rows + 7) // 8) and len(words) == 3
+        grid = word_bits(words, blocks * npad).reshape(3, blocks, npad)
+        assert (grid[:, :, :rows] == arr.T[:, None, :]).all()
+        assert not grid[:, :, rows:].any()  # padding rows read 0
+    assert (word_bits(column_words(arr)[0], rows).T == arr).all()
+
+
+@pytest.mark.parametrize("width, blocks", [(1, 1), (1, 2), (2, 3), (3, 8), (4, 11), (5, 3)])
+def test_block_index_words_read_the_block_index(width, blocks):
+    for npad in (8, 24):
+        words = block_index_words(width, blocks, npad)
+        grid = word_bits(words, blocks * npad).reshape(width, blocks, npad)
+        for b in range(blocks):
+            assert (grid[:, b, :] == np.array(int_to_bits(b, width), dtype=bool)[:, None]).all()

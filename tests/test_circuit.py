@@ -195,3 +195,27 @@ def test_equivalent_detects_difference():
 def test_size_counts_gates_only():
     c = build_xor3()
     assert ct.size(c) == 2
+
+
+@pytest.mark.parametrize("rows", [0, 1, 7, 8, 9, 63, 64, 65])
+def test_eval_batch_on_columns_matches_bool_arrays(rows):
+    rng = random.Random(1000 + rows)
+    for c in reference_cases(rng):
+        inputs = np.array(
+            [[rng.random() < 0.5 for _ in range(c.num_inputs)] for _ in range(rows)], dtype=bool
+        ).reshape(rows, c.num_inputs)
+        words = [sum(1 << r for r in range(rows) if inputs[r, k]) for k in range(c.num_inputs)]
+        got = ct.eval_batch(c, ct.Columns(words, rows))
+        assert isinstance(got, ct.Columns)
+        assert got.shape == (rows, c.num_outputs)
+        want = ct.eval_batch(c, inputs)
+        assert [[bool(w >> r & 1) for w in got.words] for r in range(rows)] == want.tolist()
+
+
+def test_eval_batch_rejects_columns_of_the_wrong_shape():
+    c = random_circuit(random.Random(3), 3, 5, 2)
+    with pytest.raises(ct.CircuitError, match="expected 3 input columns, got 2"):
+        ct.eval_batch(c, ct.Columns([0, 1], 4))
+    for words, rows in (([0, 16, 1], 4), ([0, -1, 1], 4), ([0, 0, 0], -1)):
+        with pytest.raises(ct.CircuitError, match="input columns must be words of"):
+            ct.eval_batch(c, ct.Columns(words, rows))

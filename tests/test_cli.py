@@ -275,3 +275,20 @@ def test_verify_suite_exit_zero(capsys):
     code, text, _ = run(["verify", "consistency", "--n", "3", "--cases", "5"], capsys)
     assert code == 0
     assert text.strip().endswith("pass")
+
+
+def test_check_consistency_counts_value_cells_before_allocating(tmp_path, capsys):
+    # a declared horizon of a million asks for 4 states x 1,000,001 values
+    cnf = write_cnf(tmp_path, Cnf(2, ((1, 2), (-1, 2))))
+    out = tmp_path / "inst"
+    assert run(["gen-unsatcons", cnf, "-o", str(out)], capsys)[0] == 0
+    for name in ("mdp.manifest", "valuefn.manifest"):
+        path = out / name
+        path.write_text(path.read_text().replace("horizon 2\n", "horizon 1000000\n"))
+    net = out / "valuefn.net"
+    net.write_text(net.read_text().replace("inputs 4\n", "inputs 22\n"))
+    files = [str(out / "mdp.manifest"), str(out / "valuefn.manifest")]
+    code, text, err = run(["check-consistency"] + files, capsys)
+    assert code == 1 and text == ""
+    assert "value cells (2^2·1000001) reached 4000004, over the limit 1048576" in err
+    assert "SMDP_LIMIT_STATES" in err and "Traceback" not in err

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import random
 from dataclasses import replace
@@ -9,10 +10,10 @@ import pytest
 from smdp import circuit as ct
 from smdp import mdp as md
 from smdp.cnf import Cnf
-from smdp.random_models import random_bounded_mdp
+from smdp.random_models import random_bounded_mdp, random_circuit
 from smdp.reductions import majsat_to_eval
 
-from helpers import transition_pairs, transition_prob
+from helpers import step_reference, transition_pairs, transition_prob
 
 
 def make_random(seed=0, **kw):
@@ -345,3 +346,84 @@ def test_expand_matches_ground_truth_tables():
             for a in range(len(em.actions)):
                 got = sorted((em.states[j], p) for j, p in transition_pairs(em, k, a))
                 assert got == sorted(rm.transitions[(s, a)])
+
+
+def _step_digest(step, models, frontiers):
+    """One SHA-256 over each (model, frontier, action) step: its rows and
+    their dtypes, or its error message."""
+    h = hashlib.sha256()
+    for m in models:
+        for arr in frontiers[m.num_vars]:
+            for a in range(len(m.actions)):
+                try:
+                    src, succ, nums = step(m, arr, a)
+                    out = (src.dtype.str, src.tolist(), succ.dtype.str, succ.shape,
+                           succ.tobytes(), nums.dtype.str, nums.tolist())
+                except md.ModelError as exc:
+                    out = ("error", str(exc))
+                h.update(repr(out).encode())
+    return h.hexdigest()
+
+
+def _faulty_variants(m, rng):
+    """Models whose step fails in each checked way, plus random circuits
+    in place of the enumerators and of the transition circuit."""
+    n, sw, B = m.num_vars, m.slot_width, m.max_branching
+    valid = 1 << n
+    # rows are [s bits | slot bits]; every slot lists the source itself
+    twice = ct.circuit_from_values(
+        n + sw, 1 + n, [valid | (r >> sw) for r in range(1 << (n + sw))]
+    )
+    # slot k lists state k: distinct, mostly of probability zero
+    slots = [r & ((1 << sw) - 1) for r in range(1 << (n + sw))]
+    zeros = ct.circuit_from_values(
+        n + sw, 1 + n, [valid | k if k < min(B, 1 << n) else 0 for k in slots]
+    )
+    tw, pw = m.t_circuit.num_inputs, m.prob_num_width
+    over = ct.circuit_from_values(tw, pw, [(1 << pw) - 1] * (1 << tw))
+    one = ct.circuit_from_values(tw, pw, [1] * (1 << tw))
+    out = [
+        replace(m, successor_circuits=(twice,) * len(m.actions)),
+        replace(m, successor_circuits=(zeros,) * len(m.actions)),
+        replace(m, t_circuit=over),
+        replace(m, t_circuit=one),
+    ]
+    for _ in range(2):
+        enum = tuple(random_circuit(rng, n + sw, 8, n + 1) for _ in m.actions)
+        out.append(replace(m, successor_circuits=enum))
+        out.append(replace(m, t_circuit=random_circuit(rng, tw, 10, pw)))
+    return out
+
+
+def test_step_matches_the_bool_array_reference():
+    rng = random.Random(10)
+    models = []
+    for seed in range(12):
+        rm = make_random(
+            seed,
+            num_vars=1 + seed % 4,
+            num_actions=1 + seed % 3,
+            max_branching=2 + seed % 4,
+            denominator=(1 << 70) if seed == 5 else 6 + seed % 5,  # 2**70: exact-int rows
+        )
+        models += [rm.mdp, replace(rm.mdp, successor_circuits=(), max_branching=0)]
+        models += _faulty_variants(rm.mdp, rng)
+    frontiers = {}
+    for n in range(1, 5):
+        frontiers[n] = [
+            np.array([[rng.randrange(2) for _ in range(n)] for _ in range(size)], dtype=bool)
+            .reshape(size, n)
+            for size in (0, 1, 7, 8, 9, 63, 64, 65)  # across the byte-block boundaries
+        ] + [ct.all_input_rows(n)]
+    want = _step_digest(step_reference, models, frontiers)
+    assert _step_digest(md._step, models, frontiers) == want
+
+
+def test_faulty_enumerators_fail_in_each_checked_way():
+    m = make_random(4, num_vars=3, max_branching=3).mdp
+    errors = set()
+    for bad in _faulty_variants(m, random.Random(0))[:4]:
+        with pytest.raises(md.ModelError) as info:
+            md._step(bad, ct.all_input_rows(3), 0)
+        errors.add(str(info.value).split(" ")[0])
+    assert errors == {"duplicate", "successor", "transition", "probabilities"}

@@ -25,3 +25,29 @@ def test_run_suites_runs_from_a_checkout(tmp_path):
 def test_gen_examples_imports_from_a_checkout(tmp_path):
     proc = run_script("gen_examples.py", "--help", cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_bench_pairs_summarizes_the_pairs(tmp_path):
+    assert run_script("bench_pairs.py", "--help", cwd=tmp_path).returncode == 0
+    sys.path.insert(0, str(SCRIPTS))
+    try:
+        import bench_pairs
+    finally:
+        sys.path.remove(str(SCRIPTS))
+    spec = {"end_to_end": [
+        {"name": "verdicts_per_s", "unit": "1/s", "better": "higher", "bound": 0.25},
+        {"name": "query_p50_s", "unit": "s", "better": "lower", "bound": 0.25},
+    ]}
+
+    def result(rate, p50):
+        return {"metrics": {"verdicts_per_s": {"value": rate}, "query_p50_s": {"value": p50}}}
+
+    runs = {
+        "parent": [result(10, 0.2), result(12, 0.2), result(11, 0.1)],
+        "change": [result(15, 0.1), result(11, 0.2), result(16, 0.1)],
+    }
+    got = bench_pairs.summarize(spec, runs)
+    rate = got["verdicts_per_s"]
+    assert (rate["parent_median"], rate["change_median"], rate["change_wins"]) == (11, 15, 2)
+    assert rate["change_over_parent"] == round(15 / 11, 4)
+    assert got["query_p50_s"]["change_wins"] == 1  # a tie counts for neither side

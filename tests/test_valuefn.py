@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 from math import lcm
 
+import numpy as np
 import pytest
 
 from smdp import circuit as ct
@@ -340,3 +341,31 @@ def test_value_table_rejects_bad_horizon_and_rows():
         ValueTable({(0,): ()}, -1)
     with pytest.raises(ValueFunctionError, match="has 1 values, expected 3"):
         ValueTable({(0,): (Fraction(0), Fraction(0), Fraction(0)), (1,): (Fraction(0),)}, 2)
+
+
+def test_numerators_match_the_pointwise_reading():
+    rng = random.Random(12)
+    for horizon in (0, 1, 5, 8):
+        c = random_circuit(rng, 3 + width_for_count(horizon + 1), 20, 6)
+        v = ValueCircuit(c, horizon, value_denominator=5)
+        for size in (0, 1, 7, 8, 9, 65):
+            states = [tuple(rng.randrange(2) for _ in range(3)) for _ in range(size)]
+            nums = v._numerators(np.array(states, dtype=bool).reshape(size, 3), horizon + 1)
+            assert nums.shape == (size, horizon + 1)
+            assert [[Fraction(x, 5) for x in row] for row in nums.tolist()] == [
+                [v.value(s, i) for i in range(horizon + 1)] for s in states
+            ]
+
+
+def test_value_cells_count_against_the_state_limit(monkeypatch):
+    rm = random_bounded_mdp(random.Random(2), 2, 2)
+    E = ValueCircuit(random_circuit(random.Random(3), 2 + width_for_count(10), 5, 3), 9, 1)
+    monkeypatch.setenv("SMDP_LIMIT_STATES", "39")
+    msg = r"value cells \(2\^2·10\) reached 40, over the limit 39; raise SMDP_LIMIT_STATES"
+    with pytest.raises(md.EnumerationLimitError, match=msg):
+        check_consistency(rm.mdp, E, 9)
+    check_consistency(rm.mdp, E, 8)  # 36 cells
+    msg = r"value cells \(4·10\) reached 40, over the limit 39; raise SMDP_LIMIT_STATES"
+    with pytest.raises(md.EnumerationLimitError, match=msg):
+        E.value_table([(0, 0), (0, 1), (1, 0), (1, 1)])
+    assert len(E.value_table([(0, 0), (1, 1)]).values) == 2
