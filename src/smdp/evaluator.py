@@ -4,21 +4,21 @@ The exact evaluator accumulates ``r(s0)`` plus, for every depth d in 1..T,
 the probability-weighted reward of each depth-d state. Probabilities are
 integer numerators over D**d, D the model's denominator, built from the
 checked rows of `mdp._step`; a `Fraction` is made only for the values
-returned. One layer-at-a-time pass serves every policy kind. For a
-stationary or timed policy its frontier is the state marginals: a bool state
-array in MSB-first order, where equal successors are merged by sorting their
-unsigned keys. For a history policy, and to enumerate trajectories, each
-frontier row holds the states of one trajectory so far; the rows are never
-merged and stay in depth-first order, and a history policy decides a whole
-layer with one batched circuit call.
+returned. One layer-at-a-time pass serves every policy kind, with one
+`decide_batch` call per layer. For a stationary or timed policy its frontier
+is the state marginals: a bool state array in MSB-first order, where equal
+successors are merged by sorting their unsigned keys. For a history policy,
+and to enumerate trajectories, each frontier row holds the states of one
+trajectory so far; the rows are never merged and stay in depth-first order,
+and a history policy decides a whole layer with one batched circuit call.
 
 The Monte-Carlo sampler exists only as a statistical cross-check. It steps
 the samples of a block together, depth by depth: each depth makes one batched
-circuit call per kind of work (policy actions, successor rows, rewards) on
-the states and (state, action) pairs not met before in the run. Each
-successor is drawn exactly from its integer numerators, with the draws of a
-sample-by-sample walk, so the estimate for a seed does not depend on the
-batching.
+call per kind of work, for the policy's actions on the distinct states of the
+depth and for successor rows and rewards on the (state, action) pairs and
+states not met before in the run. Each successor is drawn exactly from its
+integer numerators, with the draws of a sample-by-sample walk, so the
+estimate for a seed does not depend on the batching.
 """
 
 from __future__ import annotations
@@ -86,16 +86,13 @@ def _forward(
     paths = np.ones(1, dtype=dtype)
     limit = md.state_limit()
     visited = 1
+    reads_history = policy.kind == "history"
     yield frontier, num, paths
     for d in range(1, horizon + 1):
         states = frontier[:, frontier.shape[1] - n :]
-        if policy.kind == "history":
-            acts = np.array(policy.decide_batch(frontier, d - 1))
-        elif policy.kind == "timed":
-            steps = horizon - (d - 1)
-            acts = np.array([policy.decide_timed(s, steps) for s in row_tuples(states)])
-        else:
-            acts = np.array(policy.decide_batch(states))
+        acts = np.array(
+            policy.decide_batch(frontier if reads_history else states, d - 1, horizon - d + 1)
+        )
         _, first = np.unique(acts, return_index=True)
         src_parts, succ_parts, num_parts = [], [], []
         for a in acts[np.sort(first)].tolist():  # actions in order of first use
@@ -232,12 +229,11 @@ def expected_reward_mc(
 
 class _LockstepWalk:
     """The caches of one Monte-Carlo run, keyed by integer state ids: the
-    reward of each visited state, the action of each state a stationary
-    policy decided, and the successor ids and cumulative numerators over D of
-    each stepped (state, action) pair. Each cache is filled by one batched
-    call per kind of work, on the keys seen for the first time, so the
-    stepped pairs and the rewarded states are those a sample-by-sample walk
-    computes."""
+    reward of each visited state and the successor ids and cumulative
+    numerators over D of each stepped (state, action) pair. Each cache is
+    filled by one batched call per kind of work, on the keys seen for the
+    first time, so the stepped pairs and the rewarded states are those a
+    sample-by-sample walk computes."""
 
     def __init__(self, m: md.SuccinctMdp, policy, horizon: int):
         self.m = m
@@ -246,7 +242,6 @@ class _LockstepWalk:
         self.ids: Dict[BitVector, int] = {}
         self.states: List[BitVector] = []
         self.rewards: Dict[int, int] = {}
-        self.decided: Dict[int, int] = {}
         self.succ: Dict[Tuple[int, int], Tuple[List[int], List[int]]] = {}
 
     def id_of(self, s: BitVector) -> int:
@@ -258,18 +253,14 @@ class _LockstepWalk:
 
     def actions(self, cur: List[int], history, d: int) -> List[int]:
         """The action of each sample at depth d; `history` holds each
-        sample's states 0..d as one bool row for a history policy."""
-        policy = self.policy
+        sample's states 0..d as one bool row for a history policy. Otherwise
+        the policy decides each distinct state of the depth once."""
+        steps = self.horizon - d
         if history is not None:
-            return policy.decide_batch(history, d)
-        if policy.kind == "timed":
-            steps = self.horizon - d
-            decided = {i: policy.decide_timed(self.states[i], steps) for i in dict.fromkeys(cur)}
-        else:
-            decided = self.decided
-            new = [i for i in dict.fromkeys(cur) if i not in decided]
-            if new:
-                decided.update(zip(new, policy.decide_batch([self.states[i] for i in new])))
+            return self.policy.decide_batch(history, d, steps)
+        ids = list(dict.fromkeys(cur))
+        rows = [self.states[i] for i in ids]
+        decided = dict(zip(ids, self.policy.decide_batch(rows, d, steps)))
         return [decided[i] for i in cur]
 
     def fill_successors(self, pairs: List[Tuple[int, int]]) -> None:

@@ -19,7 +19,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -195,6 +195,21 @@ def _fractions(level: np.ndarray, scale: int = 1) -> List[Fraction]:
     values = level.tolist()
     exact = {v: Fraction(v, scale) for v in set(values)}
     return [exact[v] for v in values]
+
+
+def _induction(
+    em: ExplicitMdp, horizon: int, choose: Callable[[np.ndarray, int], np.ndarray]
+) -> Dict[BitVector, Tuple[Fraction, ...]]:
+    """Exact backward induction over step indices 0..horizon: the values of
+    each state, indexed by step index. At step index i, ``choose(Q, i)``
+    picks the level, scaled by D**i, from that step's `_bellman` array Q:
+    its maximum for the optimum, one action per state for a policy."""
+    level = _rewards_level(em, horizon)
+    columns = [_fractions(level)]
+    for i in range(1, horizon + 1):
+        level = choose(_bellman(em, level, i), i)
+        columns.append(_fractions(level, em.denominator**i))
+    return dict(zip(em.states, zip(*columns)))
 
 
 def reward(m: SuccinctMdp, s: BitVector) -> int:

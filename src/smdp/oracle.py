@@ -18,7 +18,7 @@ from . import circuit as ct
 from . import mdp as md
 from .bits import BitVector
 from .cnf import Cnf, assignments
-from .policy import PolicyError, StationaryPolicy, TimedExplicitPolicy
+from .policy import ExplicitPolicy, PolicyError, StationaryPolicy, TimedExplicitPolicy
 from .valuefn import value_of_policy
 
 ORACLE_VAR_LIMIT = 20
@@ -86,36 +86,44 @@ class OptimalSolution:
     horizon: int
     values: Dict[BitVector, Tuple[Fraction, ...]]
     optimal_actions: Dict[BitVector, Tuple[Tuple[int, ...], ...]]
-    greedy: TimedExplicitPolicy
 
     def value(self, s: BitVector, i: int) -> Fraction:
         return self.values[tuple(s)][i]
 
+    @property
+    def greedy(self) -> TimedExplicitPolicy:
+        """The optimal policy that picks the lowest-index optimal action at
+        every state and step index 1..horizon."""
+        return TimedExplicitPolicy(
+            {
+                (s, i): acts[i][0]
+                for i in range(1, self.horizon + 1)
+                for s, acts in self.optimal_actions.items()
+            },
+            len(self.explicit.actions),
+        )
+
 
 def solve_optimal(em: md.ExplicitMdp, horizon: int) -> OptimalSolution:
-    """Exact backward induction; ties keep every optimal action, greedy picks
-    the lowest index."""
+    """Exact backward induction; ties keep every optimal action, and
+    `OptimalSolution.greedy` picks the lowest index among them."""
     if horizon < 0:
         raise ValueError(f"horizon must be nonnegative, got {horizon}")
-    n_actions = len(em.actions)
-    level = md._rewards_level(em, horizon)
-    columns = [md._fractions(level)]
-    opt_columns = [[tuple(range(n_actions))] * len(em.states)]
-    greedy_map = {}
-    for i in range(1, horizon + 1):
-        Q = md._bellman(em, level, i)
+    opt_columns = [[tuple(range(len(em.actions)))] * len(em.states)]
+
+    def choose(Q, i: int):
         level = Q.max(axis=0)
-        columns.append(md._fractions(level, em.denominator**i))
         tied = list(map(tuple, (Q == level).T.tolist()))
         actions = {row: tuple(a for a, t in enumerate(row) if t) for row in set(tied)}
         opt_columns.append([actions[row] for row in tied])
-        greedy_map.update(((s, i), a) for s, a in zip(em.states, Q.argmax(axis=0).tolist()))
+        return level
+
+    values = md._induction(em, horizon, choose)
     return OptimalSolution(
         explicit=em,
         horizon=horizon,
-        values=dict(zip(em.states, zip(*columns))),
+        values=values,
         optimal_actions=dict(zip(em.states, zip(*opt_columns))),
-        greedy=TimedExplicitPolicy(greedy_map, n_actions),
     )
 
 
@@ -175,6 +183,14 @@ def bounded_policy_exists(
     Two regimes only: a vacuous size bound (>= |A| * 2**n, the universal
     compilation bound) answered by backward induction, or micro-scale circuit
     enumeration. Anything in between is refused: no efficient search exists.
+
+    In the vacuous regime the answer is False when the optimum misses the
+    reward bound. It is True, with an `ExplicitPolicy` witness over the
+    reachable states, when every reachable state has one action that is
+    optimal at every step index, since that stationary policy attains the
+    optimum. Otherwise the best stationary policy may fall short of the
+    optimum, which only a search over stationary tables could settle, and
+    the question is refused with `OracleScaleError`.
     """
     if size_bound < 0:
         raise ValueError(f"size bound must be nonnegative, got {size_bound}")
@@ -184,10 +200,19 @@ def bounded_policy_exists(
     if n_bits < 60 and size_bound >= n_actions * (1 << n_bits):
         em = md.expand(m)
         sol = solve_optimal(em, horizon)
-        best = sol.values[tuple(m.initial)][horizon]
-        if meets(best):
-            return True, sol.greedy
-        return False, None
+        if not meets(sol.values[tuple(m.initial)][horizon]):
+            return False, None
+        table = {}
+        for s, opt in sol.optimal_actions.items():
+            always = set(range(n_actions)).intersection(*opt[1:])
+            if not always:
+                raise OracleScaleError(
+                    f"no action at state {s} is optimal at every step index, so the best "
+                    "stationary policy may miss the optimum; the vacuous size bound cannot "
+                    "answer for a stationary policy here"
+                )
+            table[s] = min(always)
+        return True, ExplicitPolicy(table, n_actions)
     if size_bound > MICRO_GATE_BOUND or n_bits > MICRO_INPUT_BOUND:
         raise OracleScaleError(
             f"size bound {size_bound} with {n_bits} state bits is outside the "

@@ -3,9 +3,16 @@
 A stationary policy circuit maps a state to an action index; a
 history-dependent policy circuit takes the padded state sequence
 ``[slot_0 | ... | slot_T | current-time bits]`` with slots beyond the
-current time zero-filled. A decoded index outside the action range is a
-hard error, never clamped: a malformed policy must not silently pass a
+current time zero-filled. A decoded or tabled index outside the action range
+is a hard error, never clamped: a malformed policy must not silently pass a
 correspondence check.
+
+Every policy kind answers one batched call, ``decide_batch(rows, depth,
+steps_remaining)``, with one action per row. The rows are states, or for a
+history policy the states 0..depth of each trajectory; `depth` is the number
+of steps taken and `steps_remaining` the number left before the horizon. A
+stationary policy reads neither, a history policy reads `depth` and a timed
+table reads `steps_remaining`.
 """
 
 from __future__ import annotations
@@ -48,8 +55,11 @@ class StationaryPolicy:
             raise PolicyError(f"policy decoded action {a} >= {self.action_count} at {s}")
         return a
 
-    def decide_batch(self, states: Sequence[BitVector]) -> List[int]:
-        """Actions of a sequence of states or of a (rows, n) bool array."""
+    def decide_batch(
+        self, states: Sequence[BitVector], depth: int = 0, steps_remaining: int = 0
+    ) -> List[int]:
+        """Actions of a sequence of states or of a (rows, n) bool array; the
+        depth and the steps remaining are not read."""
         if len(states) == 0:
             return []
         arr = np.array(states, dtype=bool)
@@ -89,17 +99,18 @@ class HistoryPolicy:
         row = np.array(states[: j + 1], dtype=bool).reshape(1, (j + 1) * self.num_vars)
         return self.decide_batch(row, j)[0]
 
-    def decide_batch(self, histories, j: int) -> List[int]:
-        """Actions after observing states 0..j of each row of a (rows,
-        (j+1)·n) bool array of state sequences; later slots are zero-filled."""
-        if not 0 <= j <= self.horizon:
-            raise PolicyError(f"time index {j} out of range")
+    def decide_batch(self, histories, depth: int, steps_remaining: int = 0) -> List[int]:
+        """Actions after observing states 0..depth of each row of a (rows,
+        (depth+1)·n) bool array of state sequences; later slots are
+        zero-filled. The steps remaining are not read."""
+        if not 0 <= depth <= self.horizon:
+            raise PolicyError(f"time index {depth} out of range")
         if len(histories) == 0:
             return []
         tw = width_for_count(self.horizon + 1)
         rows = np.zeros((len(histories), self.circuit.num_inputs), dtype=bool)
-        rows[:, : (j + 1) * self.num_vars] = histories
-        rows[:, -tw:] = int_to_bits(j, tw)
+        rows[:, : (depth + 1) * self.num_vars] = histories
+        rows[:, -tw:] = int_to_bits(depth, tw)
         vals = unsigned_rows(ct.eval_batch(self.circuit, rows))
         bad = np.flatnonzero(vals >= self.action_count)
         if bad.size:
@@ -118,12 +129,17 @@ class ExplicitPolicy:
             a = self.mapping[tuple(s)]
         except KeyError:
             raise PolicyError(f"explicit policy undefined at state {s}")
-        if a >= self.action_count:
-            raise PolicyError(f"explicit policy maps {s} to action {a} >= {self.action_count}")
+        if not 0 <= a < self.action_count:
+            raise PolicyError(
+                f"explicit policy maps {s} to action {a}, outside 0..{self.action_count - 1}"
+            )
         return a
 
-    def decide_batch(self, states: Sequence[BitVector]) -> List[int]:
-        """Actions of a sequence of states or of a (rows, n) bool array."""
+    def decide_batch(
+        self, states: Sequence[BitVector], depth: int = 0, steps_remaining: int = 0
+    ) -> List[int]:
+        """Actions of a sequence of states or of a (rows, n) bool array; the
+        depth and the steps remaining are not read."""
         if isinstance(states, np.ndarray):
             states = row_tuples(states)
         return [self.decide(s) for s in states]
@@ -139,11 +155,26 @@ class TimedExplicitPolicy:
 
     def decide_timed(self, s: BitVector, steps_remaining: int) -> int:
         try:
-            return self.mapping[(tuple(s), steps_remaining)]
+            a = self.mapping[(tuple(s), steps_remaining)]
         except KeyError:
             raise PolicyError(
                 f"timed policy undefined at state {s} with {steps_remaining} steps remaining"
             )
+        if not 0 <= a < self.action_count:
+            raise PolicyError(
+                f"timed policy maps {s} with {steps_remaining} steps remaining to action "
+                f"{a}, outside 0..{self.action_count - 1}"
+            )
+        return a
+
+    def decide_batch(
+        self, states: Sequence[BitVector], depth: int, steps_remaining: int
+    ) -> List[int]:
+        """Actions of a sequence of states or of a (rows, n) bool array with
+        `steps_remaining` steps before the horizon; the depth is not read."""
+        if isinstance(states, np.ndarray):
+            states = row_tuples(states)
+        return [self.decide_timed(s, steps_remaining) for s in states]
 
 
 def compile_explicit(

@@ -146,20 +146,27 @@ class ConsistencyResult:
 
 
 def value_of_policy(em: md.ExplicitMdp, policy, horizon: int) -> ValueTable:
-    """Exact value table of a stationary or timed policy over an explicit MDP."""
+    """Exact value table of a stationary or timed policy over an explicit MDP.
+
+    At step index i the policy decides every state with ``(horizon - i, i)``
+    as its depth and steps remaining. An action outside the model's actions
+    is a `PolicyError`."""
     if policy.kind == "history":
         raise PolicyError("value_of_policy needs a stationary or timed policy, not a history one")
-    level = md._rewards_level(em, horizon)
-    columns = [md._fractions(level)]
     every_state = np.arange(len(em.states))
-    for i in range(1, horizon + 1):
-        if policy.kind == "timed":
-            acts = [policy.decide_timed(s, i) for s in em.states]
-        elif i == 1:
-            acts = policy.decide_batch(em.states)
-        level = md._bellman(em, level, i)[acts, every_state]
-        columns.append(md._fractions(level, em.denominator**i))
-    return ValueTable(dict(zip(em.states, zip(*columns))), horizon)
+
+    def choose(Q: np.ndarray, i: int) -> np.ndarray:
+        acts = np.array(policy.decide_batch(em.states, horizon - i, i))
+        bad = np.flatnonzero((acts < 0) | (acts >= len(em.actions)))
+        if bad.size:
+            k = int(bad[0])
+            raise PolicyError(
+                f"policy picks action {int(acts[k])} at state {em.states[k]} with {i} steps "
+                f"remaining; the model has {len(em.actions)} actions"
+            )
+        return Q[acts, every_state]
+
+    return ValueTable(md._induction(em, horizon, choose), horizon)
 
 
 def _check_num_vars(m: md.SuccinctMdp, E: ValueCircuit) -> None:

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -6,7 +7,9 @@ import pytest
 from smdp import circuit as ct
 from smdp import mdp as md
 from smdp import oracle
+from smdp.bits import int_to_bits
 from smdp.cnf import Cnf
+from smdp.evaluator import expected_reward_exact
 from smdp.policy import (
     ExplicitPolicy,
     HistoryPolicy,
@@ -243,3 +246,57 @@ def test_value_of_policy_rejects_history_policy():
     h = HistoryPolicy(b.build([b.const(0)]), 1, horizon=1, num_vars=1)
     with pytest.raises(PolicyError, match="needs a stationary or timed policy"):
         value_of_policy(md.expand(rm.mdp), h, 1)
+
+
+def test_vacuous_bound_answers_only_for_stationary_policies():
+    # the optimum 152/27 needs a step-dependent policy: the best of all 3**4
+    # stationary tables reaches 97/18, so "True" at bound 152/27 would be wrong
+    rng = random.Random(0)
+    n, k = rng.randint(1, 2), rng.randint(2, 3)
+    rm = random_bounded_mdp(rng, n, k)
+    horizon = rng.randint(2, 4)
+    assert (n, k, horizon) == (2, 3, 4)
+    em = md.expand(rm.mdp)
+    s0 = tuple(rm.mdp.initial)
+    best = oracle.solve_optimal(em, horizon).values[s0][horizon]
+    stationary = max(
+        value_of_policy(em, ExplicitPolicy(dict(zip(em.states, acts)), k), horizon).value(
+            s0, horizon
+        )
+        for acts in itertools.product(range(k), repeat=len(em.states))
+    )
+    assert (best, stationary) == (Fraction(152, 27), Fraction(97, 18))
+    vac = k << n
+    with pytest.raises(oracle.OracleScaleError, match="optimal at every step index"):
+        oracle.bounded_policy_exists(rm.mdp, horizon, vac, best)
+    assert oracle.bounded_policy_exists(rm.mdp, horizon, vac, best, strict=True) == (False, None)
+
+
+def test_vacuous_bound_witness_is_a_stationary_table_attaining_the_optimum():
+    rng = random.Random(2)
+    rm = random_bounded_mdp(rng, 2, 2)
+    em = md.expand(rm.mdp)
+    s0 = tuple(rm.mdp.initial)
+    best = oracle.solve_optimal(em, 2).values[s0][2]
+    yes, witness = oracle.bounded_policy_exists(rm.mdp, 2, 2 << 2, best)
+    assert yes and isinstance(witness, ExplicitPolicy)
+    assert set(witness.mapping) == set(em.states)
+    assert value_of_policy(em, witness, 2).value(s0, 2) == best
+
+
+def test_table_policies_reject_out_of_range_actions():
+    rm = random_bounded_mdp(random.Random(4), 2, 2)
+    em = md.expand(rm.mdp)
+    states = [tuple(int_to_bits(k, 2)) for k in range(4)]
+    for a in (-1, 2, 5):
+        explicit = ExplicitPolicy({s: a for s in states}, 2)
+        timed = TimedExplicitPolicy({(s, i): a for s in states for i in (1, 2)}, 2)
+        for p in (explicit, timed):
+            with pytest.raises(PolicyError, match=f"to action {a}, outside 0..1$"):
+                value_of_policy(em, p, 2)
+            with pytest.raises(PolicyError, match=f"to action {a}, outside 0..1$"):
+                expected_reward_exact(rm.mdp, p, 2)
+    # in range for the policy, outside the model's two actions
+    wide = ExplicitPolicy({s: 2 for s in states}, 3)
+    with pytest.raises(PolicyError, match=r"picks action 2 at state .* the model has 2 actions"):
+        value_of_policy(em, wide, 2)

@@ -147,3 +147,52 @@ def test_history_manifest_needs_horizon(tmp_path):
         fh.write(text)
     with pytest.raises(PolicyError, match="missing 'horizon' line"):
         load_policy(path)
+
+
+def _outcome(decide):
+    """The actions, or the type and message of the PolicyError raised."""
+    try:
+        return decide()
+    except PolicyError as exc:
+        return type(exc), str(exc)
+
+
+def _one_per_row(p, rows, depth, steps):
+    """The per-row call of each policy kind on a list of bit-tuple rows."""
+    if p.kind == "history":
+        n = p.num_vars
+        split = [[r[k * n : (k + 1) * n] for k in range(depth + 1)] for r in rows]
+        return [p.decide_history(h, depth) for h in split]
+    if p.kind == "timed":
+        return [p.decide_timed(r, steps) for r in rows]
+    return [p.decide(r) for r in rows]
+
+
+def test_decide_batch_equals_the_per_row_calls_for_every_kind():
+    # the tables leave some rows undefined and map some to -1, k or k + 3;
+    # with 3 or 5 actions the circuits can decode an index >= k
+    rng = random.Random(11)
+    for _ in range(30):
+        n, k, horizon = rng.randint(1, 3), rng.choice((2, 3, 4, 5)), rng.randint(1, 3)
+        aw, tw = width_for_count(k), width_for_count(horizon + 1)
+        states = [tuple(int_to_bits(s, n)) for s in range(1 << n)]
+        keys = [(s, i) for s in states for i in range(1, horizon + 1)]
+        choices = list(range(k)) * 6 + [-1, k, k + 3]
+        policies = [
+            StationaryPolicy(random_circuit(rng, n, rng.randint(1, 6), aw), k),
+            ExplicitPolicy({s: rng.choice(choices) for s in states if rng.random() < 0.9}, k),
+            TimedExplicitPolicy({x: rng.choice(choices) for x in keys if rng.random() < 0.9}, k),
+            HistoryPolicy(
+                random_circuit(rng, (horizon + 1) * n + tw, rng.randint(1, 8), aw), k, horizon, n
+            ),
+        ]
+        for p in policies:
+            for depth in range(horizon + 1):
+                width = (depth + 1) * n if p.kind == "history" else n
+                for count in (0, 1, 4):
+                    rows = [tuple(rng.randrange(2) for _ in range(width)) for _ in range(count)]
+                    arr = np.array(rows, dtype=bool).reshape(count, width)
+                    steps = horizon - depth
+                    want = _outcome(lambda: _one_per_row(p, rows, depth, steps))
+                    assert _outcome(lambda: p.decide_batch(arr, depth, steps)) == want
+                    assert _outcome(lambda: p.decide_batch(rows, depth, steps)) == want
