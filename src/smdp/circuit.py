@@ -26,6 +26,7 @@ import numpy as np
 from .bits import bits_to_int, column_words, int_to_bits, word_bits
 
 ARITY = {"AND": 2, "OR": 2, "XOR": 2, "NOT": 1, "CONST0": 0, "CONST1": 0}
+TABLE_INPUT_LIMIT = 20  # the most inputs `truth_table` enumerates
 _AND, _OR, _XOR, _NOT, _CONST0, _CONST1 = range(6)
 _OPCODE = {"AND": _AND, "OR": _OR, "XOR": _XOR, "NOT": _NOT, "CONST0": _CONST0, "CONST1": _CONST1}
 
@@ -196,16 +197,17 @@ def all_input_rows(n: int) -> np.ndarray:
     return ((idx[:, None] >> shifts[None, :]) & 1).astype(bool)
 
 
-def truth_table(c: Circuit, max_inputs: int = 20) -> np.ndarray:
-    """Exhaustive (2**n, num_outputs) output table."""
-    if c.num_inputs > max_inputs:
+def truth_table(c: Circuit) -> np.ndarray:
+    """Exhaustive (2**n, num_outputs) output table, for at most
+    TABLE_INPUT_LIMIT inputs."""
+    if c.num_inputs > TABLE_INPUT_LIMIT:
         raise CircuitError(
-            f"refusing exhaustive table over {c.num_inputs} inputs (limit {max_inputs})"
+            f"refusing exhaustive table over {c.num_inputs} inputs (limit {TABLE_INPUT_LIMIT})"
         )
     return eval_batch(c, all_input_rows(c.num_inputs))
 
 
-def equivalent(c1: Circuit, c2: Circuit, max_inputs: int = 16) -> bool:
+def equivalent(c1: Circuit, c2: Circuit) -> bool:
     """Exhaustive input-output equivalence over all 2**n input vectors."""
     if c1.num_inputs != c2.num_inputs:
         raise CircuitError(
@@ -215,11 +217,7 @@ def equivalent(c1: Circuit, c2: Circuit, max_inputs: int = 16) -> bool:
         raise CircuitError(
             f"width mismatch: {c1.num_outputs} vs {c2.num_outputs} outputs"
         )
-    if c1.num_inputs > max_inputs:
-        raise CircuitError(
-            f"refusing exhaustive check over {c1.num_inputs} inputs (limit {max_inputs})"
-        )
-    return bool(np.array_equal(truth_table(c1, max_inputs), truth_table(c2, max_inputs)))
+    return bool(np.array_equal(truth_table(c1), truth_table(c2)))
 
 
 class CircuitBuilder:
@@ -366,13 +364,13 @@ class CircuitBuilder:
         return Circuit(self.num_inputs, tuple(self.gates), tuple(outputs), name)
 
 
-def canonical_dnf(c: Circuit, max_inputs: int = 20) -> Circuit:
+def canonical_dnf(c: Circuit) -> Circuit:
     """Rewrite every output as a disjunction of full-literal terms.
 
     One term per satisfying assignment of that output, so at most 2**n terms
     per output. CONST0 stands in for the empty disjunction.
     """
-    values = [bits_to_int(row) for row in truth_table(c, max_inputs).tolist()]
+    values = [bits_to_int(row) for row in truth_table(c).tolist()]
     return circuit_from_values(c.num_inputs, c.num_outputs, values, name=f"{c.name}_dnf")
 
 

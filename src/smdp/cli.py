@@ -65,6 +65,18 @@ def _resolve_horizon(declared: Optional[int], flag: Optional[int], parser) -> in
     parser.error("no horizon: the manifest declares none, pass --horizon")
 
 
+# the instance of each gen-* command, built from the formula and the parsed arguments
+_GENERATORS = {
+    "gen-satnext": lambda cnf, args: sat_to_next_action(cnf, mode=args.mode),
+    "gen-majsat": lambda cnf, args: majsat_to_eval(cnf),
+    "gen-emajsat": lambda cnf, args: emajsat_to_bounded_policy(
+        cnf, args.num_x, faithful_k=args.faithful_k
+    ),
+    "gen-unsatcons": lambda cnf, args: unsat_to_consistency(cnf),
+    "gen-forall": lambda cnf, args: forallexists_to_valuefn(cnf, args.num_x),
+}
+
+
 @lru_cache(maxsize=None)
 def build_parser() -> _Parser:
     """The `smdp` parser, built once per process (parsing leaves it unchanged)."""
@@ -78,7 +90,7 @@ def build_parser() -> _Parser:
         help="output style: prose lines or key=value records",
     )
 
-    for name in ("gen-satnext", "gen-majsat", "gen-emajsat", "gen-unsatcons", "gen-forall"):
+    for name in _GENERATORS:
         p = sub.add_parser(name, parents=[common], help=f"generate a {name[4:]} instance")
         p.add_argument("cnf", help="DIMACS-style CNF file")
         p.add_argument("-o", "--out", required=True, help="output directory")
@@ -150,36 +162,9 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _cmd_generate(args) -> int:
-    cnf = read_dimacs(args.cnf)
-    extra: List[str] = []
-    if args.command == "gen-satnext":
-        inst = sat_to_next_action(cnf, mode=args.mode)
-        if args.mode == "compact":
-            extra.append("mode compact: clause block shrunk to the instance clause count")
-        sat = oracle.sat_oracle(cnf)
-        extra.append(f"expected_action {'S' if sat else 'U'}  [derived: brute-force SAT]")
-    elif args.command == "gen-majsat":
-        inst = majsat_to_eval(cnf)
-        count = oracle.model_count(cnf)
-        extra.append(
-            f"expected_reward {count}/{1 << cnf.num_vars}  [derived: brute-force model count]"
-        )
-    elif args.command == "gen-emajsat":
-        inst = emajsat_to_bounded_policy(cnf, args.num_x, faithful_k=args.faithful_k)
-        ans = oracle.emajsat_oracle(cnf, args.num_x)
-        extra.append(f"expected_exists {'yes' if ans else 'no'}  [derived: brute-force enumeration]")
-    elif args.command == "gen-unsatcons":
-        inst = unsat_to_consistency(cnf)
-        unsat = not oracle.sat_oracle(cnf)
-        extra.append(
-            f"expected_{'consistent' if unsat else 'inconsistent'}  [derived: brute-force model count]"
-        )
-    else:
-        inst = forallexists_to_valuefn(cnf, args.num_x)
-        ans = oracle.forall_exists_oracle(cnf, args.num_x)
-        extra.append(f"expected_exists {'yes' if ans else 'no'}  [derived: brute-force enumeration]")
-    write_instance(inst, args.out, extra_expected=extra)
+def _cmd_generate(args, parser) -> int:
+    inst = _GENERATORS[args.command](read_dimacs(args.cnf), args)
+    write_instance(inst, args.out)
     _emit(
         args,
         [("instance", inst.name), ("directory", args.out), ("horizon", inst.horizon)],
@@ -215,7 +200,7 @@ def _cmd_eval_mc(args, parser) -> int:
     return 0
 
 
-def _cmd_value(args) -> int:
+def _cmd_value(args, parser) -> int:
     v = load_valuefn(args.valuefn)
     s = parse_bitstring(args.state)
     val = v.value(s, args.step)
@@ -291,7 +276,7 @@ def _cmd_next_action(args, parser) -> int:
     return 0
 
 
-def _cmd_canon(args) -> int:
+def _cmd_canon(args, parser) -> int:
     c = ct.read_netlist(args.netlist)
     dnf = ct.canonical_dnf(c)
     counts = [ct.count_dnf_terms(dnf, o) for o in range(dnf.num_outputs)]
@@ -308,7 +293,7 @@ def _cmd_canon(args) -> int:
     return 0
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args, parser) -> int:
     rows = run_suite(args.suite, n=args.n, cases=args.cases, seed=args.seed)
     failures = sum(1 for r in rows if not r.ok)
     if args.emit == "records":
@@ -324,31 +309,25 @@ def _cmd_verify(args) -> int:
     return 2 if failures else 0
 
 
+_COMMANDS = {
+    **{name: _cmd_generate for name in _GENERATORS},
+    "eval": _cmd_eval,
+    "eval-mc": _cmd_eval_mc,
+    "value": _cmd_value,
+    "check-consistency": _cmd_check_consistency,
+    "extract-policy": _cmd_extract_policy,
+    "solve": _cmd_solve,
+    "next-action": _cmd_next_action,
+    "canon": _cmd_canon,
+    "verify": _cmd_verify,
+}
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command.startswith("gen-"):
-            return _cmd_generate(args)
-        if args.command == "eval":
-            return _cmd_eval(args, parser)
-        if args.command == "eval-mc":
-            return _cmd_eval_mc(args, parser)
-        if args.command == "value":
-            return _cmd_value(args)
-        if args.command == "check-consistency":
-            return _cmd_check_consistency(args, parser)
-        if args.command == "extract-policy":
-            return _cmd_extract_policy(args, parser)
-        if args.command == "solve":
-            return _cmd_solve(args, parser)
-        if args.command == "next-action":
-            return _cmd_next_action(args, parser)
-        if args.command == "canon":
-            return _cmd_canon(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        parser.error(f"unknown command {args.command!r}")
+        return _COMMANDS[args.command](args, parser)
     except (ValueError, OSError) as exc:
         print(f"smdp: error: {exc}", file=sys.stderr)
         return 1

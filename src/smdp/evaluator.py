@@ -133,8 +133,7 @@ def enumerate_trajectories(m: md.SuccinctMdp, policy, depth: int) -> Iterator[Tr
     """All positive-probability trajectories of exactly `depth` steps, depth
     first with successors in `md.successors` order. They are all computed
     before the first is yielded."""
-    if depth < 0:
-        raise ValueError("depth must be nonnegative")
+    md._check_horizon(depth, "depth")
     _check_policy_width(m, policy)
     for rows, num, _ in _forward(m, policy, depth, histories=True):
         pass  # only the last layer holds whole trajectories
@@ -148,8 +147,7 @@ def enumerate_trajectories(m: md.SuccinctMdp, policy, depth: int) -> Iterator[Tr
 def expected_reward_exact(m: md.SuccinctMdp, policy, horizon: int) -> RewardReport:
     """The expected reward of a policy of any kind, with the reward and the
     probability mass of each depth."""
-    if horizon < 0:
-        raise ValueError("horizon must be nonnegative")
+    md._check_horizon(horizon)
     _check_policy_width(m, policy)
     n = m.num_vars
     D = m.prob_denominator
@@ -184,8 +182,7 @@ def expected_reward_mc(
     those of a sample-by-sample walk, one ``randrange(D)`` per (sample, step)
     in sample-major order, so the estimate does not depend on the block size.
     """
-    if horizon < 0:
-        raise ValueError("horizon must be nonnegative")
+    md._check_horizon(horizon)
     if samples < 1:
         raise ValueError("need at least one sample")
     _check_policy_width(m, policy)

@@ -62,11 +62,17 @@ def state_limit() -> int:
     return limit
 
 
-def _limit_error(
-    what: str, count: int, limit: int, knob: str = "SMDP_LIMIT_STATES"
-) -> EnumerationLimitError:
-    """The error for a count past a limit; names the knob that raises it."""
-    return EnumerationLimitError(f"{what} reached {count}, over the limit {limit}; raise {knob}")
+def _limit_error(what: str, count: int, limit: int) -> EnumerationLimitError:
+    """The error for a count past the limit; names the knob that raises it."""
+    return EnumerationLimitError(
+        f"{what} reached {count}, over the limit {limit}; raise SMDP_LIMIT_STATES"
+    )
+
+
+def _check_horizon(horizon: int, what: str = "horizon") -> None:
+    """The one check of a query's horizon (or trajectory depth)."""
+    if horizon < 0:
+        raise ValueError(f"{what} must be nonnegative, got {horizon}")
 
 
 @dataclass(frozen=True)
@@ -331,13 +337,11 @@ def successors_batch(
     return result
 
 
-def expand(
-    m: SuccinctMdp, s0: Optional[BitVector] = None, max_states: Optional[int] = None
-) -> ExplicitMdp:
+def expand(m: SuccinctMdp, s0: Optional[BitVector] = None) -> ExplicitMdp:
     """Enumerate the states reachable from s0 (closure under all actions)."""
     if s0 is None:
         s0 = m.initial
-    em, _ = expand_many(m, [s0], max_states=max_states)
+    em, _ = expand_many(m, [s0])
     return em
 
 
@@ -348,22 +352,17 @@ def _pack_keys(arr: np.ndarray) -> Tuple[bytes, int]:
 
 
 def expand_many(
-    m: SuccinctMdp, roots: Sequence[BitVector], max_states: Optional[int] = None
+    m: SuccinctMdp, roots: Sequence[BitVector]
 ) -> Tuple[ExplicitMdp, List[int]]:
     """Joint closure of several root states; returns the model plus the index
     of each root. Useful when many instances share one circuit MDP.
 
-    Raises ModelError for a root that is not a 0/1 state of the model's width
-    or a nonpositive `max_states`, and EnumerationLimitError once the states
-    found, roots included, pass the limit."""
+    Raises ModelError for a root that is not a 0/1 state of the model's
+    width, and EnumerationLimitError once the states found, roots included,
+    pass `SMDP_LIMIT_STATES`."""
     if not roots:
         raise ModelError("need at least one root state")
-    if max_states is None:
-        limit, knob = state_limit(), "SMDP_LIMIT_STATES"
-    elif max_states < 1:
-        raise ModelError(f"max_states must be positive, got {max_states}")
-    else:
-        limit, knob = max_states, "max_states"
+    limit = state_limit()
     n = m.num_vars
     for s in roots:
         if len(s) != n or not set(s) <= {0, 1}:
@@ -380,7 +379,7 @@ def expand_many(
         key = root_keys[i * root_kw : (i + 1) * root_kw]
         if key not in index:
             if len(index) >= limit:
-                raise _limit_error("reachable state count", len(index) + 1, limit, knob)
+                raise _limit_error("reachable state count", len(index) + 1, limit)
             index[key] = len(index)
             first.append(i)
         root_idx.append(index[key])
@@ -400,7 +399,7 @@ def expand_many(
             )
             if len(index) > old:
                 if len(index) > limit:
-                    raise _limit_error("reachable state count", limit + 1, limit, knob)
+                    raise _limit_error("reachable state count", limit + 1, limit)
                 new = np.flatnonzero(dst >= old)
                 fresh.append(succ[new[np.unique(dst[new], return_index=True)[1]]])
             layers[a].append((src + base, dst, nums))
@@ -499,12 +498,12 @@ def load_mdp(manifest_path) -> Tuple[SuccinctMdp, Optional[int]]:
     return m, fields.get("horizon")
 
 
-def validate(m: SuccinctMdp, sample: int = 64, seed: int = 0) -> List[str]:
+def validate(m: SuccinctMdp) -> List[str]:
     """Best-effort well-formedness report; empty list means no violation found.
 
     Checks normalization and (for bounded-action models) enumerator fidelity,
-    exhaustively when the state space is small and on a seeded random sample
-    otherwise.
+    exhaustively when the state space is small and otherwise on 64 random
+    states drawn with seed 0, plus the initial state.
     """
     import random
 
@@ -514,8 +513,8 @@ def validate(m: SuccinctMdp, sample: int = 64, seed: int = 0) -> List[str]:
         states = [tuple(int(b) for b in row) for row in ct.all_input_rows(n)]
         exhaustive = True
     else:
-        rng = random.Random(seed)
-        states = [tuple(rng.randrange(2) for _ in range(n)) for _ in range(sample)]
+        rng = random.Random(0)
+        states = [tuple(rng.randrange(2) for _ in range(n)) for _ in range(64)]
         states.append(tuple(m.initial))
         exhaustive = False
     # cross-check the enumerator against brute-force t enumeration

@@ -12,7 +12,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
+
+import numpy as np
 
 from . import circuit as ct
 from . import mdp as md
@@ -107,8 +109,7 @@ class OptimalSolution:
 def solve_optimal(em: md.ExplicitMdp, horizon: int) -> OptimalSolution:
     """Exact backward induction; ties keep every optimal action, and
     `OptimalSolution.greedy` picks the lowest index among them."""
-    if horizon < 0:
-        raise ValueError(f"horizon must be nonnegative, got {horizon}")
+    md._check_horizon(horizon)
     opt_columns = [[tuple(range(len(em.actions)))] * len(em.states)]
 
     def choose(Q, i: int):
@@ -127,14 +128,12 @@ def solve_optimal(em: md.ExplicitMdp, horizon: int) -> OptimalSolution:
     )
 
 
-def best_next_action(
-    m: md.SuccinctMdp, steps_remaining: int, s: BitVector, max_states: Optional[int] = None
-) -> Tuple[int, ...]:
+def best_next_action(m: md.SuccinctMdp, steps_remaining: int, s: BitVector) -> Tuple[int, ...]:
     """Actions taken at s by some optimal policy with the given number of
     steps before the horizon, from exhaustive expansion rooted at s."""
     if steps_remaining < 1:
         raise ValueError("need at least one step before the horizon")
-    em = md.expand(m, s, max_states=max_states)
+    em = md.expand(m, s)
     sol = solve_optimal(em, steps_remaining)
     return sol.optimal_actions[tuple(s)][steps_remaining]
 
@@ -170,46 +169,60 @@ def _enumerate_candidate_circuits(
     yield from rec([])
 
 
+def _reachable_depths(em: md.ExplicitMdp, horizon: int) -> np.ndarray:
+    """reach[d, k]: state k of `em` is reachable from the initial state in
+    exactly d steps under some actions, for the depths d < horizon."""
+    reach = np.zeros((horizon, len(em.states)), dtype=bool)
+    if horizon:
+        reach[0, em.initial] = True
+    for d in range(1, horizon):
+        for src, dst, _ in em.transitions:
+            reach[d, dst[reach[d - 1, src]]] = True
+    return reach
+
+
 def bounded_policy_exists(
-    m: md.SuccinctMdp,
-    horizon: int,
-    size_bound: int,
-    reward_bound: Fraction,
-    strict: bool = False,
+    m: md.SuccinctMdp, horizon: int, size_bound: int, reward_bound: Fraction
 ) -> Tuple[bool, Optional[object]]:
     """Is there a stationary policy circuit of at most size_bound gates whose
-    exact expected reward meets reward_bound (>= by default, > if strict)?
+    exact expected reward is at least reward_bound?
 
     Two regimes only: a vacuous size bound (>= |A| * 2**n, the universal
     compilation bound) answered by backward induction, or micro-scale circuit
     enumeration. Anything in between is refused: no efficient search exists.
 
     In the vacuous regime the answer is False when the optimum misses the
-    reward bound. It is True, with an `ExplicitPolicy` witness over the
-    reachable states, when every reachable state has one action that is
-    optimal at every step index, since that stationary policy attains the
-    optimum. Otherwise the best stationary policy may fall short of the
-    optimum, which only a search over stationary tables could settle, and
-    the question is refused with `OracleScaleError`.
+    reward bound. A stationary policy decides a state at step index h - d
+    for each depth d < h at which the state is reachable under some actions.
+    The answer is True, with an `ExplicitPolicy` witness over the expanded
+    states, when every state has one action optimal at all of its step
+    indices, since that stationary policy attains the optimum. Otherwise the
+    best stationary policy may fall short of the optimum, which only a
+    search over stationary tables could settle, and the question is refused
+    with `OracleScaleError`.
     """
+    md._check_horizon(horizon)
     if size_bound < 0:
         raise ValueError(f"size bound must be nonnegative, got {size_bound}")
     n_bits = m.num_vars
     n_actions = len(m.actions)
-    meets = (lambda v: v > reward_bound) if strict else (lambda v: v >= reward_bound)
     if n_bits < 60 and size_bound >= n_actions * (1 << n_bits):
         em = md.expand(m)
         sol = solve_optimal(em, horizon)
-        if not meets(sol.values[tuple(m.initial)][horizon]):
+        if sol.values[tuple(m.initial)][horizon] < reward_bound:
             return False, None
+        reach = _reachable_depths(em, horizon)
         table = {}
-        for s, opt in sol.optimal_actions.items():
-            always = set(range(n_actions)).intersection(*opt[1:])
+        for k, s in enumerate(em.states):
+            opt = sol.optimal_actions[s]
+            always = set(range(n_actions)).intersection(
+                *(opt[horizon - d] for d in np.flatnonzero(reach[:, k]))
+            )
             if not always:
                 raise OracleScaleError(
-                    f"no action at state {s} is optimal at every step index, so the best "
-                    "stationary policy may miss the optimum; the vacuous size bound cannot "
-                    "answer for a stationary policy here"
+                    f"no action at state {s} is optimal at every step index at which the "
+                    "state is reachable, so the best stationary policy may miss the optimum; "
+                    "the vacuous size bound cannot answer for a stationary policy here"
                 )
             table[s] = min(always)
         return True, ExplicitPolicy(table, n_actions)
@@ -238,6 +251,6 @@ def bounded_policy_exists(
             table = value_of_policy(em, policy, horizon)
         except PolicyError:
             continue  # decodes an out-of-range action somewhere
-        if meets(table.value(em.states[em.initial], horizon)):
+        if table.value(em.states[em.initial], horizon) >= reward_bound:
             return True, policy
     return False, None

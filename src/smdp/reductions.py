@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from . import oracle
 from .bits import BitVector, bits_to_int, int_to_bits, width_for_count
 from .circuit import Circuit, CircuitBuilder
 from .cnf import Cnf
@@ -311,12 +312,11 @@ class ReductionInstance:
         return self.horizon - len(self.layout.decode(self.state))
 
 
-def write_instance(
-    inst: ReductionInstance, directory, extra_expected: Sequence[str] = ()
-) -> str:
+def write_instance(inst: ReductionInstance, directory) -> str:
     """Write the instance directory: MDP manifest plus netlists, companion
     policy / value-function manifests, the formula, the instance record, and
-    `expected.txt` describing the oracle correspondence."""
+    `expected.txt` describing the oracle correspondence, with the answer the
+    brute-force oracle derives for the instance."""
     import os
 
     from . import mdp as md
@@ -324,6 +324,7 @@ def write_instance(
     from .policy import save_policy
     from .valuefn import save_valuefn
 
+    derived = _derived_lines(inst)  # before any file, so an oracle refusal writes none
     os.makedirs(directory, exist_ok=True)
     md.save_mdp(inst.mdp, directory, horizon=inst.horizon)
     with open(os.path.join(directory, "formula.cnf"), "w", encoding="ascii") as fh:
@@ -353,10 +354,30 @@ def write_instance(
         fh.write("\n".join(lines) + "\n")
     expected_path = os.path.join(directory, "expected.txt")
     with open(expected_path, "w", encoding="ascii") as fh:
-        fh.write(inst.expected + "\n")
-        for line in extra_expected:
-            fh.write(line + "\n")
+        fh.write("\n".join([inst.expected, *derived]) + "\n")
     return expected_path
+
+
+def _derived_lines(inst: ReductionInstance) -> List[str]:
+    """The `expected.txt` lines after the description: the answer of the
+    instance's brute-force oracle, chosen by instance name."""
+    cnf = inst.cnf
+    if inst.name.startswith("satnext_"):
+        sat = oracle.sat_oracle(cnf)
+        lines = [f"expected_action {'S' if sat else 'U'}  [derived: brute-force SAT]"]
+        if inst.mode == "compact":
+            lines.insert(0, "mode compact: clause block shrunk to the instance clause count")
+        return lines
+    if inst.name == "majsat":
+        count = oracle.model_count(cnf)
+        return [f"expected_reward {count}/{1 << cnf.num_vars}  [derived: brute-force model count]"]
+    if inst.name == "unsatcons":
+        # a SAT search stops at the first model; a model count would not
+        verdict = "inconsistent" if oracle.sat_oracle(cnf) else "consistent"
+        return [f"expected_{verdict}  [derived: brute-force model count]"]
+    decide = {"emajsat": oracle.emajsat_oracle, "forallexists": oracle.forall_exists_oracle}
+    exists = decide[inst.name](cnf, inst.num_x)
+    return [f"expected_exists {'yes' if exists else 'no'}  [derived: brute-force enumeration]"]
 
 
 # ----------------------------------------------------- satisfiability / next action

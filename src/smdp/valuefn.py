@@ -151,6 +151,7 @@ def value_of_policy(em: md.ExplicitMdp, policy, horizon: int) -> ValueTable:
     At step index i the policy decides every state with ``(horizon - i, i)``
     as its depth and steps remaining. An action outside the model's actions
     is a `PolicyError`."""
+    md._check_horizon(horizon)
     if policy.kind == "history":
         raise PolicyError("value_of_policy needs a stationary or timed policy, not a history one")
     every_state = np.arange(len(em.states))

@@ -59,6 +59,52 @@ def test_gen_then_eval_pipeline(tmp_path, capsys):
     assert "expected_reward 3/4" in (out / "expected.txt").read_text()
 
 
+SATNEXT = (
+    "best next action at the encoded state is S iff the formula is satisfiable "
+    "(brute-force SAT check); the unsat branch is worth exactly 2\n"
+)
+EMAJSAT = (
+    "a policy meeting the reward bound exists iff some X-assignment has at least half "
+    "of its Y-extensions satisfying the formula (brute-force enumeration)\n"
+)
+UNSATCONS = (
+    "the all-zero value function is consistent iff the formula has no model "
+    "(brute-force model count)\n"
+)
+COMPACT = "mode compact: clause block shrunk to the instance clause count\n"
+
+
+@pytest.mark.parametrize(
+    "argv, cnf, want",
+    [
+        (["gen-satnext"], Cnf(1, ((1, 1, 1),)),
+         SATNEXT + COMPACT + "expected_action S  [derived: brute-force SAT]\n"),
+        (["gen-satnext", "--mode", "faithful"], Cnf(1, ((1, 1, 1), (-1, -1, -1))),
+         SATNEXT + "expected_action U  [derived: brute-force SAT]\n"),
+        (["gen-majsat"], Cnf(2, ((1, 2),)),
+         "exact reward of the sequential policy equals model_count / 2^n "
+         "(brute-force model count)\n"
+         "expected_reward 3/4  [derived: brute-force model count]\n"),
+        (["gen-emajsat", "--num-x", "1"], Cnf(2, ((1, -2), (-1, 2))),
+         EMAJSAT + "expected_exists yes  [derived: brute-force enumeration]\n"),
+        (["gen-emajsat", "--num-x", "1", "--faithful-k"], Cnf(2, ((2,), (-2,))),
+         EMAJSAT + "expected_exists no  [derived: brute-force enumeration]\n"),
+        (["gen-unsatcons"], Cnf(2, ((1,), (-1,))),
+         UNSATCONS + "expected_consistent  [derived: brute-force model count]\n"),
+        (["gen-unsatcons"], Cnf(2, ((1, 2),)),
+         UNSATCONS + "expected_inconsistent  [derived: brute-force model count]\n"),
+        (["gen-forall", "--num-x", "1"], Cnf(2, ((1,),)),
+         "a reward-1 deterministic X-choice exists iff some X-assignment has all "
+         "Y-extensions satisfying the formula (brute-force check)\n"
+         "expected_exists yes  [derived: brute-force enumeration]\n"),
+    ],
+)
+def test_gen_writes_the_oracle_answer_to_expected_txt(tmp_path, capsys, argv, cnf, want):
+    out = tmp_path / "inst"
+    assert run(argv + [write_cnf(tmp_path, cnf), "-o", str(out)], capsys)[0] == 0
+    assert (out / "expected.txt").read_text() == want
+
+
 def test_gen_satnext_and_next_action_exit_codes(tmp_path, capsys):
     cnf = write_cnf(tmp_path, Cnf(1, ((1, 1, 1),)))
     out = tmp_path / "inst"

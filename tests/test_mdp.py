@@ -190,9 +190,10 @@ def test_state_limit_env(monkeypatch):
 
 def test_limit_errors_name_count_limit_and_knob(monkeypatch):
     m = make_random(7).mdp  # three variables
-    msg = r"reachable state count reached 3, over the limit 2; raise max_states"
+    monkeypatch.setenv("SMDP_LIMIT_STATES", "2")
+    msg = r"reachable state count reached 3, over the limit 2; raise SMDP_LIMIT_STATES"
     with pytest.raises(md.EnumerationLimitError, match=msg):
-        md.expand(m, max_states=2)
+        md.expand(m)
     monkeypatch.setenv("SMDP_LIMIT_STATES", "4")
     plain = replace(m, successor_circuits=(), max_branching=0)
     msg = r"successor candidates \(2\^3\) reached 8, over the limit 4; raise SMDP_LIMIT_STATES"
@@ -201,30 +202,33 @@ def test_limit_errors_name_count_limit_and_knob(monkeypatch):
 
 
 def stay_bit_mdp():
-    """One bit, one action: every state is a self-loop."""
+    """One bit, one action: every state is a self-loop. Its successor circuit
+    lists the state itself in slot 0, so no 2**n candidates are counted."""
     b = ct.CircuitBuilder(3)
     t = b.build([b.not_(b.xor(b.inp(0), b.inp(1)))])
     rb = ct.CircuitBuilder(1)
-    return md.SuccinctMdp(("x1",), (0,), ("stay",), t, rb.build([rb.inp(0)]), prob_denominator=1)
+    sb = ct.CircuitBuilder(2)
+    return md.SuccinctMdp(
+        ("x1",), (0,), ("stay",), t, rb.build([rb.inp(0)]), prob_denominator=1,
+        successor_circuits=(sb.build([sb.const(1), sb.inp(0)]),), max_branching=1,
+    )
 
 
 def test_expand_many_counts_roots_against_the_limit(monkeypatch):
     m = stay_bit_mdp()
-    msg = r"reachable state count reached 2, over the limit 1; raise max_states"
-    with pytest.raises(md.EnumerationLimitError, match=msg):
-        md.expand_many(m, [(0,), (1,)], max_states=1)
-    em, roots = md.expand_many(m, [(1,), (1,)], max_states=1)  # a repeated root counts once
-    assert em.states == ((1,),) and roots == [0, 0]
     monkeypatch.setenv("SMDP_LIMIT_STATES", "1")
     msg = r"reachable state count reached 2, over the limit 1; raise SMDP_LIMIT_STATES"
     with pytest.raises(md.EnumerationLimitError, match=msg):
         md.expand_many(m, [(0,), (1,)])
+    em, roots = md.expand_many(m, [(1,), (1,)])  # a repeated root counts once
+    assert em.states == ((1,),) and roots == [0, 0]
 
 
 @pytest.mark.parametrize("limit", [0, -5])
-def test_expand_many_rejects_a_nonpositive_limit(limit):
-    with pytest.raises(md.ModelError, match=f"max_states must be positive, got {limit}"):
-        md.expand_many(stay_bit_mdp(), [(0,)], max_states=limit)
+def test_expand_many_rejects_a_nonpositive_limit(monkeypatch, limit):
+    monkeypatch.setenv("SMDP_LIMIT_STATES", str(limit))
+    with pytest.raises(md.ModelError, match=f"SMDP_LIMIT_STATES must be positive, got {limit}"):
+        md.expand_many(stay_bit_mdp(), [(0,)])
 
 
 @pytest.mark.parametrize("root", [(2,) * 8, (1, 0), (0,) * 9])

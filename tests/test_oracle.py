@@ -9,7 +9,7 @@ from smdp import mdp as md
 from smdp import oracle
 from smdp.bits import int_to_bits
 from smdp.cnf import Cnf
-from smdp.evaluator import expected_reward_exact
+from smdp.evaluator import enumerate_trajectories, expected_reward_exact, expected_reward_mc
 from smdp.policy import (
     ExplicitPolicy,
     HistoryPolicy,
@@ -269,7 +269,28 @@ def test_vacuous_bound_answers_only_for_stationary_policies():
     vac = k << n
     with pytest.raises(oracle.OracleScaleError, match="optimal at every step index"):
         oracle.bounded_policy_exists(rm.mdp, horizon, vac, best)
-    assert oracle.bounded_policy_exists(rm.mdp, horizon, vac, best, strict=True) == (False, None)
+    above = best + Fraction(1, 10**6)
+    assert oracle.bounded_policy_exists(rm.mdp, horizon, vac, above) == (False, None)
+
+
+@pytest.mark.parametrize("seed", [11, 12, 38])
+def test_vacuous_bound_needs_an_always_optimal_action_only_where_a_state_decides(seed):
+    # drawn as in the test above: some state has no action optimal at every
+    # step index 1..h, yet one optimal at each step index h - d for the
+    # depths d < h at which the state is reachable
+    rng = random.Random(seed)
+    n, k = rng.randint(1, 2), rng.randint(2, 3)
+    rm = random_bounded_mdp(rng, n, k)
+    horizon = rng.randint(2, 4)
+    em = md.expand(rm.mdp)
+    s0 = tuple(rm.mdp.initial)
+    sol = oracle.solve_optimal(em, horizon)
+    best = sol.values[s0][horizon]
+    assert any(not set(range(k)).intersection(*opt[1:]) for opt in sol.optimal_actions.values())
+    yes, witness = oracle.bounded_policy_exists(rm.mdp, horizon, k << n, best)
+    assert yes and isinstance(witness, ExplicitPolicy)
+    assert set(witness.mapping) == set(em.states)
+    assert value_of_policy(em, witness, horizon).value(s0, horizon) == best
 
 
 def test_vacuous_bound_witness_is_a_stationary_table_attaining_the_optimum():
@@ -300,3 +321,33 @@ def test_table_policies_reject_out_of_range_actions():
     wide = ExplicitPolicy({s: 2 for s in states}, 3)
     with pytest.raises(PolicyError, match=r"picks action 2 at state .* the model has 2 actions"):
         value_of_policy(em, wide, 2)
+
+
+ENTRY_POINTS = {
+    "expected_reward_exact": lambda m, em, p, h: expected_reward_exact(m, p, h),
+    "expected_reward_mc": lambda m, em, p, h: expected_reward_mc(m, p, h, samples=10, seed=0),
+    "enumerate_trajectories": lambda m, em, p, h: next(enumerate_trajectories(m, p, h)),
+    "solve_optimal": lambda m, em, p, h: oracle.solve_optimal(em, h),
+    "value_of_policy": lambda m, em, p, h: value_of_policy(em, p, h),
+    "bounded_policy_exists micro": lambda m, em, p, h: oracle.bounded_policy_exists(
+        m, h, 1, Fraction(0)
+    ),
+    "bounded_policy_exists vacuous": lambda m, em, p, h: oracle.bounded_policy_exists(
+        m, h, 2 << 2, Fraction(0)
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_a_negative_horizon_is_refused_before_any_step(monkeypatch, entry):
+    rm = random_bounded_mdp(random.Random(5), 2, 2)
+    policy = random_stationary_policy(random.Random(6), 2, 2)
+    em = md.expand(rm.mdp)
+
+    def no_step(*args):
+        raise AssertionError("stepped the model before checking the horizon")
+
+    monkeypatch.setattr(md, "_step", no_step)
+    what = "depth" if entry == "enumerate_trajectories" else "horizon"
+    with pytest.raises(ValueError, match=f"^{what} must be nonnegative, got -1$"):
+        ENTRY_POINTS[entry](rm.mdp, em, policy, -1)

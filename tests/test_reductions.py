@@ -275,7 +275,7 @@ def test_satnext_expansion_is_stable():
 
 def test_write_instance_files(tmp_path):
     inst = majsat_to_eval(Cnf(2, ((1, 2),)))
-    write_instance(inst, tmp_path, extra_expected=["expected_reward 3/4"])
+    write_instance(inst, tmp_path)
     for fname in ("mdp.manifest", "policy.manifest", "formula.cnf", "instance.txt", "expected.txt"):
         assert (tmp_path / fname).exists()
     m2, horizon = md.load_mdp(tmp_path / "mdp.manifest")

@@ -3,6 +3,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from smdp.cli import main
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
@@ -22,9 +24,30 @@ def test_run_suites_runs_from_a_checkout(tmp_path):
     assert [line.split()[0] for line in proc.stdout.splitlines()] == ["normalization", "evalreward"]
 
 
+# the `smdp` command that writes each gallery directory from its formula.cnf
+GALLERY_COMMANDS = {
+    "satnext_sat": ["gen-satnext"],
+    "satnext_unsat": ["gen-satnext"],
+    "majsat": ["gen-majsat"],
+    "emajsat": ["gen-emajsat", "--num-x", "1"],
+    "unsatcons": ["gen-unsatcons"],
+    "forall": ["gen-forall", "--num-x", "1"],
+}
+
+
 def test_gen_examples_imports_from_a_checkout(tmp_path):
-    proc = run_script("gen_examples.py", "--help", cwd=tmp_path)
+    proc = run_script("gen_examples.py", "-o", "gallery", cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
+    gallery = tmp_path / "gallery"
+    assert sorted(p.name for p in gallery.iterdir()) == sorted(GALLERY_COMMANDS)
+    for sub, argv in GALLERY_COMMANDS.items():
+        made, out = gallery / sub, tmp_path / "cli" / sub
+        assert main(argv + [str(made / "formula.cnf"), "-o", str(out)]) == 0
+        assert "[derived: " in (made / "expected.txt").read_text()
+        names = sorted(p.name for p in made.iterdir())
+        assert names == sorted(p.name for p in out.iterdir())
+        for name in names:
+            assert (made / name).read_bytes() == (out / name).read_bytes(), f"{sub}/{name}"
 
 
 def test_bench_pairs_summarizes_the_pairs(tmp_path):
