@@ -11,8 +11,9 @@ them, one run at a time: odd pairs run the parent first, even pairs the
 change first. Per end-to-end metric of the change's BENCHMARK.json, the file
 records both sides' runs, their medians, the parent's interquartile range
 (statistics.quantiles, n=4), the pairs in which the change reads better
-(ties count for neither) and the ratio of the medians. Runs of other
-workloads already in `--out` are kept, so one file collects every workload.
+(ties count for neither), the ratio of the medians and a verdict (see
+`verdict`). Runs of other workloads already in `--out` are kept, so one file
+collects every workload.
 """
 
 from __future__ import annotations
@@ -50,14 +51,52 @@ def machine() -> dict:
     }
 
 
+def iqr(values: list) -> float:
+    """The distance between the quartiles (statistics.quantiles, n=4)."""
+    if len(values) < 2:
+        return 0.0
+    q = statistics.quantiles(values, n=4)
+    return q[2] - q[0]
+
+
+def change_wins(parent: list, change: list, lower: bool) -> int:
+    """The pairs in which the change reads better; ties count for neither."""
+    return sum((c < p) if lower else (c > p) for p, c in zip(parent, change))
+
+
+def verdict(parent: list, change: list, lower: bool, bound: float) -> str:
+    """How one metric reads over the pairs, parent[i] and change[i] being
+    pair i:
+
+    - ``gain``: the change reads better in at least 9/10 of the pairs (ties
+      count for neither) and its median is better than the parent's by more
+      than the parent's interquartile range;
+    - ``worse``: the change's median is worse than the parent's by more than
+      `bound`, a fraction of the parent's median;
+    - ``unresolved``: the interquartile range of either side is wider than
+      that bound, and not every run of the change reads better than every
+      run of the parent;
+    - ``flat``: otherwise.
+    """
+    sign = -1 if lower else 1  # sign * (a - b) > 0 when a reads better than b
+    pm, cm = statistics.median(parent), statistics.median(change)
+    if change_wins(parent, change, lower) >= 0.9 * len(parent) and sign * (cm - pm) > iqr(parent):
+        return "gain"
+    if sign * (pm - cm) > bound * abs(pm):
+        return "worse"
+    worst_change = max(change) if lower else min(change)
+    best_parent = min(parent) if lower else max(parent)
+    if max(iqr(parent), iqr(change)) > bound * abs(pm) and sign * (worst_change - best_parent) <= 0:
+        return "unresolved"
+    return "flat"
+
+
 def summarize(spec: dict, runs: dict) -> dict:
     out = {}
     for m in spec["end_to_end"]:
         name, lower = m["name"], m["better"] == "lower"
         parent = [r["metrics"][name]["value"] for r in runs["parent"]]
         change = [r["metrics"][name]["value"] for r in runs["change"]]
-        wins = sum((c < p) if lower else (c > p) for p, c in zip(parent, change))
-        q = statistics.quantiles(parent, n=4) if len(parent) > 1 else [parent[0]] * 3
         pm, cm = statistics.median(parent), statistics.median(change)
         out[name] = {
             "unit": m["unit"],
@@ -67,9 +106,10 @@ def summarize(spec: dict, runs: dict) -> dict:
             "change_runs": [round(v, 5) for v in change],
             "parent_median": round(pm, 5),
             "change_median": round(cm, 5),
-            "parent_iqr": round(q[2] - q[0], 5),
-            "change_wins": wins,
+            "parent_iqr": round(iqr(parent), 5),
+            "change_wins": change_wins(parent, change, lower),
             "change_over_parent": round(cm / pm, 4) if pm else None,
+            "verdict": verdict(parent, change, lower, m["bound"]),
         }
     return out
 
@@ -108,7 +148,7 @@ def main(argv=None) -> int:
         f"{args.seconds:g} --trace 0 in a parent and a change checkout, one run at a time on "
         "the same host; pair i runs seed i on both sides, odd pairs parent first, even pairs "
         "change first; medians over the pairs, the parent's interquartile range, the pairs "
-        "the change wins, and the ratio of the medians"
+        "the change wins, the ratio of the medians and a verdict (bench_pairs.verdict)"
     )
     doc.setdefault("workloads", {})[args.workload] = {
         "pairs": len(seeds),

@@ -7,9 +7,10 @@ for the gate with id j. Gate ids are strictly increasing and every operand
 must refer to an input or an earlier gate, so acyclicity holds by
 construction.
 
-Each circuit is compiled once, when it is constructed, to one integer
-instruction per gate. `eval` and `eval_batch` both run that program in one
-kernel over Python ints used as bit vectors, one bit per input row.
+Each circuit is compiled once to one integer instruction per gate: when it
+is constructed, or by `parse` line by line as it reads a netlist. `eval` and
+`eval_batch` both run that program in one kernel over Python ints used as
+bit vectors, one bit per input row.
 `eval_batch` takes either a bool array, which it packs into those column
 words and unpacks again, or the words themselves as `Columns`, which it
 returns as `Columns`: a caller that builds its inputs as words and reads its
@@ -18,8 +19,8 @@ outputs as words never converts representations per call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, NamedTuple, Sequence, Tuple
+from dataclasses import KW_ONLY, InitVar, dataclass
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -67,29 +68,17 @@ class Circuit:
     gates: Tuple[Gate, ...]
     outputs: Tuple[str, ...]
     name: str = "c"
+    _: KW_ONLY
+    _compiled: InitVar[Optional["_Compiler"]] = None  # the gates, compiled by `parse`
 
-    def __post_init__(self):
-        # Compile once into one (opcode, a, b) instruction per gate. Operands
-        # are slot indices: input k is slot k, and each gate takes the next
-        # slot after the inputs and the gates before it. The instructions
-        # are kept as three int columns, not a tuple per gate: surviving
-        # tuples would make the garbage collector run far more often while
-        # models with many circuits are built.
-        gate_slots: Dict[str, int] = {}
-        ops: List[int] = []
-        a_slots: List[int] = []
-        b_slots: List[int] = []
-        prev = -1
-        for g in self.gates:
-            op, a, b = _compile_gate(g, prev, self.num_inputs, gate_slots)
-            ops.append(op)
-            a_slots.append(a)
-            b_slots.append(b)
-            prev = g.gid
-        object.__setattr__(self, "_program", (tuple(ops), tuple(a_slots), tuple(b_slots)))
-        object.__setattr__(
-            self, "_output_slots", tuple(_resolve(r, self.num_inputs, gate_slots) for r in self.outputs)
-        )
+    def __post_init__(self, compiled):
+        # compile once, unless `parse` compiled the gates already, line by line
+        if compiled is None:
+            compiled = _Compiler(self.num_inputs)
+            for g in self.gates:
+                compiled.add(g)
+        object.__setattr__(self, "_program", tuple(map(tuple, compiled.columns)))
+        object.__setattr__(self, "_output_slots", tuple(map(compiled.slot, self.outputs)))
 
     @property
     def num_outputs(self) -> int:
@@ -115,20 +104,40 @@ def _resolve(ref: str, num_inputs: int, gate_slots: Dict[str, int]) -> int:
     )
 
 
-def _compile_gate(g: Gate, prev_gid: int, num_inputs: int, gate_slots: Dict[str, int]):
-    """Check one gate against the gates before it, register its slot, and
-    return its ``(opcode, a, b)`` instruction."""
-    if g.gid <= prev_gid:
-        raise CircuitError(f"gate ids must be strictly increasing, got g{g.gid}")
-    arity = ARITY.get(g.kind)
-    if arity is None:
-        raise CircuitError(f"unknown gate kind {g.kind!r}")
-    if len(g.args) != arity:
-        raise CircuitError(f"gate g{g.gid}: {g.kind} takes {arity} operands, got {len(g.args)}")
-    a = _resolve(g.args[0], num_inputs, gate_slots) if arity else 0
-    b = _resolve(g.args[1], num_inputs, gate_slots) if arity == 2 else 0
-    gate_slots[f"g{g.gid}"] = num_inputs + len(gate_slots)
-    return (_OPCODE[g.kind], a, b)
+class _Compiler:
+    """Gate-at-a-time compilation to one (opcode, a, b) instruction per gate.
+    Operands are slot indices: input k is slot k, and each gate takes the
+    next slot after the inputs and the gates before it. The instructions are
+    kept as three int columns, not a tuple per gate: surviving tuples would
+    make the garbage collector run far more often while models with many
+    circuits are built."""
+
+    def __init__(self, num_inputs: int):
+        self.num_inputs = num_inputs
+        self.gate_slots: Dict[str, int] = {}
+        self.columns: Tuple[List[int], List[int], List[int]] = ([], [], [])
+        self.prev_gid = -1
+
+    def slot(self, ref: str) -> int:
+        return _resolve(ref, self.num_inputs, self.gate_slots)
+
+    def add(self, g: Gate) -> None:
+        """Check one gate against the gates before it, register its slot and
+        append its instruction."""
+        if g.gid <= self.prev_gid:
+            raise CircuitError(f"gate ids must be strictly increasing, got g{g.gid}")
+        arity = ARITY.get(g.kind)
+        if arity is None:
+            raise CircuitError(f"unknown gate kind {g.kind!r}")
+        if len(g.args) != arity:
+            raise CircuitError(f"gate g{g.gid}: {g.kind} takes {arity} operands, got {len(g.args)}")
+        ops, a_slots, b_slots = self.columns
+        n, slots = self.num_inputs, self.gate_slots
+        ops.append(_OPCODE[g.kind])
+        a_slots.append(_resolve(g.args[0], n, slots) if arity else 0)
+        b_slots.append(_resolve(g.args[1], n, slots) if arity == 2 else 0)
+        slots[f"g{g.gid}"] = n + len(slots)
+        self.prev_gid = g.gid
 
 
 def _run(c: Circuit, vals: List[int], mask: int) -> List[int]:
@@ -432,7 +441,7 @@ def parse(text: str) -> Circuit:
     name = None
     num_inputs = None
     gates: List[Gate] = []
-    gate_slots: Dict[str, int] = {}
+    compiled = None
     outputs = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -450,6 +459,7 @@ def parse(text: str) -> Circuit:
             if num_inputs is not None:
                 raise NetlistError("second inputs declaration", lineno)
             num_inputs = int(parts[1])
+            compiled = _Compiler(num_inputs)
         elif kw == "gate":
             if num_inputs is None:
                 raise NetlistError("gate before inputs declaration", lineno)
@@ -461,7 +471,7 @@ def parse(text: str) -> Circuit:
                 raise NetlistError(f"bad gate id {parts[1]!r}", lineno)
             g = Gate(gid, parts[2], tuple(parts[3:]))
             try:
-                _compile_gate(g, gates[-1].gid if gates else -1, num_inputs, gate_slots)
+                compiled.add(g)
             except CircuitError as exc:
                 raise NetlistError(str(exc), lineno) from None
             gates.append(g)
@@ -470,7 +480,7 @@ def parse(text: str) -> Circuit:
                 raise NetlistError("outputs before inputs declaration", lineno)
             try:
                 for ref in parts[1:]:
-                    _resolve(ref, num_inputs, gate_slots)
+                    compiled.slot(ref)
             except CircuitError as exc:
                 raise NetlistError(str(exc), lineno) from None
             outputs = tuple(parts[1:])
@@ -480,7 +490,7 @@ def parse(text: str) -> Circuit:
         raise NetlistError("missing inputs declaration", 1)
     if outputs is None:
         raise NetlistError("missing outputs declaration", 1)
-    return Circuit(num_inputs, tuple(gates), outputs, name or "c")
+    return Circuit(num_inputs, tuple(gates), outputs, name or "c", _compiled=compiled)
 
 
 def read_netlist(path) -> Circuit:

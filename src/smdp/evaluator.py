@@ -90,28 +90,15 @@ def _forward(
     yield frontier, num, paths
     for d in range(1, horizon + 1):
         states = frontier[:, frontier.shape[1] - n :]
-        acts = np.array(
-            policy.decide_batch(frontier if reads_history else states, d - 1, horizon - d + 1)
-        )
-        _, first = np.unique(acts, return_index=True)
-        src_parts, succ_parts, num_parts = [], [], []
-        for a in acts[np.sort(first)].tolist():  # actions in order of first use
-            rows = np.flatnonzero(acts == a)
-            src, succ, nums = md._step(m, states[rows], a)
-            src_parts.append(rows[src])
-            succ_parts.append(succ)
-            num_parts.append(nums)
-        src = np.concatenate(src_parts)
-        succ = np.concatenate(succ_parts)
-        weights = num[src] * np.concatenate(num_parts).astype(dtype)
+        acts = policy.decide_batch(frontier if reads_history else states, d - 1, horizon - d + 1)
+        src, succ, nums = md._step(m, states, acts)
+        weights = num[src] * nums.astype(dtype)
         if histories:
             visited += len(src)
             if visited > limit:
                 raise md._limit_error("history count", limit + 1, limit)
-            order = np.argsort(src, kind="stable")
-            src = src[order]
-            frontier = np.concatenate([frontier[src], succ[order]], axis=1)
-            num = weights[order]
+            frontier = np.concatenate([frontier[src], succ], axis=1)
+            num = weights
             paths = paths[src]
         else:
             # sort-based duplicate detection: unsigned keys sort as the bit tuples do
@@ -261,21 +248,21 @@ class _LockstepWalk:
         return [decided[i] for i in cur]
 
     def fill_successors(self, pairs: List[Tuple[int, int]]) -> None:
-        """Step the (state id, action) pairs not yet cached: one `md._step`
-        call per action, its sources in first-seen order."""
-        by_action: Dict[int, List[int]] = {}
-        for i, a in dict.fromkeys(pairs):
-            if (i, a) not in self.succ:
-                by_action.setdefault(a, []).append(i)
-        for a, sources in by_action.items():
-            src, succ, nums = md._step(
-                self.m, np.array([self.states[i] for i in sources], dtype=bool), a
-            )
-            dst = [self.id_of(s2) for s2 in row_tuples(succ)]
-            nums = nums.tolist()
-            ends = np.cumsum(np.bincount(src, minlength=len(sources))).tolist()
-            for i, lo, hi in zip(sources, [0] + ends, ends):
-                self.succ[(i, a)] = (dst[lo:hi], list(accumulate(nums[lo:hi])))
+        """Step the (state id, action) pairs not yet cached, in first-seen
+        order, with one `md._step` call."""
+        todo = [p for p in dict.fromkeys(pairs) if p not in self.succ]
+        if not todo:
+            return
+        src, succ, nums = md._step(
+            self.m,
+            np.array([self.states[i] for i, _ in todo], dtype=bool),
+            [a for _, a in todo],
+        )
+        dst = [self.id_of(s2) for s2 in row_tuples(succ)]
+        nums = nums.tolist()
+        ends = np.cumsum(np.bincount(src, minlength=len(todo))).tolist()
+        for p, lo, hi in zip(todo, [0] + ends, ends):
+            self.succ[p] = (dst[lo:hi], list(accumulate(nums[lo:hi])))
 
     def fill_rewards(self, ids: List[int]) -> None:
         new = [i for i in dict.fromkeys(ids) if i not in self.rewards]

@@ -8,10 +8,15 @@ integer. A bounded-action MDP also has one successor circuit per action that
 lists the successors of a state slot by slot; without them, every one of
 the 2**n states is a candidate successor.
 
-`_step` is the one checked successor step. It packs the frontier once into
-column words (`circuit.Columns`), runs both circuits on slot-major
-byte-aligned blocks of rows and unpacks once, so no bool array is built per
-circuit call. `expand_many` keeps its frontier as a bool array.
+`_step` is the one checked successor step, under one action for every row
+or one action per row. The rows of each action are packed once into column
+words (`circuit.Columns`) in slot-major byte-aligned blocks, on which that
+action's successor circuit runs; the transition circuit then runs once on
+the blocks of every action stacked, and only the valid rows are read back
+from its output words, so no bool array is built per circuit call.
+`expand_many` keeps its frontier as a bool array and steps each layer's
+(state, action) pairs in action-major order, one `_step` call per chunk of
+at most `_STEP_ROWS` candidate rows.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import islice
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -36,9 +42,13 @@ from .bits import (
     unsigned_rows,
     width_for_count,
     word_bits,
+    word_bits_at,
 )
 
 DEFAULT_STATE_LIMIT = 1 << 20
+# the most candidate rows per `_step` call of `expand_many`: whole layers in
+# one call took more memory and time on large expansions (see ROADMAP)
+_STEP_ROWS = 1 << 16
 
 
 class ModelError(ValueError):
@@ -231,27 +241,85 @@ def reward_batch(m: SuccinctMdp, states: Sequence[BitVector]) -> List[int]:
     return [int(v) for v in signed_rows(out)]
 
 
-def _step(m: SuccinctMdp, states_arr: np.ndarray, a: int):
-    """One checked step of action a from every row of a bool state array.
+def _duplicate_slot(valid: int, succ_words: List[int], blocks: int, npad: int) -> bool:
+    """Whether a source lists one successor in two valid slots. In the
+    slot-major layout of `_step`, a row of slot k and the row d blocks up are
+    the same source's slots k and k + d: both valid with no successor bit
+    differing is a duplicate."""
+    for d in range(1, blocks):
+        shift = d * npad
+        same = valid & (valid >> shift)
+        for w in succ_words:
+            if not same:
+                break
+            same &= ~(w ^ (w >> shift))
+        if same:
+            return True
+    return False
+
+
+def _stack(groups: List[List[int]], sizes: List[int]) -> List[int]:
+    """The column words of several row groups stacked in order: column j
+    holds column j of each group in turn, group g taking sizes[g] rows."""
+    if len(groups) == 1:
+        return groups[0]
+    stacked = []
+    for col in zip(*groups):
+        word, offset = 0, 0
+        for w, size in zip(col, sizes):
+            word |= w << offset
+            offset += size
+        stacked.append(word)
+    return stacked
+
+
+def _step(m: SuccinctMdp, states_arr: np.ndarray, a):
+    """One checked step from every row of a bool state array: under action
+    index `a`, or under ``a[r]`` from row r when `a` holds one action index
+    per row.
 
     Returns ``(src, succ, nums)`` with one row per positive-probability
     transition, in source order: the source row index, the successor bits
     and the numerator over D. Candidates are the valid slots of the successor
-    circuit, or all 2**n states for a model without one. Raises ModelError,
-    checking in this order, if the action index is out of range, an
-    enumerator lists a state twice, a numerator exceeds D, an enumerator
-    lists a zero-probability state, or a source's numerators do not sum to D.
+    circuit, or all 2**n states for a model without one. Raises ModelError if
+    an action index is out of range. Then, action by action in order of
+    first use, so that one call per action in that order would raise the
+    same error first, it raises ModelError if an enumerator lists a state
+    twice, a numerator exceeds D, an enumerator lists a zero-probability
+    state, or a source's numerators do not sum to D.
 
-    The circuits run on column words (`bits.column_words`) in slot-major
-    order: block k of npad rows holds candidate k of every source, source r
-    in row k·npad + r. A model without successor circuits has 2**n blocks,
-    block k listing state k. The frontier is packed once, and the valid,
-    successor and numerator columns are unpacked once.
+    The circuits run on column words (`bits.column_words`). The rows of one
+    action form a group in slot-major order: block k of npad rows holds
+    candidate k of each of the group's sources, source r in row k·npad + r.
+    A model without successor circuits has 2**n blocks, block k listing
+    state k. Each group's states are packed once and its action's successor
+    circuit runs on its rows alone; the transition circuit runs once on all
+    groups stacked, the action bits constant within each group. Only the
+    valid rows are read back, from their positions in the output words.
     """
-    if not 0 <= a < len(m.actions):
-        raise ModelError(f"action index {a} out of range")
     n_src, n = len(states_arr), m.num_vars
     D = m.prob_denominator
+    if isinstance(a, (int, np.integer)):
+        used, acts = [int(a)], None
+    else:
+        acts = np.asarray(a, dtype=np.int64)
+        used = list(dict.fromkeys(acts.tolist()))  # in order of first use
+    if len(used) == 1:
+        groups = [(used[0], np.arange(n_src))]
+    else:
+        groups = [(b, np.flatnonzero(acts == b)) for b in used]
+    out_of_range = None
+    for g, (b, _) in enumerate(groups):
+        if not 0 <= b < len(m.actions):
+            # the actions used before it step first: a fault of theirs comes first
+            out_of_range, groups = b, groups[:g]
+            break
+    if not groups:
+        if out_of_range is not None:
+            raise ModelError(f"action index {out_of_range} out of range")
+        return np.zeros(0, np.int64), np.zeros((0, n), bool), unsigned_rows(
+            np.zeros((0, m.prob_num_width), bool)
+        )
     if m.successor_circuits:
         B, index_width = m.max_branching, m.slot_width
     else:
@@ -259,58 +327,93 @@ def _step(m: SuccinctMdp, states_arr: np.ndarray, a: int):
         if (1 << n) > limit:
             raise _limit_error(f"successor candidates (2^{n})", 1 << n, limit)
         B, index_width = 1 << n, n
-    s_words, npad = column_words(states_arr, B)
-    rows = B * npad
-    index = block_index_words(index_width, B, npad)
-    real = int.from_bytes(((1 << n_src) - 1).to_bytes(npad // 8, "little") * B, "little")
-    if m.successor_circuits:
-        valid, *succ_words = ct.eval_batch(
-            m.successor_circuits[a], ct.Columns(s_words + list(index), rows)
-        ).words
-        valid &= real
-        # a row of slot k and the row d blocks up are the same source's slots
-        # k and k + d: both valid with no successor bit differing is a duplicate
-        for d in range(1, B):
-            shift = d * npad
-            same = valid & (valid >> shift)
-            for w in succ_words:
-                if not same:
-                    break
-                same &= ~(w ^ (w >> shift))
-            if same:
-                raise ModelError(f"duplicate successor slot in enumerator for {m.actions[a]}")
-    else:
-        valid, succ_words = real, list(index)
-    a_words = [(1 << rows) - 1 if bit else 0 for bit in int_to_bits(a, m.action_width)]
+    s_cols, succ_cols, a_cols, sizes, dup, src_parts, pos_parts = [], [], [], [], [], [], []
+    packed: Dict[bytes, Tuple[List[int], int]] = {}
+    for b, rows in groups:
+        group_states = states_arr if len(rows) == n_src else states_arr[rows]
+        # groups of equal states, as the actions of an expansion layer, pack once
+        key = group_states.tobytes() if len(groups) > 1 else b""
+        if key not in packed:
+            packed[key] = column_words(group_states, B)
+        s_words, npad = packed[key]
+        size = B * npad
+        index = block_index_words(index_width, B, npad)
+        real = int.from_bytes(((1 << len(rows)) - 1).to_bytes(npad // 8, "little") * B, "little")
+        if m.successor_circuits:
+            valid, *succ_words = ct.eval_batch(
+                m.successor_circuits[b], ct.Columns(s_words + list(index), size)
+            ).words
+            valid &= real
+            dup.append(_duplicate_slot(valid, succ_words, B, npad))
+        else:
+            valid, succ_words = real, list(index)
+            dup.append(False)
+        # the valid rows in source order: the transposed (B, npad) grid is source-major
+        keep = np.flatnonzero(word_bits([valid], size)[0].reshape(B, npad).T)
+        local = keep // B
+        src_parts.append(rows[local])
+        pos_parts.append(sum(sizes) + (keep % B) * npad + local)
+        s_cols.append(s_words)
+        succ_cols.append(succ_words)
+        a_cols.append([(1 << size) - 1 if bit else 0 for bit in int_to_bits(b, m.action_width)])
+        sizes.append(size)
+    succ_words, rows_total = _stack(succ_cols, sizes), sum(sizes)
     num_words = ct.eval_batch(
-        m.t_circuit, ct.Columns(s_words + succ_words + a_words, rows)
+        m.t_circuit,
+        ct.Columns(_stack(s_cols, sizes) + succ_words + _stack(a_cols, sizes), rows_total),
     ).words
-    grid = word_bits([valid, *succ_words, *num_words], rows)
-    # the valid rows in source order: the transposed (B, npad) grid is source-major
-    keep = np.flatnonzero(grid[0].reshape(B, npad).T)
-    src = keep // B
-    picked = grid[1:, (keep % B) * npad + src]
+    if len(groups) == 1:
+        src, pos = src_parts[0], pos_parts[0]
+    else:
+        src, pos = np.concatenate(src_parts), np.concatenate(pos_parts)
+        order = np.argsort(src, kind="stable")
+        src, pos = src[order], pos[order]
+    picked = word_bits_at(succ_words + num_words, rows_total, pos)
     succ = np.ascontiguousarray(picked[:n].T)
     nums = unsigned_rows(picked[n:].T)
     over = nums > D
-    if over.any():
-        raise ModelError(f"transition numerator {int(nums[over][0])} exceeds denominator {D}")
-    positive = nums > 0
-    if not positive.all():
-        if m.successor_circuits:
-            raise ModelError(
-                f"successor enumerator for {m.actions[a]} lists a zero-probability state"
-            )
-        src, succ, nums = src[positive], succ[positive], nums[positive]
-    # every numerator is at most D, so int64 sums cannot wrap while D * len(src) < 2**63
-    totals = np.zeros(n_src, dtype=np.int64 if D * len(src) < 1 << 63 else object)
+    zero = nums == 0
+    any_over, any_zero = over.any(), zero.any()
+    # with every numerator at most D, int64 sums cannot wrap while D * len(src) < 2**63
+    exact = any_over or D * len(src) >= 1 << 63
+    totals = np.zeros(n_src, dtype=object if exact else np.int64)
     np.add.at(totals, src, nums.astype(totals.dtype))
-    if (totals != D).any():
-        k = int(np.flatnonzero(totals != D)[0])
-        raise ModelError(
-            f"probabilities from state {tuple(states_arr[k].astype(int).tolist())} under "
-            f"{m.actions[a]} sum to {int(totals[k])}/{D}, not 1"
-        )
+    bad = totals != D
+    if (
+        out_of_range is not None
+        or any(dup)
+        or any_over
+        or (m.successor_circuits and any_zero)
+        or bad.any()
+    ):
+        group_of = np.empty(n_src, dtype=np.int64)
+        for g, (_, sources) in enumerate(groups):
+            group_of[sources] = g
+        row_group = group_of[src]
+        for g, (b, sources) in enumerate(groups):
+            if dup[g]:
+                raise ModelError(f"duplicate successor slot in enumerator for {m.actions[b]}")
+            hit = over & (row_group == g)
+            if hit.any():
+                raise ModelError(
+                    f"transition numerator {int(nums[hit][0])} exceeds denominator {D}"
+                )
+            if m.successor_circuits and (zero & (row_group == g)).any():
+                raise ModelError(
+                    f"successor enumerator for {m.actions[b]} lists a zero-probability state"
+                )
+            failing = sources[bad[sources]]
+            if len(failing):
+                k = int(failing[0])
+                raise ModelError(
+                    f"probabilities from state {tuple(states_arr[k].astype(int).tolist())} "
+                    f"under {m.actions[b]} sum to {int(totals[k])}/{D}, not 1"
+                )
+        # the actions before it passed every check
+        raise ModelError(f"action index {out_of_range} out of range")
+    if any_zero:
+        positive = ~zero
+        src, succ, nums = src[positive], succ[positive], nums[positive]
     return src, succ, nums
 
 
@@ -386,10 +489,19 @@ def expand_many(
     layers: List[List[Tuple[np.ndarray, ...]]] = [[] for _ in m.actions]  # (src, dst, num)
     found = [root_arr[first]]  # the states in index order, one array per layer
     base = 0  # the frontier holds the states base .. base + len(frontier) - 1
-    while len(found[-1]):
-        frontier, fresh = found[-1], []
-        for a in range(len(m.actions)):
-            src, succ, nums = _step(m, frontier, a)
+    per_chunk = max(1, _STEP_ROWS // (m.max_branching if m.successor_circuits else 1 << n))
+
+    def step_pairs(frontier: np.ndarray, chunks: List[np.ndarray]) -> List[np.ndarray]:
+        """Step the layer's pairs chunk by chunk, pair j being action j // F
+        from frontier row j % F (F rows), and number the successors; returns
+        the new states in discovery order."""
+        fresh = []
+        for pairs in chunks:
+            acts, rows = np.divmod(pairs, len(frontier))
+            if acts[0] == acts[-1]:  # rows lo..hi of one action: a slice of the frontier
+                src, succ, nums = _step(m, frontier[rows[0] : rows[-1] + 1], int(acts[0]))
+            else:
+                src, succ, nums = _step(m, frontier[rows], acts)
             keys, kw = _pack_keys(succ)
             old = len(index)
             # a new key takes the next index, so new states keep discovery order
@@ -402,7 +514,28 @@ def expand_many(
                     raise _limit_error("reachable state count", limit + 1, limit)
                 new = np.flatnonzero(dst >= old)
                 fresh.append(succ[new[np.unique(dst[new], return_index=True)[1]]])
-            layers[a].append((src + base, dst, nums))
+            # the rows are in pair order, so each action's rows are one run
+            ends = np.searchsorted(acts[src], np.arange(acts[0], acts[-1] + 1), side="right")
+            for a, lo, hi in zip(range(acts[0], acts[-1] + 1), [0, *ends[:-1]], ends):
+                layers[a].append((rows[src[lo:hi]] + base, dst[lo:hi], nums[lo:hi]))
+        return fresh
+
+    while len(found[-1]):
+        frontier = found[-1]
+        pairs = np.arange(len(frontier) * len(m.actions))
+        start = len(index)
+        try:
+            fresh = step_pairs(
+                frontier, [pairs[lo : lo + per_chunk] for lo in range(0, len(pairs), per_chunk)]
+            )
+        except ModelError:
+            # raise the error that one whole-frontier step per action, each
+            # numbered before the next, meets first: forget the layer's new
+            # states and step it that way
+            for key in list(islice(index, start, None)):
+                del index[key]
+            step_pairs(frontier, np.split(pairs, len(m.actions)))
+            raise
         base += len(frontier)
         found.append(np.concatenate(fresh) if fresh else root_arr[:0])
     states = np.concatenate(found)

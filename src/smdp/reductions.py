@@ -375,8 +375,9 @@ def _derived_lines(inst: ReductionInstance) -> List[str]:
         # a SAT search stops at the first model; a model count would not
         verdict = "inconsistent" if oracle.sat_oracle(cnf) else "consistent"
         return [f"expected_{verdict}  [derived: brute-force model count]"]
-    decide = {"emajsat": oracle.emajsat_oracle, "forallexists": oracle.forall_exists_oracle}
-    exists = decide[inst.name](cnf, inst.num_x)
+    # reward 1 needs every Y-extension to satisfy the formula, 1/2 at least half of them
+    decide = oracle.forall_exists_oracle if inst.reward_bound == 1 else oracle.emajsat_oracle
+    exists = decide(cnf, inst.num_x)
     return [f"expected_exists {'yes' if exists else 'no'}  [derived: brute-force enumeration]"]
 
 
@@ -680,7 +681,8 @@ def xy_sequential_policy(
 def emajsat_to_bounded_policy(cnf: Cnf, num_x: int, faithful_k: bool = False) -> ReductionInstance:
     """Bounded-size policy existence instance for the majority-of-extensions
     question. The reward bound defaults to 1/2 (the majority reading);
-    `faithful_k` selects the literal bound of 1."""
+    `faithful_k` selects the literal bound of 1, which some policy meets iff
+    some X-assignment has all of its Y-extensions satisfying the formula."""
     mdp, layout = _xy_mdp(cnf, num_x, "emajsat")
     reference = xy_sequential_policy(mdp, layout, [True] * num_x)
     return ReductionInstance(
@@ -695,8 +697,8 @@ def emajsat_to_bounded_policy(cnf: Cnf, num_x: int, faithful_k: bool = False) ->
         num_x=num_x,
         expected=(
             "a policy meeting the reward bound exists iff some X-assignment "
-            "has at least half of its Y-extensions satisfying the formula "
-            "(brute-force enumeration)"
+            f"has {'all' if faithful_k else 'at least half'} of its Y-extensions "
+            "satisfying the formula (brute-force enumeration)"
         ),
     )
 

@@ -67,6 +67,10 @@ EMAJSAT = (
     "a policy meeting the reward bound exists iff some X-assignment has at least half "
     "of its Y-extensions satisfying the formula (brute-force enumeration)\n"
 )
+EMAJSAT_ALL = (
+    "a policy meeting the reward bound exists iff some X-assignment has all "
+    "of its Y-extensions satisfying the formula (brute-force enumeration)\n"
+)
 UNSATCONS = (
     "the all-zero value function is consistent iff the formula has no model "
     "(brute-force model count)\n"
@@ -88,7 +92,7 @@ COMPACT = "mode compact: clause block shrunk to the instance clause count\n"
         (["gen-emajsat", "--num-x", "1"], Cnf(2, ((1, -2), (-1, 2))),
          EMAJSAT + "expected_exists yes  [derived: brute-force enumeration]\n"),
         (["gen-emajsat", "--num-x", "1", "--faithful-k"], Cnf(2, ((2,), (-2,))),
-         EMAJSAT + "expected_exists no  [derived: brute-force enumeration]\n"),
+         EMAJSAT_ALL + "expected_exists no  [derived: brute-force enumeration]\n"),
         (["gen-unsatcons"], Cnf(2, ((1,), (-1,))),
          UNSATCONS + "expected_consistent  [derived: brute-force model count]\n"),
         (["gen-unsatcons"], Cnf(2, ((1, 2),)),
@@ -97,12 +101,26 @@ COMPACT = "mode compact: clause block shrunk to the instance clause count\n"
          "a reward-1 deterministic X-choice exists iff some X-assignment has all "
          "Y-extensions satisfying the formula (brute-force check)\n"
          "expected_exists yes  [derived: brute-force enumeration]\n"),
+        # half of each X-assignment's extensions satisfy x1 <-> x2, none all of them
+        (["gen-emajsat", "--num-x", "1", "--faithful-k"], Cnf(2, ((1, -2), (-1, 2))),
+         EMAJSAT_ALL + "expected_exists no  [derived: brute-force enumeration]\n"),
     ],
 )
 def test_gen_writes_the_oracle_answer_to_expected_txt(tmp_path, capsys, argv, cnf, want):
     out = tmp_path / "inst"
     assert run(argv + [write_cnf(tmp_path, cnf), "-o", str(out)], capsys)[0] == 0
     assert (out / "expected.txt").read_text() == want
+
+
+def test_faithful_k_answers_for_the_reward_bound_of_1(tmp_path, capsys):
+    cnf = write_cnf(tmp_path, Cnf(2, ((1, -2), (-1, 2))))
+    out = tmp_path / "inst"
+    assert run(["gen-emajsat", "--num-x", "1", "--faithful-k", cnf, "-o", str(out)], capsys)[0] == 0
+    assert "reward_bound 1/1" in (out / "instance.txt").read_text()
+    assert "expected_exists no" in (out / "expected.txt").read_text()
+    code, text, _ = run(["solve", str(out / "mdp.manifest"), "--emit", "records"], capsys)
+    assert code == 0
+    assert dict(line.split("=", 1) for line in text.strip().splitlines())["value"] == "1/2"
 
 
 def test_gen_satnext_and_next_action_exit_codes(tmp_path, capsys):

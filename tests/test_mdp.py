@@ -1,6 +1,7 @@
 import hashlib
 import os
 import random
+import re
 from dataclasses import replace
 from fractions import Fraction
 
@@ -11,7 +12,7 @@ from smdp import circuit as ct
 from smdp import mdp as md
 from smdp.cnf import Cnf
 from smdp.random_models import random_bounded_mdp, random_circuit
-from smdp.reductions import majsat_to_eval
+from smdp.reductions import majsat_to_eval, sat_to_next_action
 
 from helpers import step_reference, transition_pairs, transition_prob
 
@@ -431,3 +432,113 @@ def test_faulty_enumerators_fail_in_each_checked_way():
             md._step(bad, ct.all_input_rows(3), 0)
         errors.add(str(info.value).split(" ")[0])
     assert errors == {"duplicate", "successor", "transition", "probabilities"}
+
+
+def _step_one_action_at_a_time(m, arr, acts):
+    """`step_reference` once per action, in order of first use, with each
+    action's rows put back at their sources: the rows `md._step` gives for
+    per-row actions, or the error the loop meets first."""
+    parts = []
+    for a in dict.fromkeys(acts.tolist()):
+        rows = np.flatnonzero(acts == a)
+        src, succ, nums = step_reference(m, arr[rows], a)
+        parts.append((rows[src], succ, nums))
+    if not parts:
+        return step_reference(m, arr, 0)  # no rows: the empty result
+    src, succ, nums = (np.concatenate(p) for p in zip(*parts))
+    order = np.argsort(src, kind="stable")
+    return src[order], succ[order], nums[order]
+
+
+def test_step_with_per_row_actions_matches_one_call_per_action():
+    rng = random.Random(11)
+    models = []
+    for seed in range(12):
+        rm = make_random(
+            seed,
+            num_vars=1 + seed % 4,
+            num_actions=1 + seed % 3,
+            max_branching=2 + seed % 4,
+            denominator=(1 << 70) if seed == 5 else 6 + seed % 5,
+        )
+        models += [rm.mdp, replace(rm.mdp, successor_circuits=(), max_branching=0)]
+        models += _faulty_variants(rm.mdp, rng)
+    got, want = [], []
+    for m in models:
+        n, k = m.num_vars, len(m.actions)
+        for size in (0, 1, 7, 8, 9, 63, 64, 65):
+            arr = np.array([[rng.randrange(2) for _ in range(n)] for _ in range(size)], dtype=bool)
+            arr = arr.reshape(size, n)
+            # a random subset of the actions, so some actions have no rows; and
+            # now and then an index past the last action
+            used = rng.sample(range(k + 1), rng.randint(1, k + 1)) if rng.random() < 0.3 else (
+                rng.sample(range(k), rng.randint(1, k))
+            )
+            acts = np.array([rng.choice(used) for _ in range(size)], dtype=np.int64)
+            for step in (md._step, _step_one_action_at_a_time):
+                out = got if step is md._step else want
+                try:
+                    src, succ, nums = step(m, arr, acts)
+                    out.append((src.dtype.str, src.tolist(), succ.dtype.str, succ.shape,
+                                succ.tobytes(), nums.dtype.str, nums.tolist()))
+                except md.ModelError as exc:
+                    out.append(("error", str(exc)))
+    assert got == want
+    assert sum(row[0] == "error" for row in want) > 50  # the faults are met
+
+
+def _explicit(em):
+    return (em.states, em.initial, em.actions, em.denominator, em.rewards,
+            [[(arr.dtype.str, arr.tolist()) for arr in arrays] for arrays in em.transitions])
+
+
+def test_expand_many_in_small_chunks_gives_the_same_model(monkeypatch):
+    rng = random.Random(12)
+    cases = []
+    for seed in range(8):
+        m = make_random(seed, num_vars=2 + seed % 3, num_actions=1 + seed % 3).mdp
+        for variant in (m, replace(m, successor_circuits=(), max_branching=0)):
+            roots = [tuple(rng.randrange(2) for _ in range(variant.num_vars)) for _ in range(3)]
+            cases.append((variant, roots))
+    # next-action states of two formulas with two clauses: one circuit MDP
+    inst = sat_to_next_action(Cnf(2, ((1, 2, 2), (-1, -2, -2))), mode="compact")
+    other = [inst.layout.literal_code(lit) for lit in (1, -2, 2, -1, 2, 1)]
+    cases.append((inst.mdp, [inst.state, inst.layout.encode(other)]))
+
+    def outcome(m, roots):
+        try:
+            em, idx = md.expand_many(m, roots)
+        except md.ModelError as exc:
+            return str(exc)
+        return _explicit(em), idx
+
+    for limit in (None, "6"):  # and with the state limit tripped in a layer
+        if limit is not None:
+            monkeypatch.setenv("SMDP_LIMIT_STATES", limit)
+        want = [outcome(m, roots) for m, roots in cases]
+        with monkeypatch.context() as patch:
+            patch.setattr(md, "_STEP_ROWS", 8)
+            assert [outcome(m, roots) for m, roots in cases] == want
+
+
+@pytest.mark.parametrize("step_rows", [8, 1 << 16])
+def test_expand_raises_the_error_of_one_step_per_action(monkeypatch, step_rows):
+    monkeypatch.setattr(md, "_STEP_ROWS", step_rows)
+    m = make_random(4, num_vars=3, num_actions=3, max_branching=3).mdp
+    variants = _faulty_variants(m, random.Random(0))
+    # these enumerators fail under every action: the lowest action's error
+    for bad, want in zip(variants, ["duplicate successor slot in enumerator for u1",
+                                    "successor enumerator for u1 lists a zero-probability",
+                                    "transition numerator 7 exceeds denominator 6",
+                                    "probabilities from state (0, 0, 1) under u1 sum to 1/6"]):
+        with pytest.raises(md.ModelError, match=re.escape(want)):
+            md.expand(bad)
+    # only u2 lists a state twice, but the successors of u1 pass the state
+    # limit first: one step per action numbers them before u2 steps
+    twice = replace(m, successor_circuits=(m.successor_circuits[0], variants[0].successor_circuits[1],
+                                           m.successor_circuits[2]))
+    with pytest.raises(md.ModelError, match="duplicate successor slot in enumerator for u2"):
+        md.expand(twice)
+    monkeypatch.setenv("SMDP_LIMIT_STATES", "1")
+    with pytest.raises(md.EnumerationLimitError, match="reachable state count reached 2"):
+        md.expand(twice)

@@ -74,3 +74,33 @@ def test_bench_pairs_summarizes_the_pairs(tmp_path):
     assert (rate["parent_median"], rate["change_median"], rate["change_wins"]) == (11, 15, 2)
     assert rate["change_over_parent"] == round(15 / 11, 4)
     assert got["query_p50_s"]["change_wins"] == 1  # a tie counts for neither side
+
+
+def test_bench_pairs_verdicts():
+    sys.path.insert(0, str(SCRIPTS))
+    try:
+        import bench_pairs
+    finally:
+        sys.path.remove(str(SCRIPTS))
+    parent = [100, 101, 99, 100, 102, 98, 100, 101, 99, 100]  # IQR 1.5
+    higher, lower = (False, 0.25), (True, 0.25)
+    # 10/10 pairs won by more than the parent's IQR
+    assert bench_pairs.verdict(parent, [v + 5 for v in parent], *higher) == "gain"
+    assert bench_pairs.verdict(parent, [v - 5 for v in parent], *lower) == "gain"
+    # 9/10 is enough; 8/10 is not, nor a win inside the parent's IQR
+    nine = [v + 5 for v in parent[:9]] + [parent[9] - 1]
+    assert bench_pairs.verdict(parent, nine, *higher) == "gain"
+    eight = [v + 5 for v in parent[:8]] + [v - 1 for v in parent[8:]]
+    assert bench_pairs.verdict(parent, eight, *higher) == "flat"
+    assert bench_pairs.verdict(parent, [v + 1 for v in parent], *higher) == "flat"
+    # a median worse than the parent's by more than the bound
+    assert bench_pairs.verdict(parent, [v * 0.7 for v in parent], *higher) == "worse"
+    assert bench_pairs.verdict(parent, [v * 1.3 for v in parent], *lower) == "worse"
+    assert bench_pairs.verdict(parent, [v * 0.8 for v in parent], *higher) == "flat"
+    # runs spread wider than the bound, unless every change run reads better
+    wide = [60, 140, 100, 70, 130, 100, 65, 135, 100, 100]
+    assert bench_pairs.verdict(parent, wide, *higher) == "unresolved"
+    assert bench_pairs.verdict(wide, [200] * 10, *higher) == "gain"
+    ahead = [141, 142, 143] * 3 + [150]  # each above every parent run, by less than its IQR
+    assert bench_pairs.verdict(wide, ahead, *higher) == "flat"
+    assert bench_pairs.verdict(wide, ahead[:9] + [50], *higher) == "unresolved"
