@@ -14,7 +14,6 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 BitVector = tuple  # tuple of 0/1 ints
-GATHER_ROWS = 1 << 12  # `word_bits_at` reads words this long at the positions
 
 
 def width_for_count(count: int) -> int:
@@ -109,21 +108,6 @@ def word_bits(words: Sequence[int], rows: int) -> np.ndarray:
     return np.unpackbits(
         buf.reshape(len(words), nbytes), axis=1, count=rows, bitorder="little"
     ).view(bool)
-
-
-def word_bits_at(words: Sequence[int], rows: int, positions: np.ndarray) -> np.ndarray:
-    """``word_bits(words, rows)[:, positions]``. Words of at least
-    GATHER_ROWS rows are read at the positions, from their packed bytes,
-    without unpacking the other bits: that takes less memory and, on long
-    words, less time. Shorter words are unpacked, which costs fewer calls."""
-    if rows < GATHER_ROWS:
-        return word_bits(words, rows)[:, positions]
-    nbytes = (rows + 7) // 8
-    buf = np.frombuffer(b"".join(w.to_bytes(nbytes, "little") for w in words), dtype=np.uint8)
-    picked = np.take(buf.reshape(len(words), nbytes), positions >> 3, axis=1)
-    picked >>= (positions & 7).astype(np.uint8)
-    picked &= 1
-    return picked.view(bool)
 
 
 def row_tuples(rows) -> List[BitVector]:

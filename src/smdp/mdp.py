@@ -9,14 +9,14 @@ lists the successors of a state slot by slot; without them, every one of
 the 2**n states is a candidate successor.
 
 `_step` is the one checked successor step, under one action for every row
-or one action per row. The rows of each action are packed once into column
-words (`circuit.Columns`) in slot-major byte-aligned blocks, on which that
-action's successor circuit runs; the transition circuit then runs once on
-the blocks of every action stacked, and only the valid rows are read back
-from its output words, so no bool array is built per circuit call.
-`expand_many` keeps its frontier as a bool array and steps each layer's
-(state, action) pairs in action-major order, one `_step` call per chunk of
-at most `_STEP_ROWS` candidate rows.
+or one action per row. It cuts the rows, grouped by action, into pieces of
+at most `_STEP_ROWS` candidate rows (`_pieces`). In a piece (`_step_piece`)
+the rows of each action are packed into column words (`circuit.Columns`) in
+slot-major byte-aligned blocks, on which that action's successor circuit
+runs; the transition circuit then runs once on the blocks of every action
+stacked, so no bool array is built per circuit call. `expand_many` keeps its
+frontier as a bool array and cuts each layer's (state, action) pairs,
+action-major, into the same pieces, numbering the successors piece by piece.
 """
 
 from __future__ import annotations
@@ -42,12 +42,12 @@ from .bits import (
     unsigned_rows,
     width_for_count,
     word_bits,
-    word_bits_at,
 )
 
 DEFAULT_STATE_LIMIT = 1 << 20
-# the most candidate rows per `_step` call of `expand_many`: whole layers in
-# one call took more memory and time on large expansions (see ROADMAP)
+# the most candidate rows per piece of `_step` and `expand_many`, each one
+# transition-circuit pass: whole expansion layers in one pass took more
+# memory and time (see ROADMAP)
 _STEP_ROWS = 1 << 16
 
 
@@ -273,69 +273,60 @@ def _stack(groups: List[List[int]], sizes: List[int]) -> List[int]:
     return stacked
 
 
-def _step(m: SuccinctMdp, states_arr: np.ndarray, a):
-    """One checked step from every row of a bool state array: under action
-    index `a`, or under ``a[r]`` from row r when `a` holds one action index
-    per row.
-
-    Returns ``(src, succ, nums)`` with one row per positive-probability
-    transition, in source order: the source row index, the successor bits
-    and the numerator over D. Candidates are the valid slots of the successor
-    circuit, or all 2**n states for a model without one. Raises ModelError if
-    an action index is out of range. Then, action by action in order of
-    first use, so that one call per action in that order would raise the
-    same error first, it raises ModelError if an enumerator lists a state
-    twice, a numerator exceeds D, an enumerator lists a zero-probability
-    state, or a source's numerators do not sum to D.
-
-    The circuits run on column words (`bits.column_words`). The rows of one
-    action form a group in slot-major order: block k of npad rows holds
-    candidate k of each of the group's sources, source r in row k·npad + r.
-    A model without successor circuits has 2**n blocks, block k listing
-    state k. Each group's states are packed once and its action's successor
-    circuit runs on its rows alone; the transition circuit runs once on all
-    groups stacked, the action bits constant within each group. Only the
-    valid rows are read back, from their positions in the output words.
-    """
-    n_src, n = len(states_arr), m.num_vars
-    D = m.prob_denominator
-    if isinstance(a, (int, np.integer)):
-        used, acts = [int(a)], None
-    else:
-        acts = np.asarray(a, dtype=np.int64)
-        used = list(dict.fromkeys(acts.tolist()))  # in order of first use
-    if len(used) == 1:
-        groups = [(used[0], np.arange(n_src))]
-    else:
-        groups = [(b, np.flatnonzero(acts == b)) for b in used]
-    out_of_range = None
-    for g, (b, _) in enumerate(groups):
-        if not 0 <= b < len(m.actions):
-            # the actions used before it step first: a fault of theirs comes first
-            out_of_range, groups = b, groups[:g]
-            break
-    if not groups:
-        if out_of_range is not None:
-            raise ModelError(f"action index {out_of_range} out of range")
-        return np.zeros(0, np.int64), np.zeros((0, n), bool), unsigned_rows(
-            np.zeros((0, m.prob_num_width), bool)
-        )
+def _candidates(m: SuccinctMdp) -> Tuple[int, int]:
+    """The candidate successors per source and the width of their index:
+    the slots of the successor circuits, or all 2**n states."""
     if m.successor_circuits:
-        B, index_width = m.max_branching, m.slot_width
-    else:
-        limit = state_limit()
-        if (1 << n) > limit:
-            raise _limit_error(f"successor candidates (2^{n})", 1 << n, limit)
-        B, index_width = 1 << n, n
-    s_cols, succ_cols, a_cols, sizes, dup, src_parts, pos_parts = [], [], [], [], [], [], []
-    packed: Dict[bytes, Tuple[List[int], int]] = {}
+        return m.max_branching, m.slot_width
+    n, limit = m.num_vars, state_limit()
+    if (1 << n) > limit:
+        raise _limit_error(f"successor candidates (2^{n})", 1 << n, limit)
+    return 1 << n, n
+
+
+def _pieces(groups: List[Tuple[int, np.ndarray]], size: int):
+    """The rows of the (action, rows) groups in order, cut into pieces of at
+    most `size` rows; each piece is a list of (action, rows) parts. A group
+    that fits whole is its own part, with its own rows array."""
+    piece, room = [], size
     for b, rows in groups:
-        group_states = states_arr if len(rows) == n_src else states_arr[rows]
-        # groups of equal states, as the actions of an expansion layer, pack once
-        key = group_states.tobytes() if len(groups) > 1 else b""
-        if key not in packed:
-            packed[key] = column_words(group_states, B)
-        s_words, npad = packed[key]
+        lo = 0
+        while lo < len(rows):
+            part = rows if lo == 0 and len(rows) <= room else rows[lo : lo + room]
+            piece.append((b, part))
+            lo += len(part)
+            room -= len(part)
+            if not room:
+                yield piece
+                piece, room = [], size
+    if piece:
+        yield piece
+
+
+def _step_piece(m: SuccinctMdp, states_arr: np.ndarray, piece, B: int, index_width: int):
+    """One checked step of the (action, rows) parts of a piece, each part's
+    action from its rows of the state array, the actions distinct and in
+    range.
+
+    Returns ``(pair, succ, nums)`` as `_step` does, but ``pair`` indexes the
+    parts' rows concatenated, in that order. The parts are checked in order
+    and the first fault raises ModelError, as `_step` lists them.
+
+    The circuits run on column words (`bits.column_words`). Each part is laid
+    out slot-major: block k of npad rows holds candidate k of each of the
+    part's sources, source r in row k·npad + r. A model without successor
+    circuits has 2**n blocks, block k listing state k. Each part runs its
+    action's successor circuit alone; the transition circuit runs once on the
+    parts stacked, the action bits constant within each part."""
+    n, D = m.num_vars, m.prob_denominator
+    s_cols, succ_cols, a_cols, sizes, dup, pairs, pos = [], [], [], [], [], [], []
+    offset = first = 0
+    packed: Dict[int, Tuple[List[int], int]] = {}  # parts that share a rows array pack once
+    for b, rows in piece:
+        if id(rows) not in packed:
+            part_states = states_arr if len(rows) == len(states_arr) else states_arr[rows]
+            packed[id(rows)] = column_words(part_states, B)
+        s_words, npad = packed[id(rows)]
         size = B * npad
         index = block_index_words(index_width, B, npad)
         real = int.from_bytes(((1 << len(rows)) - 1).to_bytes(npad // 8, "little") * B, "little")
@@ -351,69 +342,130 @@ def _step(m: SuccinctMdp, states_arr: np.ndarray, a):
         # the valid rows in source order: the transposed (B, npad) grid is source-major
         keep = np.flatnonzero(word_bits([valid], size)[0].reshape(B, npad).T)
         local = keep // B
-        src_parts.append(rows[local])
-        pos_parts.append(sum(sizes) + (keep % B) * npad + local)
+        pairs.append(first + local)
+        pos.append(offset + (keep % B) * npad + local)
         s_cols.append(s_words)
         succ_cols.append(succ_words)
         a_cols.append([(1 << size) - 1 if bit else 0 for bit in int_to_bits(b, m.action_width)])
         sizes.append(size)
-    succ_words, rows_total = _stack(succ_cols, sizes), sum(sizes)
+        offset += size
+        first += len(rows)
+    succ_words = _stack(succ_cols, sizes)
     num_words = ct.eval_batch(
         m.t_circuit,
-        ct.Columns(_stack(s_cols, sizes) + succ_words + _stack(a_cols, sizes), rows_total),
+        ct.Columns(_stack(s_cols, sizes) + succ_words + _stack(a_cols, sizes), offset),
     ).words
-    if len(groups) == 1:
-        src, pos = src_parts[0], pos_parts[0]
-    else:
-        src, pos = np.concatenate(src_parts), np.concatenate(pos_parts)
-        order = np.argsort(src, kind="stable")
-        src, pos = src[order], pos[order]
-    picked = word_bits_at(succ_words + num_words, rows_total, pos)
+    pair = np.concatenate(pairs)
+    picked = word_bits(succ_words + num_words, offset)[:, np.concatenate(pos)]
     succ = np.ascontiguousarray(picked[:n].T)
     nums = unsigned_rows(picked[n:].T)
     over = nums > D
     zero = nums == 0
     any_over, any_zero = over.any(), zero.any()
-    # with every numerator at most D, int64 sums cannot wrap while D * len(src) < 2**63
-    exact = any_over or D * len(src) >= 1 << 63
-    totals = np.zeros(n_src, dtype=object if exact else np.int64)
-    np.add.at(totals, src, nums.astype(totals.dtype))
+    # with every numerator at most D, int64 sums cannot wrap while D * len(pair) < 2**63
+    exact = any_over or D * len(pair) >= 1 << 63
+    totals = np.zeros(first, dtype=object if exact else np.int64)
+    np.add.at(totals, pair, nums.astype(totals.dtype))
     bad = totals != D
-    if (
-        out_of_range is not None
-        or any(dup)
-        or any_over
-        or (m.successor_circuits and any_zero)
-        or bad.any()
-    ):
-        group_of = np.empty(n_src, dtype=np.int64)
-        for g, (_, sources) in enumerate(groups):
-            group_of[sources] = g
-        row_group = group_of[src]
-        for g, (b, sources) in enumerate(groups):
+    if any(dup) or any_over or (m.successor_circuits and any_zero) or bad.any():
+        starts = np.cumsum([0] + [len(rows) for _, rows in piece])
+        part_of = np.searchsorted(starts, pair, side="right") - 1
+        for g, (b, rows) in enumerate(piece):
             if dup[g]:
                 raise ModelError(f"duplicate successor slot in enumerator for {m.actions[b]}")
-            hit = over & (row_group == g)
+            hit = over & (part_of == g)
             if hit.any():
                 raise ModelError(
                     f"transition numerator {int(nums[hit][0])} exceeds denominator {D}"
                 )
-            if m.successor_circuits and (zero & (row_group == g)).any():
+            if m.successor_circuits and (zero & (part_of == g)).any():
                 raise ModelError(
                     f"successor enumerator for {m.actions[b]} lists a zero-probability state"
                 )
-            failing = sources[bad[sources]]
+            failing = np.flatnonzero(bad[starts[g] : starts[g + 1]])
             if len(failing):
-                k = int(failing[0])
+                k = int(rows[failing[0]])
+                t = int(totals[starts[g] + failing[0]])
                 raise ModelError(
                     f"probabilities from state {tuple(states_arr[k].astype(int).tolist())} "
-                    f"under {m.actions[b]} sum to {int(totals[k])}/{D}, not 1"
+                    f"under {m.actions[b]} sum to {t}/{D}, not 1"
                 )
-        # the actions before it passed every check
-        raise ModelError(f"action index {out_of_range} out of range")
     if any_zero:
         positive = ~zero
-        src, succ, nums = src[positive], succ[positive], nums[positive]
+        pair, succ, nums = pair[positive], succ[positive], nums[positive]
+    return pair, succ, nums
+
+
+def _no_transitions(m: SuccinctMdp):
+    """`_step`'s result for no rows."""
+    return (
+        np.zeros(0, np.int64),
+        np.zeros((0, m.num_vars), bool),
+        unsigned_rows(np.zeros((0, m.prob_num_width), bool)),
+    )
+
+
+def _step(m: SuccinctMdp, states_arr: np.ndarray, a):
+    """One checked step from every row of a bool state array: under action
+    index `a`, or under ``a[r]`` from row r when `a` holds one action index
+    per row.
+
+    Returns ``(src, succ, nums)`` with one row per positive-probability
+    transition, in source order: the source row index, the successor bits
+    and the numerator over D. Candidates are the valid slots of the successor
+    circuit, or all 2**n states for a model without one. The actions are
+    checked one by one in order of first use, so that one call per action in
+    that order would raise the same ModelError first. An action raises
+    ModelError if its index is out of range, or else if its enumerator lists
+    a state twice, a numerator exceeds D, its enumerator lists a
+    zero-probability state, or a source's numerators do not sum to D.
+
+    The rows, grouped by action, are stepped in pieces of at most
+    `_STEP_ROWS` candidate rows (`_step_piece`).
+    """
+    n_src = len(states_arr)
+    if isinstance(a, (int, np.integer)):
+        used, acts = [int(a)], None
+    else:
+        acts = np.asarray(a, dtype=np.int64)
+        used = list(dict.fromkeys(acts.tolist()))  # in order of first use
+    if len(used) == 1:
+        groups = [(used[0], np.arange(n_src))]
+    else:
+        groups = [(b, np.flatnonzero(acts == b)) for b in used]
+    out_of_range = None
+    for g, (b, _) in enumerate(groups):
+        if not 0 <= b < len(m.actions):
+            # the actions used before it step first: a fault of theirs comes first
+            out_of_range, groups = b, groups[:g]
+            break
+    if not groups:  # no rows, or the first action used is out of range
+        if out_of_range is not None:
+            raise ModelError(f"action index {out_of_range} out of range")
+        return _no_transitions(m)
+    B, index_width = _candidates(m)
+    pieces = list(_pieces(groups, max(1, _STEP_ROWS // B)))
+    out = []
+    try:
+        for piece in pieces:
+            pair, succ, nums = _step_piece(m, states_arr, piece, B, index_width)
+            out.append((np.concatenate([rows for _, rows in piece])[pair], succ, nums))
+    except ModelError:
+        if len(pieces) > 1:
+            # a later piece may hold the fault that one whole step of the
+            # same action meets first
+            for group in groups:
+                _step_piece(m, states_arr, [group], B, index_width)
+        raise
+    if out_of_range is not None:  # the actions before it passed every check
+        raise ModelError(f"action index {out_of_range} out of range")
+    if not out:
+        return _no_transitions(m)
+    src, succ, nums = map(np.concatenate, zip(*out)) if len(out) > 1 else out[0]
+    out.clear()  # free the pieces before the rows are sorted
+    if len(groups) > 1:  # each group's rows are in source order, but not the groups
+        order = np.argsort(src, kind="stable")
+        src, succ, nums = src[order], succ[order], nums[order]
     return src, succ, nums
 
 
@@ -489,52 +541,47 @@ def expand_many(
     layers: List[List[Tuple[np.ndarray, ...]]] = [[] for _ in m.actions]  # (src, dst, num)
     found = [root_arr[first]]  # the states in index order, one array per layer
     base = 0  # the frontier holds the states base .. base + len(frontier) - 1
-    per_chunk = max(1, _STEP_ROWS // (m.max_branching if m.successor_circuits else 1 << n))
+    B, index_width = _candidates(m)
 
-    def step_pairs(frontier: np.ndarray, chunks: List[np.ndarray]) -> List[np.ndarray]:
-        """Step the layer's pairs chunk by chunk, pair j being action j // F
-        from frontier row j % F (F rows), and number the successors; returns
-        the new states in discovery order."""
-        fresh = []
-        for pairs in chunks:
-            acts, rows = np.divmod(pairs, len(frontier))
-            if acts[0] == acts[-1]:  # rows lo..hi of one action: a slice of the frontier
-                src, succ, nums = _step(m, frontier[rows[0] : rows[-1] + 1], int(acts[0]))
-            else:
-                src, succ, nums = _step(m, frontier[rows], acts)
-            keys, kw = _pack_keys(succ)
-            old = len(index)
-            # a new key takes the next index, so new states keep discovery order
-            dst = np.array(
-                [index.setdefault(keys[r * kw : r * kw + kw], len(index)) for r in range(len(src))],
-                dtype=np.int64,
-            )
-            if len(index) > old:
-                if len(index) > limit:
-                    raise _limit_error("reachable state count", limit + 1, limit)
-                new = np.flatnonzero(dst >= old)
-                fresh.append(succ[new[np.unique(dst[new], return_index=True)[1]]])
-            # the rows are in pair order, so each action's rows are one run
-            ends = np.searchsorted(acts[src], np.arange(acts[0], acts[-1] + 1), side="right")
-            for a, lo, hi in zip(range(acts[0], acts[-1] + 1), [0, *ends[:-1]], ends):
-                layers[a].append((rows[src[lo:hi]] + base, dst[lo:hi], nums[lo:hi]))
-        return fresh
+    def number(succ: np.ndarray) -> np.ndarray:
+        """The index of each successor row, a new state taking the next one;
+        the new states go to `fresh` in discovery order."""
+        keys, kw = _pack_keys(succ)
+        old = len(index)
+        dst = np.array(
+            [index.setdefault(keys[r * kw : r * kw + kw], len(index)) for r in range(len(succ))],
+            dtype=np.int64,
+        )
+        if len(index) > old:
+            if len(index) > limit:
+                raise _limit_error("reachable state count", limit + 1, limit)
+            new = np.flatnonzero(dst >= old)
+            fresh.append(succ[new[np.unique(dst[new], return_index=True)[1]]])
+        return dst
 
     while len(found[-1]):
-        frontier = found[-1]
-        pairs = np.arange(len(frontier) * len(m.actions))
-        start = len(index)
+        frontier, start, fresh = found[-1], len(index), []
+        # the layer's (state, action) pairs, action-major; the actions share
+        # one rows array, so a piece packs the frontier once
+        every_row = np.arange(len(frontier))
+        groups = [(a, every_row) for a in range(len(m.actions))]
         try:
-            fresh = step_pairs(
-                frontier, [pairs[lo : lo + per_chunk] for lo in range(0, len(pairs), per_chunk)]
-            )
+            for piece in _pieces(groups, max(1, _STEP_ROWS // B)):
+                pair, succ, nums = _step_piece(m, frontier, piece, B, index_width)
+                dst = number(succ)
+                # the rows are in pair order, so each part's rows are one run
+                starts = np.cumsum([0] + [len(rows) for _, rows in piece])
+                ends = np.searchsorted(pair, starts[1:])
+                for (a, rows), first_pair, lo, hi in zip(piece, starts, [0, *ends[:-1]], ends):
+                    layers[a].append((rows[pair[lo:hi] - first_pair] + base, dst[lo:hi], nums[lo:hi]))
         except ModelError:
             # raise the error that one whole-frontier step per action, each
             # numbered before the next, meets first: forget the layer's new
             # states and step it that way
             for key in list(islice(index, start, None)):
                 del index[key]
-            step_pairs(frontier, np.split(pairs, len(m.actions)))
+            for a in range(len(m.actions)):
+                number(_step(m, frontier, a)[1])
             raise
         base += len(frontier)
         found.append(np.concatenate(fresh) if fresh else root_arr[:0])

@@ -6,7 +6,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from smdp.bits import (
-    GATHER_ROWS,
     bits_to_int,
     block_index_words,
     column_words,
@@ -17,7 +16,6 @@ from smdp.bits import (
     twos_to_int,
     width_for_count,
     word_bits,
-    word_bits_at,
 )
 
 
@@ -74,14 +72,3 @@ def test_block_index_words_read_the_block_index(width, blocks):
         grid = word_bits(words, blocks * npad).reshape(width, blocks, npad)
         for b in range(blocks):
             assert (grid[:, b, :] == np.array(int_to_bits(b, width), dtype=bool)[:, None]).all()
-
-
-@pytest.mark.parametrize("rows", [0, 1, 9, GATHER_ROWS - 1, GATHER_ROWS, GATHER_ROWS + 13])
-def test_word_bits_at_reads_the_unpacked_columns(rows):
-    rng = random.Random(rows)
-    words = [rng.getrandbits(rows) if rows else 0 for _ in range(5)]
-    for count in (0, 1, rows // 3, rows):
-        positions = np.array(sorted(rng.sample(range(rows), min(count, rows))), dtype=np.int64)
-        got = word_bits_at(words, rows, positions)
-        assert got.dtype == bool and got.shape == (5, len(positions))
-        assert (got == word_bits(words, rows)[:, positions]).all()

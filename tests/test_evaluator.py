@@ -277,6 +277,31 @@ def test_exact_reports_match_fraction_reference_on_random_models(denominator):
             assert _outcome(rm.mdp, p, horizon, expected_reward_exact) == want
 
 
+def test_exact_pass_does_not_depend_on_the_step_pieces(monkeypatch):
+    rng = random.Random(21)
+    cases = []
+    for _ in range(8):
+        n, k = rng.randint(2, 4), rng.randint(2, 4)
+        rm = random_bounded_mdp(rng, n, k)
+        horizon = rng.randint(2, 4)
+        cases += [(rm.mdp, p, horizon) for p in _random_policies(rng, n, k, horizon)]
+
+    def outcomes():
+        out = []
+        for m, p, h in cases:
+            out.append(_outcome(m, p, h, expected_reward_exact))
+            try:
+                out.append(list(enumerate_trajectories(m, p, h)))
+            except (md.ModelError, PolicyError) as exc:
+                out.append(str(exc))
+        return out
+
+    want = outcomes()
+    # a piece of 8 candidate rows holds at most 2 sources of these models
+    monkeypatch.setattr(md, "_STEP_ROWS", 8)
+    assert outcomes() == want
+
+
 def test_exact_reports_match_fraction_reference_on_majsat():
     rng = random.Random(5)
     for n in (1, 2, 4, 6, 8, 10):

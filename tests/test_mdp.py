@@ -450,7 +450,8 @@ def _step_one_action_at_a_time(m, arr, acts):
     return src[order], succ[order], nums[order]
 
 
-def test_step_with_per_row_actions_matches_one_call_per_action():
+@pytest.mark.parametrize("step_rows", [8, 1 << 16])
+def test_step_with_per_row_actions_matches_one_call_per_action(monkeypatch, step_rows):
     rng = random.Random(11)
     models = []
     for seed in range(12):
@@ -463,7 +464,7 @@ def test_step_with_per_row_actions_matches_one_call_per_action():
         )
         models += [rm.mdp, replace(rm.mdp, successor_circuits=(), max_branching=0)]
         models += _faulty_variants(rm.mdp, rng)
-    got, want = [], []
+    cases = []
     for m in models:
         n, k = m.num_vars, len(m.actions)
         for size in (0, 1, 7, 8, 9, 63, 64, 65):
@@ -475,15 +476,20 @@ def test_step_with_per_row_actions_matches_one_call_per_action():
                 rng.sample(range(k), rng.randint(1, k))
             )
             acts = np.array([rng.choice(used) for _ in range(size)], dtype=np.int64)
-            for step in (md._step, _step_one_action_at_a_time):
-                out = got if step is md._step else want
-                try:
-                    src, succ, nums = step(m, arr, acts)
-                    out.append((src.dtype.str, src.tolist(), succ.dtype.str, succ.shape,
-                                succ.tobytes(), nums.dtype.str, nums.tolist()))
-                except md.ModelError as exc:
-                    out.append(("error", str(exc)))
-    assert got == want
+            cases.append((m, arr, acts))
+
+    def outcome(step, m, arr, acts):
+        try:
+            src, succ, nums = step(m, arr, acts)
+        except md.ModelError as exc:
+            return "error", str(exc)
+        return (src.dtype.str, src.tolist(), succ.dtype.str, succ.shape, succ.tobytes(),
+                nums.dtype.str, nums.tolist())
+
+    # the reference steps each action in one piece
+    want = [outcome(_step_one_action_at_a_time, *case) for case in cases]
+    monkeypatch.setattr(md, "_STEP_ROWS", step_rows)  # 8 rows cut most steps into pieces
+    assert [outcome(md._step, *case) for case in cases] == want
     assert sum(row[0] == "error" for row in want) > 50  # the faults are met
 
 
