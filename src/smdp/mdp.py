@@ -573,7 +573,8 @@ def expand_many(
                 starts = np.cumsum([0] + [len(rows) for _, rows in piece])
                 ends = np.searchsorted(pair, starts[1:])
                 for (a, rows), first_pair, lo, hi in zip(piece, starts, [0, *ends[:-1]], ends):
-                    layers[a].append((rows[pair[lo:hi] - first_pair] + base, dst[lo:hi], nums[lo:hi]))
+                    src = rows[pair[lo:hi] - first_pair] + base
+                    layers[a].append((src, dst[lo:hi], nums[lo:hi]))
         except ModelError:
             # raise the error that one whole-frontier step per action, each
             # numbered before the next, meets first: forget the layer's new
