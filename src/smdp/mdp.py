@@ -169,8 +169,10 @@ class ExplicitMdp:
     ``transitions[a]`` holds the checked rows of action a as three equal-length
     integer arrays ``(src, dst, num)`` in source order: the source state
     index, the successor state index and the probability numerator over
-    `denominator` (the model's D). Every state has rows under every action,
-    and the numerators of one source sum to D.
+    `denominator` (the model's D). Every stepped state has rows under every
+    action, and the numerators of one source sum to D. A full closure steps
+    every state; an `expand_many` with a depth leaves the states of its last
+    layer, a suffix of `states`, unstepped and without rows.
     """
 
     states: Tuple[BitVector, ...]
@@ -507,14 +509,27 @@ def _pack_keys(arr: np.ndarray) -> Tuple[bytes, int]:
 
 
 def expand_many(
-    m: SuccinctMdp, roots: Sequence[BitVector]
+    m: SuccinctMdp, roots: Sequence[BitVector], depth: Optional[int] = None
 ) -> Tuple[ExplicitMdp, List[int]]:
     """Joint closure of several root states; returns the model plus the index
     of each root. Useful when many instances share one circuit MDP.
 
-    Raises ModelError for a root that is not a 0/1 state of the model's
-    width, and EnumerationLimitError once the states found, roots included,
-    pass `SMDP_LIMIT_STATES`."""
+    With a `depth`, only the states fewer than `depth` steps from the nearest
+    root are stepped: the states of layers 0..depth are found and numbered
+    as the full closure numbers them, and the loop stops before stepping
+    layer `depth`. Those last states are a suffix of ``states`` with no rows,
+    so `_bellman` gives each of them its reward at every step index. A state
+    k steps from the nearest root then has exact values at step indices
+    0..depth - k, which is all that a horizon-`depth` question at a root
+    reads. A model fault, or the state limit, is met only within the layers
+    that are stepped or numbered.
+
+    Raises ValueError for a negative depth, ModelError for a root that is not
+    a 0/1 state of the model's width or a fault met in a stepped layer, and
+    EnumerationLimitError once the states found, roots included, pass
+    `SMDP_LIMIT_STATES`."""
+    if depth is not None:
+        _check_horizon(depth, "depth")
     if not roots:
         raise ModelError("need at least one root state")
     limit = state_limit()
@@ -538,7 +553,10 @@ def expand_many(
             index[key] = len(index)
             first.append(i)
         root_idx.append(index[key])
-    layers: List[List[Tuple[np.ndarray, ...]]] = [[] for _ in m.actions]  # (src, dst, num)
+    no_rows = np.zeros(0, np.int64)
+    no_nums = _no_transitions(m)[2]
+    # (src, dst, num) per action; the empty rows stand for an action with none
+    layers = [[(no_rows, no_rows, no_nums)] for _ in m.actions]
     found = [root_arr[first]]  # the states in index order, one array per layer
     base = 0  # the frontier holds the states base .. base + len(frontier) - 1
     B, index_width = _candidates(m)
@@ -559,7 +577,7 @@ def expand_many(
             fresh.append(succ[new[np.unique(dst[new], return_index=True)[1]]])
         return dst
 
-    while len(found[-1]):
+    while len(found[-1]) and (depth is None or len(found) <= depth):
         frontier, start, fresh = found[-1], len(index), []
         # the layer's (state, action) pairs, action-major; the actions share
         # one rows array, so a piece packs the frontier once

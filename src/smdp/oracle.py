@@ -130,10 +130,15 @@ def solve_optimal(em: md.ExplicitMdp, horizon: int) -> OptimalSolution:
 
 def best_next_action(m: md.SuccinctMdp, steps_remaining: int, s: BitVector) -> Tuple[int, ...]:
     """Actions taken at s by some optimal policy with the given number of
-    steps before the horizon, from exhaustive expansion rooted at s."""
+    steps before the horizon h, from exhaustive expansion rooted at s.
+
+    The answer reads only the transitions of states fewer than h steps from
+    s, so the expansion stops there (`mdp.expand_many` with depth h). A model
+    fault more than h - 1 steps from s is not met and raises nothing, and a
+    query whose full closure would pass `SMDP_LIMIT_STATES` may answer."""
     if steps_remaining < 1:
         raise ValueError("need at least one step before the horizon")
-    em = md.expand(m, s)
+    em, _ = md.expand_many(m, [s], depth=steps_remaining)
     sol = solve_optimal(em, steps_remaining)
     return sol.optimal_actions[tuple(s)][steps_remaining]
 

@@ -104,8 +104,8 @@ def _nextaction_group(cnfs: List[Cnf], n: int) -> List[VerifyRow]:
         layout.encode([layout.literal_code(lit) for clause in cnf.clauses for lit in clause])
         for cnf in cnfs
     ]
-    em, roots = md.expand_many(mdp, states)
     steps = inst0.steps_remaining()  # n + 1 for every instance
+    em, roots = md.expand_many(mdp, states, depth=steps)
     level = md._rewards_level(em, steps)
     for i in range(1, steps):
         level = md._bellman(em, level, i).max(axis=0)

@@ -28,6 +28,21 @@ def transition_pairs(em, k, a):
     ]
 
 
+def closure_depths(em, roots) -> np.ndarray:
+    """The fewest steps from a root to each state of a full closure, by a
+    breadth-first search over its integer rows."""
+    depth = np.full(len(em.states), -1)
+    frontier = np.unique(roots)
+    depth[frontier] = 0
+    d = 0
+    while len(frontier):
+        d += 1
+        reached = np.concatenate([dst[np.isin(src, frontier)] for src, dst, _ in em.transitions])
+        frontier = np.unique(reached[depth[reached] < 0])
+        depth[frontier] = d
+    return depth
+
+
 def transition_prob(m: md.SuccinctMdp, s: BitVector, s2: BitVector, a: int) -> Fraction:
     """Exact probability of reaching s2 from s under action index a, read
     pointwise from the transition circuit."""

@@ -10,11 +10,12 @@ import pytest
 
 from smdp import circuit as ct
 from smdp import mdp as md
+from smdp import oracle
 from smdp.cnf import Cnf
 from smdp.random_models import random_bounded_mdp, random_circuit
 from smdp.reductions import majsat_to_eval, sat_to_next_action
 
-from helpers import step_reference, transition_pairs, transition_prob
+from helpers import closure_depths, step_reference, transition_pairs, transition_prob
 
 
 def make_random(seed=0, **kw):
@@ -498,7 +499,9 @@ def _explicit(em):
             [[(arr.dtype.str, arr.tolist()) for arr in arrays] for arrays in em.transitions])
 
 
-def test_expand_many_in_small_chunks_gives_the_same_model(monkeypatch):
+def _expansion_cases():
+    """(model, roots) pairs: random bounded models and their plain variants,
+    and the next-action states of two formulas that share one circuit MDP."""
     rng = random.Random(12)
     cases = []
     for seed in range(8):
@@ -506,10 +509,14 @@ def test_expand_many_in_small_chunks_gives_the_same_model(monkeypatch):
         for variant in (m, replace(m, successor_circuits=(), max_branching=0)):
             roots = [tuple(rng.randrange(2) for _ in range(variant.num_vars)) for _ in range(3)]
             cases.append((variant, roots))
-    # next-action states of two formulas with two clauses: one circuit MDP
     inst = sat_to_next_action(Cnf(2, ((1, 2, 2), (-1, -2, -2))), mode="compact")
     other = [inst.layout.literal_code(lit) for lit in (1, -2, 2, -1, 2, 1)]
     cases.append((inst.mdp, [inst.state, inst.layout.encode(other)]))
+    return cases
+
+
+def test_expand_many_in_small_chunks_gives_the_same_model(monkeypatch):
+    cases = _expansion_cases()
 
     def outcome(m, roots):
         try:
@@ -525,6 +532,86 @@ def test_expand_many_in_small_chunks_gives_the_same_model(monkeypatch):
         with monkeypatch.context() as patch:
             patch.setattr(md, "_STEP_ROWS", 8)
             assert [outcome(m, roots) for m, roots in cases] == want
+
+
+@pytest.mark.parametrize("step_rows", [8, 1 << 16])
+def test_expand_many_to_a_depth_steps_the_states_fewer_steps_away(monkeypatch, step_rows):
+    monkeypatch.setattr(md, "_STEP_ROWS", step_rows)
+    tripped = 0
+    for m, roots in _expansion_cases():
+        full, idx = md.expand_many(m, roots)
+        depths = closure_depths(full, idx)
+        for d in range(5):
+            near = int((depths <= d).sum())
+            em, got_idx = md.expand_many(m, roots, depth=d)
+            # the states within d steps, numbered as the full closure numbers them
+            assert (depths[:near] <= d).all()
+            assert em.states == full.states[:near] and em.rewards == full.rewards[:near]
+            assert got_idx == idx
+            for rows, full_rows in zip(em.transitions, full.transitions):
+                stepped = depths[full_rows[0]] < d
+                assert [(arr.dtype, arr.tolist()) for arr in rows] == [
+                    (arr.dtype, arr[stepped].tolist()) for arr in full_rows
+                ]
+            if not m.successor_circuits:
+                continue  # a limit of 6 is below their 2**n candidates
+            # the state limit trips inside the bounded layers, as in the full closure
+            with monkeypatch.context() as patch:
+                patch.setenv("SMDP_LIMIT_STATES", "6")
+                if near > 6:
+                    tripped += 1
+                    msg = "reachable state count reached 7, over the limit 6"
+                    with pytest.raises(md.EnumerationLimitError, match=msg):
+                        md.expand_many(m, roots, depth=d)
+                else:
+                    assert _explicit(md.expand_many(m, roots, depth=d)[0]) == _explicit(em)
+    assert tripped
+
+
+def test_expand_many_checks_its_depth():
+    m = make_random(3, num_actions=3).mdp
+    with pytest.raises(ValueError, match="depth must be nonnegative, got -1"):
+        md.expand_many(m, [m.initial], depth=-1)
+    roots = [(1, 0, 1), (0, 1, 1), (1, 0, 1)]
+    em, idx = md.expand_many(m, roots, depth=0)
+    assert em.states == tuple(dict.fromkeys(map(tuple, roots))) and idx == [0, 1, 0]
+    for rows in em.transitions:
+        assert [(arr.dtype, len(arr)) for arr in rows] == [(np.dtype(np.int64), 0)] * 3
+    sol = oracle.solve_optimal(em, 0)
+    assert [sol.value(s, 0) for s in em.states] == list(em.rewards)
+
+
+def counter_mdp(fault_at=None):
+    """Two bits, one action: state k steps to k + 1, and 3 stays, so state k
+    is first reached k steps from 0. The successor circuit lists that one
+    successor; at state `fault_at` its numerator is 1, not D = 2."""
+    t_values = [
+        (1 if s == fault_at else 2) * (s2 == min(s + 1, 3))
+        for s in range(4) for s2 in range(4) for _ in (0, 1)
+    ]
+    succ_values = [4 | min(s + 1, 3) if slot == 0 else 0 for s in range(4) for slot in (0, 1)]
+    return md.SuccinctMdp(
+        ("x1", "x2"), (0, 0), ("step",),
+        ct.circuit_from_values(5, 2, t_values), ct.circuit_from_values(2, 3, [0, 1, 2, 3]),
+        prob_denominator=2,
+        successor_circuits=(ct.circuit_from_values(3, 3, succ_values),), max_branching=1,
+    )
+
+
+def test_a_fault_or_the_limit_beyond_the_horizon_is_not_met(monkeypatch):
+    faulty = counter_mdp(fault_at=2)
+    for h in (1, 2):
+        assert oracle.best_next_action(faulty, h, (0, 0)) == (0,)
+    msg = re.escape("probabilities from state (1, 0) under step sum to 1/2, not 1")
+    with pytest.raises(md.ModelError, match=msg):
+        oracle.best_next_action(faulty, 3, (0, 0))
+    with pytest.raises(md.ModelError, match=msg):
+        md.expand(faulty)
+    # the full closure has 4 states, the states within 2 steps 3
+    monkeypatch.setenv("SMDP_LIMIT_STATES", "3")
+    with pytest.raises(md.EnumerationLimitError):
+        md.expand(counter_mdp())
+    assert oracle.best_next_action(counter_mdp(), 2, (0, 0)) == (0,)
 
 
 @pytest.mark.parametrize("step_rows", [8, 1 << 16])

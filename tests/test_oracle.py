@@ -21,7 +21,7 @@ from smdp.random_models import random_bounded_mdp, random_stationary_policy
 from smdp.reductions import majsat_to_eval, sat_to_next_action
 from smdp.valuefn import value_of_policy
 
-from helpers import transition_pairs
+from helpers import closure_depths, transition_pairs
 
 
 def test_sat_family_oracles():
@@ -86,6 +86,40 @@ def test_ties_return_all_actions():
     m = md.SuccinctMdp(("x1",), (0,), ("u", "v"), t, r, prob_denominator=2)
     acts = oracle.best_next_action(m, 2, (0,))
     assert acts == (0, 1)
+
+
+def test_best_next_action_matches_the_full_closure():
+    rng = random.Random(3)
+    ties = 0
+    for k in range(12):
+        # rewards in {0, 1} with one successor per action tie often
+        kw = dict(max_branching=1, reward_range=(0, 1)) if k % 3 == 0 else {}
+        m = random_bounded_mdp(rng, 2 + k % 3, 2 + k % 2, **kw).mdp
+        for s in {m.initial, tuple(rng.randrange(2) for _ in range(m.num_vars))}:
+            sol = oracle.solve_optimal(md.expand(m, s), 5)
+            for h in range(1, 6):
+                want = sol.optimal_actions[s][h]
+                assert oracle.best_next_action(m, h, s) == want
+                ties += len(want) > 1
+    assert ties
+
+
+def test_best_next_action_steps_only_the_states_fewer_than_h_steps_away(monkeypatch):
+    inst = sat_to_next_action(Cnf(2, ((1, 2, 2), (-1, -2, -2))), mode="compact")
+    m, h = inst.mdp, inst.steps_remaining()
+    full, roots = md.expand_many(m, [inst.state])
+    depths = closure_depths(full, roots)
+    assert (depths >= h).any()  # the closure reaches past the last layer read
+    stepped = []
+    step_piece = md._step_piece
+
+    def counting(m, states_arr, piece, *args):
+        stepped.append(sum(len(rows) for _, rows in piece))
+        return step_piece(m, states_arr, piece, *args)
+
+    monkeypatch.setattr(md, "_step_piece", counting)
+    oracle.best_next_action(m, h, inst.state)
+    assert sum(stepped) == int((depths < h).sum()) * len(m.actions)
 
 
 def test_bounded_policy_exists_micro_regime():
