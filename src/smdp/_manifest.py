@@ -50,6 +50,13 @@ def read_manifest(
     return fields
 
 
+def write_manifest(path, lines: Sequence[str]) -> str:
+    """Write one manifest line per entry of `lines`; returns `path`."""
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write("\n".join(lines) + "\n")
+    return path
+
+
 def read_netlist_beside(manifest_path, fname: str, error: Type[ValueError]) -> ct.Circuit:
     """The circuit of the netlist file `fname` that a manifest names, read
     relative to the manifest's directory; `error` if the file cannot be read."""

@@ -247,9 +247,8 @@ def _cmd_solve(args, parser) -> int:
     horizon = _resolve_horizon(declared, args.horizon, parser)
     em = md.expand(m)
     sol = oracle.solve_optimal(em, horizon)
-    s0 = tuple(m.initial)
-    best = sol.values[s0][horizon]
-    opt = tuple(m.actions[a] for a in sol.optimal_actions[s0][horizon])
+    best = sol.exact(sol.levels[horizon][em.initial], horizon)
+    opt = tuple(m.actions[a] for a in sol.ties(em.initial, horizon))
     _emit(
         args,
         [("value", _fmt(best)), ("optimal_actions", ",".join(opt)), ("states", len(em.states))],

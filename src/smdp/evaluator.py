@@ -213,11 +213,12 @@ def expected_reward_mc(
 
 class _LockstepWalk:
     """The caches of one Monte-Carlo run, keyed by integer state ids: the
-    reward of each visited state and the successor ids and cumulative
-    numerators over D of each stepped (state, action) pair. Each cache is
-    filled by one batched call per kind of work, on the keys seen for the
-    first time, so the stepped pairs and the rewarded states are those a
-    sample-by-sample walk computes."""
+    reward of each visited state, a stationary policy's action at each
+    decided state, and the successor ids and cumulative numerators over D of
+    each stepped (state, action) pair. Each cache is filled by one batched
+    call per kind of work, on the keys seen for the first time, so the
+    stepped pairs and the rewarded states are those a sample-by-sample walk
+    computes."""
 
     def __init__(self, m: md.SuccinctMdp, policy, horizon: int):
         self.m = m
@@ -227,6 +228,7 @@ class _LockstepWalk:
         self.states: List[BitVector] = []
         self.rewards: Dict[int, int] = {}
         self.succ: Dict[Tuple[int, int], Tuple[List[int], List[int]]] = {}
+        self.decided: Dict[int, int] = {}  # a stationary policy's action per state id
 
     def id_of(self, s: BitVector) -> int:
         i = self.ids.get(s)
@@ -238,13 +240,16 @@ class _LockstepWalk:
     def actions(self, cur: List[int], history, d: int) -> List[int]:
         """The action of each sample at depth d; `history` holds each
         sample's states 0..d as one bool row for a history policy. Otherwise
-        the policy decides each distinct state of the depth once."""
+        a stationary policy decides each state once per run, and a timed one
+        each distinct state of the depth once."""
         steps = self.horizon - d
         if history is not None:
             return self.policy.decide_batch(history, d, steps)
-        ids = list(dict.fromkeys(cur))
-        rows = [self.states[i] for i in ids]
-        decided = dict(zip(ids, self.policy.decide_batch(rows, d, steps)))
+        decided = self.decided if self.policy.kind == "stationary" else {}
+        todo = [i for i in dict.fromkeys(cur) if i not in decided]
+        if todo:
+            rows = [self.states[i] for i in todo]
+            decided.update(zip(todo, self.policy.decide_batch(rows, d, steps)))
         return [decided[i] for i in cur]
 
     def fill_successors(self, pairs: List[Tuple[int, int]]) -> None:

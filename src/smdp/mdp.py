@@ -30,7 +30,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import circuit as ct
-from ._manifest import read_manifest, read_netlist_beside
+from ._manifest import read_manifest, read_netlist_beside, write_manifest
 from .bits import (
     BitVector,
     block_index_words,
@@ -207,26 +207,28 @@ def _bellman(em: ExplicitMdp, prev: np.ndarray, i: int) -> np.ndarray:
     return Q
 
 
-def _fractions(level: np.ndarray, scale: int = 1) -> List[Fraction]:
-    """The values of a level, each read as ``Fraction(v, scale)``: one
-    Fraction per distinct value, shared by the states that hold it."""
-    values = level.tolist()
-    exact = {v: Fraction(v, scale) for v in set(values)}
-    return [exact[v] for v in values]
-
-
 def _induction(
     em: ExplicitMdp, horizon: int, choose: Callable[[np.ndarray, int], np.ndarray]
-) -> Dict[BitVector, Tuple[Fraction, ...]]:
-    """Exact backward induction over step indices 0..horizon: the values of
-    each state, indexed by step index. At step index i, ``choose(Q, i)``
-    picks the level, scaled by D**i, from that step's `_bellman` array Q:
-    its maximum for the optimum, one action per state for a policy."""
-    level = _rewards_level(em, horizon)
-    columns = [_fractions(level)]
+) -> List[np.ndarray]:
+    """Exact backward induction over step indices 0..horizon: the levels of
+    every state, level i scaled by D**i. At step index i, ``choose(Q, i)``
+    picks the level from that step's `_bellman` array Q: its maximum for the
+    optimum, one action per state for a policy."""
+    levels = [_rewards_level(em, horizon)]
     for i in range(1, horizon + 1):
-        level = choose(_bellman(em, level, i), i)
-        columns.append(_fractions(level, em.denominator**i))
+        levels.append(choose(_bellman(em, levels[-1], i), i))
+    return levels
+
+
+def _fractions(em: ExplicitMdp, levels) -> Dict[BitVector, Tuple[Fraction, ...]]:
+    """The values of each state, indexed by step index, read from levels
+    scaled by D**i: one Fraction per distinct value of a level, shared by the
+    states that hold it."""
+    columns = []
+    for i, level in enumerate(levels):
+        values = level.tolist()
+        exact = {v: Fraction(v, em.denominator**i) for v in set(values)}
+        columns.append([exact[v] for v in values])
     return dict(zip(em.states, zip(*columns)))
 
 
@@ -638,10 +640,7 @@ def save_mdp(m: SuccinctMdp, directory, horizon: Optional[int] = None) -> str:
         lines.append(f"successor {a} {fname} branching {m.max_branching}")
     if horizon is not None:
         lines.append(f"horizon {horizon}")
-    path = os.path.join(directory, "mdp.manifest")
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
-    return path
+    return write_manifest(os.path.join(directory, "mdp.manifest"), lines)
 
 
 def load_mdp(manifest_path) -> Tuple[SuccinctMdp, Optional[int]]:

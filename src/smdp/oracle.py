@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Dict, Iterator, List, Optional, Tuple
 
@@ -82,15 +83,48 @@ def forall_exists_oracle(cnf: Cnf, num_x: int) -> bool:
 # ------------------------------------------------------- backward induction
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OptimalSolution:
+    """Exact optimum: ``levels[i]`` holds the value of every state of ``explicit.states``
+    at step index i, scaled by D**i. The Fraction tables are derived on first use."""
+
     explicit: md.ExplicitMdp
     horizon: int
-    values: Dict[BitVector, Tuple[Fraction, ...]]
-    optimal_actions: Dict[BitVector, Tuple[Tuple[int, ...], ...]]
+    levels: Tuple[np.ndarray, ...]
+
+    def q(self, i: int) -> np.ndarray:
+        """Q[a, k] scaled by D**i: action a at state index k, then the optimum for i - 1 steps."""
+        if not 1 <= i <= self.horizon:
+            raise ValueError(f"step index {i} out of range 1..{self.horizon}")
+        return md._bellman(self.explicit, self.levels[i - 1], i)
+
+    def exact(self, scaled, i: int) -> Fraction:
+        """The value of an entry of ``levels[i]`` or ``q(i)``."""
+        return Fraction(int(scaled), self.explicit.denominator**i)
+
+    def ties(self, k: int, i: int) -> Tuple[int, ...]:
+        """The optimal actions at state index k and step index i (all at 0)."""
+        if i == 0:
+            return tuple(range(len(self.explicit.actions)))
+        return tuple(np.flatnonzero(self.q(i)[:, k] == self.levels[i][k]).tolist())
+
+    @cached_property
+    def values(self) -> Dict[BitVector, Tuple[Fraction, ...]]:
+        return md._fractions(self.explicit, self.levels)
 
     def value(self, s: BitVector, i: int) -> Fraction:
         return self.values[tuple(s)][i]
+
+    @cached_property
+    def optimal_actions(self) -> Dict[BitVector, Tuple[Tuple[int, ...], ...]]:
+        """Every state's optimal actions, indexed by step index."""
+        em = self.explicit
+        columns = [[tuple(range(len(em.actions)))] * len(em.states)]
+        for i in range(1, self.horizon + 1):
+            tied = list(map(tuple, (self.q(i) == self.levels[i]).T.tolist()))
+            actions = {row: tuple(a for a, t in enumerate(row) if t) for row in set(tied)}
+            columns.append([actions[row] for row in tied])
+        return dict(zip(em.states, zip(*columns)))
 
     @property
     def greedy(self) -> TimedExplicitPolicy:
@@ -110,22 +144,8 @@ def solve_optimal(em: md.ExplicitMdp, horizon: int) -> OptimalSolution:
     """Exact backward induction; ties keep every optimal action, and
     `OptimalSolution.greedy` picks the lowest index among them."""
     md._check_horizon(horizon)
-    opt_columns = [[tuple(range(len(em.actions)))] * len(em.states)]
-
-    def choose(Q, i: int):
-        level = Q.max(axis=0)
-        tied = list(map(tuple, (Q == level).T.tolist()))
-        actions = {row: tuple(a for a, t in enumerate(row) if t) for row in set(tied)}
-        opt_columns.append([actions[row] for row in tied])
-        return level
-
-    values = md._induction(em, horizon, choose)
-    return OptimalSolution(
-        explicit=em,
-        horizon=horizon,
-        values=values,
-        optimal_actions=dict(zip(em.states, zip(*opt_columns))),
-    )
+    levels = md._induction(em, horizon, lambda Q, i: Q.max(axis=0))
+    return OptimalSolution(em, horizon, tuple(levels))
 
 
 def best_next_action(m: md.SuccinctMdp, steps_remaining: int, s: BitVector) -> Tuple[int, ...]:
@@ -138,9 +158,8 @@ def best_next_action(m: md.SuccinctMdp, steps_remaining: int, s: BitVector) -> T
     query whose full closure would pass `SMDP_LIMIT_STATES` may answer."""
     if steps_remaining < 1:
         raise ValueError("need at least one step before the horizon")
-    em, _ = md.expand_many(m, [s], depth=steps_remaining)
-    sol = solve_optimal(em, steps_remaining)
-    return sol.optimal_actions[tuple(s)][steps_remaining]
+    em, (root,) = md.expand_many(m, [s], depth=steps_remaining)
+    return solve_optimal(em, steps_remaining).ties(root, steps_remaining)
 
 
 # ------------------------------------------------ bounded policy existence
@@ -214,7 +233,7 @@ def bounded_policy_exists(
     if n_bits < 60 and size_bound >= n_actions * (1 << n_bits):
         em = md.expand(m)
         sol = solve_optimal(em, horizon)
-        if sol.values[tuple(m.initial)][horizon] < reward_bound:
+        if sol.exact(sol.levels[horizon][em.initial], horizon) < reward_bound:
             return False, None
         reach = _reachable_depths(em, horizon)
         table = {}

@@ -17,13 +17,14 @@ table reads `steps_remaining`.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from . import circuit as ct
-from ._manifest import read_manifest, read_netlist_beside
+from ._manifest import read_manifest, read_netlist_beside, write_manifest
 from .bits import BitVector, bits_to_int, int_to_bits, row_tuples, unsigned_rows, width_for_count
 
 
@@ -202,18 +203,13 @@ def compile_explicit(
 
 
 def save_policy(p, directory, basename: str = "policy") -> str:
-    import os
-
     netfile = f"{basename}.net"
     ct.write_netlist(p.circuit, os.path.join(directory, netfile))
     lines = [f"policy {p.name}", f"kind {p.kind}", f"actions {p.action_count}"]
     if p.kind == "history":
         lines.append(f"horizon {p.horizon}")
     lines.append(f"circuit {netfile}")
-    path = os.path.join(directory, f"{basename}.manifest")
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
-    return path
+    return write_manifest(os.path.join(directory, f"{basename}.manifest"), lines)
 
 
 def load_policy(manifest_path):

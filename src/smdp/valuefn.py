@@ -12,6 +12,7 @@ step index i. All comparisons are exact, no tolerance.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -20,7 +21,7 @@ import numpy as np
 
 from . import circuit as ct
 from . import mdp as md
-from ._manifest import read_manifest, read_netlist_beside
+from ._manifest import read_manifest, read_netlist_beside, write_manifest
 from .bits import (
     BitVector,
     block_index_words,
@@ -167,7 +168,7 @@ def value_of_policy(em: md.ExplicitMdp, policy, horizon: int) -> ValueTable:
             )
         return Q[acts, every_state]
 
-    return ValueTable(md._induction(em, horizon, choose), horizon)
+    return ValueTable(md._fractions(em, md._induction(em, horizon, choose)), horizon)
 
 
 def _check_num_vars(m: md.SuccinctMdp, E: ValueCircuit) -> None:
@@ -279,8 +280,6 @@ def extract_policy(
 
 
 def save_valuefn(v: ValueCircuit, directory, basename: str = "valuefn") -> str:
-    import os
-
     netfile = f"{basename}.net"
     ct.write_netlist(v.circuit, os.path.join(directory, netfile))
     lines = [
@@ -290,10 +289,7 @@ def save_valuefn(v: ValueCircuit, directory, basename: str = "valuefn") -> str:
         f"value_denominator {v.value_denominator}",
         f"circuit {netfile}",
     ]
-    path = os.path.join(directory, f"{basename}.manifest")
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
-    return path
+    return write_manifest(os.path.join(directory, f"{basename}.manifest"), lines)
 
 
 def load_valuefn(manifest_path) -> ValueCircuit:

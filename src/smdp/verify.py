@@ -42,36 +42,24 @@ class VerifyRow:
     ok: bool
 
 
-SUITES = (
-    "nextaction",
-    "evalreward",
-    "boundedpolicy",
-    "consistency",
-    "valuechoice",
-    "normalization",
-    "roundtrip",
-    "dnf",
-)
+# every suite as a callable of (n, cases, seed); a suite ignores what it does not read
+_SUITES = {
+    "nextaction": lambda n, cases, seed: suite_nextaction(max_n=n, cases=cases, seed=seed),
+    "evalreward": lambda n, cases, seed: suite_evalreward(max_n=n, cases=cases, seed=seed),
+    "boundedpolicy": lambda n, cases, seed: suite_boundedpolicy(),
+    "consistency": lambda n, cases, seed: suite_consistency(max_n=n, cases=cases, seed=seed),
+    "valuechoice": lambda n, cases, seed: suite_valuechoice(),
+    "normalization": lambda n, cases, seed: suite_normalization(cases=cases, seed=seed),
+    "roundtrip": lambda n, cases, seed: suite_roundtrip(cases=cases, seed=seed),
+    "dnf": lambda n, cases, seed: suite_dnf(max_n=n, cases=cases, seed=seed),
+}
+SUITES = tuple(_SUITES)
 
 
 def run_suite(name: str, n: int = 2, cases: int = 50, seed: int = 0) -> List[VerifyRow]:
-    if name == "nextaction":
-        return suite_nextaction(max_n=n, cases=cases, seed=seed)
-    if name == "evalreward":
-        return suite_evalreward(max_n=n, cases=cases, seed=seed)
-    if name == "boundedpolicy":
-        return suite_boundedpolicy()
-    if name == "consistency":
-        return suite_consistency(max_n=n, cases=cases, seed=seed)
-    if name == "valuechoice":
-        return suite_valuechoice()
-    if name == "normalization":
-        return suite_normalization(cases=cases, seed=seed)
-    if name == "roundtrip":
-        return suite_roundtrip(cases=cases, seed=seed)
-    if name == "dnf":
-        return suite_dnf(max_n=n, cases=cases, seed=seed)
-    raise ValueError(f"unknown suite {name!r}; choose one of {', '.join(SUITES)}")
+    if name not in _SUITES:
+        raise ValueError(f"unknown suite {name!r}; choose one of {', '.join(SUITES)}")
+    return _SUITES[name](n, cases, seed)
 
 
 # --------------------------------------------------- nextaction: next action vs SAT
@@ -106,22 +94,17 @@ def _nextaction_group(cnfs: List[Cnf], n: int) -> List[VerifyRow]:
     ]
     steps = inst0.steps_remaining()  # n + 1 for every instance
     em, roots = md.expand_many(mdp, states, depth=steps)
-    level = md._rewards_level(em, steps)
-    for i in range(1, steps):
-        level = md._bellman(em, level, i).max(axis=0)
-    Q = md._bellman(em, level, steps)
-    scale = em.denominator**steps
+    sol = oracle.solve_optimal(em, steps)
+    Q = sol.q(steps)
     idx_S = mdp.actions.index("S")
     idx_U = mdp.actions.index("U")
     sat_bound = Fraction((1 << n) - 1, 1 << n) + Fraction(1 << (n + 1), 1 << n)
     rows = []
     for cnf, root in zip(cnfs, roots):
         satisfiable = oracle.sat_oracle(cnf)
-        q_by_action = [Fraction(int(q), scale) for q in Q[:, root]]
+        q_by_action = [sol.exact(q, steps) for q in Q[:, root]]
         best = max(q_by_action)
-        opt = tuple(
-            mdp.actions[a] for a, q in enumerate(q_by_action) if q == best
-        )
+        opt = tuple(mdp.actions[a] for a, q in enumerate(q_by_action) if q == best)
         q_s = q_by_action[idx_S]
         q_u = q_by_action[idx_U]
         checks = [q_u == 2]
@@ -144,21 +127,17 @@ def _nextaction_group(cnfs: List[Cnf], n: int) -> List[VerifyRow]:
 def suite_nextaction(max_n: int = 2, cases: int = 100, seed: int = 0) -> List[VerifyRow]:
     """Exhaustive grid for up to two variables (three-literal clause multisets,
     up to three distinct clauses) plus random larger formulas."""
+    formulas = [(n, list(_grid_cnfs(n))) for n in range(1, min(max_n, 2) + 1)]
+    if max_n >= 3:
+        rng = random.Random(seed)
+        formulas.append((3, [_random_triple_cnf(rng, 3) for _ in range(cases)]))
     rows: List[VerifyRow] = []
-    for n in range(1, min(max_n, 2) + 1):
+    for n, cnfs in formulas:
         by_count: Dict[int, List[Cnf]] = {}
-        for cnf in _grid_cnfs(n):
+        for cnf in cnfs:
             by_count.setdefault(len(cnf.clauses), []).append(cnf)
         for _, group in sorted(by_count.items()):
             rows.extend(_nextaction_group(group, n))
-    if max_n >= 3:
-        rng = random.Random(seed)
-        by_count = {}
-        for _ in range(cases):
-            cnf = _random_triple_cnf(rng, 3)
-            by_count.setdefault(len(cnf.clauses), []).append(cnf)
-        for _, group in sorted(by_count.items()):
-            rows.extend(_nextaction_group(group, 3))
     # tie the batched computation back to the per-instance entry point
     for clauses in (((1, 1, 1),), ((1, 1, 1), (-1, -1, -1))):
         inst = sat_to_next_action(Cnf(1, clauses), mode="compact")

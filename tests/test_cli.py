@@ -5,6 +5,7 @@ from smdp import mdp as md
 from smdp.cli import build_parser, main
 from smdp.cnf import Cnf, to_dimacs
 from smdp.policy import StationaryPolicy, save_policy
+from smdp.verify import SUITES, run_suite, suite_dnf
 
 
 def run(argv, capsys):
@@ -339,6 +340,17 @@ def test_verify_suite_exit_zero(capsys):
     code, text, _ = run(["verify", "consistency", "--n", "3", "--cases", "5"], capsys)
     assert code == 0
     assert text.strip().endswith("pass")
+
+
+def test_run_suite_dispatches_by_name_and_names_the_suites_it_knows():
+    assert SUITES == (
+        "nextaction", "evalreward", "boundedpolicy", "consistency",
+        "valuechoice", "normalization", "roundtrip", "dnf",
+    )
+    assert run_suite("dnf", n=2, cases=3, seed=4) == suite_dnf(max_n=2, cases=3, seed=4)
+    msg = "^unknown suite 'nope'; choose one of " + ", ".join(SUITES) + "$"
+    with pytest.raises(ValueError, match=msg):
+        run_suite("nope")
 
 
 def test_check_consistency_counts_value_cells_before_allocating(tmp_path, capsys):

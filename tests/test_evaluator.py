@@ -375,6 +375,39 @@ def test_mc_makes_no_scalar_circuit_call_for_a_stationary_policy(monkeypatch):
     assert expected_reward_mc(inst.mdp, inst.policy, inst.horizon, 200, 1) == want
 
 
+def test_mc_decides_a_stationary_policy_once_per_state_and_a_timed_one_per_depth(monkeypatch):
+    rng = random.Random(3)
+    runs = []
+    for _ in range(10):
+        rm = random_bounded_mdp(rng, 3, 2)
+        runs.append((rm.mdp, random_stationary_policy(rng, 3, 2)))
+    runs.append((runs[0][0], _random_timed_policy(rng, 3, 2, 8)))
+    wants = {
+        (k, seed): expected_reward_mc_reference(m, p, 8, 1000, seed)
+        for k, (m, p) in enumerate(runs)
+        for seed in (0, 1, 2)
+    }
+    calls = {StationaryPolicy: [], TimedExplicitPolicy: []}
+
+    def counting(cls):
+        decide, rows = cls.decide_batch, calls[cls]
+
+        def decide_batch(self, states, *args):
+            rows.append(len(states))
+            return decide(self, states, *args)
+
+        return decide_batch
+
+    for cls in calls:
+        monkeypatch.setattr(cls, "decide_batch", counting(cls))
+    for (k, seed), want in wants.items():
+        m, p = runs[k]
+        assert expected_reward_mc(m, p, 8, 1000, seed) == want
+    # decided per depth, the ten stationary runs made 80 calls on 303 rows per seed
+    assert (len(calls[StationaryPolicy]), sum(calls[StationaryPolicy])) == (3 * 42, 3 * 59)
+    assert len(calls[TimedExplicitPolicy]) == 3 * 8
+
+
 def test_mc_rejects_an_out_of_range_action_at_a_visited_state():
     # decodes action 3 of 3 at state (1,), which is visited from depth 1 on
     b = ct.CircuitBuilder(1)

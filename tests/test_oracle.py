@@ -2,11 +2,12 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from smdp import circuit as ct
 from smdp import mdp as md
-from smdp import oracle
+from smdp import oracle, verify
 from smdp.bits import int_to_bits
 from smdp.cnf import Cnf
 from smdp.evaluator import enumerate_trajectories, expected_reward_exact, expected_reward_mc
@@ -271,6 +272,42 @@ def test_core_is_exact_where_int64_would_wrap():
     em = md.expand(rm.mdp)
     assert em.denominator**3 >= 1 << 63
     assert_core_matches_reference(em, 3, rng)
+
+
+def test_q_is_the_bellman_step_on_the_reference_values():
+    rng = random.Random(25)
+    for D in (1, 7, (1 << 31) - 1):
+        rm = random_bounded_mdp(rng, 2, 3, max_branching=min(3, D), denominator=D)
+        em = md.expand(rm.mdp)
+        sol = oracle.solve_optimal(em, 3)
+        values, opt, _ = reference_solve_optimal(em, 3)
+        for i in range(1, 4):
+            scaled = [values[s][i - 1] * D ** (i - 1) for s in em.states]
+            assert all(v.denominator == 1 for v in scaled)
+            want = md._bellman(em, np.array([v.numerator for v in scaled], dtype=object), i)
+            assert sol.q(i).tolist() == want.tolist()
+        for k, s in enumerate(em.states):
+            for i in range(4):
+                assert sol.exact(sol.levels[i][k], i) == values[s][i]
+                assert sol.ties(k, i) == opt[s][i]
+        for i in (-1, 0, 4):
+            with pytest.raises(ValueError, match=f"^step index {i} out of range 1..3$"):
+                sol.q(i)
+
+
+def test_next_action_queries_build_no_fraction_tables(monkeypatch):
+    built = []
+    fractions = md._fractions
+    monkeypatch.setattr(md, "_fractions", lambda em, levels: built.append(em) or fractions(em, levels))
+    inst = sat_to_next_action(Cnf(2, ((1, 2, 2), (-1, -2, -2))), mode="compact")
+    got = oracle.best_next_action(inst.mdp, inst.steps_remaining(), inst.state)
+    assert got == (inst.mdp.actions.index("S"),)
+    rows = verify.suite_nextaction(max_n=2)
+    assert rows and all(r.ok for r in rows)
+    assert not built
+    # the counter sees the tables that are built
+    assert oracle.solve_optimal(md.expand(inst.mdp, inst.state), 2).values
+    assert len(built) == 1
 
 
 def test_value_of_policy_rejects_history_policy():
