@@ -5,7 +5,10 @@ the probability-weighted reward of each depth-d state. Probabilities are
 integer numerators over D**d, D the model's denominator, built from the
 checked rows of `mdp._step`; a `Fraction` is made only for the values
 returned. One layer-at-a-time pass serves every policy kind, with one
-`decide_batch` call per layer. For a stationary or timed policy its frontier
+`decide_batch` call per layer. No reward feeds a step, so the rewards are
+read after the layers are built: one `mdp.reward_batch` call on the states
+of every held layer, made once the held layers reach `mdp._STEP_ROWS` rows
+and once at the end. For a stationary or timed policy its frontier
 is the state marginals: a bool state array in MSB-first order, where equal
 successors are merged by sorting their unsigned keys. For a history policy,
 and to enumerate trajectories, each frontier row holds the states of one
@@ -15,8 +18,9 @@ and a history policy decides a whole layer with one batched circuit call.
 The Monte-Carlo sampler exists only as a statistical cross-check. It steps
 the samples of a block together, depth by depth: each depth makes one batched
 call per kind of work, for the policy's actions on the distinct states of the
-depth and for successor rows and rewards on the (state, action) pairs and
-states not met before in the run. Each successor is drawn exactly from its
+depth and for successor rows on the (state, action) pairs not met before in
+the run. The block's rewards are read after its walk, in one call on the
+states not met before. Each successor is drawn exactly from its
 integer numerators, with the draws of a sample-by-sample walk, so the
 estimate for a seed does not depend on the batching.
 """
@@ -28,8 +32,8 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
-from typing import Dict, Iterator, List, Tuple
+from itertools import accumulate, chain
+from typing import Dict, Iterable, Iterator, List, Tuple
 
 import numpy as np
 
@@ -139,12 +143,27 @@ def expected_reward_exact(m: md.SuccinctMdp, policy, horizon: int) -> RewardRepo
     n = m.num_vars
     D = m.prob_denominator
     per_depth, masses = [], []
+    held = []  # the states and numerators of the layers whose rewards are unread
+
+    def read_rewards():
+        rewards = md.reward_batch(m, np.concatenate([states for states, _ in held]))
+        lo = 0
+        for _, num in held:
+            r = np.array(rewards[lo : lo + len(num)], dtype=num.dtype)
+            per_depth.append(Fraction(int((num * r).sum()), D ** len(per_depth)))
+            lo += len(num)
+        held.clear()
+
     for d, (rows, num, paths) in enumerate(
         _forward(m, policy, horizon, histories=policy.kind == "history")
     ):
-        rewards = np.array(md.reward_batch(m, rows[:, rows.shape[1] - n :]), dtype=num.dtype)
-        per_depth.append(Fraction(int((num * rewards).sum()), D**d))
+        # a copy of a history row's last n columns, so the row is not kept
+        held.append((np.ascontiguousarray(rows[:, rows.shape[1] - n :]), num))
         masses.append(Fraction(int(num.sum()), D**d))
+        if sum(len(x) for _, x in held) >= md._STEP_ROWS:
+            read_rewards()
+    if held:
+        read_rewards()
     return RewardReport(
         expected_reward=sum(per_depth, Fraction(0)),
         per_depth=tuple(per_depth),
@@ -177,7 +196,6 @@ def expected_reward_mc(
     walk = _LockstepWalk(m, policy, horizon)
     s0_bits = tuple(m.initial)
     s0 = walk.id_of(s0_bits)
-    walk.fill_rewards([s0])
     total = 0
     total_sq = 0
     for start in range(0, samples, _MC_BLOCK):
@@ -188,18 +206,20 @@ def expected_reward_mc(
         history = None
         if policy.kind == "history":
             history = np.tile(np.array(s0_bits, dtype=bool), (block, 1))
-        returns = [walk.rewards[s0]] * block
+        visits = [cur]  # the state ids of the block at each depth 0..d
         for d in range(horizon):
             pairs = list(zip(cur, walk.actions(cur, history, d)))
             walk.fill_successors(pairs)
             steps = [walk.succ[p] for p in pairs]
             # the draw of sample k at step d is draws[k * horizon + d]
             cur = [nxt[bisect_right(cum, u)] for (nxt, cum), u in zip(steps, draws[d::horizon])]
-            walk.fill_rewards(cur)
-            returns = [r + walk.rewards[i] for r, i in zip(returns, cur)]
+            visits.append(cur)
             if history is not None:
                 states = np.array([walk.states[i] for i in cur], dtype=bool)
                 history = np.concatenate([history, states], axis=1)
+        walk.fill_rewards(chain.from_iterable(visits))
+        reward = walk.rewards.__getitem__
+        returns = [sum(map(reward, path)) for path in zip(*visits)]
         total += sum(returns)
         total_sq += sum(r * r for r in returns)
     mean = Fraction(total, samples)
@@ -216,9 +236,10 @@ class _LockstepWalk:
     reward of each visited state, a stationary policy's action at each
     decided state, and the successor ids and cumulative numerators over D of
     each stepped (state, action) pair. Each cache is filled by one batched
-    call per kind of work, on the keys seen for the first time, so the
-    stepped pairs and the rewarded states are those a sample-by-sample walk
-    computes."""
+    call per kind of work, on the keys seen for the first time: actions and
+    successors once per depth, rewards once per block on the states of all
+    its depths. So the stepped pairs and the rewarded states are those a
+    sample-by-sample walk computes."""
 
     def __init__(self, m: md.SuccinctMdp, policy, horizon: int):
         self.m = m
@@ -269,7 +290,7 @@ class _LockstepWalk:
         for p, lo, hi in zip(todo, [0] + ends, ends):
             self.succ[p] = (dst[lo:hi], list(accumulate(nums[lo:hi])))
 
-    def fill_rewards(self, ids: List[int]) -> None:
+    def fill_rewards(self, ids: Iterable[int]) -> None:
         new = [i for i in dict.fromkeys(ids) if i not in self.rewards]
         if new:
             self.rewards.update(zip(new, md.reward_batch(self.m, [self.states[i] for i in new])))

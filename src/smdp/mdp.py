@@ -238,11 +238,15 @@ def reward(m: SuccinctMdp, s: BitVector) -> int:
 
 
 def reward_batch(m: SuccinctMdp, states: Sequence[BitVector]) -> List[int]:
-    """Rewards of a sequence of states or of a (rows, n) bool array."""
-    if len(states) == 0:
-        return []
-    out = ct.eval_batch(m.r_circuit, np.array(states, dtype=bool))
-    return [int(v) for v in signed_rows(out)]
+    """Rewards of a sequence of states or of a (rows, n) bool array. The
+    reward circuit runs on pieces of at most `_STEP_ROWS` rows, so one call
+    never holds the gate words of more rows than that."""
+    arr = np.asarray(states, dtype=bool)
+    out: List[int] = []
+    for lo in range(0, len(arr), _STEP_ROWS):
+        piece = ct.eval_batch(m.r_circuit, arr[lo : lo + _STEP_ROWS])
+        out += [int(v) for v in signed_rows(piece)]
+    return out
 
 
 def _duplicate_slot(valid: int, succ_words: List[int], blocks: int, npad: int) -> bool:

@@ -84,6 +84,12 @@ def random_bounded_mdp(
         raise ValueError("random models are meant to stay exhaustively checkable")
     n = num_vars
     num_states = 1 << n
+    if denominator < min(max_branching, num_states):
+        # k successors need k - 1 distinct cut points in 1..denominator-1
+        raise ValueError(
+            f"denominator={denominator} cannot give positive probabilities to "
+            f"min(max_branching={max_branching}, 2**num_vars={num_states}) successors"
+        )
     states = [tuple(int_to_bits(k, n)) for k in range(num_states)]
     aw = width_for_count(num_actions)
     sw = width_for_count(max_branching)

@@ -432,3 +432,47 @@ def test_evaluators_reject_a_policy_of_another_width():
             expected_reward_mc(m, p, 1, samples=10, seed=0)
         with pytest.raises(PolicyError, match=msg):
             list(enumerate_trajectories(m, p, 1))
+
+
+def _reward_circuit_calls(monkeypatch, m):
+    """The rows of each reward-circuit call of `m` made from now on."""
+    calls = []
+    eval_batch = ct.eval_batch
+
+    def counting(c, inputs):
+        if c is m.r_circuit:
+            calls.append(len(inputs))
+        return eval_batch(c, inputs)
+
+    monkeypatch.setattr(ct, "eval_batch", counting)
+    return calls
+
+
+def test_exact_reads_the_rewards_of_every_depth_in_one_call(monkeypatch):
+    inst = majsat_to_eval(random_cnf(random.Random(8), 6, 18))
+    m, p, h = inst.mdp, inst.policy, inst.horizon
+    want = expected_reward_reference(m, p, h)
+    calls = _reward_circuit_calls(monkeypatch, m)
+    assert expected_reward_exact(m, p, h) == want
+    assert len(calls) == 1
+    rows = calls[0]
+    # held layers are read once they reach 8 rows, in pieces of at most 8
+    monkeypatch.setattr(md, "_STEP_ROWS", 8)
+    calls.clear()
+    assert expected_reward_exact(m, p, h) == want
+    assert len(calls) > 1 and max(calls) <= 8 and sum(calls) == rows
+
+
+def test_mc_reads_the_rewards_once_per_block(monkeypatch):
+    inst = majsat_to_eval(random_cnf(random.Random(7), 4, 8))
+    m, p, h = inst.mdp, inst.policy, inst.horizon
+    assert p.kind == "stationary"
+    want = expected_reward_mc_reference(m, p, h, 200, 1)
+    calls = _reward_circuit_calls(monkeypatch, m)
+    assert expected_reward_mc(m, p, h, 200, 1) == want
+    assert len(calls) == 1
+    # four blocks: a block whose states were all rewarded before makes no call
+    monkeypatch.setattr("smdp.evaluator._MC_BLOCK", 50)
+    calls.clear()
+    assert expected_reward_mc(m, p, h, 200, 1) == want
+    assert 1 <= len(calls) <= 4

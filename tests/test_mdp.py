@@ -58,6 +58,37 @@ def test_reward_batch_takes_a_bool_array():
     assert md.reward_batch(rm.mdp, np.zeros((0, rm.mdp.num_vars), dtype=bool)) == []
 
 
+def test_reward_batch_reads_the_rows_in_pieces(monkeypatch):
+    rm = make_random(4, num_vars=4)
+    rng = random.Random(4)
+    states = [rng.choice(sorted(rm.rewards)) for _ in range(37)]
+    want = [md.reward(rm.mdp, s) for s in states]
+    calls = []
+    eval_batch = ct.eval_batch
+
+    def counting(c, inputs):
+        calls.append(len(inputs))
+        return eval_batch(c, inputs)
+
+    monkeypatch.setattr(ct, "eval_batch", counting)
+    monkeypatch.setattr(md, "_STEP_ROWS", 8)
+    for given in (states, np.array(states, dtype=bool)):
+        got = md.reward_batch(rm.mdp, given)
+        assert got == want and all(type(v) is int for v in got)
+    assert calls == [8, 8, 8, 8, 5] * 2
+    assert md.reward_batch(rm.mdp, []) == []
+    assert len(calls) == 10
+
+
+def test_random_bounded_mdp_names_a_denominator_too_small_to_branch():
+    msg = r"denominator=2 .* min\(max_branching=3, 2\*\*num_vars=4\)"
+    with pytest.raises(ValueError, match=msg):
+        random_bounded_mdp(random.Random(0), 2, 2, denominator=2)
+    # one state has a single successor, so any denominator will do
+    assert random_bounded_mdp(random.Random(0), 0, 2, denominator=1).mdp.num_vars == 0
+    assert random_bounded_mdp(random.Random(0), 2, 2, max_branching=2, denominator=2)
+
+
 def test_successors_batch_takes_a_bool_array():
     rm = make_random(1)
     states = sorted(rm.rewards)[:2]
