@@ -144,6 +144,7 @@ def expected_reward_exact(m: md.SuccinctMdp, policy, horizon: int) -> RewardRepo
     D = m.prob_denominator
     per_depth, masses = [], []
     held = []  # the states and numerators of the layers whose rewards are unread
+    held_rows = 0
 
     def read_rewards():
         rewards = md.reward_batch(m, np.concatenate([states for states, _ in held]))
@@ -160,8 +161,10 @@ def expected_reward_exact(m: md.SuccinctMdp, policy, horizon: int) -> RewardRepo
         # a copy of a history row's last n columns, so the row is not kept
         held.append((np.ascontiguousarray(rows[:, rows.shape[1] - n :]), num))
         masses.append(Fraction(int(num.sum()), D**d))
-        if sum(len(x) for _, x in held) >= md._STEP_ROWS:
+        held_rows += len(num)
+        if held_rows >= md._STEP_ROWS:
             read_rewards()
+            held_rows = 0
     if held:
         read_rewards()
     return RewardReport(
