@@ -15,7 +15,7 @@ from smdp.verify import SUITES, run_suite
 
 DEFAULTS = {
     # suite name -> (n, cases)
-    "nextaction": (2, 100),
+    "nextaction": (3, 100),
     "evalreward": (10, 50),
     "boundedpolicy": (1, 16),
     "consistency": (8, 50),

@@ -249,10 +249,11 @@ def _cmd_solve(args, parser) -> int:
     sol = oracle.solve_optimal(em, horizon)
     best = sol.exact(sol.levels[horizon][em.initial], horizon)
     opt = tuple(m.actions[a] for a in sol.ties(em.initial, horizon))
+    count = len(em.state_array)
     _emit(
         args,
-        [("value", _fmt(best)), ("optimal_actions", ",".join(opt)), ("states", len(em.states))],
-        f"optimal value {_fmt(best)} over {len(em.states)} reachable states; "
+        [("value", _fmt(best)), ("optimal_actions", ",".join(opt)), ("states", count)],
+        f"optimal value {_fmt(best)} over {count} reachable states; "
         f"optimal first actions: {', '.join(opt)}",
     )
     return 0

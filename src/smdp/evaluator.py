@@ -6,7 +6,7 @@ integer numerators over D**d, D the model's denominator, built from the
 checked rows of `mdp._step`; a `Fraction` is made only for the values
 returned. One layer-at-a-time pass serves every policy kind, with one
 `decide_batch` call per layer. No reward feeds a step, so the rewards are
-read after the layers are built: one `mdp.reward_batch` call on the states
+read after the layers are built: one `mdp._reward_rows` call on the states
 of every held layer, made once the held layers reach `mdp._STEP_ROWS` rows
 and once at the end. For a stationary or timed policy its frontier
 is the state marginals: a bool state array in MSB-first order, where equal
@@ -147,10 +147,10 @@ def expected_reward_exact(m: md.SuccinctMdp, policy, horizon: int) -> RewardRepo
     held_rows = 0
 
     def read_rewards():
-        rewards = md.reward_batch(m, np.concatenate([states for states, _ in held]))
+        rewards = md._reward_rows(m, np.concatenate([states for states, _ in held]))
         lo = 0
         for _, num in held:
-            r = np.array(rewards[lo : lo + len(num)], dtype=num.dtype)
+            r = rewards[lo : lo + len(num)].astype(num.dtype)
             per_depth.append(Fraction(int((num * r).sum()), D ** len(per_depth)))
             lo += len(num)
         held.clear()

@@ -24,6 +24,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 from itertools import islice
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -83,6 +84,20 @@ def _check_horizon(horizon: int, what: str = "horizon") -> None:
     """The one check of a query's horizon (or trajectory depth)."""
     if horizon < 0:
         raise ValueError(f"{what} must be nonnegative, got {horizon}")
+
+
+def _check_step(i: int, lo: int, hi: int, error=ValueError) -> None:
+    """The one check of a step index against its range lo..hi."""
+    if not lo <= i <= hi:
+        raise error(f"step index {i} out of range {lo}..{hi}")
+
+
+def _check_state(s: BitVector, n: int, what: str = "state", error=ModelError) -> None:
+    """The one check that `s` is a 0/1 state of width n, named `what` in the error."""
+    if len(s) != n or not set(s) <= {0, 1}:
+        raise error(
+            f"{what} {tuple(s)} is not a 0/1 state of width {n} (it has width {len(s)})"
+        )
 
 
 @dataclass(frozen=True)
@@ -162,25 +177,39 @@ class SuccinctMdp:
         return width_for_count(self.max_branching)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExplicitMdp:
     """An expanded MDP over integers.
 
+    ``state_array`` is the ``(states, n)`` bool array of the states in index
+    order, and ``reward_array`` their rewards in the dtype of
+    `bits.signed_rows` (int64, or exact Python ints past 62 bits).
     ``transitions[a]`` holds the checked rows of action a as three equal-length
     integer arrays ``(src, dst, num)`` in source order: the source state
     index, the successor state index and the probability numerator over
     `denominator` (the model's D). Every stepped state has rows under every
     action, and the numerators of one source sum to D. A full closure steps
     every state; an `expand_many` with a depth leaves the states of its last
-    layer, a suffix of `states`, unstepped and without rows.
+    layer, a suffix of the states, unstepped and without rows.
+
+    `states` (bit tuples) and `rewards` (Python ints) are views of the arrays,
+    built on first read for the readers keyed by state tuples.
     """
 
-    states: Tuple[BitVector, ...]
+    state_array: np.ndarray
     initial: int
     actions: Tuple[str, ...]
     denominator: int
     transitions: Tuple[Tuple[np.ndarray, np.ndarray, np.ndarray], ...]
-    rewards: Tuple[int, ...]
+    reward_array: np.ndarray
+
+    @cached_property
+    def states(self) -> Tuple[BitVector, ...]:
+        return tuple(row_tuples(self.state_array))
+
+    @cached_property
+    def rewards(self) -> Tuple[int, ...]:
+        return tuple(self.reward_array.tolist())
 
 
 def _rewards_level(em: ExplicitMdp, horizon: int) -> np.ndarray:
@@ -189,8 +218,8 @@ def _rewards_level(em: ExplicitMdp, horizon: int) -> np.ndarray:
     bound on every scaled value and partial sum, is below 2**63, exact Python
     ints (object dtype) otherwise."""
     h = max(horizon, 0)
-    worst = max(max(map(abs, em.rewards)), 1) * (h + 1) * em.denominator**h
-    return np.array(em.rewards, dtype=np.int64 if worst < 1 << 63 else object)
+    worst = max(int(np.abs(em.reward_array).max()), 1) * (h + 1) * em.denominator**h
+    return em.reward_array.astype(np.int64 if worst < 1 << 63 else object)
 
 
 def _bellman(em: ExplicitMdp, prev: np.ndarray, i: int) -> np.ndarray:
@@ -200,7 +229,7 @@ def _bellman(em: ExplicitMdp, prev: np.ndarray, i: int) -> np.ndarray:
 
         D**i·Q(s, a) = D**i·r(s) + sum num·D**(i-1)·V(s', i-1).
     """
-    q = np.array(em.rewards, dtype=prev.dtype) * em.denominator**i
+    q = em.reward_array.astype(prev.dtype) * em.denominator**i
     Q = np.tile(q, (len(em.actions), 1))
     for a, (src, dst, num) in enumerate(em.transitions):
         np.add.at(Q[a], src, num.astype(prev.dtype) * prev[dst])
@@ -238,15 +267,18 @@ def reward(m: SuccinctMdp, s: BitVector) -> int:
 
 
 def reward_batch(m: SuccinctMdp, states: Sequence[BitVector]) -> List[int]:
-    """Rewards of a sequence of states or of a (rows, n) bool array. The
+    """Rewards of a sequence of states or of a (rows, n) bool array, as Python ints."""
+    return _reward_rows(m, states).tolist()
+
+
+def _reward_rows(m: SuccinctMdp, states) -> np.ndarray:
+    """`reward_batch` as an array in the dtype of `bits.signed_rows`. The
     reward circuit runs on pieces of at most `_STEP_ROWS` rows, so one call
     never holds the gate words of more rows than that."""
     arr = np.asarray(states, dtype=bool)
-    out: List[int] = []
-    for lo in range(0, len(arr), _STEP_ROWS):
-        piece = ct.eval_batch(m.r_circuit, arr[lo : lo + _STEP_ROWS])
-        out += [int(v) for v in signed_rows(piece)]
-    return out
+    size = _STEP_ROWS
+    out = [ct.eval_batch(m.r_circuit, arr[lo : lo + size]) for lo in range(0, len(arr), size)]
+    return signed_rows(np.concatenate(out or [np.zeros((0, m.reward_width), bool)]))
 
 
 def _duplicate_slot(valid: int, succ_words: List[int], blocks: int, npad: int) -> bool:
@@ -508,12 +540,6 @@ def expand(m: SuccinctMdp, s0: Optional[BitVector] = None) -> ExplicitMdp:
     return em
 
 
-def _pack_keys(arr: np.ndarray) -> Tuple[bytes, int]:
-    """Per-row byte keys of a bool array: (flat buffer, bytes per row)."""
-    packed = np.packbits(arr, axis=1)
-    return packed.tobytes(), packed.shape[1]
-
-
 def expand_many(
     m: SuccinctMdp, roots: Sequence[BitVector], depth: Optional[int] = None
 ) -> Tuple[ExplicitMdp, List[int]]:
@@ -523,7 +549,7 @@ def expand_many(
     With a `depth`, only the states fewer than `depth` steps from the nearest
     root are stepped: the states of layers 0..depth are found and numbered
     as the full closure numbers them, and the loop stops before stepping
-    layer `depth`. Those last states are a suffix of ``states`` with no rows,
+    layer `depth`. Those last states are a suffix of the states with no rows,
     so `_bellman` gives each of them its reward at every step index. A state
     k steps from the nearest root then has exact values at step indices
     0..depth - k, which is all that a horizon-`depth` question at a root
@@ -539,38 +565,17 @@ def expand_many(
     if not roots:
         raise ModelError("need at least one root state")
     limit = state_limit()
-    n = m.num_vars
     for s in roots:
-        if len(s) != n or not set(s) <= {0, 1}:
-            raise ModelError(
-                f"root {tuple(s)} is not a 0/1 state of width {n} (it has width {len(s)})"
-            )
+        _check_state(s, m.num_vars, "root")
 
     index: Dict[bytes, int] = {}
-    root_arr = np.array([tuple(s) for s in roots], dtype=bool)
-    root_keys, root_kw = _pack_keys(root_arr)
-    first: List[int] = []  # the row of each distinct root
-    root_idx: List[int] = []
-    for i in range(len(roots)):
-        key = root_keys[i * root_kw : (i + 1) * root_kw]
-        if key not in index:
-            if len(index) >= limit:
-                raise _limit_error("reachable state count", len(index) + 1, limit)
-            index[key] = len(index)
-            first.append(i)
-        root_idx.append(index[key])
-    no_rows = np.zeros(0, np.int64)
-    no_nums = _no_transitions(m)[2]
-    # (src, dst, num) per action; the empty rows stand for an action with none
-    layers = [[(no_rows, no_rows, no_nums)] for _ in m.actions]
-    found = [root_arr[first]]  # the states in index order, one array per layer
-    base = 0  # the frontier holds the states base .. base + len(frontier) - 1
-    B, index_width = _candidates(m)
+    fresh: List[np.ndarray] = []
 
     def number(succ: np.ndarray) -> np.ndarray:
         """The index of each successor row, a new state taking the next one;
         the new states go to `fresh` in discovery order."""
-        keys, kw = _pack_keys(succ)
+        packed = np.packbits(succ, axis=1)  # one byte key per row
+        keys, kw = packed.tobytes(), packed.shape[1]
         old = len(index)
         dst = np.array(
             [index.setdefault(keys[r * kw : r * kw + kw], len(index)) for r in range(len(succ))],
@@ -583,6 +588,14 @@ def expand_many(
             fresh.append(succ[new[np.unique(dst[new], return_index=True)[1]]])
         return dst
 
+    root_idx = number(np.array([tuple(s) for s in roots], dtype=bool)).tolist()
+    found = [fresh[0]]  # the states in index order, one array per layer
+    no_rows = np.zeros(0, np.int64)
+    no_nums = _no_transitions(m)[2]
+    # (src, dst, num) per action; the empty rows stand for an action with none
+    layers = [[(no_rows, no_rows, no_nums)] for _ in m.actions]
+    base = 0  # the frontier holds the states base .. base + len(frontier) - 1
+    B, index_width = _candidates(m)
     while len(found[-1]) and (depth is None or len(found) <= depth):
         frontier, start, fresh = found[-1], len(index), []
         # the layer's (state, action) pairs, action-major; the actions share
@@ -609,15 +622,15 @@ def expand_many(
                 number(_step(m, frontier, a)[1])
             raise
         base += len(frontier)
-        found.append(np.concatenate(fresh) if fresh else root_arr[:0])
+        found.append(np.concatenate(fresh) if fresh else frontier[:0])
     states = np.concatenate(found)
     em = ExplicitMdp(
-        states=tuple(row_tuples(states)),
+        state_array=states,
         initial=0,
         actions=tuple(m.actions),
         denominator=m.prob_denominator,
         transitions=tuple(tuple(map(np.concatenate, zip(*rows))) for rows in layers),
-        rewards=tuple(reward_batch(m, states)),
+        reward_array=_reward_rows(m, states),
     )
     return em, root_idx
 

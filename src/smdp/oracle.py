@@ -94,8 +94,7 @@ class OptimalSolution:
 
     def q(self, i: int) -> np.ndarray:
         """Q[a, k] scaled by D**i: action a at state index k, then the optimum for i - 1 steps."""
-        if not 1 <= i <= self.horizon:
-            raise ValueError(f"step index {i} out of range 1..{self.horizon}")
+        md._check_step(i, 1, self.horizon)
         return md._bellman(self.explicit, self.levels[i - 1], i)
 
     def exact(self, scaled, i: int) -> Fraction:
@@ -104,6 +103,7 @@ class OptimalSolution:
 
     def ties(self, k: int, i: int) -> Tuple[int, ...]:
         """The optimal actions at state index k and step index i (all at 0)."""
+        md._check_step(i, 0, self.horizon)
         if i == 0:
             return tuple(range(len(self.explicit.actions)))
         return tuple(np.flatnonzero(self.q(i)[:, k] == self.levels[i][k]).tolist())
@@ -113,13 +113,17 @@ class OptimalSolution:
         return md._fractions(self.explicit, self.levels)
 
     def value(self, s: BitVector, i: int) -> Fraction:
-        return self.values[tuple(s)][i]
+        md._check_step(i, 0, self.horizon)
+        try:
+            return self.values[tuple(s)][i]
+        except KeyError:
+            raise ValueError(f"state {tuple(s)} is not an expanded state") from None
 
     @cached_property
     def optimal_actions(self) -> Dict[BitVector, Tuple[Tuple[int, ...], ...]]:
         """Every state's optimal actions, indexed by step index."""
         em = self.explicit
-        columns = [[tuple(range(len(em.actions)))] * len(em.states)]
+        columns = [[tuple(range(len(em.actions)))] * len(em.state_array)]
         for i in range(1, self.horizon + 1):
             tied = list(map(tuple, (self.q(i) == self.levels[i]).T.tolist()))
             actions = {row: tuple(a for a, t in enumerate(row) if t) for row in set(tied)}
@@ -196,7 +200,7 @@ def _enumerate_candidate_circuits(
 def _reachable_depths(em: md.ExplicitMdp, horizon: int) -> np.ndarray:
     """reach[d, k]: state k of `em` is reachable from the initial state in
     exactly d steps under some actions, for the depths d < horizon."""
-    reach = np.zeros((horizon, len(em.states)), dtype=bool)
+    reach = np.zeros((horizon, len(em.state_array)), dtype=bool)
     if horizon:
         reach[0, em.initial] = True
     for d in range(1, horizon):

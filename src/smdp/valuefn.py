@@ -72,8 +72,8 @@ class ValueCircuit:
         return self.circuit.num_outputs
 
     def value(self, s: BitVector, i: int) -> Fraction:
-        if not 0 <= i <= self.horizon:
-            raise ValueFunctionError(f"step index {i} out of range 0..{self.horizon}")
+        md._check_step(i, 0, self.horizon, ValueFunctionError)
+        md._check_state(s, self.num_vars, error=ValueFunctionError)
         bits = tuple(s) + int_to_bits(i, self.step_width)
         return Fraction(twos_to_int(ct.eval(self.circuit, bits)), self.value_denominator)
 
@@ -127,8 +127,7 @@ class ValueTable:
                 )
 
     def value(self, s: BitVector, i: int) -> Fraction:
-        if not 0 <= i <= self.horizon:
-            raise ValueFunctionError(f"step index {i} out of range 0..{self.horizon}")
+        md._check_step(i, 0, self.horizon, ValueFunctionError)
         try:
             return self.values[tuple(s)][i]
         except KeyError:
@@ -155,10 +154,10 @@ def value_of_policy(em: md.ExplicitMdp, policy, horizon: int) -> ValueTable:
     md._check_horizon(horizon)
     if policy.kind == "history":
         raise PolicyError("value_of_policy needs a stationary or timed policy, not a history one")
-    every_state = np.arange(len(em.states))
+    every_state = np.arange(len(em.state_array))
 
     def choose(Q: np.ndarray, i: int) -> np.ndarray:
-        acts = np.array(policy.decide_batch(em.states, horizon - i, i))
+        acts = np.array(policy.decide_batch(em.state_array, horizon - i, i))
         bad = np.flatnonzero((acts < 0) | (acts >= len(em.actions)))
         if bad.size:
             k = int(bad[0])
@@ -262,8 +261,8 @@ def extract_policy(
     s = tuple(s)
     if isinstance(E, ValueCircuit):
         _check_num_vars(m, E)
-    if not 1 <= i <= horizon:
-        raise ValueFunctionError(f"step index {i} must be in 1..{horizon}")
+    md._check_state(s, m.num_vars, error=ValueFunctionError)
+    md._check_step(i, 1, horizon, ValueFunctionError)
     target = E.value(s, i) - md.reward(m, s)
     for a in range(len(m.actions)):
         total = Fraction(0)

@@ -269,6 +269,22 @@ def test_extract_policy_reads_successors_of_a_value_circuit(tmp_path, capsys):
     assert code == 0 and text.strip() == "a" and err == ""
 
 
+def test_value_and_extract_policy_reject_a_state_of_the_wrong_width(tmp_path, capsys):
+    cnf = write_cnf(tmp_path, Cnf(2, ((1, 2),)))
+    out = tmp_path / "inst"
+    assert run(["gen-unsatcons", cnf, "-o", str(out)], capsys)[0] == 0
+    vpath = str(out / "valuefn.manifest")
+    for argv in (["value", vpath], ["extract-policy", str(out / "mdp.manifest"), vpath]):
+        # `value` reported the circuit's "expected 4 input bits, got 5"
+        code, text, err = run(argv + ["--state", "011", "--step", "1"], capsys)
+        assert code == 1 and text == ""
+        assert "state (0, 1, 1) is not a 0/1 state of width 2 (it has width 3)" in err
+        assert "Traceback" not in err
+        code, text, err = run(argv + ["--state", "01", "--step", "-1"], capsys)
+        assert code == 1 and text == ""
+        assert "step index -1 out of range" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "command, limit, message",
     [

@@ -211,6 +211,32 @@ def test_wide_reward_batch_matches_reward():
     assert [md.reward(m, (0,)), md.reward(m, (1,))] == [3 - 2**65, 5]
 
 
+def test_state_and_reward_arrays_match_their_views():
+    for seed in range(6):
+        rm = make_random(seed, num_vars=2 + seed % 3)
+        em = md.expand(rm.mdp)
+        assert em.state_array.dtype == bool
+        assert em.state_array.shape == (len(em.states), rm.mdp.num_vars)
+        assert em.states == tuple(map(tuple, em.state_array.astype(int).tolist()))
+        assert all(type(b) is int for s in em.states for b in s)
+        assert em.reward_array.dtype == np.int64
+        assert em.rewards == tuple(em.reward_array.tolist())
+        assert em.rewards == tuple(rm.rewards[s] for s in em.states)
+        assert all(type(v) is int for v in em.rewards)
+    # 66-bit two's-complement rewards 3 - 2**65 and 5, as in test_wide_reward_batch_matches_reward
+    tb = ct.CircuitBuilder(3)
+    rewards = ct.circuit_from_values(1, 66, [2**65 + 3, 5])
+    em = md.expand(md.SuccinctMdp(("x1",), (0,), ("a",), tb.build([tb.const(1)]), rewards, 2))
+    assert em.states == ((0,), (1,)) and em.reward_array.dtype == object
+    assert em.rewards == (3 - 2**65, 5) and all(type(v) is int for v in em.rewards)
+    assert em.reward_array.tolist() == list(em.rewards)
+    # each step moves to either state with probability 1/2
+    sol = oracle.solve_optimal(em, 2)
+    for s, r in zip(em.states, em.rewards):
+        for i in range(3):
+            assert sol.value(s, i) == r + Fraction(i * (8 - 2**65), 2)
+
+
 def test_state_limit_env(monkeypatch):
     monkeypatch.setenv("SMDP_LIMIT_STATES", "2")
     rm = make_random(7)

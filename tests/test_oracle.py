@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -308,6 +309,44 @@ def test_next_action_queries_build_no_fraction_tables(monkeypatch):
     # the counter sees the tables that are built
     assert oracle.solve_optimal(md.expand(inst.mdp, inst.state), 2).values
     assert len(built) == 1
+
+
+def test_next_action_queries_build_no_state_tuples(monkeypatch):
+    built = []
+    row_tuples = md.row_tuples
+    monkeypatch.setattr(md, "row_tuples", lambda rows: built.append(len(rows)) or row_tuples(rows))
+    inst = sat_to_next_action(Cnf(2, ((1, 2, 2), (-1, -2, -2))), mode="compact")
+    got = oracle.best_next_action(inst.mdp, inst.steps_remaining(), inst.state)
+    assert got == (inst.mdp.actions.index("S"),)
+    rows = verify.suite_nextaction(max_n=2)
+    assert rows and all(r.ok for r in rows)
+    assert not built
+    # the tuple view is built once, on its first read
+    em = md.expand(inst.mdp, inst.state)
+    assert not built
+    assert em.states is em.states and len(em.states) == len(em.state_array)
+    assert built == [len(em.state_array)]
+
+
+def test_optimal_solution_checks_the_step_index_and_the_state():
+    rm = random_bounded_mdp(random.Random(0), 2, 3)
+    em = md.expand(rm.mdp)
+    sol = oracle.solve_optimal(em, 3)
+    s = em.states[em.initial]
+    assert sol.value(s, 3) == sol.exact(sol.levels[3][em.initial], 3)
+    # step index -1 read the step-3 value, and 4 raised IndexError
+    for i in (-1, 4):
+        with pytest.raises(ValueError, match=f"^step index {i} out of range 0..3$"):
+            sol.value(s, i)
+        with pytest.raises(ValueError, match=f"^step index {i} out of range 0..3$"):
+            sol.ties(em.initial, i)
+    # a state that is not expanded raised KeyError
+    near, _ = md.expand_many(rm.mdp, [s], depth=0)
+    other = next(t for t in em.states if t != s)
+    for t in (other, (1, 1, 1)):
+        msg = rf"^state {re.escape(str(t))} is not an expanded state$"
+        with pytest.raises(ValueError, match=msg):
+            oracle.solve_optimal(near, 0).value(t, 0)
 
 
 def test_value_of_policy_rejects_history_policy():

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from math import lcm
 
@@ -369,3 +370,26 @@ def test_value_cells_count_against_the_state_limit(monkeypatch):
     with pytest.raises(md.EnumerationLimitError, match=msg):
         E.value_table([(0, 0), (0, 1), (1, 0), (1, 1)])
     assert len(E.value_table([(0, 0), (1, 1)]).values) == 2
+
+
+def test_value_functions_check_the_step_index_and_the_state():
+    rng = random.Random(16)
+    rm = random_bounded_mdp(rng, 2, 2)
+    table = realized_table(rng, rm, 2)
+    circuit = value_circuit_of(table)
+    s = table.states()[0]
+    for E in (table, circuit):
+        for i in (-1, 3):
+            with pytest.raises(ValueFunctionError, match=f"^step index {i} out of range 0..2$"):
+                E.value(s, i)
+        for i in (0, 3):
+            with pytest.raises(ValueFunctionError, match=f"^step index {i} out of range 1..2$"):
+                extract_policy(rm.mdp, E, 2, s, i)
+    # a circuit read the bits 2 and -1 as 1, and failed on other widths
+    for bad in ((0, 2), (0, -1), (0, 1, 1), (1,)):
+        msg = rf"^state {re.escape(str(bad))} is not a 0/1 state of width 2 \(it has width"
+        with pytest.raises(ValueFunctionError, match=msg):
+            circuit.value(bad, 1)
+        for E in (table, circuit):
+            with pytest.raises(ValueFunctionError, match=msg):
+                extract_policy(rm.mdp, E, 2, bad, 1)
