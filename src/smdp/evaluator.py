@@ -58,12 +58,10 @@ class RewardReport:
     trajectory_count: int  # positive-probability trajectories of full length T
 
 
-def _check_policy_width(m: md.SuccinctMdp, policy) -> None:
-    """A circuit policy must read as many state bits as the model has."""
-    if isinstance(policy, (StationaryPolicy, HistoryPolicy)) and policy.num_vars != m.num_vars:
-        raise PolicyError(
-            f"policy reads {policy.num_vars} state bits, the model has {m.num_vars}"
-        )
+def _check_policy_width(policy, n: int) -> None:
+    """A circuit policy must read as many state bits as the model has (n)."""
+    if isinstance(policy, (StationaryPolicy, HistoryPolicy)) and policy.num_vars != n:
+        raise PolicyError(f"policy reads {policy.num_vars} state bits, the model has {n}")
 
 
 def _forward(
@@ -125,7 +123,7 @@ def enumerate_trajectories(m: md.SuccinctMdp, policy, depth: int) -> Iterator[Tr
     first with successors in `md.successors` order. They are all computed
     before the first is yielded."""
     md._check_horizon(depth, "depth")
-    _check_policy_width(m, policy)
+    _check_policy_width(policy, m.num_vars)
     for rows, num, _ in _forward(m, policy, depth, histories=True):
         pass  # only the last layer holds whole trajectories
     n = m.num_vars
@@ -139,7 +137,7 @@ def expected_reward_exact(m: md.SuccinctMdp, policy, horizon: int) -> RewardRepo
     """The expected reward of a policy of any kind, with the reward and the
     probability mass of each depth."""
     md._check_horizon(horizon)
-    _check_policy_width(m, policy)
+    _check_policy_width(policy, m.num_vars)
     n = m.num_vars
     D = m.prob_denominator
     per_depth, masses = [], []
@@ -194,7 +192,7 @@ def expected_reward_mc(
     md._check_horizon(horizon)
     if samples < 1:
         raise ValueError("need at least one sample")
-    _check_policy_width(m, policy)
+    _check_policy_width(policy, m.num_vars)
     rng = random.Random(seed)
     walk = _LockstepWalk(m, policy, horizon)
     s0_bits = tuple(m.initial)

@@ -9,9 +9,9 @@ circuit-backed implementations.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import combinations, product
 from fractions import Fraction
 from typing import Dict, Iterator, List, Optional, Tuple
 
@@ -19,10 +19,9 @@ import numpy as np
 
 from . import circuit as ct
 from . import mdp as md
-from .bits import BitVector
+from .bits import BitVector, unsigned_rows
 from .cnf import Cnf, assignments
-from .policy import ExplicitPolicy, PolicyError, StationaryPolicy, TimedExplicitPolicy
-from .valuefn import value_of_policy
+from .policy import ExplicitPolicy, StationaryPolicy, TimedExplicitPolicy
 
 ORACLE_VAR_LIMIT = 20
 MICRO_GATE_BOUND = 6
@@ -85,12 +84,14 @@ def forall_exists_oracle(cnf: Cnf, num_x: int) -> bool:
 
 @dataclass(frozen=True, eq=False)
 class OptimalSolution:
-    """Exact optimum: ``levels[i]`` holds the value of every state of ``explicit.states``
-    at step index i, scaled by D**i. The Fraction tables are derived on first use."""
+    """Exact optimum, kept by the induction: ``levels[i]`` holds every state's value at
+    step index i, scaled by D**i, and ``tied[i - 1]`` the (actions, states) bool mask of
+    the optimal actions at step index i >= 1. Fraction tables are derived on first use."""
 
     explicit: md.ExplicitMdp
     horizon: int
     levels: Tuple[np.ndarray, ...]
+    tied: Tuple[np.ndarray, ...]
 
     def q(self, i: int) -> np.ndarray:
         """Q[a, k] scaled by D**i: action a at state index k, then the optimum for i - 1 steps."""
@@ -106,7 +107,7 @@ class OptimalSolution:
         md._check_step(i, 0, self.horizon)
         if i == 0:
             return tuple(range(len(self.explicit.actions)))
-        return tuple(np.flatnonzero(self.q(i)[:, k] == self.levels[i][k]).tolist())
+        return tuple(np.flatnonzero(self.tied[i - 1][:, k]).tolist())
 
     @cached_property
     def values(self) -> Dict[BitVector, Tuple[Fraction, ...]]:
@@ -124,8 +125,8 @@ class OptimalSolution:
         """Every state's optimal actions, indexed by step index."""
         em = self.explicit
         columns = [[tuple(range(len(em.actions)))] * len(em.state_array)]
-        for i in range(1, self.horizon + 1):
-            tied = list(map(tuple, (self.q(i) == self.levels[i]).T.tolist()))
+        for mask in self.tied:
+            tied = list(map(tuple, mask.T.tolist()))
             actions = {row: tuple(a for a, t in enumerate(row) if t) for row in set(tied)}
             columns.append([actions[row] for row in tied])
         return dict(zip(em.states, zip(*columns)))
@@ -148,8 +149,15 @@ def solve_optimal(em: md.ExplicitMdp, horizon: int) -> OptimalSolution:
     """Exact backward induction; ties keep every optimal action, and
     `OptimalSolution.greedy` picks the lowest index among them."""
     md._check_horizon(horizon)
-    levels = md._induction(em, horizon, lambda Q, i: Q.max(axis=0))
-    return OptimalSolution(em, horizon, tuple(levels))
+    tied = []
+
+    def choose(Q: np.ndarray, i: int) -> np.ndarray:
+        level = Q.max(axis=0)
+        tied.append(Q == level)
+        return level
+
+    levels = md._induction(em, horizon, choose)
+    return OptimalSolution(em, horizon, tuple(levels), tuple(tied))
 
 
 def best_next_action(m: md.SuccinctMdp, steps_remaining: int, s: BitVector) -> Tuple[int, ...]:
@@ -172,24 +180,14 @@ def best_next_action(m: md.SuccinctMdp, steps_remaining: int, s: BitVector) -> T
 def _enumerate_candidate_circuits(
     num_inputs: int, out_width: int, max_gates: int
 ) -> Iterator[ct.Circuit]:
-    kinds2 = ("AND", "OR", "XOR")
-
-    def gate_choices(num_prior: int):
-        refs = [f"i{k}" for k in range(num_inputs)] + [f"g{j}" for j in range(num_prior)]
-        for kind in kinds2:
-            for a, b in itertools.combinations(refs, 2):
-                yield (kind, (a, b))
-        for a in refs:
-            yield ("NOT", (a,))
-        yield ("CONST0", ())
-        yield ("CONST1", ())
-
     def rec(gates: List[ct.Gate]):
         refs = [f"i{k}" for k in range(num_inputs)] + [f"g{j}" for j in range(len(gates))]
-        for outs in itertools.product(refs, repeat=out_width):
+        for outs in product(refs, repeat=out_width):
             yield ct.Circuit(num_inputs, tuple(gates), outs, name="cand")
         if len(gates) < max_gates:
-            for kind, args in gate_choices(len(gates)):
+            choices = [(k, p) for k in ("AND", "OR", "XOR") for p in combinations(refs, 2)]
+            choices += [("NOT", (a,)) for a in refs] + [("CONST0", ()), ("CONST1", ())]
+            for kind, args in choices:
                 yield from rec(gates + [ct.Gate(len(gates), kind, args)])
 
     if num_inputs == 0 and max_gates == 0:
@@ -228,6 +226,10 @@ def bounded_policy_exists(
     best stationary policy may fall short of the optimum, which only a
     search over stationary tables could settle, and the question is refused
     with `OracleScaleError`.
+
+    In the micro regime each distinct decoding of a candidate on the expanded
+    states is valued once by exact induction; one with an out-of-range action
+    is skipped, except at horizon 0, where no state decides.
     """
     md._check_horizon(horizon)
     if size_bound < 0:
@@ -239,20 +241,17 @@ def bounded_policy_exists(
         sol = solve_optimal(em, horizon)
         if sol.exact(sol.levels[horizon][em.initial], horizon) < reward_bound:
             return False, None
-        reach = _reachable_depths(em, horizon)
-        table = {}
-        for k, s in enumerate(em.states):
-            opt = sol.optimal_actions[s]
-            always = set(range(n_actions)).intersection(
-                *(opt[horizon - d] for d in np.flatnonzero(reach[:, k]))
+        always = np.ones((n_actions, len(em.state_array)), dtype=bool)
+        for d, reached in enumerate(_reachable_depths(em, horizon)):
+            always &= sol.tied[horizon - d - 1] | ~reached
+        stuck = np.flatnonzero(~always.any(axis=0))
+        if stuck.size:
+            raise OracleScaleError(
+                f"no action at state {em.states[stuck[0]]} is optimal at every step index at "
+                "which the state is reachable, so the best stationary policy may miss the "
+                "optimum; the vacuous size bound cannot answer for a stationary policy here"
             )
-            if not always:
-                raise OracleScaleError(
-                    f"no action at state {s} is optimal at every step index at which the "
-                    "state is reachable, so the best stationary policy may miss the optimum; "
-                    "the vacuous size bound cannot answer for a stationary policy here"
-                )
-            table[s] = min(always)
+        table = dict(zip(em.states, always.argmax(axis=0).tolist()))
         return True, ExplicitPolicy(table, n_actions)
     if size_bound > MICRO_GATE_BOUND or n_bits > MICRO_INPUT_BOUND:
         raise OracleScaleError(
@@ -261,24 +260,19 @@ def bounded_policy_exists(
             f"<= {MICRO_INPUT_BOUND} state bits)"
         )
     em = md.expand(m)
+    every_state = np.arange(len(em.state_array))
+    target = reward_bound * em.denominator**horizon
     seen_behaviors = set()
-    examined = 0
-    aw = m.action_width
-    for cand in _enumerate_candidate_circuits(n_bits, aw, size_bound):
-        examined += 1
+    candidates = _enumerate_candidate_circuits(n_bits, m.action_width, size_bound)
+    for examined, cand in enumerate(candidates, 1):
         if examined > MICRO_CANDIDATE_CAP:
-            raise OracleScaleError(
-                f"candidate count exceeds cap {MICRO_CANDIDATE_CAP}"
-            )
-        key = ct.truth_table(cand).tobytes()
-        if key in seen_behaviors:
-            continue
+            raise OracleScaleError(f"candidate count exceeds cap {MICRO_CANDIDATE_CAP}")
+        acts = unsigned_rows(ct.eval_batch(cand, em.state_array))
+        key = acts.tobytes()
+        if key in seen_behaviors or horizon and (acts >= n_actions).any():
+            continue  # met before, or an out-of-range action at an expanded state
         seen_behaviors.add(key)
-        try:
-            policy = StationaryPolicy(cand, n_actions)
-            table = value_of_policy(em, policy, horizon)
-        except PolicyError:
-            continue  # decodes an out-of-range action somewhere
-        if table.value(em.states[em.initial], horizon) >= reward_bound:
-            return True, policy
+        levels = md._induction(em, horizon, lambda Q, i: Q[acts, every_state])
+        if int(levels[horizon][em.initial]) >= target:
+            return True, StationaryPolicy(cand, n_actions)
     return False, None

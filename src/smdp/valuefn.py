@@ -33,6 +33,7 @@ from .bits import (
     width_for_count,
     word_bits,
 )
+from .evaluator import _check_policy_width
 from .policy import PolicyError
 
 
@@ -148,23 +149,27 @@ class ConsistencyResult:
 def value_of_policy(em: md.ExplicitMdp, policy, horizon: int) -> ValueTable:
     """Exact value table of a stationary or timed policy over an explicit MDP.
 
-    At step index i the policy decides every state with ``(horizon - i, i)``
-    as its depth and steps remaining. An action outside the model's actions
-    is a `PolicyError`."""
+    A timed policy decides every state at each step index i, with depth horizon - i
+    and i steps remaining; a stationary one decides once, at i = 1 (none at horizon 0).
+    An action outside the model's actions is a `PolicyError`."""
     md._check_horizon(horizon)
     if policy.kind == "history":
         raise PolicyError("value_of_policy needs a stationary or timed policy, not a history one")
+    _check_policy_width(policy, em.state_array.shape[1])
     every_state = np.arange(len(em.state_array))
+    acts = None
 
     def choose(Q: np.ndarray, i: int) -> np.ndarray:
-        acts = np.array(policy.decide_batch(em.state_array, horizon - i, i))
-        bad = np.flatnonzero((acts < 0) | (acts >= len(em.actions)))
-        if bad.size:
-            k = int(bad[0])
-            raise PolicyError(
-                f"policy picks action {int(acts[k])} at state {em.states[k]} with {i} steps "
-                f"remaining; the model has {len(em.actions)} actions"
-            )
+        nonlocal acts
+        if acts is None or policy.kind == "timed":
+            acts = np.array(policy.decide_batch(em.state_array, horizon - i, i))
+            bad = np.flatnonzero((acts < 0) | (acts >= len(em.actions)))
+            if bad.size:
+                k = int(bad[0])
+                raise PolicyError(
+                    f"policy picks action {int(acts[k])} at state {em.states[k]} with {i} "
+                    f"steps remaining; the model has {len(em.actions)} actions"
+                )
         return Q[acts, every_state]
 
     return ValueTable(md._fractions(em, md._induction(em, horizon, choose)), horizon)
@@ -207,6 +212,13 @@ def check_consistency(
         states = E.states()
         if not states:
             return ConsistencyResult(True, witness={})
+        n = m.num_vars
+        widths = np.array([len(s) for s in states])
+        cells = np.array([b for s in states for b in s], dtype=object)
+        bad = widths != n
+        bad[np.repeat(np.arange(len(states)), widths)[(cells != 0) & (cells != 1)]] = True
+        if bad.any():
+            md._check_state(states[int(bad.argmax())], n, "value table state", ValueFunctionError)
         S = np.array(states, dtype=bool)
         rows = [E.values[s][: horizon + 1] for s in states]
         L = math.lcm(*(v.denominator for row in rows for v in row))

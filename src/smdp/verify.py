@@ -96,17 +96,13 @@ def _nextaction_group(cnfs: List[Cnf], n: int) -> List[VerifyRow]:
     em, roots = md.expand_many(mdp, states, depth=steps)
     sol = oracle.solve_optimal(em, steps)
     Q = sol.q(steps)
-    idx_S = mdp.actions.index("S")
-    idx_U = mdp.actions.index("U")
+    S, U = mdp.actions.index("S"), mdp.actions.index("U")
     sat_bound = Fraction((1 << n) - 1, 1 << n) + Fraction(1 << (n + 1), 1 << n)
     rows = []
     for cnf, root in zip(cnfs, roots):
         satisfiable = oracle.sat_oracle(cnf)
-        q_by_action = [sol.exact(q, steps) for q in Q[:, root]]
-        best = max(q_by_action)
-        opt = tuple(mdp.actions[a] for a, q in enumerate(q_by_action) if q == best)
-        q_s = q_by_action[idx_S]
-        q_u = q_by_action[idx_U]
+        opt = tuple(mdp.actions[a] for a in sol.ties(root, steps))
+        q_s, q_u = sol.exact(Q[S, root], steps), sol.exact(Q[U, root], steps)
         checks = [q_u == 2]
         if satisfiable:
             checks.append(opt == ("S",))

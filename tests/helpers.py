@@ -1,21 +1,25 @@
 """Shared test helpers, the per-state `Fraction` references that the
-integer code paths are compared against, and the sample-by-sample
-Monte-Carlo walk that the lockstep sampler is compared against."""
+integer code paths are compared against, the sample-by-sample
+Monte-Carlo walk that the lockstep sampler is compared against, and the
+truth-table policy search that the bounded-size search is compared against."""
 
+import itertools
 import math
 import random
 from bisect import bisect_right
 from fractions import Fraction
 from itertools import accumulate
-from typing import Dict, List, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
 from smdp import circuit as ct
 from smdp import mdp as md
+from smdp import oracle
 from smdp.bits import BitVector, bits_to_int, int_to_bits, row_tuples, unsigned_rows
 from smdp.evaluator import McEstimate, RewardReport
-from smdp.policy import PolicyError
+from smdp.policy import ExplicitPolicy, PolicyError, StationaryPolicy
+from smdp.valuefn import value_of_policy
 
 
 def transition_pairs(em, k, a):
@@ -282,3 +286,96 @@ def expected_reward_mc_reference(
     else:
         stderr = float("inf")
     return McEstimate(mean=mean, stderr=stderr, samples=samples)
+
+
+def enumerate_candidate_circuits_reference(
+    num_inputs: int, out_width: int, max_gates: int
+) -> Iterator[ct.Circuit]:
+    """Every circuit of at most max_gates gates over the oracle's basis, in
+    the order `oracle._enumerate_candidate_circuits` must keep."""
+    kinds2 = ("AND", "OR", "XOR")
+
+    def gate_choices(num_prior: int):
+        refs = [f"i{k}" for k in range(num_inputs)] + [f"g{j}" for j in range(num_prior)]
+        for kind in kinds2:
+            for a, b in itertools.combinations(refs, 2):
+                yield (kind, (a, b))
+        for a in refs:
+            yield ("NOT", (a,))
+        yield ("CONST0", ())
+        yield ("CONST1", ())
+
+    def rec(gates: List[ct.Gate]):
+        refs = [f"i{k}" for k in range(num_inputs)] + [f"g{j}" for j in range(len(gates))]
+        for outs in itertools.product(refs, repeat=out_width):
+            yield ct.Circuit(num_inputs, tuple(gates), outs, name="cand")
+        if len(gates) < max_gates:
+            for kind, args in gate_choices(len(gates)):
+                yield from rec(gates + [ct.Gate(len(gates), kind, args)])
+
+    if num_inputs == 0 and max_gates == 0:
+        return
+    yield from rec([])
+
+
+def bounded_policy_exists_reference(
+    m: md.SuccinctMdp, horizon: int, size_bound: int, reward_bound: Fraction
+) -> Tuple[bool, Optional[object]]:
+    """`oracle.bounded_policy_exists` built from whole objects: the vacuous
+    regime reads each state's optimal actions from `q(i)` state by state, and
+    the micro regime dedupes candidates on their 2**n-row truth tables and
+    values each through a `StationaryPolicy` and `value_of_policy`. Same
+    verdicts, witnesses and refusal texts."""
+    md._check_horizon(horizon)
+    if size_bound < 0:
+        raise ValueError(f"size bound must be nonnegative, got {size_bound}")
+    n_bits = m.num_vars
+    n_actions = len(m.actions)
+    if n_bits < 60 and size_bound >= n_actions * (1 << n_bits):
+        em = md.expand(m)
+        sol = oracle.solve_optimal(em, horizon)
+        if sol.exact(sol.levels[horizon][em.initial], horizon) < reward_bound:
+            return False, None
+        reach = oracle._reachable_depths(em, horizon)
+        tied = [None] + [sol.q(i) == sol.levels[i] for i in range(1, horizon + 1)]
+        table = {}
+        for k, s in enumerate(em.states):
+            depths = np.flatnonzero(reach[:, k])
+            always = set(range(n_actions)).intersection(
+                *(np.flatnonzero(tied[horizon - d][:, k]).tolist() for d in depths)
+            )
+            if not always:
+                raise oracle.OracleScaleError(
+                    f"no action at state {s} is optimal at every step index at which the "
+                    "state is reachable, so the best stationary policy may miss the optimum; "
+                    "the vacuous size bound cannot answer for a stationary policy here"
+                )
+            table[s] = min(always)
+        return True, ExplicitPolicy(table, n_actions)
+    if size_bound > oracle.MICRO_GATE_BOUND or n_bits > oracle.MICRO_INPUT_BOUND:
+        raise oracle.OracleScaleError(
+            f"size bound {size_bound} with {n_bits} state bits is outside the "
+            f"micro-enumeration regime (<= {oracle.MICRO_GATE_BOUND} gates, "
+            f"<= {oracle.MICRO_INPUT_BOUND} state bits)"
+        )
+    em = md.expand(m)
+    seen_behaviors = set()
+    examined = 0
+    for cand in enumerate_candidate_circuits_reference(n_bits, m.action_width, size_bound):
+        examined += 1
+        if examined > oracle.MICRO_CANDIDATE_CAP:
+            raise oracle.OracleScaleError(
+                f"candidate count exceeds cap {oracle.MICRO_CANDIDATE_CAP}"
+            )
+        key = ct.truth_table(cand).tobytes()
+        if key in seen_behaviors:
+            continue
+        seen_behaviors.add(key)
+        try:
+            policy = StationaryPolicy(cand, n_actions)
+            table = value_of_policy(em, policy, horizon)
+        except PolicyError:
+            continue  # decodes an out-of-range action somewhere
+        if table.value(em.states[em.initial], horizon) >= reward_bound:
+            return True, policy
+    return False, None

@@ -432,6 +432,9 @@ def test_evaluators_reject_a_policy_of_another_width():
             expected_reward_mc(m, p, 1, samples=10, seed=0)
         with pytest.raises(PolicyError, match=msg):
             list(enumerate_trajectories(m, p, 1))
+    # value_of_policy raised CircuitError from the policy circuit
+    with pytest.raises(PolicyError, match=msg):
+        value_of_policy(md.expand(m), stationary, 1)
 
 
 def _reward_circuit_calls(monkeypatch, m):

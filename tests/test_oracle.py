@@ -16,6 +16,7 @@ from smdp.policy import (
     ExplicitPolicy,
     HistoryPolicy,
     PolicyError,
+    StationaryPolicy,
     TimedExplicitPolicy,
     compile_explicit,
 )
@@ -23,7 +24,7 @@ from smdp.random_models import random_bounded_mdp, random_stationary_policy
 from smdp.reductions import majsat_to_eval, sat_to_next_action
 from smdp.valuefn import value_of_policy
 
-from helpers import closure_depths, transition_pairs
+from helpers import bounded_policy_exists_reference, closure_depths, transition_pairs
 
 
 def test_sat_family_oracles():
@@ -140,6 +141,49 @@ def test_bounded_policy_exists_micro_regime():
     # reward 2 needs the go action; a policy that cannot express it fails
     no, _ = oracle.bounded_policy_exists(m, 2, 2, Fraction(5, 2))
     assert not no
+
+
+def _search_outcome(search, *args):
+    """A policy search's verdict and witness (a netlist or a sorted table),
+    or its refusal text."""
+    try:
+        yes, witness = search(*args)
+    except oracle.OracleScaleError as exc:
+        return "refused", str(exc)
+    if isinstance(witness, StationaryPolicy):
+        return yes, ct.serialize(witness.circuit)
+    return yes, None if witness is None else sorted(witness.mapping.items())
+
+
+def test_bounded_policy_search_matches_the_truth_table_reference():
+    rng = random.Random(26)
+    outcomes = []
+    for _ in range(16):
+        n = rng.randint(1, 3)
+        m = random_bounded_mdp(rng, n, rng.randint(1, 3)).mdp
+        horizon = rng.randint(0, 3)
+        em = md.expand(m)
+        sol = oracle.solve_optimal(em, horizon)
+        best = sol.exact(sol.levels[horizon][em.initial], horizon)
+        for size in (0, 1, 2, len(m.actions) << n):
+            for bound in (best, best - Fraction(1, 2), best + Fraction(1, 7), Fraction(-100)):
+                args = (m, horizon, size, bound)
+                got = _search_outcome(oracle.bounded_policy_exists, *args)
+                assert got == _search_outcome(bounded_policy_exists_reference, *args), args
+                outcomes.append(got[0])
+    # vacuous size bounds asked at the optimum, drawn as in the tests below
+    for seed in range(40):
+        rng = random.Random(seed)
+        n, k = rng.randint(1, 2), rng.randint(2, 3)
+        m = random_bounded_mdp(rng, n, k).mdp
+        horizon = rng.randint(2, 4)
+        em = md.expand(m)
+        sol = oracle.solve_optimal(em, horizon)
+        args = (m, horizon, k << n, sol.exact(sol.levels[horizon][em.initial], horizon))
+        got = _search_outcome(oracle.bounded_policy_exists, *args)
+        assert got == _search_outcome(bounded_policy_exists_reference, *args), seed
+        outcomes.append(got[0])
+    assert {True, False, "refused"} <= set(outcomes)
 
 
 def test_bounded_policy_exists_monotone_in_bounds():
@@ -287,6 +331,7 @@ def test_q_is_the_bellman_step_on_the_reference_values():
             assert all(v.denominator == 1 for v in scaled)
             want = md._bellman(em, np.array([v.numerator for v in scaled], dtype=object), i)
             assert sol.q(i).tolist() == want.tolist()
+            assert np.array_equal(sol.tied[i - 1], sol.q(i) == sol.levels[i])
         for k, s in enumerate(em.states):
             for i in range(4):
                 assert sol.exact(sol.levels[i][k], i) == values[s][i]
@@ -347,6 +392,32 @@ def test_optimal_solution_checks_the_step_index_and_the_state():
         msg = rf"^state {re.escape(str(t))} is not an expanded state$"
         with pytest.raises(ValueError, match=msg):
             oracle.solve_optimal(near, 0).value(t, 0)
+
+
+def test_value_of_policy_decides_a_stationary_policy_once(monkeypatch):
+    rng = random.Random(27)
+    rm = random_bounded_mdp(rng, 2, 3)
+    em = md.expand(rm.mdp)
+    n_actions = len(rm.mdp.actions)
+    horizon = 4
+    stationary = ExplicitPolicy({s: rng.randrange(n_actions) for s in em.states}, n_actions)
+    timed = TimedExplicitPolicy(
+        {(s, i): rng.randrange(n_actions) for s in em.states for i in range(1, horizon + 1)},
+        n_actions,
+    )
+    circuit = random_stationary_policy(rng, rm.mdp.num_vars, n_actions)
+    calls = []
+    for cls in (ExplicitPolicy, TimedExplicitPolicy, StationaryPolicy):
+        decide = cls.decide_batch
+        monkeypatch.setattr(
+            cls, "decide_batch", lambda p, *args, decide=decide: calls.append(p) or decide(p, *args)
+        )
+    for p, decisions in ((stationary, 1), (timed, horizon), (circuit, 1)):
+        for h in (0, 1, horizon):
+            del calls[:]
+            table = value_of_policy(em, p, h)
+            assert len(calls) == min(h, decisions)
+            assert table.values == reference_value_of_policy(em, p, h)
 
 
 def test_value_of_policy_rejects_history_policy():
@@ -429,8 +500,10 @@ def test_table_policies_reject_out_of_range_actions():
                 expected_reward_exact(rm.mdp, p, 2)
     # in range for the policy, outside the model's two actions
     wide = ExplicitPolicy({s: 2 for s in states}, 3)
-    with pytest.raises(PolicyError, match=r"picks action 2 at state .* the model has 2 actions"):
-        value_of_policy(em, wide, 2)
+    msg = r"picks action 2 at state .* with 1 steps remaining; the model has 2 actions"
+    for p in (wide, TimedExplicitPolicy({(s, i): 2 for s in states for i in (1, 2)}, 3)):
+        with pytest.raises(PolicyError, match=msg):
+            value_of_policy(em, p, 2)
 
 
 ENTRY_POINTS = {

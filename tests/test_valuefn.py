@@ -337,6 +337,26 @@ def test_consistency_rejects_horizon_beyond_value_function():
             check_consistency(rm.mdp, E, 3)
 
 
+def test_consistency_rejects_table_states_that_are_not_model_states():
+    rng = random.Random(16)
+    rm = random_bounded_mdp(rng, 3, 2)
+    table = realized_table(rng, rm, 1)
+    row = table.values[(0, 1, 1)]
+    # (0, 1, 2) was read as (0, 1, 1) and returned as a counterexample
+    msg = r"^value table state \(0, 1, 2\) is not a 0/1 state of width 3 \(it has width 3\)$"
+    with pytest.raises(ValueFunctionError, match=msg):
+        check_consistency(rm.mdp, ValueTable({**table.values, (0, 1, 2): row}, 1), 1)
+    # a table two bits wide raised CircuitError from the reward circuit
+    narrow = ValueTable({(0, 0): row, (0, 1): row}, 1)
+    msg = r"^value table state \(0, 0\) is not a 0/1 state of width 3 \(it has width 2\)$"
+    with pytest.raises(ValueFunctionError, match=msg):
+        check_consistency(rm.mdp, narrow, 1)
+    # the first bad state in ascending order is named, whatever its fault
+    mixed = ValueTable({(1, 1): row, (0, 1, 2): row, (0, 0, 1): row}, 1)
+    with pytest.raises(ValueFunctionError, match=r"^value table state \(0, 1, 2\) "):
+        check_consistency(rm.mdp, mixed, 1)
+
+
 def test_value_table_rejects_bad_horizon_and_rows():
     with pytest.raises(ValueFunctionError, match="horizon must be >= 0"):
         ValueTable({(0,): ()}, -1)
