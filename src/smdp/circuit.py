@@ -198,12 +198,13 @@ def eval_batch(c: Circuit, inputs):
 
 
 def all_input_rows(n: int) -> np.ndarray:
-    """All 2**n input vectors as a bool array, row k encoding k MSB-first."""
-    if n == 0:
-        return np.zeros((1, 0), dtype=bool)
-    idx = np.arange(1 << n, dtype=np.int64)
-    shifts = np.arange(n - 1, -1, -1, dtype=np.int64)
-    return ((idx[:, None] >> shifts[None, :]) & 1).astype(bool)
+    """All 2**n input vectors as a bool array, row k encoding k MSB-first
+    (input 0 most significant). Column i is built in place: 2**i blocks, each
+    2**(n-1-i) rows of 0 then as many of 1, so no wider temporary is made."""
+    rows = np.zeros((1 << n, n), dtype=bool)
+    for i in range(n):
+        rows.reshape(1 << i, 2, 1 << (n - 1 - i), n)[:, 1, :, i] = True
+    return rows
 
 
 def truth_table(c: Circuit) -> np.ndarray:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence, Tuple
+from typing import Tuple
 
 
 class CnfError(ValueError):
@@ -22,23 +22,6 @@ class Cnf:
             for lit in clause:
                 if lit == 0 or abs(lit) > self.num_vars:
                     raise CnfError(f"literal {lit} out of range for {self.num_vars} variables")
-
-    def satisfied_by(self, assignment: Sequence[bool]) -> bool:
-        """Assignment indexed by variable-1."""
-        for clause in self.clauses:
-            if not any(
-                assignment[abs(lit) - 1] == (lit > 0) for lit in clause
-            ):
-                return False
-        return True
-
-
-def assignments(num_vars: int) -> Iterator[Tuple[bool, ...]]:
-    """All assignments, variable 1 as the most significant position."""
-    for row in range(1 << num_vars):
-        yield tuple(
-            bool((row >> (num_vars - 1 - i)) & 1) for i in range(num_vars)
-        )
 
 
 def parse_dimacs(text: str) -> Cnf:

@@ -725,7 +725,7 @@ def validate(m: SuccinctMdp) -> List[str]:
     report: List[str] = []
     n = m.num_vars
     if (1 << n) <= 4096:
-        states = [tuple(int(b) for b in row) for row in ct.all_input_rows(n)]
+        states = row_tuples(ct.all_input_rows(n))
         exhaustive = True
     else:
         rng = random.Random(0)

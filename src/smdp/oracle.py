@@ -20,7 +20,7 @@ import numpy as np
 from . import circuit as ct
 from . import mdp as md
 from .bits import BitVector, unsigned_rows
-from .cnf import Cnf, assignments
+from .cnf import Cnf
 from .policy import ExplicitPolicy, StationaryPolicy, TimedExplicitPolicy
 
 ORACLE_VAR_LIMIT = 20
@@ -43,40 +43,41 @@ def _check_var_limit(cnf: Cnf):
         )
 
 
-def model_count(cnf: Cnf) -> int:
+def _models(cnf: Cnf, num_x: int = 0) -> np.ndarray:
+    """The formula's truth column over all 2**n assignments (`ct.all_input_rows`
+    order, variable 1 most significant), shaped (2**num_x, 2**(n - num_x)): row
+    xs is an assignment to the first num_x variables, column ys one of its
+    extensions."""
     _check_var_limit(cnf)
-    return sum(1 for a in assignments(cnf.num_vars) if cnf.satisfied_by(a))
+    n = cnf.num_vars
+    if not 0 <= num_x <= n:
+        raise ValueError(f"num_x={num_x} is outside 0..{n}")
+    variables = ct.all_input_rows(n).T.copy()  # contiguous, one row per variable
+    column = np.ones(1 << n, dtype=bool)
+    for clause in cnf.clauses:
+        column &= np.any([variables[abs(lit) - 1] == (lit > 0) for lit in clause], axis=0)
+    return column.reshape(1 << num_x, 1 << (n - num_x))
+
+
+def model_count(cnf: Cnf) -> int:
+    return int(_models(cnf).sum())
 
 
 def sat_oracle(cnf: Cnf) -> bool:
-    _check_var_limit(cnf)
-    return any(cnf.satisfied_by(a) for a in assignments(cnf.num_vars))
+    return bool(_models(cnf).any())
 
 
 def emajsat_oracle(cnf: Cnf, num_x: int) -> bool:
     """Some assignment to the first num_x variables has at least half of its
     extensions satisfying the formula."""
-    _check_var_limit(cnf)
-    num_y = cnf.num_vars - num_x
-    half = 1 << num_y
-    for xs in assignments(num_x):
-        good = sum(
-            1 for ys in assignments(num_y) if cnf.satisfied_by(xs + ys)
-        )
-        if 2 * good >= half:
-            return True
-    return False
+    models = _models(cnf, num_x)
+    return bool((2 * models.sum(axis=1) >= models.shape[1]).any())
 
 
 def forall_exists_oracle(cnf: Cnf, num_x: int) -> bool:
     """Some assignment to the first num_x variables has all extensions
     satisfying the formula."""
-    _check_var_limit(cnf)
-    num_y = cnf.num_vars - num_x
-    for xs in assignments(num_x):
-        if all(cnf.satisfied_by(xs + ys) for ys in assignments(num_y)):
-            return True
-    return False
+    return bool(_models(cnf, num_x).all(axis=1).any())
 
 
 # ------------------------------------------------------- backward induction

@@ -191,8 +191,7 @@ def compile_explicit(
             f"explicit policy is partial: {len(mapping)} of {1 << num_vars} states mapped"
         )
     values = []
-    for row in range(1 << num_vars):
-        s = tuple(int_to_bits(row, num_vars)) if num_vars else ()
+    for s in row_tuples(ct.all_input_rows(num_vars)):
         a = mapping[s]
         if not 0 <= a < action_count:
             raise PolicyError(f"action {a} out of range at state {s}")

@@ -11,7 +11,7 @@ from fractions import Fraction
 from typing import Dict, List, Set, Tuple
 
 from . import circuit as ct
-from .bits import BitVector, int_to_bits, width_for_count
+from .bits import BitVector, row_tuples, width_for_count
 from .cnf import Cnf
 from .mdp import SuccinctMdp
 from .policy import StationaryPolicy, compile_explicit
@@ -90,7 +90,7 @@ def random_bounded_mdp(
             f"denominator={denominator} cannot give positive probabilities to "
             f"min(max_branching={max_branching}, 2**num_vars={num_states}) successors"
         )
-    states = [tuple(int_to_bits(k, n)) for k in range(num_states)]
+    states = row_tuples(ct.all_input_rows(n))
     aw = width_for_count(num_actions)
     sw = width_for_count(max_branching)
 
@@ -165,8 +165,5 @@ def random_bounded_mdp(
 def random_stationary_policy(
     rng: random.Random, num_vars: int, num_actions: int
 ) -> StationaryPolicy:
-    mapping = {
-        tuple(int_to_bits(k, num_vars)): rng.randrange(num_actions)
-        for k in range(1 << num_vars)
-    }
+    mapping = {s: rng.randrange(num_actions) for s in row_tuples(ct.all_input_rows(num_vars))}
     return compile_explicit(mapping, num_vars, num_actions)

@@ -27,7 +27,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import oracle
 from .bits import BitVector, bits_to_int, int_to_bits, width_for_count
-from .circuit import Circuit, CircuitBuilder
+from .circuit import Circuit, CircuitBuilder, all_input_rows
 from .cnf import Cnf
 from .mdp import SuccinctMdp
 from .policy import StationaryPolicy
@@ -372,7 +372,6 @@ def _derived_lines(inst: ReductionInstance) -> List[str]:
         count = oracle.model_count(cnf)
         return [f"expected_reward {count}/{1 << cnf.num_vars}  [derived: brute-force model count]"]
     if inst.name == "unsatcons":
-        # a SAT search stops at the first model; a model count would not
         verdict = "inconsistent" if oracle.sat_oracle(cnf) else "consistent"
         return [f"expected_{verdict}  [derived: brute-force model count]"]
     # reward 1 needs every Y-extension to satisfy the formula, 1/2 at least half of them
@@ -514,8 +513,7 @@ def _satnext_optimal_policy(
     v = _SeqView(b, layout, 0)
     block = layout.clause_block
     sat_any = []
-    for row in range(1 << n):
-        truth = [(row >> (n - 1 - i)) & 1 for i in range(n)]
+    for truth in all_input_rows(n).tolist():
         clause_wires = []
         for c in range(m):
             lits = []

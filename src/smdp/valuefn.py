@@ -27,6 +27,7 @@ from .bits import (
     block_index_words,
     column_words,
     int_to_bits,
+    row_tuples,
     signed_rows,
     twos_to_int,
     unsigned_rows,
@@ -231,10 +232,10 @@ def check_consistency(
         _check_cells(1 << n, horizon, f"2^{n}")
         _check_num_vars(m, E)
         S = ct.all_input_rows(n)
-        states = [tuple(row) for row in S.astype(np.int8).tolist()]
+        states = row_tuples(S)
         L = E.value_denominator
         V = E._numerators(S, horizon + 1)
-    R = signed_rows(ct.eval_batch(m.r_circuit, S))
+    R = md._reward_rows(m, S)
     steps = [md._step(m, S, a) for a in range(len(m.actions))]
 
     D = m.prob_denominator

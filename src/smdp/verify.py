@@ -19,6 +19,7 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 from . import circuit as ct
 from . import mdp as md
 from . import oracle
+from .bits import row_tuples
 from .cnf import Cnf
 from .evaluator import enumerate_trajectories, expected_reward_exact
 from .policy import compile_explicit, load_policy, save_policy
@@ -59,6 +60,9 @@ SUITES = tuple(_SUITES)
 def run_suite(name: str, n: int = 2, cases: int = 50, seed: int = 0) -> List[VerifyRow]:
     if name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}; choose one of {', '.join(SUITES)}")
+    for arg, value in (("n", n), ("cases", cases)):
+        if value < 1:
+            raise ValueError(f"{arg} must be at least 1, got {value}")
     return _SUITES[name](n, cases, seed)
 
 
@@ -367,10 +371,7 @@ def suite_dnf(max_n: int = 8, cases: int = 100, seed: int = 0) -> List[VerifyRow
     for case in range(5):
         n = rng.randint(1, 8)
         actions = rng.randint(2, 4)
-        mapping = {
-            s: rng.randrange(actions)
-            for s in map(tuple, ct.all_input_rows(n).astype(int).tolist())
-        }
+        mapping = {s: rng.randrange(actions) for s in row_tuples(ct.all_input_rows(n))}
         compiled = compile_explicit(mapping, n, actions)
         ok = all(compiled.decide(s) == a for s, a in mapping.items())
         rows.append(

@@ -1,7 +1,9 @@
 """Shared test helpers, the per-state `Fraction` references that the
 integer code paths are compared against, the sample-by-sample
-Monte-Carlo walk that the lockstep sampler is compared against, and the
-truth-table policy search that the bounded-size search is compared against."""
+Monte-Carlo walk that the lockstep sampler is compared against, the
+truth-table policy search that the bounded-size search is compared against,
+and the assignment-by-assignment SAT-family oracles that the truth-column
+oracles are compared against."""
 
 import itertools
 import math
@@ -379,3 +381,55 @@ def bounded_policy_exists_reference(
         if table.value(em.states[em.initial], horizon) >= reward_bound:
             return True, policy
     return False, None
+
+
+def reward_circuit_calls(monkeypatch, m):
+    """The rows of each reward-circuit call of `m` made from now on."""
+    calls = []
+    eval_batch = ct.eval_batch
+
+    def counting(c, inputs):
+        if c is m.r_circuit:
+            calls.append(len(inputs))
+        return eval_batch(c, inputs)
+
+    monkeypatch.setattr(ct, "eval_batch", counting)
+    return calls
+
+
+# ------------------------------------------------- the SAT family, one assignment at a time
+
+
+def assignments_reference(num_vars: int) -> Iterator[Tuple[bool, ...]]:
+    """All assignments, variable 1 the most significant position."""
+    for row in range(1 << num_vars):
+        yield tuple(bool((row >> (num_vars - 1 - i)) & 1) for i in range(num_vars))
+
+
+def satisfied_by_reference(cnf, assignment) -> bool:
+    """Whether an assignment, indexed by variable - 1, satisfies every clause."""
+    return all(any(assignment[abs(lit) - 1] == (lit > 0) for lit in clause) for clause in cnf.clauses)
+
+
+def model_count_reference(cnf) -> int:
+    return sum(satisfied_by_reference(cnf, a) for a in assignments_reference(cnf.num_vars))
+
+
+def sat_reference(cnf) -> bool:
+    return any(satisfied_by_reference(cnf, a) for a in assignments_reference(cnf.num_vars))
+
+
+def emajsat_reference(cnf, num_x: int) -> bool:
+    num_y = cnf.num_vars - num_x
+    return any(
+        2 * sum(satisfied_by_reference(cnf, xs + ys) for ys in assignments_reference(num_y)) >= 1 << num_y
+        for xs in assignments_reference(num_x)
+    )
+
+
+def forall_exists_reference(cnf, num_x: int) -> bool:
+    num_y = cnf.num_vars - num_x
+    return any(
+        all(satisfied_by_reference(cnf, xs + ys) for ys in assignments_reference(num_y))
+        for xs in assignments_reference(num_x)
+    )

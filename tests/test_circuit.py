@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smdp import circuit as ct
+from smdp.bits import int_to_bits, row_tuples
 from smdp.random_models import random_circuit
 
 
@@ -190,6 +191,13 @@ def test_equivalent_detects_difference():
     b2 = ct.CircuitBuilder(2)
     c2 = b2.build([b2.or_(b2.inp(0), b2.inp(1))])
     assert not ct.equivalent(c1, c2)
+
+
+def test_all_input_rows_count_up_msb_first():
+    for n in range(11):
+        rows = ct.all_input_rows(n)
+        assert rows.dtype == bool and rows.shape == (1 << n, n)
+        assert row_tuples(rows) == [int_to_bits(k, n) for k in range(1 << n)]
 
 
 def test_size_counts_gates_only():

@@ -358,6 +358,24 @@ def test_verify_suite_exit_zero(capsys):
     assert text.strip().endswith("pass")
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["evalreward", "--n", "0"], "n must be at least 1, got 0"),
+        (["nextaction", "--n", "0"], "n must be at least 1, got 0"),
+        (["boundedpolicy", "--n", "-2"], "n must be at least 1, got -2"),
+        (["evalreward", "--cases", "-1"], "cases must be at least 1, got -1"),
+        (["normalization", "--cases", "0"], "cases must be at least 1, got 0"),
+        (["nextaction", "--n", "3", "--cases", "-5"], "cases must be at least 1, got -5"),
+        (["valuechoice", "--cases", "0"], "cases must be at least 1, got 0"),
+    ],
+)
+def test_verify_refuses_counts_below_one(argv, message, capsys):
+    code, text, err = run(["verify", *argv], capsys)
+    assert (code, text) == (1, "")
+    assert err == f"smdp: error: {message}\n"
+
+
 def test_run_suite_dispatches_by_name_and_names_the_suites_it_knows():
     assert SUITES == (
         "nextaction", "evalreward", "boundedpolicy", "consistency",

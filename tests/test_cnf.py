@@ -1,6 +1,6 @@
 import pytest
 
-from smdp.cnf import Cnf, CnfError, assignments, parse_dimacs, to_dimacs
+from smdp.cnf import Cnf, CnfError, parse_dimacs, to_dimacs
 
 
 def test_parse_basic():
@@ -12,17 +12,6 @@ def test_parse_basic():
 def test_roundtrip():
     cnf = Cnf(3, ((1, -2, 3), (-1, 2)))
     assert parse_dimacs(to_dimacs(cnf)) == cnf
-
-
-def test_satisfied_by():
-    cnf = Cnf(2, ((1, 2), (-1, -2)))
-    assert cnf.satisfied_by((True, False))
-    assert not cnf.satisfied_by((True, True))
-
-
-def test_assignments_order():
-    rows = list(assignments(2))
-    assert rows == [(False, False), (False, True), (True, False), (True, True)]
 
 
 def test_parse_errors():

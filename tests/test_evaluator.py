@@ -32,7 +32,12 @@ from smdp.random_models import (
 from smdp.reductions import majsat_to_eval
 from smdp.valuefn import value_of_policy
 
-from helpers import expected_reward_mc_reference, expected_reward_reference, history_probability
+from helpers import (
+    expected_reward_mc_reference,
+    expected_reward_reference,
+    history_probability,
+    reward_circuit_calls,
+)
 
 
 def coin_mdp():
@@ -437,25 +442,11 @@ def test_evaluators_reject_a_policy_of_another_width():
         value_of_policy(md.expand(m), stationary, 1)
 
 
-def _reward_circuit_calls(monkeypatch, m):
-    """The rows of each reward-circuit call of `m` made from now on."""
-    calls = []
-    eval_batch = ct.eval_batch
-
-    def counting(c, inputs):
-        if c is m.r_circuit:
-            calls.append(len(inputs))
-        return eval_batch(c, inputs)
-
-    monkeypatch.setattr(ct, "eval_batch", counting)
-    return calls
-
-
 def test_exact_reads_the_rewards_of_every_depth_in_one_call(monkeypatch):
     inst = majsat_to_eval(random_cnf(random.Random(8), 6, 18))
     m, p, h = inst.mdp, inst.policy, inst.horizon
     want = expected_reward_reference(m, p, h)
-    calls = _reward_circuit_calls(monkeypatch, m)
+    calls = reward_circuit_calls(monkeypatch, m)
     assert expected_reward_exact(m, p, h) == want
     assert len(calls) == 1
     rows = calls[0]
@@ -471,7 +462,7 @@ def test_mc_reads_the_rewards_once_per_block(monkeypatch):
     m, p, h = inst.mdp, inst.policy, inst.horizon
     assert p.kind == "stationary"
     want = expected_reward_mc_reference(m, p, h, 200, 1)
-    calls = _reward_circuit_calls(monkeypatch, m)
+    calls = reward_circuit_calls(monkeypatch, m)
     assert expected_reward_mc(m, p, h, 200, 1) == want
     assert len(calls) == 1
     # four blocks: a block whose states were all rewarded before makes no call

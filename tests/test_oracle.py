@@ -24,7 +24,16 @@ from smdp.random_models import random_bounded_mdp, random_stationary_policy
 from smdp.reductions import majsat_to_eval, sat_to_next_action
 from smdp.valuefn import value_of_policy
 
-from helpers import bounded_policy_exists_reference, closure_depths, transition_pairs
+from helpers import (
+    bounded_policy_exists_reference,
+    closure_depths,
+    emajsat_reference,
+    forall_exists_reference,
+    model_count_reference,
+    sat_reference,
+    satisfied_by_reference,
+    transition_pairs,
+)
 
 
 def test_sat_family_oracles():
@@ -49,6 +58,46 @@ def test_emajsat_and_forall_exists():
 def test_oracle_var_limit():
     with pytest.raises(oracle.OracleScaleError):
         oracle.model_count(Cnf(30, ()))
+    wide = Cnf(oracle.ORACLE_VAR_LIMIT + 1, ((1, -21),))
+    for decide in (oracle.model_count, oracle.sat_oracle):
+        with pytest.raises(oracle.OracleScaleError, match="21 variables"):
+            decide(wide)
+    for decide in (oracle.emajsat_oracle, oracle.forall_exists_oracle):
+        with pytest.raises(oracle.OracleScaleError, match="21 variables"):
+            decide(wide, 1)
+
+
+def test_sat_family_oracles_match_the_assignment_loop():
+    # (x1 or x2) and (not x1 or not x2): (1, 0) satisfies it, (1, 1) does not
+    xor = Cnf(2, ((1, 2), (-1, -2)))
+    assert satisfied_by_reference(xor, (True, False))
+    assert not satisfied_by_reference(xor, (True, True))
+    assert oracle._models(xor).ravel().tolist() == [False, True, True, False]
+    rng = random.Random(19)
+    cnfs = [xor, Cnf(0, ()), Cnf(0, ((),)), Cnf(3, ((1, -2), ()))]
+    for n in range(10):
+        for _ in range(30 if n < 7 else 8):
+            clauses = tuple(
+                tuple(rng.choice((v, -v)) for v in rng.choices(range(1, n + 1), k=rng.randint(0, 4) if n else 0))
+                for _ in range(rng.randint(0, 2 * n + 1))
+            )
+            cnfs.append(Cnf(n, clauses))
+    for cnf in cnfs:
+        count, sat = oracle.model_count(cnf), oracle.sat_oracle(cnf)
+        assert type(count) is int and type(sat) is bool
+        assert (count, sat) == (model_count_reference(cnf), sat_reference(cnf)), cnf
+        for num_x in range(cnf.num_vars + 1):
+            got = (oracle.emajsat_oracle(cnf, num_x), oracle.forall_exists_oracle(cnf, num_x))
+            assert all(type(g) is bool for g in got)
+            assert got == (emajsat_reference(cnf, num_x), forall_exists_reference(cnf, num_x)), (cnf, num_x)
+
+
+@pytest.mark.parametrize("num_x", [-1, 3])
+def test_num_x_outside_the_variables_is_refused(num_x):
+    cnf = Cnf(2, ((1, -2),))
+    for decide in (oracle.emajsat_oracle, oracle.forall_exists_oracle):
+        with pytest.raises(ValueError, match=f"^num_x={num_x} is outside 0..2$"):
+            decide(cnf, num_x)
 
 
 def test_solve_single_action_equals_policy_value():

@@ -31,6 +31,8 @@ from smdp.valuefn import (
     value_of_policy,
 )
 
+from helpers import reward_circuit_calls
+
 
 def test_value_table_base_case_is_reward():
     rng = random.Random(0)
@@ -376,6 +378,17 @@ def test_numerators_match_the_pointwise_reading():
             assert [[Fraction(x, 5) for x in row] for row in nums.tolist()] == [
                 [v.value(s, i) for i in range(horizon + 1)] for s in states
             ]
+
+
+def test_check_consistency_reads_the_rewards_in_pieces_of_step_rows(monkeypatch):
+    for cnf in (Cnf(4, ((1, -2), (3, 4), (-1, -4))), Cnf(4, ((1,), (-1, 2), (-2,)))):
+        inst = unsat_to_consistency(cnf)
+        want = check_consistency(inst.mdp, inst.value, inst.horizon)
+        calls = reward_circuit_calls(monkeypatch, inst.mdp)
+        monkeypatch.setattr(md, "_STEP_ROWS", 8)
+        assert check_consistency(inst.mdp, inst.value, inst.horizon) == want
+        assert calls == [8, 8]
+        monkeypatch.undo()
 
 
 def test_value_cells_count_against_the_state_limit(monkeypatch):
