@@ -14,14 +14,14 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from smdp.verify import SUITES, run_suite
 
 DEFAULTS = {
-    # suite name -> (n, cases)
+    # suite name -> (n, cases); None for a count the suite does not read
     "nextaction": (3, 100),
     "evalreward": (10, 50),
-    "boundedpolicy": (1, 16),
+    "boundedpolicy": (None, None),
     "consistency": (8, 50),
-    "valuechoice": (2, 136),
-    "normalization": (3, 20),
-    "roundtrip": (3, 10),
+    "valuechoice": (None, None),
+    "normalization": (None, 20),
+    "roundtrip": (None, 10),
     "dnf": (8, 100),
 }
 

@@ -78,7 +78,8 @@ def column_words(arr: np.ndarray, blocks: int = 1) -> Tuple[List[int], int]:
     byte-aligned block of npad rows per copy, so bit b·npad + r is row r in
     every block b and the padding rows read 0."""
     nbytes = (arr.shape[0] + 7) // 8
-    packed = np.packbits(arr, axis=0, bitorder="little").T.tobytes()
+    # pack the rows of the transpose: each column's bytes come out contiguous
+    packed = np.packbits(np.ascontiguousarray(arr.T), axis=1, bitorder="little").tobytes()
     return [
         int.from_bytes(packed[k * nbytes : (k + 1) * nbytes] * blocks, "little")
         for k in range(arr.shape[1])

@@ -155,8 +155,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("verify", parents=[common], help="run a correspondence suite")
     p.add_argument("suite", choices=SUITES)
-    p.add_argument("--n", type=int, default=2)
-    p.add_argument("--cases", type=int, default=50)
+    p.add_argument("--n", type=int, default=None, help="default 2; only for suites that read it")
+    p.add_argument("--cases", type=int, default=None, help="default 50; only for suites that read it")
     p.add_argument("--seed", type=int, default=0)
 
     return parser

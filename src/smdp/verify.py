@@ -14,7 +14,7 @@ import random
 import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import circuit as ct
 from . import mdp as md
@@ -43,7 +43,7 @@ class VerifyRow:
     ok: bool
 
 
-# every suite as a callable of (n, cases, seed); a suite ignores what it does not read
+# every suite as a callable of (n, cases, seed)
 _SUITES = {
     "nextaction": lambda n, cases, seed: suite_nextaction(max_n=n, cases=cases, seed=seed),
     "evalreward": lambda n, cases, seed: suite_evalreward(max_n=n, cases=cases, seed=seed),
@@ -54,16 +54,32 @@ _SUITES = {
     "roundtrip": lambda n, cases, seed: suite_roundtrip(cases=cases, seed=seed),
     "dnf": lambda n, cases, seed: suite_dnf(max_n=n, cases=cases, seed=seed),
 }
+# the counts a suite does not read
+_UNREAD = {
+    "boundedpolicy": ("n", "cases"),
+    "valuechoice": ("n", "cases"),
+    "normalization": ("n",),
+    "roundtrip": ("n",),
+}
 SUITES = tuple(_SUITES)
 
 
-def run_suite(name: str, n: int = 2, cases: int = 50, seed: int = 0) -> List[VerifyRow]:
+def run_suite(
+    name: str, n: Optional[int] = None, cases: Optional[int] = None, seed: int = 0
+) -> List[VerifyRow]:
+    """The rows of one suite. A count left at None reads as n = 2 and
+    cases = 50; an explicit count must be at least 1, and one that the suite
+    does not read is refused, so no count is silently ignored."""
     if name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}; choose one of {', '.join(SUITES)}")
     for arg, value in (("n", n), ("cases", cases)):
+        if value is None:
+            continue
         if value < 1:
             raise ValueError(f"{arg} must be at least 1, got {value}")
-    return _SUITES[name](n, cases, seed)
+        if arg in _UNREAD.get(name, ()):
+            raise ValueError(f"suite {name} does not read {arg}, got {arg}={value}")
+    return _SUITES[name](2 if n is None else n, 50 if cases is None else cases, seed)
 
 
 # --------------------------------------------------- nextaction: next action vs SAT

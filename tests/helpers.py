@@ -2,8 +2,9 @@
 integer code paths are compared against, the sample-by-sample
 Monte-Carlo walk that the lockstep sampler is compared against, the
 truth-table policy search that the bounded-size search is compared against,
-and the assignment-by-assignment SAT-family oracles that the truth-column
-oracles are compared against."""
+the assignment-by-assignment SAT-family oracles that the truth-column
+oracles are compared against, and the quadratic-size append condition and
+majsat reward that the linear-size sequence circuits are compared against."""
 
 import itertools
 import math
@@ -433,3 +434,54 @@ def forall_exists_reference(cnf, num_x: int) -> bool:
         all(satisfied_by_reference(cnf, xs + ys) for ys in assignments_reference(num_y))
         for xs in assignments_reference(num_x)
     )
+
+
+# ------------------------------------------------- the quadratic sequence circuits
+
+
+def append_cond_reference(pair, code: int) -> str:
+    """`reductions._SeqPair.append_cond` as one OR over the positions k, each
+    term testing slot k of the next state for `code` on its own."""
+    b = pair.b
+    return b.or_all(
+        [
+            b.and_all(
+                [
+                    pair.cur.len_eq(k),
+                    pair.nxt.len_eq(k + 1),
+                    pair.nxt.slot_is(k, code),
+                    pair.others_same[k],
+                ]
+            )
+            for k in range(pair.layout.max_length)
+        ]
+    )
+
+
+def majsat_reward_reference(layout, cnf) -> ct.Circuit:
+    """`reductions._majsat_reward` with a literal test per slot and a
+    distinct-variable test per pair of slots."""
+    from smdp.reductions import _cnf_sat_wire, _SeqView
+
+    n = cnf.num_vars
+    b = ct.CircuitBuilder(layout.state_width)
+    v = _SeqView(b, layout, 0)
+    conds = [v.len_eq(n)]
+    conds += [v.slot_is_literal(j) for j in range(n)]
+    for j in range(n):
+        for k in range(j + 1, n):
+            conds.append(b.not_(b.eq_refs(v.slots[j][:-1], v.slots[k][:-1])))
+    var_true = [
+        b.or_all([v.slot_is(j, 2 * var) for j in range(n)]) for var in range(1, n + 1)
+    ]
+    conds.append(_cnf_sat_wire(b, cnf, var_true))
+    return b.build(b.select_value([(b.and_all(conds), 1)], 2), "r_majsat")
+
+
+def use_quadratic_sequence_circuits(monkeypatch) -> None:
+    """Make the reductions build from now on with the reference append
+    condition and majsat reward above."""
+    from smdp import reductions
+
+    monkeypatch.setattr(reductions._SeqPair, "append_cond", append_cond_reference)
+    monkeypatch.setattr(reductions, "_majsat_reward", majsat_reward_reference)

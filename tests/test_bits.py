@@ -65,6 +65,21 @@ def test_column_words_repeat_byte_aligned_blocks(rows):
     assert (word_bits(column_words(arr)[0], rows).T == arr).all()
 
 
+@pytest.mark.parametrize("rows", [0, 1, 7, 9, 129])
+def test_column_words_match_the_axis_0_packing(rows):
+    # the words of packing each column along axis 0, then transposing
+    rng = np.random.default_rng(rows)
+    arr = rng.random((rows, 5)) < 0.5
+    nbytes = (rows + 7) // 8
+    packed = np.packbits(arr, axis=0, bitorder="little").T.tobytes()
+    for blocks in (1, 2, 3):
+        want = [
+            int.from_bytes(packed[k * nbytes : (k + 1) * nbytes] * blocks, "little")
+            for k in range(arr.shape[1])
+        ]
+        assert column_words(arr, blocks) == (want, 8 * nbytes)
+
+
 @pytest.mark.parametrize("width, blocks", [(1, 1), (1, 2), (2, 3), (3, 8), (4, 11), (5, 3)])
 def test_block_index_words_read_the_block_index(width, blocks):
     for npad in (8, 24):

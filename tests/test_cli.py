@@ -74,7 +74,7 @@ EMAJSAT_ALL = (
 )
 UNSATCONS = (
     "the all-zero value function is consistent iff the formula has no model "
-    "(brute-force model count)\n"
+    "(brute-force SAT check)\n"
 )
 COMPACT = "mode compact: clause block shrunk to the instance clause count\n"
 
@@ -95,9 +95,9 @@ COMPACT = "mode compact: clause block shrunk to the instance clause count\n"
         (["gen-emajsat", "--num-x", "1", "--faithful-k"], Cnf(2, ((2,), (-2,))),
          EMAJSAT_ALL + "expected_exists no  [derived: brute-force enumeration]\n"),
         (["gen-unsatcons"], Cnf(2, ((1,), (-1,))),
-         UNSATCONS + "expected_consistent  [derived: brute-force model count]\n"),
+         UNSATCONS + "expected_consistent  [derived: brute-force SAT]\n"),
         (["gen-unsatcons"], Cnf(2, ((1, 2),)),
-         UNSATCONS + "expected_inconsistent  [derived: brute-force model count]\n"),
+         UNSATCONS + "expected_inconsistent  [derived: brute-force SAT]\n"),
         (["gen-forall", "--num-x", "1"], Cnf(2, ((1,),)),
          "a reward-1 deterministic X-choice exists iff some X-assignment has all "
          "Y-extensions satisfying the formula (brute-force check)\n"
@@ -374,6 +374,29 @@ def test_verify_refuses_counts_below_one(argv, message, capsys):
     code, text, err = run(["verify", *argv], capsys)
     assert (code, text) == (1, "")
     assert err == f"smdp: error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["valuechoice", "--n", "9"], "suite valuechoice does not read n, got n=9"),
+        (["valuechoice", "--cases", "300"], "suite valuechoice does not read cases, got cases=300"),
+        (["boundedpolicy", "--n", "1", "--cases", "16"], "suite boundedpolicy does not read n, got n=1"),
+        (["boundedpolicy", "--cases", "16"], "suite boundedpolicy does not read cases, got cases=16"),
+        (["normalization", "--n", "3", "--cases", "2"], "suite normalization does not read n, got n=3"),
+        (["roundtrip", "--n", "3"], "suite roundtrip does not read n, got n=3"),
+    ],
+)
+def test_verify_refuses_counts_the_suite_does_not_read(argv, message, capsys):
+    code, text, err = run(["verify", *argv], capsys)
+    assert (code, text) == (1, "")
+    assert err == f"smdp: error: {message}\n"
+
+
+def test_verify_runs_a_suite_on_the_counts_it_reads(capsys):
+    code, text, _ = run(["verify", "normalization", "--cases", "2", "--emit", "records"], capsys)
+    assert code == 0
+    assert "total=2\n" in text
 
 
 def test_run_suite_dispatches_by_name_and_names_the_suites_it_knows():

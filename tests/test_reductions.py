@@ -26,7 +26,7 @@ from smdp.reductions import (
 )
 from smdp.valuefn import check_consistency
 
-from helpers import transition_pairs
+from helpers import transition_pairs, use_quadratic_sequence_circuits
 
 
 # ------------------------------------------------------------------ layout
@@ -241,7 +241,7 @@ def test_reduction_circuits_are_byte_stable():
         m = inst.mdp
         for c in (m.t_circuit, m.r_circuit, *m.successor_circuits, inst.policy.circuit):
             digest.update(ct.serialize(c).encode())
-    want = "03389b69ee504a47f1f7015ff3bbb7a0dbc0155c5c84385c69547fe61c2f0716"
+    want = "2070c7de1b96d64ed4c797293755dcfccfa31730f35d9d54772ee5c8bf3b6c9e"
     assert digest.hexdigest() == want
 
 
@@ -268,6 +268,64 @@ def test_satnext_expansion_is_stable():
                 digest.update(np.asarray(arr, dtype=np.int64).tobytes())
     want = "ff11708216cfbc0ec88dbd13a47065cd4b6bbd7aae86a9baca9b60134e80b0cf"
     assert digest.hexdigest() == want
+
+
+def test_sequence_circuits_match_the_quadratic_references(monkeypatch):
+    # the linear-size append condition and majsat reward against the
+    # per-code slot tests and pairwise distinct-variable tests they replace
+    rng = random.Random(20)
+
+    def random_cnf(n):  # a satisfiable one, so some full sequence is rewarded
+        while True:
+            clauses = []
+            for _ in range(rng.randint(1, 4)):
+                vs = rng.sample(range(1, n + 1), min(n, rng.randint(1, 3)))
+                clauses.append(tuple(v if rng.random() < 0.5 else -v for v in vs))
+            if oracle.sat_oracle(Cnf(n, tuple(clauses))):
+                return Cnf(n, tuple(clauses))
+
+    majsat = [random_cnf(n) for n in (1, 2, 3, 4, 5, 6)]
+    xy = [(random_cnf(2 * num_x), num_x) for num_x in (1, 2)]
+
+    def build():
+        return [majsat_to_eval(cnf) for cnf in majsat] + [
+            emajsat_to_bounded_policy(cnf, num_x) for cnf, num_x in xy
+        ]
+
+    linear = build()
+    use_quadratic_sequence_circuits(monkeypatch)
+    quadratic = build()
+
+    # exhaustively: majsat n = 1, 2 (t and r), emajsat num_x = 1 (t, 18 inputs)
+    for new, old, names in [
+        (linear[0], quadratic[0], ("t_circuit", "r_circuit")),
+        (linear[1], quadratic[1], ("t_circuit", "r_circuit")),
+        (linear[6], quadratic[6], ("t_circuit",)),
+    ]:
+        for name in names:
+            assert ct.equivalent(getattr(new.mdp, name), getattr(old.mdp, name))
+    # identical explicit models: majsat n = 3..6 over the closure of the last
+    # four steps (the full closure for n <= 4), emajsat num_x = 1, 2
+    for new, old in zip(linear[2:], quadratic[2:]):
+        n = new.layout.max_length
+        root = new.layout.encode([2 * v for v in range(1, n - 3)]) if new.name == "majsat" else None
+        em_new, em_old = md.expand(new.mdp, root), md.expand(old.mdp, root)
+        assert np.array_equal(em_new.state_array, em_old.state_array)
+        assert np.array_equal(em_new.reward_array, em_old.reward_array)
+        for rows_new, rows_old in zip(em_new.transitions, em_old.transitions, strict=True):
+            for a, b in zip(rows_new, rows_old, strict=True):
+                assert np.array_equal(a, b)
+        assert em_new.reward_array.any()
+
+
+def test_append_transition_grows_linearly():
+    # with a slot test per code and position, t grew 3.4x from n = 8 to 16;
+    # reading the appended slot once, it grows about 2.2x
+    def gates(n):
+        cnf = Cnf(n, ((1, -2), (2, 3), (-3, n)))
+        return len(majsat_to_eval(cnf).mdp.t_circuit.gates)
+
+    assert gates(16) < 2.5 * gates(8)
 
 
 # -------------------------------------------------------------- instance files
