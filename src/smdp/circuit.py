@@ -10,7 +10,9 @@ construction.
 Each circuit is compiled once to one integer instruction per gate: when it
 is constructed, or by `parse` line by line as it reads a netlist. `eval` and
 `eval_batch` both run that program in one kernel over Python ints used as
-bit vectors, one bit per input row.
+bit vectors, one bit per input row. `shared_program` merges the programs of
+several circuits over the same inputs into one `Program`, each instruction
+kept once, which `eval_batch` runs as it runs a circuit.
 `eval_batch` takes either a bool array, which it packs into those column
 words and unpacks again, or the words themselves as `Columns`, which it
 returns as `Columns`: a caller that builds its inputs as words and reads its
@@ -140,7 +142,7 @@ class _Compiler:
         self.prev_gid = g.gid
 
 
-def _run(c: Circuit, vals: List[int], mask: int) -> List[int]:
+def _run(c, vals: List[int], mask: int) -> List[int]:
     """Evaluate the compiled program on the input column words in ``vals``,
     appending one word per gate; returns the output words.
 
@@ -164,8 +166,62 @@ def _run(c: Circuit, vals: List[int], mask: int) -> List[int]:
     return [vals[k] for k in c._output_slots]
 
 
-def size(c: Circuit) -> int:
-    """Gate count (inputs and output taps are free)."""
+class Program:
+    """A compiled program with no `Gate` objects: the instructions, as
+    `_Compiler` columns, and the output slots. `eval_batch` runs it on
+    `Columns` or a bool array as it runs a circuit."""
+
+    __slots__ = ("num_inputs", "_program", "_output_slots")
+
+    def __init__(self, num_inputs: int, program, output_slots: Tuple[int, ...]):
+        self.num_inputs = num_inputs
+        self._program = program
+        self._output_slots = output_slots
+
+    @property
+    def num_outputs(self) -> int:
+        return len(self._output_slots)
+
+    @property
+    def gates(self) -> Tuple[int, ...]:
+        """The opcode of each instruction: one entry per gate, as a circuit's
+        `gates` has, so `size` and gate counts read both alike."""
+        return self._program[0]
+
+
+def shared_program(circuits: Sequence[Circuit]) -> Program:
+    """One program with the outputs of every circuit, in order, for circuits
+    that read the same inputs. Structural hashing across the circuits: an
+    instruction is kept once per (opcode, operand slots) after its operands
+    are mapped to the merged slots, the operands of AND, OR and XOR sorted."""
+    num_inputs = circuits[0].num_inputs if circuits else 0
+    if any(c.num_inputs != num_inputs for c in circuits):
+        raise CircuitError("shared program needs circuits over the same inputs")
+    ops, a_slots, b_slots = columns = ([], [], [])
+    slot_of: Dict[Tuple[int, int, int], int] = {}
+    outputs: List[int] = []
+    for c in circuits:
+        where = list(range(num_inputs))  # the circuit's slots, merged
+        for op, a, b in zip(*c._program):
+            if op >= _CONST0:
+                key = (op, 0, 0)
+            elif op == _NOT:
+                key = (op, where[a], 0)
+            else:
+                a, b = where[a], where[b]
+                key = (op, a, b) if a <= b else (op, b, a)
+            slot = slot_of.get(key)
+            if slot is None:
+                slot = slot_of[key] = num_inputs + len(ops)
+                for column, value in zip(columns, key):
+                    column.append(value)
+            where.append(slot)
+        outputs.extend(where[k] for k in c._output_slots)
+    return Program(num_inputs, (tuple(ops), tuple(a_slots), tuple(b_slots)), tuple(outputs))
+
+
+def size(c) -> int:
+    """Gate count of a circuit or `Program` (inputs and output taps are free)."""
     return len(c.gates)
 
 
@@ -176,10 +232,10 @@ def eval(c: Circuit, inputs: Sequence[int]) -> Tuple[int, ...]:  # noqa: A001 - 
     return tuple(_run(c, [1 if b else 0 for b in inputs], 1))
 
 
-def eval_batch(c: Circuit, inputs):
-    """Evaluate on a (rows, num_inputs) bool array, returning a (rows,
-    num_outputs) bool array, or on `Columns` of num_inputs words, returning
-    `Columns` of num_outputs words over the same rows."""
+def eval_batch(c, inputs):
+    """Evaluate a circuit or `Program` on a (rows, num_inputs) bool array,
+    returning a (rows, num_outputs) bool array, or on `Columns` of num_inputs
+    words, returning `Columns` of num_outputs words over the same rows."""
     if isinstance(inputs, Columns):
         words, rows = inputs
         if len(words) != c.num_inputs:

@@ -157,7 +157,7 @@ def build_parser() -> _Parser:
     p.add_argument("suite", choices=SUITES)
     p.add_argument("--n", type=int, default=None, help="default 2; only for suites that read it")
     p.add_argument("--cases", type=int, default=None, help="default 50; only for suites that read it")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=None, help="default 0; only for suites that read it")
 
     return parser
 

@@ -12,16 +12,21 @@ the 2**n states is a candidate successor.
 or one action per row. It cuts the rows, grouped by action, into pieces of
 at most `_STEP_ROWS` candidate rows (`_pieces`). In a piece (`_step_piece`)
 the rows of each action are packed into column words (`circuit.Columns`) in
-slot-major byte-aligned blocks, on which that action's successor circuit
-runs; the transition circuit then runs once on the blocks of every action
-stacked, so no bool array is built per circuit call. `expand_many` keeps its
-frontier as a bool array and cuts each layer's (state, action) pairs,
-action-major, into the same pieces, numbering the successors piece by piece.
+slot-major byte-aligned blocks, with one successor kernel call per distinct
+rows array: an action alone on its rows runs its own successor circuit, and
+actions that share their rows read their slices of one run of the model's
+shared successor program (`circuit.shared_program`, built on first use). The
+transition circuit then runs once on the blocks of every action stacked, so
+no bool array is built per circuit call. `expand_many` keeps its frontier as
+a bool array and cuts each layer's (state, action) pairs, action-major, into
+the same pieces, all actions of a small layer sharing one rows array, and
+numbers the successors piece by piece.
 """
 
 from __future__ import annotations
 
 import os
+from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
@@ -175,6 +180,13 @@ class SuccinctMdp:
     @property
     def slot_width(self) -> int:
         return width_for_count(self.max_branching)
+
+    @cached_property
+    def _successor_program(self) -> ct.Program:
+        """Every action's ``[valid | s']`` in action order, from one program:
+        the successor circuits merged (`circuit.shared_program`), built on the
+        first step that reads several actions' enumerators on one rows array."""
+        return ct.shared_program(self.successor_circuits)
 
 
 @dataclass(frozen=True, eq=False)
@@ -355,30 +367,43 @@ def _step_piece(m: SuccinctMdp, states_arr: np.ndarray, piece, B: int, index_wid
     The circuits run on column words (`bits.column_words`). Each part is laid
     out slot-major: block k of npad rows holds candidate k of each of the
     part's sources, source r in row k·npad + r. A model without successor
-    circuits has 2**n blocks, block k listing state k. Each part runs its
-    action's successor circuit alone; the transition circuit runs once on the
-    parts stacked, the action bits constant within each part."""
+    circuits has 2**n blocks, block k listing state k. There is one successor
+    kernel call per distinct rows array: a part alone on its rows runs its
+    action's successor circuit, and parts that share their rows (the actions
+    of a small `expand_many` layer) read their action's slice of one run of
+    the shared program (`SuccinctMdp._successor_program`). The transition
+    circuit runs once on the parts stacked, the action bits constant within
+    each part."""
     n, D = m.num_vars, m.prob_denominator
     s_cols, succ_cols, a_cols, sizes, dup, pairs, pos = [], [], [], [], [], [], []
     offset = first = 0
-    packed: Dict[int, Tuple[List[int], int]] = {}  # parts that share a rows array pack once
+    readers = Counter(id(rows) for _, rows in piece)
+    # per rows array: its column words, its successor inputs (the state and
+    # slot-index words) and, when several parts read it, the shared outputs
+    packed: Dict[int, Tuple[List[int], int, ct.Columns, Optional[List[int]]]] = {}
     for b, rows in piece:
         if id(rows) not in packed:
             part_states = states_arr if len(rows) == len(states_arr) else states_arr[rows]
-            packed[id(rows)] = column_words(part_states, B)
-        s_words, npad = packed[id(rows)]
-        size = B * npad
-        index = block_index_words(index_width, B, npad)
+            s_words, npad = column_words(part_states, B)
+            index = block_index_words(index_width, B, npad)
+            inputs = ct.Columns(s_words + list(index), B * npad)
+            shared = None
+            if m.successor_circuits and readers[id(rows)] > 1:
+                shared = ct.eval_batch(m._successor_program, inputs).words
+            packed[id(rows)] = s_words, npad, inputs, shared
+        s_words, npad, inputs, shared = packed[id(rows)]
+        size = inputs.rows
         real = int.from_bytes(((1 << len(rows)) - 1).to_bytes(npad // 8, "little") * B, "little")
-        if m.successor_circuits:
-            valid, *succ_words = ct.eval_batch(
-                m.successor_circuits[b], ct.Columns(s_words + list(index), size)
-            ).words
+        if not m.successor_circuits:
+            valid, succ_words = real, inputs.words[len(s_words) :]
+            dup.append(False)
+        else:
+            if shared is None:
+                valid, *succ_words = ct.eval_batch(m.successor_circuits[b], inputs).words
+            else:
+                valid, *succ_words = shared[b * (n + 1) : (b + 1) * (n + 1)]
             valid &= real
             dup.append(_duplicate_slot(valid, succ_words, B, npad))
-        else:
-            valid, succ_words = real, list(index)
-            dup.append(False)
         # the valid rows in source order: the transposed (B, npad) grid is source-major
         keep = np.flatnonzero(word_bits([valid], size)[0].reshape(B, npad).T)
         local = keep // B

@@ -18,8 +18,9 @@ appends one of its codes with that numerator over D, and otherwise it
 self-loops. The coin reductions guard on room to append (`_room`); next
 action also freezes its actions on the markers already present. The
 transition circuit reads the appended slot once, whatever the number of
-codes, so it grows linearly in the sequence length; the majsat reward checks
-each variable's presence once and leaves the rest to pigeonhole.
+codes, and each enumerator (`_append_enumerator`) muxes each slot bit once,
+so both grow linearly in the sequence length; the majsat reward checks each
+variable's presence once and leaves the rest to pigeonhole.
 """
 
 from __future__ import annotations
@@ -125,7 +126,6 @@ class _SeqView:
         self.slots = [
             [b.inp(offset + cw + j * ew + k) for k in range(ew)] for j in range(L)
         ]
-        self.all_refs = [b.inp(offset + i) for i in range(layout.state_width)]
         self._len_eq: Dict[int, str] = {}
         self._slot_is: Dict[Tuple[int, int], str] = {}
 
@@ -186,36 +186,20 @@ class _SeqPair:
         self.same = b.and_(pre[-1], b.eq_refs(self.nxt.q, self.cur.q))
         # pos_k: the length goes from k to k + 1 and every other slot is
         # unchanged. At most one pos_k holds, so OR-ing pos_k into slot k's
-        # bits reads the appended code exactly, once for every code.
+        # bits reads the appended code exactly, once for every code; with no
+        # pos_k the bits read 0, the empty-slot code, which is never appended.
         pos = [
             b.and_all([self.cur.len_eq(k), self.nxt.len_eq(k + 1), self.others_same[k]])
             for k in range(layout.max_length)
         ]
-        self.appending = b.or_all(pos)
         self.appended_code = [
             b.or_all([b.and_(p, self.nxt.slots[k][i]) for k, p in enumerate(pos)])
             for i in range(layout.element_width)
         ]
 
     def append_cond(self, code: int) -> str:
-        """Next state equals current state with `code` appended."""
-        return self.b.and_(self.appending, self.b.eq_const(self.appended_code, code))
-
-
-def _append_outputs(
-    b: CircuitBuilder, view: _SeqView, code_bits: Sequence[str]
-) -> List[str]:
-    """State wires for view-with-code-appended (garbage when the sequence is
-    full; callers mux that case away)."""
-    layout = view.layout
-    out = b.select_value(
-        [(view.len_eq(k), k + 1) for k in range(layout.max_length)],
-        layout.count_width,
-    )
-    for j in range(layout.max_length):
-        here = view.len_eq(j)
-        out.extend(b.mux_refs(here, code_bits, view.slots[j]))
-    return out
+        """Next state equals current state with `code` (not 0) appended."""
+        return self.b.eq_const(self.appended_code, code)
 
 
 def _const_bits(b: CircuitBuilder, value: int, width: int) -> List[str]:
@@ -270,25 +254,38 @@ def _append_circuits(
     t_circuit = b.build(b.select_value(cases, width_for_count(D + 1)), name)
 
     branching = max(len(appends[action]) for action in actions)
+    successors = tuple(
+        _append_enumerator(layout, action, [code for code, _ in appends[action]], branching, guard)
+        for action in actions
+    )
+    return t_circuit, successors, branching
+
+
+def _append_enumerator(layout, action: str, codes: Sequence[int], branching: int, guard) -> Circuit:
+    """Successor circuit of one action of a sequence-append MDP: while the
+    guard holds, slot k lists the state with the k-th code appended;
+    otherwise slot 0 lists the state unchanged. Each slot bit is muxed once,
+    under ``here_j = active ∧ len_eq(j)``, and only the count bits are muxed
+    on the guard alone, so the circuit grows linearly in the sequence length."""
     sw = width_for_count(branching)
-    successors = []
-    for action in actions:
-        codes = [code for code, _ in appends[action]]
-        b = CircuitBuilder(layout.state_width + sw)
-        v = _SeqView(b, layout, 0)
-        slot_refs = [b.inp(layout.state_width + i) for i in range(sw)]
-        active = guard(v, action)
-        hits = [b.eq_const(slot_refs, k) for k in range(len(codes))]
-        if len(codes) == 1:
-            code = _const_bits(b, codes[0], layout.element_width)
-        else:
-            code = b.select_value(list(zip(hits, codes)), layout.element_width)
-        listed = b.const(1) if len(codes) == branching else b.or_all(hits)
-        appended = _append_outputs(b, v, code)
-        valid = b.mux(active, listed, hits[0])
-        state_out = b.mux_refs(active, appended, v.all_refs)
-        successors.append(b.build([valid] + state_out, f"succ_{action}"))
-    return t_circuit, tuple(successors), branching
+    b = CircuitBuilder(layout.state_width + sw)
+    v = _SeqView(b, layout, 0)
+    slot_refs = [b.inp(layout.state_width + i) for i in range(sw)]
+    active = guard(v, action)
+    hits = [b.eq_const(slot_refs, k) for k in range(len(codes))]
+    if len(codes) == 1:
+        code = _const_bits(b, codes[0], layout.element_width)
+    else:
+        code = b.select_value(list(zip(hits, codes)), layout.element_width)
+    listed = b.const(1) if len(codes) == branching else b.or_all(hits)
+    valid = b.mux(active, listed, hits[0])
+    count = b.select_value(
+        [(v.len_eq(k), k + 1) for k in range(layout.max_length)], layout.count_width
+    )
+    state_out = b.mux_refs(active, count, v.q)
+    for j in range(layout.max_length):
+        state_out.extend(b.mux_refs(b.and_(active, v.len_eq(j)), code, v.slots[j]))
+    return b.build([valid] + state_out, f"succ_{action}")
 
 
 @dataclass(frozen=True)

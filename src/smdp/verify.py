@@ -54,10 +54,10 @@ _SUITES = {
     "roundtrip": lambda n, cases, seed: suite_roundtrip(cases=cases, seed=seed),
     "dnf": lambda n, cases, seed: suite_dnf(max_n=n, cases=cases, seed=seed),
 }
-# the counts a suite does not read
+# the arguments a suite does not read
 _UNREAD = {
-    "boundedpolicy": ("n", "cases"),
-    "valuechoice": ("n", "cases"),
+    "boundedpolicy": ("n", "cases", "seed"),
+    "valuechoice": ("n", "cases", "seed"),
     "normalization": ("n",),
     "roundtrip": ("n",),
 }
@@ -65,21 +65,24 @@ SUITES = tuple(_SUITES)
 
 
 def run_suite(
-    name: str, n: Optional[int] = None, cases: Optional[int] = None, seed: int = 0
+    name: str, n: Optional[int] = None, cases: Optional[int] = None, seed: Optional[int] = None
 ) -> List[VerifyRow]:
-    """The rows of one suite. A count left at None reads as n = 2 and
-    cases = 50; an explicit count must be at least 1, and one that the suite
-    does not read is refused, so no count is silently ignored."""
+    """The rows of one suite. An argument left at None reads as n = 2,
+    cases = 50 and seed = 0; an explicit count must be at least 1, and an
+    explicit argument that the suite does not read is refused, so none is
+    silently ignored."""
     if name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}; choose one of {', '.join(SUITES)}")
-    for arg, value in (("n", n), ("cases", cases)):
+    for arg, value in (("n", n), ("cases", cases), ("seed", seed)):
         if value is None:
             continue
-        if value < 1:
+        if arg != "seed" and value < 1:
             raise ValueError(f"{arg} must be at least 1, got {value}")
         if arg in _UNREAD.get(name, ()):
             raise ValueError(f"suite {name} does not read {arg}, got {arg}={value}")
-    return _SUITES[name](2 if n is None else n, 50 if cases is None else cases, seed)
+    return _SUITES[name](
+        2 if n is None else n, 50 if cases is None else cases, 0 if seed is None else seed
+    )
 
 
 # --------------------------------------------------- nextaction: next action vs SAT

@@ -3,8 +3,9 @@ integer code paths are compared against, the sample-by-sample
 Monte-Carlo walk that the lockstep sampler is compared against, the
 truth-table policy search that the bounded-size search is compared against,
 the assignment-by-assignment SAT-family oracles that the truth-column
-oracles are compared against, and the quadratic-size append condition and
-majsat reward that the linear-size sequence circuits are compared against."""
+oracles are compared against, and the quadratic-size append condition,
+majsat reward and double-mux enumerators that the linear-size sequence
+circuits are compared against."""
 
 import itertools
 import math
@@ -19,7 +20,7 @@ import numpy as np
 from smdp import circuit as ct
 from smdp import mdp as md
 from smdp import oracle
-from smdp.bits import BitVector, bits_to_int, int_to_bits, row_tuples, unsigned_rows
+from smdp.bits import BitVector, bits_to_int, int_to_bits, row_tuples, unsigned_rows, width_for_count
 from smdp.evaluator import McEstimate, RewardReport
 from smdp.policy import ExplicitPolicy, PolicyError, StationaryPolicy
 from smdp.valuefn import value_of_policy
@@ -478,10 +479,37 @@ def majsat_reward_reference(layout, cnf) -> ct.Circuit:
     return b.build(b.select_value([(b.and_all(conds), 1)], 2), "r_majsat")
 
 
+def append_enumerator_reference(layout, action, codes, branching, guard) -> ct.Circuit:
+    """`reductions._append_enumerator` with every slot bit muxed twice:
+    ``mux(active, mux(len_eq(j), code, slot), slot)``."""
+    from smdp.reductions import _SeqView
+
+    sw = width_for_count(branching)
+    b = ct.CircuitBuilder(layout.state_width + sw)
+    v = _SeqView(b, layout, 0)
+    slot_refs = [b.inp(layout.state_width + i) for i in range(sw)]
+    active = guard(v, action)
+    hits = [b.eq_const(slot_refs, k) for k in range(len(codes))]
+    if len(codes) == 1:
+        code = [b.const(bit) for bit in int_to_bits(codes[0], layout.element_width)]
+    else:
+        code = b.select_value(list(zip(hits, codes)), layout.element_width)
+    listed = b.const(1) if len(codes) == branching else b.or_all(hits)
+    appended = b.select_value(
+        [(v.len_eq(k), k + 1) for k in range(layout.max_length)], layout.count_width
+    )
+    for j in range(layout.max_length):
+        appended.extend(b.mux_refs(v.len_eq(j), code, v.slots[j]))
+    valid = b.mux(active, listed, hits[0])
+    state_out = b.mux_refs(active, appended, v.q + [bit for slot in v.slots for bit in slot])
+    return b.build([valid] + state_out, f"succ_{action}")
+
+
 def use_quadratic_sequence_circuits(monkeypatch) -> None:
     """Make the reductions build from now on with the reference append
-    condition and majsat reward above."""
+    condition, majsat reward and double-mux enumerators above."""
     from smdp import reductions
 
     monkeypatch.setattr(reductions._SeqPair, "append_cond", append_cond_reference)
     monkeypatch.setattr(reductions, "_majsat_reward", majsat_reward_reference)
+    monkeypatch.setattr(reductions, "_append_enumerator", append_enumerator_reference)

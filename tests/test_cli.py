@@ -385,6 +385,8 @@ def test_verify_refuses_counts_below_one(argv, message, capsys):
         (["boundedpolicy", "--cases", "16"], "suite boundedpolicy does not read cases, got cases=16"),
         (["normalization", "--n", "3", "--cases", "2"], "suite normalization does not read n, got n=3"),
         (["roundtrip", "--n", "3"], "suite roundtrip does not read n, got n=3"),
+        (["valuechoice", "--seed", "5"], "suite valuechoice does not read seed, got seed=5"),
+        (["boundedpolicy", "--seed", "0"], "suite boundedpolicy does not read seed, got seed=0"),
     ],
 )
 def test_verify_refuses_counts_the_suite_does_not_read(argv, message, capsys):
@@ -397,6 +399,15 @@ def test_verify_runs_a_suite_on_the_counts_it_reads(capsys):
     code, text, _ = run(["verify", "normalization", "--cases", "2", "--emit", "records"], capsys)
     assert code == 0
     assert "total=2\n" in text
+
+
+def test_run_suite_refuses_a_seed_the_suite_does_not_read():
+    # valuechoice and boundedpolicy answer one fixed grid: a seed would
+    # change nothing, so an explicit one is refused, not ignored
+    for name in ("valuechoice", "boundedpolicy"):
+        with pytest.raises(ValueError, match=f"^suite {name} does not read seed, got seed=5$"):
+            run_suite(name, seed=5)
+    assert run_suite("dnf", n=2, cases=3) == suite_dnf(max_n=2, cases=3, seed=0)
 
 
 def test_run_suite_dispatches_by_name_and_names_the_suites_it_knows():

@@ -13,7 +13,12 @@ from smdp import mdp as md
 from smdp import oracle
 from smdp.cnf import Cnf
 from smdp.random_models import random_bounded_mdp, random_circuit
-from smdp.reductions import majsat_to_eval, sat_to_next_action
+from smdp.reductions import (
+    emajsat_to_bounded_policy,
+    majsat_to_eval,
+    sat_to_next_action,
+    unsat_to_consistency,
+)
 
 from helpers import closure_depths, step_reference, transition_pairs, transition_prob
 
@@ -589,6 +594,106 @@ def test_expand_many_in_small_chunks_gives_the_same_model(monkeypatch):
         with monkeypatch.context() as patch:
             patch.setattr(md, "_STEP_ROWS", 8)
             assert [outcome(m, roots) for m, roots in cases] == want
+
+
+def _netlist_enumerators(rng, num_inputs, num_outputs, count):
+    """Circuits parsed from netlists with CONST gates and repeated gates:
+    each circuit starts with the same four gates, and repeats some of its
+    own gates with the operands swapped."""
+
+    def random_gate(gates):
+        refs = [f"i{k}" for k in range(num_inputs)] + [f"g{j}" for j in range(len(gates))]
+        kind = rng.choice(("AND", "OR", "XOR", "NOT"))
+        return kind, (rng.choice(refs),) if kind == "NOT" else (rng.choice(refs), rng.choice(refs))
+
+    prefix = []
+    for _ in range(4):
+        prefix.append(random_gate(prefix))
+    circuits = []
+    for _ in range(count):
+        gates = list(prefix)
+        for _ in range(10):
+            roll = rng.random()
+            if roll < 0.2:
+                gates.append((rng.choice(("CONST0", "CONST1")), ()))
+            elif roll < 0.45:
+                kind, args = rng.choice(gates)
+                gates.append((kind, args[::-1]))
+            else:
+                gates.append(random_gate(gates))
+        refs = [f"i{k}" for k in range(num_inputs)] + [f"g{j}" for j in range(len(gates))]
+        lines = [f"inputs {num_inputs}"]
+        lines += [" ".join([f"gate g{j}", kind, *args]) for j, (kind, args) in enumerate(gates)]
+        lines.append("outputs " + " ".join(rng.choice(refs) for _ in range(num_outputs)))
+        circuits.append(ct.parse("\n".join(lines)))
+    return circuits
+
+
+def _shared_program_cases(source, rng):
+    """(circuits, their shared program) pairs of one kind of source."""
+    if source == "reductions":
+        models = [
+            majsat_to_eval(Cnf(4, ((1, -2), (2, 3), (-3, 4)))).mdp,
+            sat_to_next_action(Cnf(2, ((1, 2, -1), (-2, -1, 1))), mode="compact").mdp,
+            emajsat_to_bounded_policy(Cnf(4, ((1, 3), (-2, 4))), 2).mdp,
+            unsat_to_consistency(Cnf(3, ((1, 2),))).mdp,
+        ]
+    elif source == "random":
+        models = [
+            make_random(
+                seed, num_vars=1 + seed % 4, num_actions=1 + seed % 4, max_branching=2 + seed % 3
+            ).mdp
+            for seed in range(8)
+        ]
+    else:
+        return [
+            (cs, ct.shared_program(cs))
+            for cs in (_netlist_enumerators(rng, k, 1 + k, 1 + k) for k in range(1, 6))
+        ]
+    for m in models:
+        assert m._successor_program is m._successor_program  # built once per model
+    return [(m.successor_circuits, m._successor_program) for m in models]
+
+
+@pytest.mark.parametrize("source", ["reductions", "random", "netlist"])
+def test_shared_successor_program_slices_match_each_enumerator(source):
+    rng = random.Random(21)
+    merged = 0
+    for circuits, program in _shared_program_cases(source, rng):
+        for rows in (1, 9, 200):
+            words = [rng.getrandbits(rows) for _ in range(program.num_inputs)]
+            out = ct.eval_batch(program, ct.Columns(words, rows)).words
+            at = 0
+            for c in circuits:
+                want = ct.eval_batch(c, ct.Columns(words, rows)).words
+                assert out[at : at + c.num_outputs] == want
+                at += c.num_outputs
+            assert at == len(out)
+        assert ct.size(program) <= sum(map(ct.size, circuits))
+        merged += ct.size(program) < sum(map(ct.size, circuits))
+    assert merged >= 3  # the cases hold gates that repeat across or within circuits
+
+
+def test_expand_many_steps_every_action_of_a_layer_in_one_successor_call(monkeypatch):
+    inst = sat_to_next_action(Cnf(1, ((1, -1, 1), (-1, -1, -1))), mode="compact")
+    m = inst.mdp
+    calls = {"shared": 0, "own": 0}
+    eval_batch = ct.eval_batch
+
+    def counting(c, inputs):
+        if c is m._successor_program:
+            calls["shared"] += 1
+        elif any(c is e for e in m.successor_circuits):
+            calls["own"] += 1
+        return eval_batch(c, inputs)
+
+    monkeypatch.setattr(ct, "eval_batch", counting)
+    h = inst.steps_remaining()
+    em = md.expand_many(m, [inst.state], depth=h)[0]
+    assert calls == {"shared": h, "own": 0}  # one call per stepped layer
+    monkeypatch.setattr(md, "_STEP_ROWS", 8)  # pieces that cut the layers' rows
+    small = md.expand_many(m, [inst.state], depth=h)[0]
+    assert calls["own"] > 0 and _explicit(small) == _explicit(em)
 
 
 @pytest.mark.parametrize("step_rows", [8, 1 << 16])

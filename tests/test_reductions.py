@@ -241,7 +241,7 @@ def test_reduction_circuits_are_byte_stable():
         m = inst.mdp
         for c in (m.t_circuit, m.r_circuit, *m.successor_circuits, inst.policy.circuit):
             digest.update(ct.serialize(c).encode())
-    want = "2070c7de1b96d64ed4c797293755dcfccfa31730f35d9d54772ee5c8bf3b6c9e"
+    want = "ce052bf6d652fb4100d9190009b112298e3b7545107ea09f3b667fcdbddfc200"
     assert digest.hexdigest() == want
 
 
@@ -271,8 +271,9 @@ def test_satnext_expansion_is_stable():
 
 
 def test_sequence_circuits_match_the_quadratic_references(monkeypatch):
-    # the linear-size append condition and majsat reward against the
-    # per-code slot tests and pairwise distinct-variable tests they replace
+    # the linear-size append condition, majsat reward and enumerators against
+    # the per-code slot tests, pairwise distinct-variable tests and
+    # double-muxed slot bits they replace
     rng = random.Random(20)
 
     def random_cnf(n):  # a satisfiable one, so some full sequence is rewarded
@@ -284,31 +285,52 @@ def test_sequence_circuits_match_the_quadratic_references(monkeypatch):
             if oracle.sat_oracle(Cnf(n, tuple(clauses))):
                 return Cnf(n, tuple(clauses))
 
+    def random_3cnf(n, m):
+        lits = [v for i in range(1, n + 1) for v in (i, -i)]
+        return Cnf(n, tuple(tuple(rng.choice(lits) for _ in range(3)) for _ in range(m)))
+
     majsat = [random_cnf(n) for n in (1, 2, 3, 4, 5, 6)]
     xy = [(random_cnf(2 * num_x), num_x) for num_x in (1, 2)]
+    satnext = [random_3cnf(1, 1), random_3cnf(1, 2), random_3cnf(2, 2)]
 
     def build():
-        return [majsat_to_eval(cnf) for cnf in majsat] + [
-            emajsat_to_bounded_policy(cnf, num_x) for cnf, num_x in xy
-        ]
+        return (
+            [majsat_to_eval(cnf) for cnf in majsat]
+            + [emajsat_to_bounded_policy(cnf, num_x) for cnf, num_x in xy]
+            + [sat_to_next_action(cnf, mode="compact") for cnf in satnext]
+        )
 
     linear = build()
     use_quadratic_sequence_circuits(monkeypatch)
     quadratic = build()
 
-    # exhaustively: majsat n = 1, 2 (t and r), emajsat num_x = 1 (t, 18 inputs)
-    for new, old, names in [
-        (linear[0], quadratic[0], ("t_circuit", "r_circuit")),
-        (linear[1], quadratic[1], ("t_circuit", "r_circuit")),
-        (linear[6], quadratic[6], ("t_circuit",)),
+    # exhaustively, at most 20 inputs: majsat n = 1, 2 (t, r and the
+    # enumerators) and n = 3 (the enumerators), emajsat num_x = 1 (t and the
+    # enumerators), compact next action n = 1 with one clause (the
+    # enumerators, 19 inputs)
+    for k, names in [
+        (0, ("t_circuit", "r_circuit")),
+        (1, ("t_circuit", "r_circuit")),
+        (2, ()),
+        (6, ("t_circuit",)),
+        (8, ()),
     ]:
-        for name in names:
-            assert ct.equivalent(getattr(new.mdp, name), getattr(old.mdp, name))
+        new, old = linear[k].mdp, quadratic[k].mdp
+        pairs = [(getattr(new, name), getattr(old, name)) for name in names]
+        pairs += zip(new.successor_circuits, old.successor_circuits, strict=True)
+        for c_new, c_old in pairs:
+            assert c_new.num_inputs <= ct.TABLE_INPUT_LIMIT
+            assert ct.equivalent(c_new, c_old)
     # identical explicit models: majsat n = 3..6 over the closure of the last
-    # four steps (the full closure for n <= 4), emajsat num_x = 1, 2
-    for new, old in zip(linear[2:], quadratic[2:]):
-        n = new.layout.max_length
-        root = new.layout.encode([2 * v for v in range(1, n - 3)]) if new.name == "majsat" else None
+    # four steps (the full closure for n <= 4), emajsat num_x = 1, 2, and
+    # next action from the initial state (n = 1, two clauses) and from the
+    # clause-list state (n = 2, two clauses)
+    expand_from = {6: None, 7: None, 9: None, 10: linear[10].state}
+    for k in (2, 3, 4, 5):
+        n = linear[k].layout.max_length
+        expand_from[k] = linear[k].layout.encode([2 * v for v in range(1, n - 3)])
+    for k, root in expand_from.items():
+        new, old = linear[k], quadratic[k]
         em_new, em_old = md.expand(new.mdp, root), md.expand(old.mdp, root)
         assert np.array_equal(em_new.state_array, em_old.state_array)
         assert np.array_equal(em_new.reward_array, em_old.reward_array)
@@ -326,6 +348,57 @@ def test_append_transition_grows_linearly():
         return len(majsat_to_eval(cnf).mdp.t_circuit.gates)
 
     assert gates(16) < 2.5 * gates(8)
+
+
+def _sizes(m):
+    """Gates of t and r, of the successor circuits together, and of their
+    shared program."""
+    return (
+        ct.size(m.t_circuit),
+        ct.size(m.r_circuit),
+        sum(map(ct.size, m.successor_circuits)),
+        ct.size(m._successor_program),
+    )
+
+
+def test_majsat_circuits_grow_as_measured():
+    # n = 8 to 16 doubles the sequence length and the action count. Each
+    # enumerator muxes each slot bit once, so the gates per action grow
+    # 145 -> 308 (2.1x) and the shared program 164 -> 355 (2.2x); the reward
+    # checks each variable's presence in each slot, 367 -> 1393 (3.8x).
+    def sizes(n):
+        m = majsat_to_eval(Cnf(n, ((1, -2), (2, 3), (-3, n)))).mdp
+        _, r, succ, shared = _sizes(m)
+        return r, succ / len(m.actions), shared
+
+    (r8, per_action8, shared8), (r16, per_action16, shared16) = sizes(8), sizes(16)
+    assert per_action16 < 2.5 * per_action8
+    assert shared16 < 2.5 * shared8
+    assert r16 < 4.2 * r8
+
+
+def test_next_action_circuits_grow_linearly():
+    # n = 2 with 4 and 8 clauses: the sequence length goes 15 -> 27 (1.8x);
+    # t grows 522 -> 889 (1.7x), the enumerators 1406 -> 2510 (1.8x) and the
+    # shared program 658 -> 1156 (1.8x)
+    def sizes(m):
+        cnf = Cnf(2, ((1, -2, 2),) * m)
+        t, _, succ, shared = _sizes(sat_to_next_action(cnf, mode="compact").mdp)
+        return t, succ, shared
+
+    for small, large in zip(sizes(4), sizes(8), strict=True):
+        assert large < 2.0 * small
+
+
+def test_xy_transitions_grow_linearly():
+    # num_x = 4 to 8 doubles the sequence length: t grows 422 -> 918 (2.2x)
+    # for emajsat and forallexists, which share one MDP builder
+    def t_gates(build, k):
+        cnf = Cnf(2 * k, ((1, -2 * k), (2, k + 1)))
+        return ct.size(build(cnf, k).mdp.t_circuit)
+
+    for build in (emajsat_to_bounded_policy, forallexists_to_valuefn):
+        assert t_gates(build, 8) < 2.5 * t_gates(build, 4)
 
 
 # -------------------------------------------------------------- instance files
