@@ -56,17 +56,24 @@ def twos_to_int(bits: Sequence[int]) -> int:
 
 def unsigned_rows(rows: np.ndarray) -> np.ndarray:
     """Unsigned reading of each row of a 2-D bool array, MSB first: int64 up
-    to 62 bits, exact Python ints (object dtype) beyond, so no width wraps."""
+    to 62 bits, exact Python ints (object dtype) beyond, so no width wraps.
+    A wide row is read from its packed bytes, one `int.from_bytes` per row."""
     width = rows.shape[1]
-    dtype = np.int64 if width < 63 else object
-    weights = np.array([1 << k for k in range(width - 1, -1, -1)], dtype=dtype)
-    return rows.astype(dtype) @ weights
+    if width < 63:
+        weights = np.array([1 << k for k in range(width - 1, -1, -1)], dtype=np.int64)
+        return rows.astype(np.int64) @ weights
+    packed = np.packbits(rows, axis=1)  # MSB first, zero-padded at the end
+    data, kw, pad = packed.tobytes(), packed.shape[1], 8 * packed.shape[1] - width
+    vals = [int.from_bytes(data[r * kw : r * kw + kw], "big") >> pad for r in range(len(rows))]
+    return np.array(vals, dtype=object)
 
 
 def signed_rows(rows: np.ndarray) -> np.ndarray:
     """Two's-complement reading of each row of a 2-D bool array, MSB first,
     with the dtype rule of `unsigned_rows`."""
     vals = unsigned_rows(rows)
+    if rows.shape[1] == 0:
+        return vals
     return np.where(rows[:, 0], vals - (1 << rows.shape[1]), vals)
 
 

@@ -195,18 +195,14 @@ def expected_reward_mc(
     _check_policy_width(policy, m.num_vars)
     rng = random.Random(seed)
     walk = _LockstepWalk(m, policy, horizon)
-    s0_bits = tuple(m.initial)
-    s0 = walk.id_of(s0_bits)
     total = 0
     total_sq = 0
     for start in range(0, samples, _MC_BLOCK):
         block = min(_MC_BLOCK, samples - start)
         draws = [rng.randrange(m.prob_denominator) for _ in range(block * horizon)]
-        cur = [s0] * block  # the state id of each sample of the block
+        cur = [0] * block  # the state id of each sample of the block; 0 is the initial state
         # the states 0..d of each sample as one bool row, for a history policy
-        history = None
-        if policy.kind == "history":
-            history = np.tile(np.array(s0_bits, dtype=bool), (block, 1))
+        history = walk.rows[cur] if policy.kind == "history" else None
         visits = [cur]  # the state ids of the block at each depth 0..d
         for d in range(horizon):
             pairs = list(zip(cur, walk.actions(cur, history, d)))
@@ -216,8 +212,7 @@ def expected_reward_mc(
             cur = [nxt[bisect_right(cum, u)] for (nxt, cum), u in zip(steps, draws[d::horizon])]
             visits.append(cur)
             if history is not None:
-                states = np.array([walk.states[i] for i in cur], dtype=bool)
-                history = np.concatenate([history, states], axis=1)
+                history = np.concatenate([history, walk.rows[cur]], axis=1)
         walk.fill_rewards(chain.from_iterable(visits))
         reward = walk.rewards.__getitem__
         returns = [sum(map(reward, path)) for path in zip(*visits)]
@@ -233,31 +228,26 @@ def expected_reward_mc(
 
 
 class _LockstepWalk:
-    """The caches of one Monte-Carlo run, keyed by integer state ids: the
-    reward of each visited state, a stationary policy's action at each
-    decided state, and the successor ids and cumulative numerators over D of
-    each stepped (state, action) pair. Each cache is filled by one batched
-    call per kind of work, on the keys seen for the first time: actions and
-    successors once per depth, rewards once per block on the states of all
-    its depths. So the stepped pairs and the rewarded states are those a
-    sample-by-sample walk computes."""
+    """The caches of one Monte-Carlo run, keyed by integer state ids that
+    `md._number_rows` gives in first-seen order, the initial state being 0:
+    the bool row of each met state (`rows`, sliced by id), the reward of each
+    visited state, a stationary policy's action at each decided state, and
+    the successor ids and cumulative numerators over D of each stepped
+    (state, action) pair. Each cache is filled by one batched call per kind
+    of work, on the keys seen for the first time: actions and successors
+    once per depth, rewards once per block on the states of all its depths.
+    So the stepped pairs and the rewarded states are those a sample-by-sample
+    walk computes."""
 
     def __init__(self, m: md.SuccinctMdp, policy, horizon: int):
         self.m = m
         self.policy = policy
         self.horizon = horizon
-        self.ids: Dict[BitVector, int] = {}
-        self.states: List[BitVector] = []
+        self.index: Dict[int, int] = {}  # state id per `unsigned_rows` key
+        self.rows = md._number_rows(np.array([m.initial], dtype=bool), self.index)[1]
         self.rewards: Dict[int, int] = {}
         self.succ: Dict[Tuple[int, int], Tuple[List[int], List[int]]] = {}
         self.decided: Dict[int, int] = {}  # a stationary policy's action per state id
-
-    def id_of(self, s: BitVector) -> int:
-        i = self.ids.get(s)
-        if i is None:
-            i = self.ids[s] = len(self.states)
-            self.states.append(s)
-        return i
 
     def actions(self, cur: List[int], history, d: int) -> List[int]:
         """The action of each sample at depth d; `history` holds each
@@ -270,8 +260,7 @@ class _LockstepWalk:
         decided = self.decided if self.policy.kind == "stationary" else {}
         todo = [i for i in dict.fromkeys(cur) if i not in decided]
         if todo:
-            rows = [self.states[i] for i in todo]
-            decided.update(zip(todo, self.policy.decide_batch(rows, d, steps)))
+            decided.update(zip(todo, self.policy.decide_batch(self.rows[todo], d, steps)))
         return [decided[i] for i in cur]
 
     def fill_successors(self, pairs: List[Tuple[int, int]]) -> None:
@@ -281,12 +270,11 @@ class _LockstepWalk:
         if not todo:
             return
         src, succ, nums = md._step(
-            self.m,
-            np.array([self.states[i] for i, _ in todo], dtype=bool),
-            [a for _, a in todo],
+            self.m, self.rows[[i for i, _ in todo]], [a for _, a in todo]
         )
-        dst = [self.id_of(s2) for s2 in row_tuples(succ)]
-        nums = nums.tolist()
+        dst, new = md._number_rows(succ, self.index)
+        self.rows = np.concatenate([self.rows, new])
+        dst, nums = dst.tolist(), nums.tolist()
         ends = np.cumsum(np.bincount(src, minlength=len(todo))).tolist()
         for p, lo, hi in zip(todo, [0] + ends, ends):
             self.succ[p] = (dst[lo:hi], list(accumulate(nums[lo:hi])))
@@ -294,4 +282,4 @@ class _LockstepWalk:
     def fill_rewards(self, ids: Iterable[int]) -> None:
         new = [i for i in dict.fromkeys(ids) if i not in self.rewards]
         if new:
-            self.rewards.update(zip(new, md.reward_batch(self.m, [self.states[i] for i in new])))
+            self.rewards.update(zip(new, md.reward_batch(self.m, self.rows[new])))

@@ -20,7 +20,9 @@ transition circuit then runs once on the blocks of every action stacked, so
 no bool array is built per circuit call. `expand_many` keeps its frontier as
 a bool array and cuts each layer's (state, action) pairs, action-major, into
 the same pieces, all actions of a small layer sharing one rows array, and
-numbers the successors piece by piece.
+numbers the successors piece by piece with `_number_rows`. That helper is
+the one state numbering, which the Monte-Carlo walk uses too: a dict keyed
+by each row's `bits.unsigned_rows` reading, one Python int at any width.
 """
 
 from __future__ import annotations
@@ -557,6 +559,17 @@ def successors_batch(
     return result
 
 
+def _number_rows(rows: np.ndarray, index: Dict[int, int]) -> Tuple[np.ndarray, np.ndarray]:
+    """The id of each row of a bool array in `index`, a dict keyed by the
+    rows' `unsigned_rows` readings: a row not in it takes the next id, in
+    first-seen order. Returns the ids and the rows that took new ids, in id
+    order."""
+    old, keys = len(index), unsigned_rows(rows).tolist()
+    ids = np.array([index.setdefault(k, len(index)) for k in keys], dtype=np.int64)
+    new = np.flatnonzero(ids >= old)
+    return ids, rows[new[np.unique(ids[new], return_index=True)[1]]]
+
+
 def expand(m: SuccinctMdp, s0: Optional[BitVector] = None) -> ExplicitMdp:
     """Enumerate the states reachable from s0 (closure under all actions)."""
     if s0 is None:
@@ -593,24 +606,17 @@ def expand_many(
     for s in roots:
         _check_state(s, m.num_vars, "root")
 
-    index: Dict[bytes, int] = {}
+    index: Dict[int, int] = {}
     fresh: List[np.ndarray] = []
 
     def number(succ: np.ndarray) -> np.ndarray:
         """The index of each successor row, a new state taking the next one;
         the new states go to `fresh` in discovery order."""
-        packed = np.packbits(succ, axis=1)  # one byte key per row
-        keys, kw = packed.tobytes(), packed.shape[1]
-        old = len(index)
-        dst = np.array(
-            [index.setdefault(keys[r * kw : r * kw + kw], len(index)) for r in range(len(succ))],
-            dtype=np.int64,
-        )
-        if len(index) > old:
+        dst, new = _number_rows(succ, index)
+        if len(new):
             if len(index) > limit:
                 raise _limit_error("reachable state count", limit + 1, limit)
-            new = np.flatnonzero(dst >= old)
-            fresh.append(succ[new[np.unique(dst[new], return_index=True)[1]]])
+            fresh.append(new)
         return dst
 
     root_idx = number(np.array([tuple(s) for s in roots], dtype=bool)).tolist()

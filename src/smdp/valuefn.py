@@ -93,7 +93,11 @@ class ValueCircuit:
     def value_table(self, states: Sequence[BitVector]) -> "ValueTable":
         """Tabulate the circuit over the given states for all step indices."""
         _check_cells(len(states), self.horizon, f"{len(states)}")
-        nums = self._numerators(np.array(states, dtype=bool), self.horizon + 1)
+        n = self.num_vars
+        for s in states:
+            md._check_state(s, n, error=ValueFunctionError)
+        arr = np.array(states, dtype=bool).reshape(len(states), n)
+        nums = self._numerators(arr, self.horizon + 1)
         L = self.value_denominator
         return ValueTable(
             {
@@ -213,13 +217,8 @@ def check_consistency(
         states = E.states()
         if not states:
             return ConsistencyResult(True, witness={})
-        n = m.num_vars
-        widths = np.array([len(s) for s in states])
-        cells = np.array([b for s in states for b in s], dtype=object)
-        bad = widths != n
-        bad[np.repeat(np.arange(len(states)), widths)[(cells != 0) & (cells != 1)]] = True
-        if bad.any():
-            md._check_state(states[int(bad.argmax())], n, "value table state", ValueFunctionError)
+        for s in states:
+            md._check_state(s, m.num_vars, "value table state", ValueFunctionError)
         S = np.array(states, dtype=bool)
         rows = [E.values[s][: horizon + 1] for s in states]
         L = math.lcm(*(v.denominator for row in rows for v in row))

@@ -13,7 +13,10 @@ from smdp.bits import (
     int_to_bits,
     int_to_twos,
     parse_bitstring,
+    row_tuples,
+    signed_rows,
     twos_to_int,
+    unsigned_rows,
     width_for_count,
     word_bits,
 )
@@ -87,3 +90,19 @@ def test_block_index_words_read_the_block_index(width, blocks):
         grid = word_bits(words, blocks * npad).reshape(width, blocks, npad)
         for b in range(blocks):
             assert (grid[:, b, :] == np.array(int_to_bits(b, width), dtype=bool)[:, None]).all()
+
+
+@pytest.mark.parametrize("width", [0, 1, 8, 62, 63, 64, 83])
+@pytest.mark.parametrize("rows", [0, 1, 9])
+def test_row_readings_match_the_tuple_readings(width, rows):
+    rng = np.random.default_rng(1000 * width + rows)
+    arr = rng.random((rows, width)) < 0.5
+    if rows:
+        arr[0] = True  # the widest values: all ones, and -1 when signed
+    # int64 below 63 bits, exact Python ints from 63 up
+    dtype = np.int64 if width < 63 else object
+    unsigned, signed = unsigned_rows(arr), signed_rows(arr)
+    assert unsigned.shape == signed.shape == (rows,)
+    assert unsigned.dtype == signed.dtype == dtype
+    assert unsigned.tolist() == [bits_to_int(t) for t in row_tuples(arr)]
+    assert signed.tolist() == [twos_to_int(t) for t in row_tuples(arr)]

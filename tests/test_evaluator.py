@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from smdp import circuit as ct
+from smdp import evaluator
 from smdp import mdp as md
 from smdp.bits import int_to_bits, width_for_count
 from smdp.evaluator import (
@@ -411,6 +412,28 @@ def test_mc_decides_a_stationary_policy_once_per_state_and_a_timed_one_per_depth
     # decided per depth, the ten stationary runs made 80 calls on 303 rows per seed
     assert (len(calls[StationaryPolicy]), sum(calls[StationaryPolicy])) == (3 * 42, 3 * 59)
     assert len(calls[TimedExplicitPolicy]) == 3 * 8
+
+
+def test_expansion_and_mc_number_states_without_bit_tuples(monkeypatch):
+    # states are numbered by their unsigned keys; no bit tuple is built per row
+    rng = random.Random(9)
+    rm = random_bounded_mdp(rng, 3, 3)
+    em = md.expand(rm.mdp)
+    policies = [random_stationary_policy(rng, 3, 3), _random_history_policy(rng, 3, 3, 4)]
+    wants = [expected_reward_mc_reference(rm.mdp, p, 4, 300, 5) for p in policies]
+
+    def no_tuples(rows):
+        raise AssertionError("row_tuples call")
+
+    monkeypatch.setattr(md, "row_tuples", no_tuples)
+    monkeypatch.setattr(evaluator, "row_tuples", no_tuples)
+    got = md.expand(rm.mdp)
+    assert (got.state_array == em.state_array).all()
+    assert all(
+        (x == y).all() for t, u in zip(got.transitions, em.transitions) for x, y in zip(t, u)
+    )
+    for p, want in zip(policies, wants):
+        assert expected_reward_mc(rm.mdp, p, 4, 300, 5) == want
 
 
 def test_mc_rejects_an_out_of_range_action_at_a_visited_state():

@@ -797,3 +797,22 @@ def test_expand_raises_the_error_of_one_step_per_action(monkeypatch, step_rows):
     monkeypatch.setenv("SMDP_LIMIT_STATES", "1")
     with pytest.raises(md.EnumerationLimitError, match="reachable state count reached 2"):
         md.expand(twice)
+
+
+@pytest.mark.parametrize("width", [5, 62, 63, 64, 83])
+def test_number_rows_numbers_rows_as_a_first_seen_tuple_dict(width):
+    rng = np.random.default_rng(width)
+    # few distinct rows, so the batches repeat rows within and across batches
+    pool = rng.random((40, width)) < 0.5
+    index, found, reference = {}, [], {}
+    for size in (0, 1, 7, 50, 0, 200):
+        rows = pool[rng.integers(0, len(pool), size)]
+        ids, new = md._number_rows(rows, index)
+        want = [reference.setdefault(t, len(reference)) for t in map(tuple, rows.tolist())]
+        assert ids.dtype == np.int64 and ids.tolist() == want
+        found.append(new)
+        assert len(index) == len(reference)
+    # the new rows of every batch, in id order, are the reference's keys
+    every = np.concatenate(found)
+    assert every.dtype == bool and every.shape == (len(reference), width)
+    assert list(map(tuple, every.tolist())) == list(reference)

@@ -426,3 +426,35 @@ def test_value_functions_check_the_step_index_and_the_state():
         for E in (table, circuit):
             with pytest.raises(ValueFunctionError, match=msg):
                 extract_policy(rm.mdp, E, 2, bad, 1)
+
+
+def _two_bit_value_circuit():
+    return ValueCircuit(random_circuit(random.Random(4), 2 + width_for_count(3), 12, 3), 2, 1)
+
+
+def test_value_table_rejects_a_state_bit_that_is_not_0_or_1():
+    # (0, 2) was tabulated under the key (0, 2) with the values of (0, 1)
+    msg = r"^state \(0, 2\) is not a 0/1 state of width 2 \(it has width 2\)$"
+    with pytest.raises(ValueFunctionError, match=msg):
+        _two_bit_value_circuit().value_table([(0, 1), (0, 2)])
+
+
+def test_value_table_rejects_a_state_of_another_width():
+    # a 3-bit state raised CircuitError: expected 3 input columns, got 4
+    msg = r"^state \(0, 1, 1\) is not a 0/1 state of width 2 \(it has width 3\)$"
+    with pytest.raises(ValueFunctionError, match=msg):
+        _two_bit_value_circuit().value_table([(0, 1, 1)])
+
+
+def test_value_table_rejects_a_ragged_state_list():
+    # numpy raised its inhomogeneous-shape ValueError
+    msg = r"^state \(1,\) is not a 0/1 state of width 2 \(it has width 1\)$"
+    with pytest.raises(ValueFunctionError, match=msg):
+        _two_bit_value_circuit().value_table([(0, 1), (1,)])
+
+
+def test_value_table_of_no_states_is_empty():
+    # numpy raised AxisError
+    v = _two_bit_value_circuit()
+    assert v.value_table([]) == ValueTable({}, 2)
+    assert v.value_table([(1, 0)]).values[(1, 0)] == tuple(v.value((1, 0), i) for i in range(3))
