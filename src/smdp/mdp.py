@@ -9,30 +9,32 @@ lists the successors of a state slot by slot; without them, every one of
 the 2**n states is a candidate successor.
 
 `_step` is the one checked successor step, under one action for every row
-or one action per row. It cuts the rows, grouped by action, into pieces of
-at most `_STEP_ROWS` candidate rows (`_pieces`). In a piece (`_step_piece`)
-the rows of each action are packed into column words (`circuit.Columns`) in
-slot-major byte-aligned blocks, with one successor kernel call per distinct
-rows array: an action alone on its rows runs its own successor circuit, and
-actions that share their rows read their slices of one run of the model's
-shared successor program (`circuit.shared_program`, built on first use). The
-transition circuit then runs once on the blocks of every action stacked, so
-no bool array is built per circuit call. `expand_many` keeps its frontier as
-a bool array and cuts each layer's (state, action) pairs, action-major, into
-the same pieces, all actions of a small layer sharing one rows array, and
-numbers the successors piece by piece with `_number_rows`. That helper is
-the one state numbering, which the Monte-Carlo walk uses too: a dict keyed
-by each row's `bits.unsigned_rows` reading, one Python int at any width.
+or one action per row. Its unit is a piece (`_step_piece`): one rows array
+of a bool state array, stepped under one or more actions, with at most
+`_STEP_ROWS` candidate rows (or one row under one action). The piece packs
+its rows once into column words (`circuit.Columns`) in slot-major
+byte-aligned blocks; one action runs its own successor circuit, and several
+read their slices of one run of the model's shared successor program
+(`circuit.shared_program`, built on first use). The transition circuit then
+runs once on the actions' blocks stacked, so no bool array is built per
+circuit call. A piece returns each action's rows and its first fault,
+without raising: `_step` cuts each action's rows into pieces, and
+`expand_many` steps each chunk of a layer's frontier under every action.
+Each steps all its pieces before it raises the fault of the first faulty
+action, the fault one whole step per action would meet first, so nothing
+is stepped twice. `expand_many` numbers a layer's successors action-major
+after the layer is stepped, in runs of at most `_STEP_ROWS` rows, with
+`_number_rows`. That helper is the one
+state numbering, which the Monte-Carlo walk uses too: a dict keyed by each
+row's `bits.unsigned_rows` reading, one Python int at any width.
 """
 
 from __future__ import annotations
 
 import os
-from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
-from itertools import islice
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -297,9 +299,9 @@ def _reward_rows(m: SuccinctMdp, states) -> np.ndarray:
 
 def _duplicate_slot(valid: int, succ_words: List[int], blocks: int, npad: int) -> bool:
     """Whether a source lists one successor in two valid slots. In the
-    slot-major layout of `_step`, a row of slot k and the row d blocks up are
-    the same source's slots k and k + d: both valid with no successor bit
-    differing is a duplicate."""
+    slot-major layout of `_step_piece`, a row of slot k and the row d blocks
+    up are the same source's slots k and k + d: both valid with no successor
+    bit differing is a duplicate."""
     for d in range(1, blocks):
         shift = d * npad
         same = valid & (valid >> shift)
@@ -312,15 +314,15 @@ def _duplicate_slot(valid: int, succ_words: List[int], blocks: int, npad: int) -
     return False
 
 
-def _stack(groups: List[List[int]], sizes: List[int]) -> List[int]:
-    """The column words of several row groups stacked in order: column j
-    holds column j of each group in turn, group g taking sizes[g] rows."""
+def _stack(groups: List[List[int]], size: int) -> List[int]:
+    """The column words of several groups of `size` rows stacked in order:
+    column j holds column j of each group in turn."""
     if len(groups) == 1:
         return groups[0]
     stacked = []
     for col in zip(*groups):
         word, offset = 0, 0
-        for w, size in zip(col, sizes):
+        for w in col:
             word |= w << offset
             offset += size
         stacked.append(word)
@@ -338,129 +340,122 @@ def _candidates(m: SuccinctMdp) -> Tuple[int, int]:
     return 1 << n, n
 
 
-def _pieces(groups: List[Tuple[int, np.ndarray]], size: int):
-    """The rows of the (action, rows) groups in order, cut into pieces of at
-    most `size` rows; each piece is a list of (action, rows) parts. A group
-    that fits whole is its own part, with its own rows array."""
-    piece, room = [], size
-    for b, rows in groups:
-        lo = 0
-        while lo < len(rows):
-            part = rows if lo == 0 and len(rows) <= room else rows[lo : lo + room]
-            piece.append((b, part))
-            lo += len(part)
-            room -= len(part)
-            if not room:
-                yield piece
-                piece, room = [], size
-    if piece:
-        yield piece
+def _step_piece(
+    m: SuccinctMdp, states: np.ndarray, rows: np.ndarray, actions: Sequence[int], B: int,
+    index_width: int,
+):
+    """One step of the states ``states[rows]`` under each of `actions`
+    (distinct, in range): a list of ``(action, src, succ, nums, fault)``, one
+    per action. ``src`` indexes `states`; the rows are in source order, as
+    `_step` returns them. ``fault`` is None or the action's first fault
+    ``(rank, message)`` by rank, in the order `_step` checks them: 0 a
+    duplicate slot, 1 a numerator over D, 2 a listed zero-probability state,
+    3 a source whose numerators do not sum to D.
 
-
-def _step_piece(m: SuccinctMdp, states_arr: np.ndarray, piece, B: int, index_width: int):
-    """One checked step of the (action, rows) parts of a piece, each part's
-    action from its rows of the state array, the actions distinct and in
-    range.
-
-    Returns ``(pair, succ, nums)`` as `_step` does, but ``pair`` indexes the
-    parts' rows concatenated, in that order. The parts are checked in order
-    and the first fault raises ModelError, as `_step` lists them.
-
-    The circuits run on column words (`bits.column_words`). Each part is laid
-    out slot-major: block k of npad rows holds candidate k of each of the
-    part's sources, source r in row k·npad + r. A model without successor
-    circuits has 2**n blocks, block k listing state k. There is one successor
-    kernel call per distinct rows array: a part alone on its rows runs its
-    action's successor circuit, and parts that share their rows (the actions
-    of a small `expand_many` layer) read their action's slice of one run of
-    the shared program (`SuccinctMdp._successor_program`). The transition
-    circuit runs once on the parts stacked, the action bits constant within
-    each part."""
+    The circuits run on column words (`bits.column_words`), the rows packed
+    once and laid out slot-major: block k of npad rows holds candidate k of
+    every source, source r in row k·npad + r. A model without successor
+    circuits has 2**n blocks, block k listing state k. One action runs its
+    own successor circuit; several read their slices of one run of the
+    shared program (`SuccinctMdp._successor_program`). The transition circuit
+    runs once on the actions' blocks stacked, the action bits constant
+    within each block."""
     n, D = m.num_vars, m.prob_denominator
-    s_cols, succ_cols, a_cols, sizes, dup, pairs, pos = [], [], [], [], [], [], []
-    offset = first = 0
-    readers = Counter(id(rows) for _, rows in piece)
-    # per rows array: its column words, its successor inputs (the state and
-    # slot-index words) and, when several parts read it, the shared outputs
-    packed: Dict[int, Tuple[List[int], int, ct.Columns, Optional[List[int]]]] = {}
-    for b, rows in piece:
-        if id(rows) not in packed:
-            part_states = states_arr if len(rows) == len(states_arr) else states_arr[rows]
-            s_words, npad = column_words(part_states, B)
-            index = block_index_words(index_width, B, npad)
-            inputs = ct.Columns(s_words + list(index), B * npad)
-            shared = None
-            if m.successor_circuits and readers[id(rows)] > 1:
-                shared = ct.eval_batch(m._successor_program, inputs).words
-            packed[id(rows)] = s_words, npad, inputs, shared
-        s_words, npad, inputs, shared = packed[id(rows)]
-        size = inputs.rows
-        real = int.from_bytes(((1 << len(rows)) - 1).to_bytes(npad // 8, "little") * B, "little")
-        if not m.successor_circuits:
-            valid, succ_words = real, inputs.words[len(s_words) :]
-            dup.append(False)
-        else:
-            if shared is None:
-                valid, *succ_words = ct.eval_batch(m.successor_circuits[b], inputs).words
-            else:
-                valid, *succ_words = shared[b * (n + 1) : (b + 1) * (n + 1)]
-            valid &= real
-            dup.append(_duplicate_slot(valid, succ_words, B, npad))
+    s_words, npad = column_words(states if len(rows) == len(states) else states[rows], B)
+    size = B * npad
+    inputs = ct.Columns(s_words + list(block_index_words(index_width, B, npad)), size)
+    real = int.from_bytes(((1 << len(rows)) - 1).to_bytes(npad // 8, "little") * B, "little")
+    if not m.successor_circuits:
+        outputs = [[real, *inputs.words[len(s_words) :]] for _ in actions]
+    elif len(actions) == 1:
+        outputs = [ct.eval_batch(m.successor_circuits[actions[0]], inputs).words]
+    else:
+        shared = ct.eval_batch(m._successor_program, inputs).words
+        outputs = [shared[b * (n + 1) : (b + 1) * (n + 1)] for b in actions]
+    succ_cols, a_cols, sources, pos, dup = [], [], [], [], []
+    for g, (b, (valid, *succ_words)) in enumerate(zip(actions, outputs)):
+        valid &= real
+        dup.append(bool(m.successor_circuits) and _duplicate_slot(valid, succ_words, B, npad))
         # the valid rows in source order: the transposed (B, npad) grid is source-major
         keep = np.flatnonzero(word_bits([valid], size)[0].reshape(B, npad).T)
         local = keep // B
-        pairs.append(first + local)
-        pos.append(offset + (keep % B) * npad + local)
-        s_cols.append(s_words)
+        sources.append(local)
+        pos.append(g * size + (keep % B) * npad + local)
         succ_cols.append(succ_words)
         a_cols.append([(1 << size) - 1 if bit else 0 for bit in int_to_bits(b, m.action_width)])
-        sizes.append(size)
-        offset += size
-        first += len(rows)
-    succ_words = _stack(succ_cols, sizes)
+    succ_words = _stack(succ_cols, size)
+    total = size * len(actions)
     num_words = ct.eval_batch(
         m.t_circuit,
-        ct.Columns(_stack(s_cols, sizes) + succ_words + _stack(a_cols, sizes), offset),
+        ct.Columns(_stack([s_words] * len(actions), size) + succ_words + _stack(a_cols, size), total),
     ).words
-    pair = np.concatenate(pairs)
-    picked = word_bits(succ_words + num_words, offset)[:, np.concatenate(pos)]
+    picked = word_bits(succ_words + num_words, total)[:, np.concatenate(pos)]
     succ = np.ascontiguousarray(picked[:n].T)
     nums = unsigned_rows(picked[n:].T)
-    over = nums > D
-    zero = nums == 0
+    # the piece's rows are action-major: `which` holds each row's place in `actions`
+    which = np.repeat(np.arange(len(actions)), [len(local) for local in sources])
+    local = np.concatenate(sources)
+    over, zero = nums > D, nums == 0
     any_over, any_zero = over.any(), zero.any()
-    # with every numerator at most D, int64 sums cannot wrap while D * len(pair) < 2**63
-    exact = any_over or D * len(pair) >= 1 << 63
-    totals = np.zeros(first, dtype=object if exact else np.int64)
-    np.add.at(totals, pair, nums.astype(totals.dtype))
+    # with every numerator at most D, int64 sums cannot wrap while D * len(nums) < 2**63
+    exact = any_over or D * len(nums) >= 1 << 63
+    totals = np.zeros(len(actions) * len(rows), dtype=object if exact else np.int64)
+    np.add.at(totals, which * len(rows) + local, nums.astype(totals.dtype))
+    totals = totals.reshape(len(actions), len(rows))
     bad = totals != D
+    faults = [None] * len(actions)
     if any(dup) or any_over or (m.successor_circuits and any_zero) or bad.any():
-        starts = np.cumsum([0] + [len(rows) for _, rows in piece])
-        part_of = np.searchsorted(starts, pair, side="right") - 1
-        for g, (b, rows) in enumerate(piece):
-            if dup[g]:
-                raise ModelError(f"duplicate successor slot in enumerator for {m.actions[b]}")
-            hit = over & (part_of == g)
-            if hit.any():
-                raise ModelError(
-                    f"transition numerator {int(nums[hit][0])} exceeds denominator {D}"
+        for h, b in enumerate(actions):
+            mine = which == h
+            failing = np.flatnonzero(bad[h])
+            if dup[h]:
+                faults[h] = 0, f"duplicate successor slot in enumerator for {m.actions[b]}"
+            elif (over & mine).any():
+                faults[h] = 1, (
+                    f"transition numerator {int(nums[over & mine][0])} exceeds denominator {D}"
                 )
-            if m.successor_circuits and (zero & (part_of == g)).any():
-                raise ModelError(
+            elif m.successor_circuits and (zero & mine).any():
+                faults[h] = 2, (
                     f"successor enumerator for {m.actions[b]} lists a zero-probability state"
                 )
-            failing = np.flatnonzero(bad[starts[g] : starts[g + 1]])
-            if len(failing):
-                k = int(rows[failing[0]])
-                t = int(totals[starts[g] + failing[0]])
-                raise ModelError(
-                    f"probabilities from state {tuple(states_arr[k].astype(int).tolist())} "
-                    f"under {m.actions[b]} sum to {t}/{D}, not 1"
+            elif len(failing):
+                k = failing[0]
+                faults[h] = 3, (
+                    f"probabilities from state {tuple(states[rows[k]].astype(int).tolist())} "
+                    f"under {m.actions[b]} sum to {int(totals[h, k])}/{D}, not 1"
                 )
+    src = rows[local]
     if any_zero:
         positive = ~zero
-        pair, succ, nums = pair[positive], succ[positive], nums[positive]
-    return pair, succ, nums
+        which, src, succ, nums = which[positive], src[positive], succ[positive], nums[positive]
+    ends = np.searchsorted(which, np.arange(len(actions) + 1))
+    return [
+        (b, src[lo:hi], succ[lo:hi], nums[lo:hi], fault)
+        for b, lo, hi, fault in zip(actions, ends[:-1], ends[1:], faults)
+    ]
+
+
+def _keep_first(faults: Dict[int, Tuple[int, str]], b: int, fault) -> None:
+    """Records `fault` of action b unless an earlier piece of b holds a
+    fault of the same or a lower rank: the pieces come in source order, so
+    faults[b] ends as the fault one whole step of b meets first."""
+    if fault is not None and (b not in faults or fault[0] < faults[b][0]):
+        faults[b] = fault
+
+
+def _runs(parts: list, size: int):
+    """`expand_many`'s (action, src, succ, nums) parts in order, in runs of
+    consecutive parts with at most `size` successor rows in all (or one
+    larger part alone), so that each run is numbered in one call."""
+    run, count = [], 0
+    for part in parts:
+        if run and count + len(part[2]) > size:
+            yield run
+            run, count = [], 0
+        run.append(part)
+        count += len(part[2])
+    if run:
+        yield run
 
 
 def _no_transitions(m: SuccinctMdp):
@@ -487,50 +482,44 @@ def _step(m: SuccinctMdp, states_arr: np.ndarray, a):
     a state twice, a numerator exceeds D, its enumerator lists a
     zero-probability state, or a source's numerators do not sum to D.
 
-    The rows, grouped by action, are stepped in pieces of at most
-    `_STEP_ROWS` candidate rows (`_step_piece`).
+    Each action's rows are cut into pieces of at most `_STEP_ROWS` candidate
+    rows (at least one row each), and every piece is stepped (`_step_piece`)
+    before the first faulty action's fault is raised.
     """
-    n_src = len(states_arr)
     if isinstance(a, (int, np.integer)):
         used, acts = [int(a)], None
     else:
         acts = np.asarray(a, dtype=np.int64)
         used = list(dict.fromkeys(acts.tolist()))  # in order of first use
-    if len(used) == 1:
-        groups = [(used[0], np.arange(n_src))]
-    else:
-        groups = [(b, np.flatnonzero(acts == b)) for b in used]
-    out_of_range = None
-    for g, (b, _) in enumerate(groups):
-        if not 0 <= b < len(m.actions):
-            # the actions used before it step first: a fault of theirs comes first
-            out_of_range, groups = b, groups[:g]
-            break
-    if not groups:  # no rows, or the first action used is out of range
+    out_of_range = next((b for b in used if not 0 <= b < len(m.actions)), None)
+    if out_of_range is not None:
+        # the actions used before it step first: a fault of theirs comes first
+        used = used[: used.index(out_of_range)]
+    if not used:  # no rows, or the first action used is out of range
         if out_of_range is not None:
             raise ModelError(f"action index {out_of_range} out of range")
         return _no_transitions(m)
     B, index_width = _candidates(m)
-    pieces = list(_pieces(groups, max(1, _STEP_ROWS // B)))
-    out = []
-    try:
-        for piece in pieces:
-            pair, succ, nums = _step_piece(m, states_arr, piece, B, index_width)
-            out.append((np.concatenate([rows for _, rows in piece])[pair], succ, nums))
-    except ModelError:
-        if len(pieces) > 1:
-            # a later piece may hold the fault that one whole step of the
-            # same action meets first
-            for group in groups:
-                _step_piece(m, states_arr, [group], B, index_width)
-        raise
+    size = max(1, _STEP_ROWS // B)
+    out, faults = [], {}
+    for b in used:
+        rows = np.arange(len(states_arr)) if acts is None else np.flatnonzero(acts == b)
+        for lo in range(0, len(rows), size):
+            ((_, src, succ, nums, fault),) = _step_piece(
+                m, states_arr, rows[lo : lo + size], [b], B, index_width
+            )
+            out.append((src, succ, nums))
+            _keep_first(faults, b, fault)
+    for b in used:
+        if b in faults:
+            raise ModelError(faults[b][1])
     if out_of_range is not None:  # the actions before it passed every check
         raise ModelError(f"action index {out_of_range} out of range")
     if not out:
         return _no_transitions(m)
     src, succ, nums = map(np.concatenate, zip(*out)) if len(out) > 1 else out[0]
     out.clear()  # free the pieces before the rows are sorted
-    if len(groups) > 1:  # each group's rows are in source order, but not the groups
+    if len(used) > 1:  # each action's rows are in source order, but not the actions
         order = np.argsort(src, kind="stable")
         src, succ, nums = src[order], succ[order], nums[order]
     return src, succ, nums
@@ -594,6 +583,11 @@ def expand_many(
     reads. A model fault, or the state limit, is met only within the layers
     that are stepped or numbered.
 
+    Each layer is stepped whole, in chunks of the frontier under every
+    action (`_step_piece`), and then numbered action-major: the states are
+    numbered, and the state limit or a fault is met first, as by one
+    whole-frontier step per action, each numbered before the next.
+
     Raises ValueError for a negative depth, ModelError for a root that is not
     a 0/1 state of the model's width or a fault met in a stepped layer, and
     EnumerationLimitError once the states found, roots included, pass
@@ -627,31 +621,33 @@ def expand_many(
     layers = [[(no_rows, no_rows, no_nums)] for _ in m.actions]
     base = 0  # the frontier holds the states base .. base + len(frontier) - 1
     B, index_width = _candidates(m)
+    k = len(m.actions)
+    # a piece steps its rows under every action, or under one action when
+    # one row under every action is already more than `_STEP_ROWS` candidates
+    groups = [list(range(k))] if k * B <= _STEP_ROWS else [[a] for a in range(k)]
+    size = max(1, _STEP_ROWS // (B * len(groups[0])))
     while len(found[-1]) and (depth is None or len(found) <= depth):
-        frontier, start, fresh = found[-1], len(index), []
-        # the layer's (state, action) pairs, action-major; the actions share
-        # one rows array, so a piece packs the frontier once
-        every_row = np.arange(len(frontier))
-        groups = [(a, every_row) for a in range(len(m.actions))]
-        try:
-            for piece in _pieces(groups, max(1, _STEP_ROWS // B)):
-                pair, succ, nums = _step_piece(m, frontier, piece, B, index_width)
-                dst = number(succ)
-                # the rows are in pair order, so each part's rows are one run
-                starts = np.cumsum([0] + [len(rows) for _, rows in piece])
-                ends = np.searchsorted(pair, starts[1:])
-                for (a, rows), first_pair, lo, hi in zip(piece, starts, [0, *ends[:-1]], ends):
-                    src = rows[pair[lo:hi] - first_pair] + base
-                    layers[a].append((src, dst[lo:hi], nums[lo:hi]))
-        except ModelError:
-            # raise the error that one whole-frontier step per action, each
-            # numbered before the next, meets first: forget the layer's new
-            # states and step it that way
-            for key in list(islice(index, start, None)):
-                del index[key]
-            for a in range(len(m.actions)):
-                number(_step(m, frontier, a)[1])
-            raise
+        frontier, fresh = found[-1], []
+        parts, faults = [], {}
+        for lo in range(0, len(frontier), size):
+            rows = np.arange(lo, min(lo + size, len(frontier)))
+            for actions in groups:
+                for b, src, succ, nums, fault in _step_piece(
+                    m, frontier, rows, actions, B, index_width
+                ):
+                    parts.append((b, src, succ, nums))
+                    _keep_first(faults, b, fault)
+        # action-major, each action's parts in source order: the successors
+        # are numbered as one whole-frontier step per action would number them
+        parts.sort(key=lambda part: part[0])
+        faulty = min(faults, default=k)
+        for run in _runs([part for part in parts if part[0] < faulty], _STEP_ROWS):
+            dst = number(np.concatenate([succ for _, _, succ, _ in run]))
+            for b, src, succ, nums in run:
+                layers[b].append((src + base, dst[: len(succ)], nums))
+                dst = dst[len(succ) :]
+        if faults:  # the actions before it are numbered: a state limit they pass comes first
+            raise ModelError(faults[faulty][1])
         base += len(frontier)
         found.append(np.concatenate(fresh) if fresh else frontier[:0])
     states = np.concatenate(found)
@@ -747,38 +743,31 @@ def load_mdp(manifest_path) -> Tuple[SuccinctMdp, Optional[int]]:
 def validate(m: SuccinctMdp) -> List[str]:
     """Best-effort well-formedness report; empty list means no violation found.
 
-    Checks normalization and (for bounded-action models) enumerator fidelity,
-    exhaustively when the state space is small and otherwise on 64 random
-    states drawn with seed 0, plus the initial state.
+    Checks each action's step (normalization and, for bounded-action models,
+    the enumerator's checks), exhaustively when the state space is small and
+    otherwise on 64 random states drawn with seed 0, plus the initial state.
+    With at most 2**8 states, a bounded-action model is also stepped without
+    its enumerators: the listed successors sum to 1, so the brute-force step
+    sums to more than 1 exactly when the enumerator misses a
+    positive-probability successor.
     """
     import random
 
-    report: List[str] = []
     n = m.num_vars
     if (1 << n) <= 4096:
-        states = row_tuples(ct.all_input_rows(n))
-        exhaustive = True
+        states = ct.all_input_rows(n)
     else:
         rng = random.Random(0)
-        states = [tuple(rng.randrange(2) for _ in range(n)) for _ in range(64)]
-        states.append(tuple(m.initial))
-        exhaustive = False
-    # cross-check the enumerator against brute-force t enumeration
-    plain = None
-    if m.successor_circuits and exhaustive and (1 << n) <= 256:
-        plain = replace(m, successor_circuits=(), max_branching=0)
-    for a in range(len(m.actions)):
+        drawn = [[rng.randrange(2) for _ in range(n)] for _ in range(64)]
+        states = np.array(drawn + [list(m.initial)], dtype=bool)
+    models = [m]
+    if m.successor_circuits and (1 << n) <= 256:
+        models.append(replace(m, successor_circuits=(), max_branching=0))
+    report: List[str] = []
+    for a, name in enumerate(m.actions):
         try:
-            succ = successors_batch(m, states, a)
+            for model in models:
+                _step(model, states, a)
         except ModelError as exc:
-            report.append(f"action {m.actions[a]}: {exc}")
-            continue
-        if plain is not None:
-            brute = successors_batch(plain, states, a)
-            for s, got, want in zip(states, succ, brute):
-                if sorted(got) != sorted(want):
-                    report.append(
-                        f"action {m.actions[a]}: enumerator mismatch at state {s}"
-                    )
-                    break
+            report.append(f"action {name}: {exc}")
     return report

@@ -693,7 +693,7 @@ def test_expand_many_steps_every_action_of_a_layer_in_one_successor_call(monkeyp
     assert calls == {"shared": h, "own": 0}  # one call per stepped layer
     monkeypatch.setattr(md, "_STEP_ROWS", 8)  # pieces that cut the layers' rows
     small = md.expand_many(m, [inst.state], depth=h)[0]
-    assert calls["own"] > 0 and _explicit(small) == _explicit(em)
+    assert calls["own"] == 0 and _explicit(small) == _explicit(em)
 
 
 @pytest.mark.parametrize("step_rows", [8, 1 << 16])
@@ -797,6 +797,88 @@ def test_expand_raises_the_error_of_one_step_per_action(monkeypatch, step_rows):
     monkeypatch.setenv("SMDP_LIMIT_STATES", "1")
     with pytest.raises(md.EnumerationLimitError, match="reachable state count reached 2"):
         md.expand(twice)
+
+
+def _largest_eval_batch(monkeypatch, run):
+    """The most rows of one `ct.eval_batch` call while `run()` steps, and
+    the ModelError it raises, if any."""
+    largest = [0]
+    eval_batch = ct.eval_batch
+
+    def counting(c, inputs):
+        largest[0] = max(largest[0], inputs.shape[0])
+        return eval_batch(c, inputs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(ct, "eval_batch", counting)
+        try:
+            run()
+        except md.ModelError as exc:
+            return largest[0], str(exc)
+    return largest[0], None
+
+
+def test_a_faulty_step_stays_within_the_piece_bound(monkeypatch):
+    monkeypatch.setattr(md, "_STEP_ROWS", 8)
+    m = make_random(4, num_vars=3, num_actions=3, max_branching=3).mdp
+    one = _faulty_variants(m, random.Random(0))[3]  # every numerator is 1 of D = 6
+    rng = np.random.default_rng(4)
+    rows = rng.random((64, 3)) < 0.5
+    acts = rng.integers(0, 3, 64)
+    runs = [
+        lambda model: md._step(model, rows, 0),
+        lambda model: md._step(model, rows, acts),
+        lambda model: md.expand_many(model, list(map(tuple, rows.astype(int).tolist()))),
+    ]
+    for run in runs:
+        fault_free, error = _largest_eval_batch(monkeypatch, lambda: run(m))
+        assert error is None and fault_free == 24  # 3 slot blocks of 2 sources padded to 8
+        largest, error = _largest_eval_batch(monkeypatch, lambda: run(one))
+        assert error is not None and re.search(r"sum to [1-5]/6, not 1$", error)
+        assert largest <= fault_free
+
+
+@pytest.mark.parametrize("step_rows", [4, 8])
+def test_expand_many_pieces_hold_at_most_step_rows_candidates(monkeypatch, step_rows):
+    bounded = make_random(4, num_vars=3, num_actions=3, max_branching=3).mdp  # B = 3
+    plain = replace(make_random(5, num_vars=3, num_actions=2).mdp,
+                    successor_circuits=(), max_branching=0)  # B = 8
+    for m in (bounded, plain):
+        B = m.max_branching or 1 << m.num_vars
+        assert len(m.actions) * B > step_rows  # one row under every action is too many
+        want = _explicit(md.expand(m))
+        pieces = []
+        step_piece = md._step_piece
+
+        def recording(model, states, rows, actions, *args):
+            pieces.append(len(rows) * len(actions) * B)
+            return step_piece(model, states, rows, actions, *args)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(md, "_STEP_ROWS", step_rows)
+            patch.setattr(md, "_step_piece", recording)
+            assert _explicit(md.expand(m)) == want
+        assert pieces and max(pieces) <= max(step_rows, B)
+
+
+def test_validate_reports_a_successor_the_enumerator_misses():
+    # one variable and one action, D = 2: from 0 the transition circuit
+    # reaches 0 with 2/2 and 1 with 1/2, but the enumerator lists only the
+    # state itself, which sums to 1
+    t_values = {(0, 0): 2, (0, 1): 1, (1, 1): 2}
+    m = md.SuccinctMdp(
+        ("x1",), (0,), ("a",),
+        # inputs [s | s' | action bit]; the one action has index 0
+        ct.circuit_from_values(3, 2, [t_values.get((s, s2), 0) if a == 0 else 0
+                                      for s in (0, 1) for s2 in (0, 1) for a in (0, 1)]),
+        ct.circuit_from_values(1, 1, [0, 0]),
+        prob_denominator=2,
+        successor_circuits=(ct.circuit_from_values(2, 2, [2 | s if slot == 0 else 0
+                                                          for s in (0, 1) for slot in (0, 1)]),),
+        max_branching=1,
+    )
+    assert md._step(m, ct.all_input_rows(1), 0)[0].tolist() == [0, 1]  # the listed step passes
+    assert md.validate(m) == ["action a: probabilities from state (0,) under a sum to 3/2, not 1"]
 
 
 @pytest.mark.parametrize("width", [5, 62, 63, 64, 83])

@@ -165,9 +165,9 @@ def test_best_next_action_steps_only_the_states_fewer_than_h_steps_away(monkeypa
     stepped = []
     step_piece = md._step_piece
 
-    def counting(m, states_arr, piece, *args):
-        stepped.append(sum(len(rows) for _, rows in piece))
-        return step_piece(m, states_arr, piece, *args)
+    def counting(m, states, rows, actions, *args):
+        stepped.append(len(rows) * len(actions))
+        return step_piece(m, states, rows, actions, *args)
 
     monkeypatch.setattr(md, "_step_piece", counting)
     oracle.best_next_action(m, h, inst.state)
