@@ -48,7 +48,6 @@ from .bits import (
     int_to_bits,
     row_tuples,
     signed_rows,
-    twos_to_int,
     unsigned_rows,
     width_for_count,
     word_bits,
@@ -107,6 +106,16 @@ def _check_state(s: BitVector, n: int, what: str = "state", error=ModelError) ->
         raise error(
             f"{what} {tuple(s)} is not a 0/1 state of width {n} (it has width {len(s)})"
         )
+
+
+def _state_array(states, n: int, what: str = "state", error=ModelError) -> np.ndarray:
+    """A sequence of states as a (rows, n) bool array, each state checked by
+    `_check_state`; a bool array passes through as it is."""
+    if isinstance(states, np.ndarray) and states.dtype == bool:
+        return states
+    for s in states:
+        _check_state(s, n, what, error)
+    return np.array(states, dtype=bool).reshape(len(states), n)
 
 
 @dataclass(frozen=True)
@@ -279,19 +288,19 @@ def _fractions(em: ExplicitMdp, levels) -> Dict[BitVector, Tuple[Fraction, ...]]
 
 def reward(m: SuccinctMdp, s: BitVector) -> int:
     """Two's-complement reading of the reward circuit output."""
-    return twos_to_int(ct.eval(m.r_circuit, tuple(s)))
+    return reward_batch(m, [s])[0]
 
 
 def reward_batch(m: SuccinctMdp, states: Sequence[BitVector]) -> List[int]:
     """Rewards of a sequence of states or of a (rows, n) bool array, as Python ints."""
-    return _reward_rows(m, states).tolist()
+    return _reward_rows(m, _state_array(states, m.num_vars)).tolist()
 
 
-def _reward_rows(m: SuccinctMdp, states) -> np.ndarray:
-    """`reward_batch` as an array in the dtype of `bits.signed_rows`. The
-    reward circuit runs on pieces of at most `_STEP_ROWS` rows, so one call
-    never holds the gate words of more rows than that."""
-    arr = np.asarray(states, dtype=bool)
+def _reward_rows(m: SuccinctMdp, arr: np.ndarray) -> np.ndarray:
+    """`reward_batch` of a (rows, n) bool array, as an array in the dtype of
+    `bits.signed_rows`. The reward circuit runs on pieces of at most
+    `_STEP_ROWS` rows, so one call never holds the gate words of more rows
+    than that."""
     size = _STEP_ROWS
     out = [ct.eval_batch(m.r_circuit, arr[lo : lo + size]) for lo in range(0, len(arr), size)]
     return signed_rows(np.concatenate(out or [np.zeros((0, m.reward_width), bool)]))
@@ -528,7 +537,7 @@ def _step(m: SuccinctMdp, states_arr: np.ndarray, a):
 def successors(m: SuccinctMdp, s: BitVector, a: int) -> List[Tuple[BitVector, Fraction]]:
     """All positive-probability successors of s under action a, with exact
     probabilities summing to 1."""
-    return successors_batch(m, [tuple(s)], a)[0]
+    return successors_batch(m, [s], a)[0]
 
 
 def successors_batch(
@@ -540,7 +549,7 @@ def successors_batch(
         raise ModelError(f"action index {a} out of range")
     if len(states) == 0:
         return []
-    src, succ, nums = _step(m, np.array(states, dtype=bool), a)
+    src, succ, nums = _step(m, _state_array(states, m.num_vars), a)
     D = m.prob_denominator
     result: List[List[Tuple[BitVector, Fraction]]] = [[] for _ in states]
     for k, s2, num in zip(src.tolist(), row_tuples(succ), nums.tolist()):
@@ -597,8 +606,7 @@ def expand_many(
     if not roots:
         raise ModelError("need at least one root state")
     limit = state_limit()
-    for s in roots:
-        _check_state(s, m.num_vars, "root")
+    root_rows = _state_array(roots, m.num_vars, "root")
 
     index: Dict[int, int] = {}
     fresh: List[np.ndarray] = []
@@ -613,7 +621,7 @@ def expand_many(
             fresh.append(new)
         return dst
 
-    root_idx = number(np.array([tuple(s) for s in roots], dtype=bool)).tolist()
+    root_idx = number(root_rows).tolist()
     found = [fresh[0]]  # the states in index order, one array per layer
     no_rows = np.zeros(0, np.int64)
     no_nums = _no_transitions(m)[2]

@@ -25,7 +25,8 @@ import numpy as np
 
 from . import circuit as ct
 from ._manifest import read_manifest, read_netlist_beside, write_manifest
-from .bits import BitVector, bits_to_int, int_to_bits, row_tuples, unsigned_rows, width_for_count
+from .bits import BitVector, int_to_bits, row_tuples, unsigned_rows, width_for_count
+from .mdp import _state_array
 
 
 class PolicyError(ValueError):
@@ -51,10 +52,7 @@ class StationaryPolicy:
         return self.circuit.num_inputs
 
     def decide(self, s: BitVector) -> int:
-        a = bits_to_int(ct.eval(self.circuit, tuple(s)))
-        if a >= self.action_count:
-            raise PolicyError(f"policy decoded action {a} >= {self.action_count} at {s}")
-        return a
+        return self.decide_batch([s])[0]
 
     def decide_batch(
         self, states: Sequence[BitVector], depth: int = 0, steps_remaining: int = 0
@@ -63,7 +61,7 @@ class StationaryPolicy:
         depth and the steps remaining are not read."""
         if len(states) == 0:
             return []
-        arr = np.array(states, dtype=bool)
+        arr = _state_array(states, self.num_vars, error=PolicyError)
         vals = unsigned_rows(ct.eval_batch(self.circuit, arr))
         bad = np.flatnonzero(vals >= self.action_count)
         if bad.size:
@@ -97,7 +95,8 @@ class HistoryPolicy:
         """Action after observing states[0..j]; later slots are zero-filled."""
         if not 0 <= j < len(states):
             raise PolicyError(f"time index {j} out of range")
-        row = np.array(states[: j + 1], dtype=bool).reshape(1, (j + 1) * self.num_vars)
+        observed = _state_array(states[: j + 1], self.num_vars, error=PolicyError)
+        row = observed.reshape(1, (j + 1) * self.num_vars)
         return self.decide_batch(row, j)[0]
 
     def decide_batch(self, histories, depth: int, steps_remaining: int = 0) -> List[int]:
@@ -192,6 +191,8 @@ def compile_explicit(
         )
     values = []
     for s in row_tuples(ct.all_input_rows(num_vars)):
+        if s not in mapping:
+            raise PolicyError(f"explicit policy undefined at state {s}")
         a = mapping[s]
         if not 0 <= a < action_count:
             raise PolicyError(f"action {a} out of range at state {s}")

@@ -11,31 +11,33 @@ circuits are built so every state, including junk encodings, normalizes
 exactly: any state from which the action cannot act is a self-loop.
 
 The four sequence reductions (next action, policy reward, bounded-size policy
-and the value-function choice) share one append-MDP builder,
-`_append_circuits`. Each action has a list of (code, numerator) pairs and a
-guard, ``guard(view, action) -> wire``: while the guard holds the action
-appends one of its codes with that numerator over D, and otherwise it
-self-loops. The coin reductions guard on room to append (`_room`); next
-action also freezes its actions on the markers already present. The
-transition circuit reads the appended slot once, whatever the number of
-codes, and each enumerator (`_append_enumerator`) muxes each slot bit once,
-so both grow linearly in the sequence length; the majsat reward checks each
-variable's presence once and leaves the rest to pigeonhole.
+and the value-function choice) get their whole MDP from one builder,
+`_append_mdp`, given a reward circuit; the last two also share one instance
+constructor, `_xy_instance`. Each action has a list of (code, numerator)
+pairs and a guard, ``guard(view, action) -> wire``: while the guard holds
+the action appends one of its codes with that numerator over D, and
+otherwise it self-loops. The coin reductions guard on room to append
+(`_room`); next action also freezes its actions on the markers already
+present. The transition circuit reads the appended slot once, whatever the
+number of codes, and each enumerator (`_append_enumerator`) muxes each slot
+bit once, so both grow linearly in the sequence length; the majsat reward
+checks each variable's presence once and leaves the rest to pigeonhole.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import os
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import oracle
 from .bits import BitVector, bits_to_int, int_to_bits, width_for_count
 from .circuit import Circuit, CircuitBuilder, all_input_rows
-from .cnf import Cnf
-from .mdp import SuccinctMdp
-from .policy import StationaryPolicy
-from .valuefn import ValueCircuit
+from .cnf import Cnf, to_dimacs
+from .mdp import SuccinctMdp, save_mdp
+from .policy import StationaryPolicy, save_policy
+from .valuefn import ValueCircuit, save_valuefn
 
 
 class ReductionError(ValueError):
@@ -202,10 +204,6 @@ class _SeqPair:
         return self.b.eq_const(self.appended_code, code)
 
 
-def _const_bits(b: CircuitBuilder, value: int, width: int) -> List[str]:
-    return [b.const(bit) for bit in int_to_bits(value, width)]
-
-
 def _assignment_wires(b, view: _SeqView, tail_offset: int, n: int) -> List[str]:
     """True-wires for variables 1..n read off ordered tail slots."""
     # positive literal codes are even, so the slot LSB is the negation flag
@@ -229,11 +227,11 @@ def _room(view: _SeqView, action: str) -> str:
     return view.can_append()
 
 
-def _append_circuits(
-    layout, actions, appends, D: int, guard, name: str
-) -> Tuple[Circuit, Tuple[Circuit, ...], int]:
-    """Transition circuit, successor circuits and branching of a sequence-append
-    MDP over denominator D.
+def _append_mdp(
+    layout, actions, appends, D: int, guard, r_circuit: Circuit, name: str, t_name: str
+) -> SuccinctMdp:
+    """The sequence-append MDP over denominator D with reward circuit
+    `r_circuit`, starting from the empty sequence.
 
     Action a appends the codes of its ``appends[a]`` list of (code,
     numerator) pairs while ``guard(view, a)`` holds, and self-loops with
@@ -251,14 +249,23 @@ def _append_circuits(
         for code, num in appends[action]:
             cases.append((b.and_all([sel, guards[idx], pair.append_cond(code)]), num))
         cases.append((b.and_all([sel, b.not_(guards[idx]), pair.same]), D))
-    t_circuit = b.build(b.select_value(cases, width_for_count(D + 1)), name)
-
+    t_circuit = b.build(b.select_value(cases, width_for_count(D + 1)), t_name)
     branching = max(len(appends[action]) for action in actions)
     successors = tuple(
         _append_enumerator(layout, action, [code for code, _ in appends[action]], branching, guard)
         for action in actions
     )
-    return t_circuit, successors, branching
+    return SuccinctMdp(
+        var_names=layout.var_names(),
+        initial=layout.encode([]),
+        actions=actions,
+        t_circuit=t_circuit,
+        r_circuit=r_circuit,
+        prob_denominator=D,
+        name=name,
+        successor_circuits=successors,
+        max_branching=branching,
+    )
 
 
 def _append_enumerator(layout, action: str, codes: Sequence[int], branching: int, guard) -> Circuit:
@@ -274,7 +281,7 @@ def _append_enumerator(layout, action: str, codes: Sequence[int], branching: int
     active = guard(v, action)
     hits = [b.eq_const(slot_refs, k) for k in range(len(codes))]
     if len(codes) == 1:
-        code = _const_bits(b, codes[0], layout.element_width)
+        code = [b.const(bit) for bit in int_to_bits(codes[0], layout.element_width)]
     else:
         code = b.select_value(list(zip(hits, codes)), layout.element_width)
     listed = b.const(1) if len(codes) == branching else b.or_all(hits)
@@ -316,16 +323,9 @@ def write_instance(inst: ReductionInstance, directory) -> str:
     policy / value-function manifests, the formula, the instance record, and
     `expected.txt` describing the oracle correspondence, with the answer the
     brute-force oracle derives for the instance."""
-    import os
-
-    from . import mdp as md
-    from .cnf import to_dimacs
-    from .policy import save_policy
-    from .valuefn import save_valuefn
-
     derived = _derived_lines(inst)  # before any file, so an oracle refusal writes none
     os.makedirs(directory, exist_ok=True)
-    md.save_mdp(inst.mdp, directory, horizon=inst.horizon)
+    save_mdp(inst.mdp, directory, horizon=inst.horizon)
     with open(os.path.join(directory, "formula.cnf"), "w", encoding="ascii") as fh:
         fh.write(to_dimacs(inst.cnf))
     if inst.policy is not None:
@@ -429,19 +429,9 @@ def sat_to_next_action(cnf: Cnf, mode: str = "compact") -> ReductionInstance:
             return b.not_(b.or_(b.or_(has_sat, has_unsat), b.not_(room)))
         return b.and_(b.xor(has_sat, has_unsat), room)  # exactly one marker
 
-    t_circuit, successors, branching = _append_circuits(
-        layout, actions, appends, D, guard, "t_satnext"
-    )
-    mdp = SuccinctMdp(
-        var_names=layout.var_names(),
-        initial=layout.encode([]),
-        actions=actions,
-        t_circuit=t_circuit,
-        r_circuit=_satnext_reward(layout, m, n),
-        prob_denominator=D,
-        name=f"satnext_{mode}",
-        successor_circuits=successors,
-        max_branching=branching,
+    mdp = _append_mdp(
+        layout, actions, appends, D, guard, _satnext_reward(layout, m, n),
+        f"satnext_{mode}", "t_satnext",
     )
     # the clause block spells out the formula (repeating the last clause when
     # the faithful block is larger than the instance)
@@ -548,19 +538,8 @@ def majsat_to_eval(cnf: Cnf) -> ReductionInstance:
     layout = SequenceStateLayout(num_formula_vars=n, max_length=n)
     actions = tuple(f"a{i}" for i in range(1, n + 1))
     appends = {f"a{i}": [(2 * i, 1), (2 * i + 1, 1)] for i in range(1, n + 1)}
-    t_circuit, successors, branching = _append_circuits(
-        layout, actions, appends, 2, _room, "t_coin"
-    )
-    mdp = SuccinctMdp(
-        var_names=layout.var_names(),
-        initial=layout.encode([]),
-        actions=actions,
-        t_circuit=t_circuit,
-        r_circuit=_majsat_reward(layout, cnf),
-        prob_denominator=2,
-        name="majsat",
-        successor_circuits=successors,
-        max_branching=branching,
+    mdp = _append_mdp(
+        layout, actions, appends, 2, _room, _majsat_reward(layout, cnf), "majsat", "t_coin"
     )
     aw = width_for_count(len(actions))
     b = CircuitBuilder(layout.state_width)
@@ -605,10 +584,13 @@ def _majsat_reward(layout, cnf: Cnf) -> Circuit:
 # ------------------------------------------------- X/Y sequence constructions
 
 
-def _xy_mdp(cnf: Cnf, num_x: int, name: str) -> Tuple[SuccinctMdp, SequenceStateLayout]:
-    """Shared MDP of the bounded-policy and value-function hardness
+def _xy_instance(
+    cnf: Cnf, num_x: int, name: str, reward_bound: Fraction, expected: str
+) -> ReductionInstance:
+    """Shared instance of the bounded-policy and value-function hardness
     constructions: deterministic choices over X, then coin flips over Y,
-    reward 1 on ordered full sequences that satisfy the formula."""
+    reward 1 on ordered full sequences that satisfy the formula, with the
+    all-true `xy_sequential_policy` as the reference policy."""
     if 2 * num_x != cnf.num_vars:
         raise ReductionError(
             f"need |X| = |Y|: {num_x} vs {cnf.num_vars - num_x} variables"
@@ -625,9 +607,6 @@ def _xy_mdp(cnf: Cnf, num_x: int, name: str) -> Tuple[SuccinctMdp, SequenceState
         appends[f"b{i}"] = [(2 * i, 2)]  # b_i appends x_i
         appends[f"c{i}"] = [(2 * i + 1, 2)]  # c_i appends not x_i
         appends[f"a{i}"] = [(2 * (n + i), 1), (2 * (n + i) + 1, 1)]  # a_i flips y_i
-    t_circuit, successors, branching = _append_circuits(
-        layout, actions, appends, 2, _room, f"t_{name}"
-    )
 
     rb = CircuitBuilder(layout.state_width)
     v = _SeqView(rb, layout, 0)
@@ -638,18 +617,18 @@ def _xy_mdp(cnf: Cnf, num_x: int, name: str) -> Tuple[SuccinctMdp, SequenceState
     conds.append(_cnf_sat_wire(rb, cnf, var_true))
     r_circuit = rb.build(rb.select_value([(rb.and_all(conds), 1)], 2), f"r_{name}")
 
-    mdp = SuccinctMdp(
-        var_names=layout.var_names(),
-        initial=layout.encode([]),
-        actions=actions,
-        t_circuit=t_circuit,
-        r_circuit=r_circuit,
-        prob_denominator=2,
+    mdp = _append_mdp(layout, actions, appends, 2, _room, r_circuit, name, f"t_{name}")
+    return ReductionInstance(
         name=name,
-        successor_circuits=successors,
-        max_branching=branching,
+        mdp=mdp,
+        horizon=2 * n,
+        cnf=cnf,
+        layout=layout,
+        policy=xy_sequential_policy(mdp, layout, [True] * n),
+        reward_bound=reward_bound,
+        num_x=n,
+        expected=expected,
     )
-    return mdp, layout
 
 
 def xy_sequential_policy(
@@ -680,45 +659,25 @@ def emajsat_to_bounded_policy(cnf: Cnf, num_x: int, faithful_k: bool = False) ->
     """Bounded-size policy existence instance for the majority-of-extensions
     question. The reward bound defaults to 1/2 (the majority reading);
     `faithful_k` selects the literal bound of 1, which some policy meets iff
-    some X-assignment has all of its Y-extensions satisfying the formula."""
-    mdp, layout = _xy_mdp(cnf, num_x, "emajsat")
-    reference = xy_sequential_policy(mdp, layout, [True] * num_x)
-    return ReductionInstance(
-        name="emajsat",
-        mdp=mdp,
-        horizon=2 * num_x,
-        cnf=cnf,
-        layout=layout,
-        policy=reference,
-        size_bound=len(reference.circuit.gates),
-        reward_bound=Fraction(1) if faithful_k else Fraction(1, 2),
-        num_x=num_x,
-        expected=(
-            "a policy meeting the reward bound exists iff some X-assignment "
-            f"has {'all' if faithful_k else 'at least half'} of its Y-extensions "
-            "satisfying the formula (brute-force enumeration)"
-        ),
+    some X-assignment has all of its Y-extensions satisfying the formula.
+    The size bound is the gate count of the reference policy."""
+    bound = Fraction(1) if faithful_k else Fraction(1, 2)
+    inst = _xy_instance(
+        cnf, num_x, "emajsat", bound,
+        "a policy meeting the reward bound exists iff some X-assignment "
+        f"has {'all' if faithful_k else 'at least half'} of its Y-extensions "
+        "satisfying the formula (brute-force enumeration)",
     )
+    return replace(inst, size_bound=len(inst.policy.circuit.gates))
 
 
 def forallexists_to_valuefn(cnf: Cnf, num_x: int) -> ReductionInstance:
     """Value-function existence instance: a reward-1 deterministic X-choice
     exists iff some X-assignment has every Y-extension satisfying the formula."""
-    mdp, layout = _xy_mdp(cnf, num_x, "forallexists")
-    reference = xy_sequential_policy(mdp, layout, [True] * num_x)
-    return ReductionInstance(
-        name="forallexists",
-        mdp=mdp,
-        horizon=2 * num_x,
-        cnf=cnf,
-        layout=layout,
-        policy=reference,
-        reward_bound=Fraction(1),
-        num_x=num_x,
-        expected=(
-            "a reward-1 deterministic X-choice exists iff some X-assignment "
-            "has all Y-extensions satisfying the formula (brute-force check)"
-        ),
+    return _xy_instance(
+        cnf, num_x, "forallexists", Fraction(1),
+        "a reward-1 deterministic X-choice exists iff some X-assignment "
+        "has all Y-extensions satisfying the formula (brute-force check)",
     )
 
 

@@ -93,10 +93,7 @@ class ValueCircuit:
     def value_table(self, states: Sequence[BitVector]) -> "ValueTable":
         """Tabulate the circuit over the given states for all step indices."""
         _check_cells(len(states), self.horizon, f"{len(states)}")
-        n = self.num_vars
-        for s in states:
-            md._check_state(s, n, error=ValueFunctionError)
-        arr = np.array(states, dtype=bool).reshape(len(states), n)
+        arr = md._state_array(states, self.num_vars, error=ValueFunctionError)
         nums = self._numerators(arr, self.horizon + 1)
         L = self.value_denominator
         return ValueTable(
@@ -217,9 +214,7 @@ def check_consistency(
         states = E.states()
         if not states:
             return ConsistencyResult(True, witness={})
-        for s in states:
-            md._check_state(s, m.num_vars, "value table state", ValueFunctionError)
-        S = np.array(states, dtype=bool)
+        S = md._state_array(states, m.num_vars, "value table state", ValueFunctionError)
         rows = [E.values[s][: horizon + 1] for s in states]
         L = math.lcm(*(v.denominator for row in rows for v in row))
         V = np.array([[v.numerator * (L // v.denominator) for v in row] for row in rows], dtype=object)

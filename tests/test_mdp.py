@@ -85,6 +85,30 @@ def test_reward_batch_reads_the_rows_in_pieces(monkeypatch):
     assert len(calls) == 10
 
 
+# a value other than 0/1, which once read as 1, and a state one bit short
+BAD_STATES = [(2, 0), (0, 5), (1,)]
+
+
+@pytest.mark.parametrize("state", BAD_STATES)
+def test_reward_rejects_a_state_outside_the_model(state):
+    m = random_bounded_mdp(random.Random(3), 2, 2).mdp
+    msg = re.escape(f"state {state} is not a 0/1 state of width 2 (it has width {len(state)})")
+    with pytest.raises(md.ModelError, match=msg):
+        md.reward(m, state)
+    with pytest.raises(md.ModelError, match=msg):
+        md.reward_batch(m, [(0, 0), state])
+
+
+@pytest.mark.parametrize("state", BAD_STATES)
+def test_successors_reject_a_state_outside_the_model(state):
+    m = random_bounded_mdp(random.Random(3), 2, 2).mdp
+    msg = re.escape(f"state {state} is not a 0/1 state of width 2 (it has width {len(state)})")
+    with pytest.raises(md.ModelError, match=msg):
+        md.successors(m, state, 0)
+    with pytest.raises(md.ModelError, match=msg):
+        md.successors_batch(m, [(0, 0), state], 1)
+
+
 def test_random_bounded_mdp_names_a_denominator_too_small_to_branch():
     msg = r"denominator=2 .* min\(max_branching=3, 2\*\*num_vars=4\)"
     with pytest.raises(ValueError, match=msg):

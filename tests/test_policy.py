@@ -72,6 +72,28 @@ def test_compile_explicit_rejects_partial_maps():
         compile_explicit({(0,): 0}, 1, 2)
 
 
+def test_compile_explicit_names_an_unmapped_state():
+    # 2**n keys, but (2,) stands where (1,) should
+    with pytest.raises(PolicyError, match=r"explicit policy undefined at state \(1,\)"):
+        compile_explicit({(0,): 0, (2,): 1}, 1, 2)
+
+
+def test_circuit_policies_reject_a_state_outside_their_width():
+    b = ct.CircuitBuilder(2)
+    p = StationaryPolicy(b.build([b.and_(b.inp(0), b.inp(1))]), action_count=2)
+    msg = r"is not a 0/1 state of width 2"
+    for bad in [(2, 0), (0, 3), (1,)]:
+        with pytest.raises(PolicyError, match=msg):
+            p.decide(bad)
+        with pytest.raises(PolicyError, match=msg):
+            p.decide_batch([(1, 1), bad])
+    hb = ct.CircuitBuilder(3 * 2 + 2)
+    h = HistoryPolicy(hb.build([hb.inp(0)]), 2, horizon=2, num_vars=2)
+    for bad in [(2, 0), (1,)]:
+        with pytest.raises(PolicyError, match=msg):
+            h.decide_history([(1, 1), bad], 1)
+
+
 def test_history_policy_layout():
     # act 1 exactly when the first observed state (slot 0) was all-ones
     horizon, n = 2, 2

@@ -245,6 +245,46 @@ def test_reduction_circuits_are_byte_stable():
     assert digest.hexdigest() == want
 
 
+def test_every_reduction_is_byte_stable():
+    # every circuit's netlist text and every instance field of all five
+    # generators: next action (compact n = 1..3, faithful n = 1), majsat and
+    # unsatcons (n = 1, 3, 5), emajsat at both reward bounds and forallexists
+    # (num_x = 1, 2)
+    satnext = [
+        (Cnf(1, ((1, 1, -1),)), "compact"),
+        (Cnf(2, ((1, -2, 2), (-1, 2, 2))), "compact"),
+        (Cnf(3, ((1, -2, 3), (-1, 2, -3), (2, 3, 1))), "compact"),
+        (Cnf(1, ((1, 1, 1),)), "faithful"),
+    ]
+    plain = [
+        Cnf(1, ((1,),)),
+        Cnf(3, ((1, -2), (2, 3), (-1, -3))),
+        Cnf(5, ((1, -2, 5), (2, 3), (-4, -5, 1), (4,))),
+    ]
+    xy = [(Cnf(2, ((1, -2),)), 1), (Cnf(4, ((1, 3), (-2, 4), (2, -3, -4))), 2)]
+    instances = [sat_to_next_action(cnf, mode=mode) for cnf, mode in satnext]
+    instances += [build(cnf) for cnf in plain for build in (majsat_to_eval, unsat_to_consistency)]
+    for cnf, num_x in xy:
+        instances.append(emajsat_to_bounded_policy(cnf, num_x))
+        instances.append(emajsat_to_bounded_policy(cnf, num_x, faithful_k=True))
+        instances.append(forallexists_to_valuefn(cnf, num_x))
+    digest = hashlib.sha256()
+    for inst in instances:
+        m = inst.mdp
+        circuits = [m.t_circuit, m.r_circuit, *m.successor_circuits]
+        circuits += [o.circuit for o in (inst.policy, inst.value) if o is not None]
+        for c in circuits:
+            digest.update(ct.serialize(c).encode())
+        fields = (
+            inst.name, m.var_names, m.initial, m.actions, m.prob_denominator,
+            m.max_branching, inst.horizon, inst.state, inst.size_bound,
+            inst.reward_bound, inst.expected,
+        )
+        digest.update(repr(fields).encode())
+    want = "2a8c5c633239342a2ca363b76c15be0967631688586d08bb38077f97b4641b8a"
+    assert digest.hexdigest() == want
+
+
 def test_satnext_expansion_is_stable():
     # the explicit model of fixed next-action instances: from the encoded
     # clause-list state (compact n = 1..3, faithful n = 1) and from the
