@@ -39,7 +39,7 @@ import numpy as np
 
 from . import mdp as md
 from .bits import BitVector, row_tuples, unsigned_rows
-from .policy import HistoryPolicy, PolicyError, StationaryPolicy
+from .policy import _check_policy_width
 
 _MC_BLOCK = 4096  # samples stepped together; their draws are held in one list
 
@@ -56,12 +56,6 @@ class RewardReport:
     per_depth: Tuple[Fraction, ...]  # contribution of depth d states, d = 0..T
     per_depth_mass: Tuple[Fraction, ...]  # total probability mass at each depth
     trajectory_count: int  # positive-probability trajectories of full length T
-
-
-def _check_policy_width(policy, n: int) -> None:
-    """A circuit policy must read as many state bits as the model has (n)."""
-    if isinstance(policy, (StationaryPolicy, HistoryPolicy)) and policy.num_vars != n:
-        raise PolicyError(f"policy reads {policy.num_vars} state bits, the model has {n}")
 
 
 def _forward(

@@ -110,8 +110,10 @@ def _check_state(s: BitVector, n: int, what: str = "state", error=ModelError) ->
 
 def _state_array(states, n: int, what: str = "state", error=ModelError) -> np.ndarray:
     """A sequence of states as a (rows, n) bool array, each state checked by
-    `_check_state`; a bool array passes through as it is."""
+    `_check_state`; a bool array is checked by its shape alone."""
     if isinstance(states, np.ndarray) and states.dtype == bool:
+        if states.ndim != 2 or states.shape[1] != n:
+            raise error(f"{what} array of shape {states.shape} is not (rows, {n}) for width {n}")
         return states
     for s in states:
         _check_state(s, n, what, error)
@@ -603,7 +605,7 @@ def expand_many(
     `SMDP_LIMIT_STATES`."""
     if depth is not None:
         _check_horizon(depth, "depth")
-    if not roots:
+    if len(roots) == 0:
         raise ModelError("need at least one root state")
     limit = state_limit()
     root_rows = _state_array(roots, m.num_vars, "root")

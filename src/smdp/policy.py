@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -59,18 +59,12 @@ class StationaryPolicy:
     ) -> List[int]:
         """Actions of a sequence of states or of a (rows, n) bool array; the
         depth and the steps remaining are not read."""
-        if len(states) == 0:
-            return []
         arr = _state_array(states, self.num_vars, error=PolicyError)
-        vals = unsigned_rows(ct.eval_batch(self.circuit, arr))
-        bad = np.flatnonzero(vals >= self.action_count)
-        if bad.size:
-            k = int(bad[0])
-            raise PolicyError(
-                f"policy decoded action {int(vals[k])} >= {self.action_count} "
-                f"at {row_tuples(arr[k : k + 1])[0]}"
-            )
-        return [int(v) for v in vals]
+        if len(arr) == 0:
+            return []
+        return _decode(
+            self.circuit, arr, self.action_count, lambda k: f" at {row_tuples(arr[k : k + 1])[0]}"
+        )
 
 
 @dataclass(frozen=True)
@@ -105,17 +99,14 @@ class HistoryPolicy:
         zero-filled. The steps remaining are not read."""
         if not 0 <= depth <= self.horizon:
             raise PolicyError(f"time index {depth} out of range")
-        if len(histories) == 0:
+        observed = _state_array(histories, (depth + 1) * self.num_vars, "history", PolicyError)
+        if len(observed) == 0:
             return []
         tw = width_for_count(self.horizon + 1)
-        rows = np.zeros((len(histories), self.circuit.num_inputs), dtype=bool)
-        rows[:, : (depth + 1) * self.num_vars] = histories
+        rows = np.zeros((len(observed), self.circuit.num_inputs), dtype=bool)
+        rows[:, : observed.shape[1]] = observed
         rows[:, -tw:] = int_to_bits(depth, tw)
-        vals = unsigned_rows(ct.eval_batch(self.circuit, rows))
-        bad = np.flatnonzero(vals >= self.action_count)
-        if bad.size:
-            raise PolicyError(f"policy decoded action {int(vals[bad[0]])} >= {self.action_count}")
-        return [int(v) for v in vals]
+        return _decode(self.circuit, rows, self.action_count, lambda k: "")
 
 
 @dataclass(frozen=True)
@@ -125,15 +116,7 @@ class ExplicitPolicy:
     kind = "stationary"
 
     def decide(self, s: BitVector) -> int:
-        try:
-            a = self.mapping[tuple(s)]
-        except KeyError:
-            raise PolicyError(f"explicit policy undefined at state {s}")
-        if not 0 <= a < self.action_count:
-            raise PolicyError(
-                f"explicit policy maps {s} to action {a}, outside 0..{self.action_count - 1}"
-            )
-        return a
+        return _lookup(self.mapping, tuple(s), self.action_count, "explicit policy", f"{s}")
 
     def decide_batch(
         self, states: Sequence[BitVector], depth: int = 0, steps_remaining: int = 0
@@ -154,18 +137,8 @@ class TimedExplicitPolicy:
     kind = "timed"
 
     def decide_timed(self, s: BitVector, steps_remaining: int) -> int:
-        try:
-            a = self.mapping[(tuple(s), steps_remaining)]
-        except KeyError:
-            raise PolicyError(
-                f"timed policy undefined at state {s} with {steps_remaining} steps remaining"
-            )
-        if not 0 <= a < self.action_count:
-            raise PolicyError(
-                f"timed policy maps {s} with {steps_remaining} steps remaining to action "
-                f"{a}, outside 0..{self.action_count - 1}"
-            )
-        return a
+        key, where = (tuple(s), steps_remaining), f"{s} with {steps_remaining} steps remaining"
+        return _lookup(self.mapping, key, self.action_count, "timed policy", where)
 
     def decide_batch(
         self, states: Sequence[BitVector], depth: int, steps_remaining: int
@@ -175,6 +148,39 @@ class TimedExplicitPolicy:
         if isinstance(states, np.ndarray):
             states = row_tuples(states)
         return [self.decide_timed(s, steps_remaining) for s in states]
+
+
+def _decode(
+    circuit: ct.Circuit, inputs: np.ndarray, action_count: int, where: Callable[[int], str]
+) -> List[int]:
+    """The action that the circuit decodes from each row of `inputs`. An index
+    >= action_count is a PolicyError; `where(k)` is the text that places row
+    k in it, built only then."""
+    vals = unsigned_rows(ct.eval_batch(circuit, inputs))
+    bad = np.flatnonzero(vals >= action_count)
+    if bad.size:
+        k = int(bad[0])
+        raise PolicyError(f"policy decoded action {int(vals[k])} >= {action_count}{where(k)}")
+    return vals.tolist()
+
+
+def _lookup(mapping: dict, key, action_count: int, name: str, where: str) -> int:
+    """The action that table `name` maps `key` to. An unmapped key or an
+    action outside 0..action_count-1 is a PolicyError that places the key by
+    the text `where`."""
+    try:
+        a = mapping[key]
+    except KeyError:
+        raise PolicyError(f"{name} undefined at state {where}")
+    if not 0 <= a < action_count:
+        raise PolicyError(f"{name} maps {where} to action {a}, outside 0..{action_count - 1}")
+    return a
+
+
+def _check_policy_width(policy, n: int) -> None:
+    """A circuit policy must read as many state bits as the model has (n)."""
+    if isinstance(policy, (StationaryPolicy, HistoryPolicy)) and policy.num_vars != n:
+        raise PolicyError(f"policy reads {policy.num_vars} state bits, the model has {n}")
 
 
 def compile_explicit(
@@ -189,14 +195,7 @@ def compile_explicit(
         raise PolicyError(
             f"explicit policy is partial: {len(mapping)} of {1 << num_vars} states mapped"
         )
-    values = []
-    for s in row_tuples(ct.all_input_rows(num_vars)):
-        if s not in mapping:
-            raise PolicyError(f"explicit policy undefined at state {s}")
-        a = mapping[s]
-        if not 0 <= a < action_count:
-            raise PolicyError(f"action {a} out of range at state {s}")
-        values.append(a)
+    values = ExplicitPolicy(mapping, action_count).decide_batch(ct.all_input_rows(num_vars))
     width = width_for_count(action_count)
     c = ct.circuit_from_values(num_vars, width, values, name="compiled_policy")
     return StationaryPolicy(c, action_count, name="compiled_policy")

@@ -34,8 +34,7 @@ from .bits import (
     width_for_count,
     word_bits,
 )
-from .evaluator import _check_policy_width
-from .policy import PolicyError
+from .policy import PolicyError, _check_policy_width
 
 
 class ValueFunctionError(ValueError):

@@ -109,6 +109,27 @@ def test_successors_reject_a_state_outside_the_model(state):
         md.successors_batch(m, [(0, 0), state], 1)
 
 
+# a bool array of another width once reached the circuit kernel, which raised
+# CircuitError: "expected (rows, 2) input array" or "expected 4 input columns"
+BAD_SHAPES = [(1, 1), (1, 3), (2,)]
+
+
+@pytest.mark.parametrize("shape", BAD_SHAPES, ids=str)
+def test_reward_batch_checks_the_shape_of_a_bool_array(shape):
+    m = random_bounded_mdp(random.Random(3), 2, 2).mdp
+    msg = re.escape(f"state array of shape {shape} is not (rows, 2) for width 2")
+    with pytest.raises(md.ModelError, match=msg):
+        md.reward_batch(m, np.zeros(shape, bool))
+
+
+@pytest.mark.parametrize("shape", BAD_SHAPES, ids=str)
+def test_successors_batch_checks_the_shape_of_a_bool_array(shape):
+    m = random_bounded_mdp(random.Random(3), 2, 2).mdp
+    msg = re.escape(f"state array of shape {shape} is not (rows, 2) for width 2")
+    with pytest.raises(md.ModelError, match=msg):
+        md.successors_batch(m, np.zeros(shape, bool), 0)
+
+
 def test_random_bounded_mdp_names_a_denominator_too_small_to_branch():
     msg = r"denominator=2 .* min\(max_branching=3, 2\*\*num_vars=4\)"
     with pytest.raises(ValueError, match=msg):
@@ -618,6 +639,25 @@ def test_expand_many_in_small_chunks_gives_the_same_model(monkeypatch):
         with monkeypatch.context() as patch:
             patch.setattr(md, "_STEP_ROWS", 8)
             assert [outcome(m, roots) for m, roots in cases] == want
+
+
+def test_expand_many_takes_a_bool_array_of_roots():
+    # `if not roots` raised numpy's ambiguous-truth-value ValueError
+    def outcome(m, roots):
+        try:
+            em, idx = md.expand_many(m, roots)
+        except md.ModelError as exc:
+            return str(exc)
+        return _explicit(em), idx
+
+    for m, roots in _expansion_cases():
+        for given in (roots, roots[:1]):
+            assert outcome(m, np.array(given, dtype=bool)) == outcome(m, given)
+
+
+def test_expand_many_rejects_an_empty_array_of_roots():
+    with pytest.raises(md.ModelError, match="^need at least one root state$"):
+        md.expand_many(stay_bit_mdp(), np.zeros((0, 1), bool))
 
 
 def _netlist_enumerators(rng, num_inputs, num_outputs, count):

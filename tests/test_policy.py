@@ -1,4 +1,5 @@
 import random
+import re
 
 import numpy as np
 import pytest
@@ -78,6 +79,26 @@ def test_compile_explicit_names_an_unmapped_state():
         compile_explicit({(0,): 0, (2,): 1}, 1, 2)
 
 
+def test_compile_explicit_raises_the_error_of_its_table():
+    # compile_explicit had its own out-of-range text: "action 5 out of range at state (1,)"
+    rng = random.Random(25)
+    kinds = set()
+    for _ in range(60):
+        n, k = rng.randint(1, 3), rng.choice((2, 3, 5))
+        states = [tuple(int_to_bits(s, n)) for s in range(1 << n)]
+        choices = list(range(k)) * 4 + [-1, k, k + 3]
+        mapping = {s: rng.choice(choices) for s in states}
+        if rng.random() < 0.3:  # one key outside the states, so 2**n keys still
+            del mapping[rng.choice(states)]
+            mapping[(2,) * n] = 0
+        rows = ct.all_input_rows(n)
+        want = _outcome(lambda: ExplicitPolicy(mapping, k).decide_batch(rows))
+        assert _outcome(lambda: compile_explicit(mapping, n, k).decide_batch(rows)) == want
+        if isinstance(want, tuple):
+            kinds.add("undefined" if "undefined at state" in want[1] else "out of range")
+    assert kinds == {"undefined", "out of range"}
+
+
 def test_circuit_policies_reject_a_state_outside_their_width():
     b = ct.CircuitBuilder(2)
     p = StationaryPolicy(b.build([b.and_(b.inp(0), b.inp(1))]), action_count=2)
@@ -92,6 +113,30 @@ def test_circuit_policies_reject_a_state_outside_their_width():
     for bad in [(2, 0), (1,)]:
         with pytest.raises(PolicyError, match=msg):
             h.decide_history([(1, 1), bad], 1)
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 3), (2,)], ids=str)
+def test_stationary_decide_batch_checks_the_shape_of_a_bool_array(shape):
+    # a bool array of another width reached the circuit kernel: CircuitError
+    b = ct.CircuitBuilder(2)
+    p = StationaryPolicy(b.build([b.and_(b.inp(0), b.inp(1))]), action_count=2)
+    msg = re.escape(f"state array of shape {shape} is not (rows, 2) for width 2")
+    with pytest.raises(PolicyError, match=msg):
+        p.decide_batch(np.zeros(shape, bool))
+
+
+def test_history_decide_batch_rejects_rows_of_another_width():
+    # the rows were broadcast into the padded input: a (1, 1) array and a
+    # 1-D array decided silently, and a short tuple raised numpy's ValueError
+    hb = ct.CircuitBuilder(3 * 2 + 2)
+    h = HistoryPolicy(hb.build([hb.inp(0)]), 2, horizon=2, num_vars=2)
+    for bad in (np.zeros((1, 1), bool), np.zeros(2, bool)):
+        msg = re.escape(f"history array of shape {bad.shape} is not (rows, 2) for width 2")
+        with pytest.raises(PolicyError, match=msg):
+            h.decide_batch(bad, 0)
+    msg = re.escape("history (1, 0) is not a 0/1 state of width 4 (it has width 2)")
+    with pytest.raises(PolicyError, match=msg):
+        h.decide_batch([(1, 0, 1, 1), (1, 0)], 1)
 
 
 def test_history_policy_layout():

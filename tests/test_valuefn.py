@@ -446,6 +446,13 @@ def test_value_table_rejects_a_state_of_another_width():
         _two_bit_value_circuit().value_table([(0, 1, 1)])
 
 
+def test_value_table_checks_the_shape_of_a_bool_array():
+    # a 3-column array raised CircuitError: expected 4 input columns, got 5
+    msg = r"^state array of shape \(1, 3\) is not \(rows, 2\) for width 2$"
+    with pytest.raises(ValueFunctionError, match=msg):
+        _two_bit_value_circuit().value_table(np.zeros((1, 3), bool))
+
+
 def test_value_table_rejects_a_ragged_state_list():
     # numpy raised its inhomogeneous-shape ValueError
     msg = r"^state \(1,\) is not a 0/1 state of width 2 \(it has width 1\)$"
