@@ -57,14 +57,19 @@ def twos_to_int(bits: Sequence[int]) -> int:
 def unsigned_rows(rows: np.ndarray) -> np.ndarray:
     """Unsigned reading of each row of a 2-D bool array, MSB first: int64 up
     to 62 bits, exact Python ints (object dtype) beyond, so no width wraps.
-    A wide row is read from its packed bytes, one `int.from_bytes` per row."""
-    width = rows.shape[1]
+    Each row is read from its packed bytes: below 63 bits as one int64, its
+    bytes reversed into little-endian order, beyond with one `int.from_bytes`."""
+    width, nb = rows.shape[1], (rows.shape[1] + 7) // 8
+    # each row zero-padded on the left to whole bytes, so one flat packbits packs them all
+    padded = np.zeros((len(rows), 8 * nb), bool)
+    padded[:, 8 * nb - width :] = rows
+    packed = np.packbits(padded).reshape(len(rows), nb)
     if width < 63:
-        weights = np.array([1 << k for k in range(width - 1, -1, -1)], dtype=np.int64)
-        return rows.astype(np.int64) @ weights
-    packed = np.packbits(rows, axis=1)  # MSB first, zero-padded at the end
-    data, kw, pad = packed.tobytes(), packed.shape[1], 8 * packed.shape[1] - width
-    vals = [int.from_bytes(data[r * kw : r * kw + kw], "big") >> pad for r in range(len(rows))]
+        words = np.zeros((len(rows), 8), np.uint8)
+        words[:, :nb] = packed[:, ::-1]  # the bytes of one little-endian word
+        return words.view("<i8")[:, 0]
+    data = packed.tobytes()
+    vals = [int.from_bytes(data[r * nb : r * nb + nb], "big") for r in range(len(rows))]
     return np.array(vals, dtype=object)
 
 
@@ -94,18 +99,19 @@ def column_words(arr: np.ndarray, blocks: int = 1) -> Tuple[List[int], int]:
 
 
 @lru_cache(maxsize=64)
+def block_words(values: Sequence[int], width: int, npad: int) -> Tuple[int, ...]:
+    """The `width` MSB-first bits of each of `values` as column words over
+    len(values) blocks of npad rows: every row of block b reads values[b].
+    `values` is a tuple or a range, the key of the cache."""
+    grid = (np.asarray(values, dtype=np.int64) >> np.arange(width - 1, -1, -1)[:, None]) & 1
+    # one byte per 8 rows of a block: 0xff where the block's bit is set
+    data = np.repeat(grid.astype(np.uint8) * 0xFF, npad // 8, axis=1)
+    return tuple(int.from_bytes(row.tobytes(), "little") for row in data)
+
+
 def block_index_words(width: int, blocks: int, npad: int) -> Tuple[int, ...]:
-    """The `width` MSB-first bits of the block index as column words over
-    ``blocks`` blocks of npad rows: every row of block b reads b."""
-    size = blocks * (npad // 8)  # bytes per word
-    words = []
-    for k in range(width):
-        # bit k of the block index alternates: `run` bytes of 0 blocks, `run` of 1
-        run = min(1 << (width - 1 - k), blocks) * (npad // 8)
-        period = b"\x00" * run + b"\xff" * run
-        data = period * (size // max(len(period), 1) + 1)
-        words.append(int.from_bytes(data[:size], "little"))
-    return tuple(words)
+    """`block_words` of the block index: every row of block b reads b."""
+    return block_words(range(blocks), width, npad)
 
 
 def word_bits(words: Sequence[int], rows: int) -> np.ndarray:

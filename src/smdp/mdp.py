@@ -12,21 +12,21 @@ the 2**n states is a candidate successor.
 or one action per row. Its unit is a piece (`_step_piece`): one rows array
 of a bool state array, stepped under one or more actions, with at most
 `_STEP_ROWS` candidate rows (or one row under one action). The piece packs
-its rows once into column words (`circuit.Columns`) in slot-major
-byte-aligned blocks; one action runs its own successor circuit, and several
-read their slices of one run of the model's shared successor program
-(`circuit.shared_program`, built on first use). The transition circuit then
-runs once on the actions' blocks stacked, so no bool array is built per
-circuit call. A piece returns each action's rows and its first fault,
-without raising: `_step` cuts each action's rows into pieces, and
-`expand_many` steps each chunk of a layer's frontier under every action.
-Each steps all its pieces before it raises the fault of the first faulty
-action, the fault one whole step per action would meet first, so nothing
-is stepped twice. `expand_many` numbers a layer's successors action-major
-after the layer is stepped, in runs of at most `_STEP_ROWS` rows, with
-`_number_rows`. That helper is the one
-state numbering, which the Monte-Carlo walk uses too: a dict keyed by each
-row's `bits.unsigned_rows` reading, one Python int at any width.
+its rows once into column words (`circuit.Columns`), in byte-aligned slot
+blocks for every action; the successor circuits read the first action's
+blocks (several actions read their slices of one run of the model's shared
+successor program, `circuit.shared_program`), and the transition circuit
+runs once on them all. The duplicate-slot check, the unpack and the scan
+for valid rows are then done once for all the actions. A piece returns each
+action's rows and its first fault, without raising: `_step` cuts each
+action's rows into pieces, and `expand_many` steps each chunk of a layer's
+frontier under every action. Each steps all its pieces before it raises the
+fault of the first faulty action, the fault one whole step per action would
+meet first, so nothing is stepped twice. `expand_many` numbers a layer's
+successors action-major after the layer is stepped, in runs of at most
+`_STEP_ROWS` rows, with `_number_rows`, the one state numbering, which the
+Monte-Carlo walk uses too: a dict keyed by each row's `bits.unsigned_rows`
+reading, one Python int at any width.
 """
 
 from __future__ import annotations
@@ -44,8 +44,8 @@ from ._manifest import read_manifest, read_netlist_beside, write_manifest
 from .bits import (
     BitVector,
     block_index_words,
+    block_words,
     column_words,
-    int_to_bits,
     row_tuples,
     signed_rows,
     unsigned_rows,
@@ -308,35 +308,32 @@ def _reward_rows(m: SuccinctMdp, arr: np.ndarray) -> np.ndarray:
     return signed_rows(np.concatenate(out or [np.zeros((0, m.reward_width), bool)]))
 
 
-def _duplicate_slot(valid: int, succ_words: List[int], blocks: int, npad: int) -> bool:
-    """Whether a source lists one successor in two valid slots. In the
-    slot-major layout of `_step_piece`, a row of slot k and the row d blocks
-    up are the same source's slots k and k + d: both valid with no successor
-    bit differing is a duplicate."""
+def _duplicate_slots(valid: int, succ_words: List[int], blocks: int, npad: int, k: int) -> int:
+    """The rows that list one successor in two valid slots of their source,
+    as a word over the k actions' blocks of `_step_piece`: a row of slot j
+    and the row d blocks up are the same source's slots j and j + d, both
+    valid with no successor bit differing. With several actions, a mask keeps
+    the rows of slots 0..blocks-d-1, so no comparison reaches the next action."""
+    hits, nb = 0, npad // 8  # bytes per block
     for d in range(1, blocks):
         shift = d * npad
         same = valid & (valid >> shift)
+        if k > 1:
+            same &= int.from_bytes((b"\xff" * (blocks - d) * nb + bytes(d * nb)) * k, "little")
         for w in succ_words:
             if not same:
                 break
             same &= ~(w ^ (w >> shift))
-        if same:
-            return True
-    return False
+        hits |= same
+    return hits
 
 
 def _stack(groups: List[List[int]], size: int) -> List[int]:
     """The column words of several groups of `size` rows stacked in order:
     column j holds column j of each group in turn."""
-    if len(groups) == 1:
-        return groups[0]
-    stacked = []
-    for col in zip(*groups):
-        word, offset = 0, 0
-        for w in col:
-            word |= w << offset
-            offset += size
-        stacked.append(word)
+    stacked = groups[0]
+    for g, group in enumerate(groups[1:], 1):
+        stacked = [word | w << g * size for word, w in zip(stacked, group)]
     return stacked
 
 
@@ -364,58 +361,55 @@ def _step_piece(
     3 a source whose numerators do not sum to D.
 
     The circuits run on column words (`bits.column_words`), the rows packed
-    once and laid out slot-major: block k of npad rows holds candidate k of
-    every source, source r in row k·npad + r. A model without successor
-    circuits has 2**n blocks, block k listing state k. One action runs its
-    own successor circuit; several read their slices of one run of the
-    shared program (`SuccinctMdp._successor_program`). The transition circuit
-    runs once on the actions' blocks stacked, the action bits constant
-    within each block."""
-    n, D = m.num_vars, m.prob_denominator
-    s_words, npad = column_words(states if len(rows) == len(states) else states[rows], B)
+    once for every action and laid out slot-major: block g·B + j of npad rows
+    holds candidate j of every source under the g-th action, source r in row
+    (g·B + j)·npad + r. A model without successor circuits has B = 2**n,
+    candidate j being state j. The successor circuits read the first B
+    blocks: one action runs its own, several read their slices of one run of
+    the shared program (`SuccinctMdp._successor_program`). The transition
+    circuit runs once on all k·B blocks, the action bits constant within
+    each action's blocks (`bits.block_words`). One duplicate-slot check, one
+    unpack and one nonzero scan then serve every action."""
+    n, D, k = m.num_vars, m.prob_denominator, len(actions)
+    # every action's blocks packed at once; the successor input is the first B
+    s_words, npad = column_words(states if len(rows) == len(states) else states[rows], B * k)
     size = B * npad
-    inputs = ct.Columns(s_words + list(block_index_words(index_width, B, npad)), size)
-    real = int.from_bytes(((1 << len(rows)) - 1).to_bytes(npad // 8, "little") * B, "little")
+    total, low = size * k, (1 << size) - 1
+    index = list(block_index_words(index_width, B, npad))
+    real = int.from_bytes(((1 << len(rows)) - 1).to_bytes(npad // 8, "little") * (B * k), "little")
     if not m.successor_circuits:
-        outputs = [[real, *inputs.words[len(s_words) :]] for _ in actions]
-    elif len(actions) == 1:
-        outputs = [ct.eval_batch(m.successor_circuits[actions[0]], inputs).words]
+        outputs = [[low, *index]] * k
     else:
-        shared = ct.eval_batch(m._successor_program, inputs).words
-        outputs = [shared[b * (n + 1) : (b + 1) * (n + 1)] for b in actions]
-    succ_cols, a_cols, sources, pos, dup = [], [], [], [], []
-    for g, (b, (valid, *succ_words)) in enumerate(zip(actions, outputs)):
-        valid &= real
-        dup.append(bool(m.successor_circuits) and _duplicate_slot(valid, succ_words, B, npad))
-        # the valid rows in source order: the transposed (B, npad) grid is source-major
-        keep = np.flatnonzero(word_bits([valid], size)[0].reshape(B, npad).T)
-        local = keep // B
-        sources.append(local)
-        pos.append(g * size + (keep % B) * npad + local)
-        succ_cols.append(succ_words)
-        a_cols.append([(1 << size) - 1 if bit else 0 for bit in int_to_bits(b, m.action_width)])
-    succ_words = _stack(succ_cols, size)
-    total = size * len(actions)
-    num_words = ct.eval_batch(
-        m.t_circuit,
-        ct.Columns(_stack([s_words] * len(actions), size) + succ_words + _stack(a_cols, size), total),
-    ).words
-    picked = word_bits(succ_words + num_words, total)[:, np.concatenate(pos)]
+        inputs = ct.Columns([w & low for w in s_words] + index, size)
+        if k == 1:
+            outputs = [ct.eval_batch(m.successor_circuits[actions[0]], inputs).words]
+        else:
+            shared = ct.eval_batch(m._successor_program, inputs).words
+            outputs = [shared[b * (n + 1) : (b + 1) * (n + 1)] for b in actions]
+    valid, *succ_words = _stack(outputs, size)
+    valid &= real
+    hits = _duplicate_slots(valid, succ_words, B, npad, k) if m.successor_circuits else 0
+    a_words = list(block_words(tuple(actions), m.action_width, size))
+    num_words = ct.eval_batch(m.t_circuit, ct.Columns(s_words + succ_words + a_words, total)).words
+    bits = word_bits([valid, hits] + succ_words + num_words, total)
+    dup = bits[1].reshape(k, size).any(axis=1)
+    # the valid rows action-major, in source order within each action: each
+    # action's transposed (B, npad) grid is source-major
+    which, keep = np.divmod(np.flatnonzero(bits[0].reshape(k, B, npad).transpose(0, 2, 1)), size)
+    local, slot = np.divmod(keep, B)
+    picked = bits[2:, which * size + slot * npad + local]
     succ = np.ascontiguousarray(picked[:n].T)
     nums = unsigned_rows(picked[n:].T)
-    # the piece's rows are action-major: `which` holds each row's place in `actions`
-    which = np.repeat(np.arange(len(actions)), [len(local) for local in sources])
-    local = np.concatenate(sources)
     over, zero = nums > D, nums == 0
     any_over, any_zero = over.any(), zero.any()
     # with every numerator at most D, int64 sums cannot wrap while D * len(nums) < 2**63
     exact = any_over or D * len(nums) >= 1 << 63
-    totals = np.zeros(len(actions) * len(rows), dtype=object if exact else np.int64)
+    totals = np.zeros(k * len(rows), dtype=object if exact else np.int64)
     np.add.at(totals, which * len(rows) + local, nums.astype(totals.dtype))
-    totals = totals.reshape(len(actions), len(rows))
+    totals = totals.reshape(k, len(rows))
     bad = totals != D
-    faults = [None] * len(actions)
-    if any(dup) or any_over or (m.successor_circuits and any_zero) or bad.any():
+    faults = [None] * k
+    if dup.any() or any_over or (m.successor_circuits and any_zero) or bad.any():
         for h, b in enumerate(actions):
             mine = which == h
             failing = np.flatnonzero(bad[h])
@@ -430,16 +424,16 @@ def _step_piece(
                     f"successor enumerator for {m.actions[b]} lists a zero-probability state"
                 )
             elif len(failing):
-                k = failing[0]
+                r = failing[0]
                 faults[h] = 3, (
-                    f"probabilities from state {tuple(states[rows[k]].astype(int).tolist())} "
-                    f"under {m.actions[b]} sum to {int(totals[h, k])}/{D}, not 1"
+                    f"probabilities from state {tuple(states[rows[r]].astype(int).tolist())} "
+                    f"under {m.actions[b]} sum to {int(totals[h, r])}/{D}, not 1"
                 )
     src = rows[local]
     if any_zero:
         positive = ~zero
         which, src, succ, nums = which[positive], src[positive], succ[positive], nums[positive]
-    ends = np.searchsorted(which, np.arange(len(actions) + 1))
+    ends = np.searchsorted(which, np.arange(k + 1))
     return [
         (b, src[lo:hi], succ[lo:hi], nums[lo:hi], fault)
         for b, lo, hi, fault in zip(actions, ends[:-1], ends[1:], faults)

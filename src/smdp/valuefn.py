@@ -97,8 +97,8 @@ class ValueCircuit:
         L = self.value_denominator
         return ValueTable(
             {
-                tuple(s): tuple(Fraction(v, L) for v in row)
-                for s, row in zip(states, nums.tolist())
+                s: tuple(Fraction(v, L) for v in row)
+                for s, row in zip(row_tuples(arr), nums.tolist())
             },
             self.horizon,
         )

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from smdp.bits import (
     bits_to_int,
     block_index_words,
+    block_words,
     column_words,
     format_bitstring,
     int_to_bits,
@@ -90,6 +91,48 @@ def test_block_index_words_read_the_block_index(width, blocks):
         grid = word_bits(words, blocks * npad).reshape(width, blocks, npad)
         for b in range(blocks):
             assert (grid[:, b, :] == np.array(int_to_bits(b, width), dtype=bool)[:, None]).all()
+
+
+def _byte_run_index_words(width, blocks, npad):
+    """The block index words as alternating byte runs, each bit's run
+    doubling from the least significant one."""
+    size = blocks * (npad // 8)
+    words = []
+    for k in range(width):
+        run = min(1 << (width - 1 - k), blocks) * (npad // 8)
+        period = b"\x00" * run + b"\xff" * run
+        words.append(int.from_bytes((period * (size // len(period) + 1))[:size], "little"))
+    return tuple(words)
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 5, 8])
+@pytest.mark.parametrize("blocks", [1, 2, 3, 7, 16])
+@pytest.mark.parametrize("npad", [8, 16, 40])
+def test_block_words_read_each_block_value(width, blocks, npad):
+    rng = random.Random(1000 * width + 10 * blocks + npad)
+    for values in (tuple(rng.randrange(1 << width) for _ in range(blocks)), range(blocks)):
+        words = block_words(values, width, npad)
+        want = np.zeros((width, blocks * npad), bool)
+        for b, value in enumerate(values):
+            for k in range(width):
+                want[k, b * npad : (b + 1) * npad] = (value >> (width - 1 - k)) & 1
+        assert (word_bits(words, blocks * npad) == want).all()
+    assert block_index_words(width, blocks, npad) == _byte_run_index_words(width, blocks, npad)
+
+
+@pytest.mark.parametrize("width", range(71))
+def test_unsigned_rows_read_each_row_as_bits_to_int(width):
+    rng = np.random.default_rng(width)
+    for arr in (
+        np.zeros((0, width), bool),
+        np.zeros((3, width), bool),
+        np.ones((3, width), bool),
+        rng.random((17, width)) < 0.5,
+        (rng.random((width, 9)) < 0.5).T,  # a strided view, as a piece reads its numerators
+    ):
+        got = unsigned_rows(arr)
+        assert got.shape == (len(arr),) and got.dtype == (np.int64 if width < 63 else object)
+        assert got.tolist() == [bits_to_int(t) for t in row_tuples(arr)]
 
 
 @pytest.mark.parametrize("width", [0, 1, 8, 62, 63, 64, 83])

@@ -601,6 +601,79 @@ def test_step_with_per_row_actions_matches_one_call_per_action(monkeypatch, step
     assert sum(row[0] == "error" for row in want) > 50  # the faults are met
 
 
+def _pieces(m, states, rows, actions):
+    B, index_width = md._candidates(m)
+    return md._step_piece(m, states, rows, actions, B, index_width)
+
+
+def _piece_rows(piece):
+    return [(b, src.tolist(), succ.tobytes(), succ.shape, nums.dtype.str, nums.tolist(), fault)
+            for b, src, succ, nums, fault in piece]
+
+
+def test_one_piece_under_every_action_matches_one_piece_per_action():
+    rng = random.Random(13)
+    models = []
+    for seed in range(10):
+        rm = make_random(
+            seed,
+            num_vars=1 + seed % 4,
+            num_actions=2 + seed % 3,
+            max_branching=2 + seed % 4,
+            denominator=(1 << 70) if seed == 5 else 6 + seed % 5,
+        )
+        models += [rm.mdp, replace(rm.mdp, successor_circuits=(), max_branching=0)]
+        models += _faulty_variants(rm.mdp, rng)
+    ranks, mixed = set(), 0
+    for m in models:
+        n, k = m.num_vars, len(m.actions)
+        for size in (1, 7, 9, 65):
+            states = np.array([[rng.randrange(2) for _ in range(n)] for _ in range(size)], bool)
+            states = states.reshape(size, n)
+            for rows in (np.arange(size), np.flatnonzero(np.arange(size) % 3 != 1)):
+                got = _piece_rows(_pieces(m, states, rows, list(range(k))))
+                want = [row for a in range(k) for row in _piece_rows(_pieces(m, states, rows, [a]))]
+                assert got == want
+                faults = [row[-1] for row in got]
+                ranks |= {fault[0] for fault in faults if fault is not None}
+                mixed += None in faults and faults != [None] * k
+    # every fault rank is met, and some pieces fault under some actions only
+    assert ranks == {0, 1, 2, 3} and mixed > 10
+
+
+def _slot_listing_mdp(listings):
+    """One variable, one action per entry of `listings`, two slots: action a
+    lists state ``listings[a][slot]`` in each slot, from either source, each
+    with probability 1/2."""
+    tb = ct.CircuitBuilder(3)
+    t = tb.build([tb.const(0), tb.const(1)])
+    rb = ct.CircuitBuilder(1)
+    enumerators = tuple(
+        ct.circuit_from_values(2, 2, [2 | listed[r & 1] for r in range(4)]) for listed in listings
+    )
+    return md.SuccinctMdp(
+        ("x1",), (0,), tuple(f"a{a}" for a in range(len(listings))), t, rb.build([rb.const(0)]),
+        2, successor_circuits=enumerators, max_branching=2,
+    )
+
+
+def test_a_duplicate_slot_is_checked_within_each_action_blocks():
+    states = np.array([[0], [1], [1]] * 3, dtype=bool)  # 9 rows: two byte blocks per slot
+    rows = np.arange(len(states))
+    # action 0's last slot and action 1's first slot both list state 1
+    m = _slot_listing_mdp([(0, 1), (1, 0)])
+    piece = _pieces(m, states, rows, [0, 1])
+    assert [fault for *_, fault in piece] == [None, None]
+    assert [len(src) for _, src, *_ in piece] == [18, 18]
+    dup = "duplicate successor slot in enumerator for"
+    # a real duplicate in action 1 alone, and then in action 0 alone
+    for listings, want in ([(0, 1), (1, 1)], [None, (0, f"{dup} a1")]), (
+        [(0, 0), (1, 0)], [(0, f"{dup} a0"), None]
+    ):
+        piece = _pieces(_slot_listing_mdp(listings), states, rows, [0, 1])
+        assert [fault for *_, fault in piece] == want
+
+
 def _explicit(em):
     return (em.states, em.initial, em.actions, em.denominator, em.rewards,
             [[(arr.dtype.str, arr.tolist()) for arr in arrays] for arrays in em.transitions])

@@ -453,6 +453,16 @@ def test_value_table_checks_the_shape_of_a_bool_array():
         _two_bit_value_circuit().value_table(np.zeros((1, 3), bool))
 
 
+def test_value_table_of_a_bool_array_is_keyed_by_int_tuples():
+    # the keys were tuples of np.bool_, so states() printed numpy scalars
+    v = _two_bit_value_circuit()
+    table = v.value_table(np.array([[0, 1], [1, 1]], bool))
+    states = table.states()
+    assert states == [(0, 1), (1, 1)]
+    assert all(type(bit) is int for s in states for bit in s)
+    assert table == v.value_table([(0, 1), (1, 1)])
+
+
 def test_value_table_rejects_a_ragged_state_list():
     # numpy raised its inhomogeneous-shape ValueError
     msg = r"^state \(1,\) is not a 0/1 state of width 2 \(it has width 1\)$"
