@@ -19,9 +19,10 @@ import numpy as np
 
 from . import circuit as ct
 from . import mdp as md
-from .bits import BitVector, unsigned_rows
+from .bits import BitVector
 from .cnf import Cnf
-from .policy import ExplicitPolicy, StationaryPolicy, TimedExplicitPolicy
+from .evaluator import expected_reward_exact
+from .policy import ExplicitPolicy, PolicyError, StationaryPolicy, TimedExplicitPolicy
 
 ORACLE_VAR_LIMIT = 20
 MICRO_GATE_BOUND = 6
@@ -228,9 +229,14 @@ def bounded_policy_exists(
     search over stationary tables could settle, and the question is refused
     with `OracleScaleError`.
 
-    In the micro regime each distinct decoding of a candidate on the expanded
-    states is valued once by exact induction; one with an out-of-range action
-    is skipped, except at horizon 0, where no state decides.
+    In the micro regime a candidate circuit is evaluated only on the deciding
+    states, those reachable at some depth below the horizon under some
+    actions: a stationary policy's reward, and whether it is asked for an
+    out-of-range action, depend only on its actions there. Each distinct
+    behaviour on those rows is valued once by `expected_reward_exact`, which
+    asks the policy only at the states that it reaches below the horizon; one
+    that picks an out-of-range action at such a state (a `PolicyError`) is
+    skipped. At horizon 0 no state decides, so the first candidate answers.
     """
     md._check_horizon(horizon)
     if size_bound < 0:
@@ -261,19 +267,20 @@ def bounded_policy_exists(
             f"<= {MICRO_INPUT_BOUND} state bits)"
         )
     em = md.expand(m)
-    every_state = np.arange(len(em.state_array))
-    target = reward_bound * em.denominator**horizon
+    deciding = em.state_array[_reachable_depths(em, horizon).any(axis=0)]
     seen_behaviors = set()
     candidates = _enumerate_candidate_circuits(n_bits, m.action_width, size_bound)
     for examined, cand in enumerate(candidates, 1):
         if examined > MICRO_CANDIDATE_CAP:
             raise OracleScaleError(f"candidate count exceeds cap {MICRO_CANDIDATE_CAP}")
-        acts = unsigned_rows(ct.eval_batch(cand, em.state_array))
-        key = acts.tobytes()
-        if key in seen_behaviors or horizon and (acts >= n_actions).any():
-            continue  # met before, or an out-of-range action at an expanded state
+        key = ct.eval_batch(cand, deciding).tobytes()
+        if key in seen_behaviors:
+            continue
         seen_behaviors.add(key)
-        levels = md._induction(em, horizon, lambda Q, i: Q[acts, every_state])
-        if int(levels[horizon][em.initial]) >= target:
-            return True, StationaryPolicy(cand, n_actions)
+        policy = StationaryPolicy(cand, n_actions)
+        try:
+            if expected_reward_exact(m, policy, horizon).expected_reward >= reward_bound:
+                return True, policy
+        except PolicyError:
+            pass  # an out-of-range action at a state the policy reaches
     return False, None

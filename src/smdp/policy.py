@@ -7,6 +7,14 @@ current time zero-filled. A decoded or tabled index outside the action range
 is a hard error, never clamped: a malformed policy must not silently pass a
 correspondence check.
 
+A question asks a policy only where its answer reads it. The expected reward,
+exact (`evaluator.expected_reward_exact`), Monte-Carlo, by trajectories or in
+the policy-size search (`oracle.bounded_policy_exists`), asks a policy at the
+states that it reaches below the horizon, and at no other state.
+`valuefn.value_of_policy` builds a table over every expanded state and step
+index, so it asks the policy at each of them. An action out of range where a
+policy is asked is an error; nothing is asked of the other states.
+
 Every policy kind answers one batched call, ``decide_batch(rows, depth,
 steps_remaining)``, with one action per row. The rows are states, or for a
 history policy the states 0..depth of each trajectory; `depth` is the number

@@ -152,7 +152,11 @@ def value_of_policy(em: md.ExplicitMdp, policy, horizon: int) -> ValueTable:
 
     A timed policy decides every state at each step index i, with depth horizon - i
     and i steps remaining; a stationary one decides once, at i = 1 (none at horizon 0).
-    An action outside the model's actions is a `PolicyError`."""
+    The table reads every expanded state, so the policy is asked at each, and
+    an action outside the model's actions there is a `PolicyError`. So this
+    may refuse a policy whose expected reward `evaluator.expected_reward_exact`
+    values, since that asks only at the states the policy reaches below the
+    horizon."""
     md._check_horizon(horizon)
     if policy.kind == "history":
         raise PolicyError("value_of_policy needs a stationary or timed policy, not a history one")

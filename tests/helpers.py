@@ -23,7 +23,6 @@ from smdp import oracle
 from smdp.bits import BitVector, bits_to_int, int_to_bits, row_tuples, unsigned_rows, width_for_count
 from smdp.evaluator import McEstimate, RewardReport
 from smdp.policy import ExplicitPolicy, PolicyError, StationaryPolicy
-from smdp.valuefn import value_of_policy
 
 
 def transition_pairs(em, k, a):
@@ -328,7 +327,9 @@ def bounded_policy_exists_reference(
     """`oracle.bounded_policy_exists` built from whole objects: the vacuous
     regime reads each state's optimal actions from `q(i)` state by state, and
     the micro regime dedupes candidates on their 2**n-row truth tables and
-    values each through a `StationaryPolicy` and `value_of_policy`. Same
+    values each `StationaryPolicy` with `expected_reward_reference`, which
+    asks it only at the states that it reaches below the horizon; a
+    candidate asked for an out-of-range action there is skipped. Same
     verdicts, witnesses and refusal texts."""
     md._check_horizon(horizon)
     if size_bound < 0:
@@ -362,7 +363,7 @@ def bounded_policy_exists_reference(
             f"micro-enumeration regime (<= {oracle.MICRO_GATE_BOUND} gates, "
             f"<= {oracle.MICRO_INPUT_BOUND} state bits)"
         )
-    em = md.expand(m)
+    md.expand(m)  # meets every model fault of the closure, as the search does
     seen_behaviors = set()
     examined = 0
     for cand in enumerate_candidate_circuits_reference(n_bits, m.action_width, size_bound):
@@ -375,12 +376,12 @@ def bounded_policy_exists_reference(
         if key in seen_behaviors:
             continue
         seen_behaviors.add(key)
+        policy = StationaryPolicy(cand, n_actions)
         try:
-            policy = StationaryPolicy(cand, n_actions)
-            table = value_of_policy(em, policy, horizon)
-        except PolicyError:
-            continue  # decodes an out-of-range action somewhere
-        if table.value(em.states[em.initial], horizon) >= reward_bound:
+            report = expected_reward_reference(m, policy, horizon)
+        except (md.ModelError, PolicyError):
+            continue  # an out-of-range action, or a fault, where the policy is asked
+        if report.expected_reward >= reward_bound:
             return True, policy
     return False, None
 

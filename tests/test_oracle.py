@@ -232,7 +232,63 @@ def test_bounded_policy_search_matches_the_truth_table_reference():
         got = _search_outcome(oracle.bounded_policy_exists, *args)
         assert got == _search_outcome(bounded_policy_exists_reference, *args), seed
         outcomes.append(got[0])
+    # micro draws whose candidates pick an out-of-range action only at states they never reach
+    for seed in (7, 19, 20, 25, 71):
+        rng = random.Random(seed)
+        n = rng.randint(1, 3)
+        m = random_bounded_mdp(rng, n, rng.randint(1, 3)).mdp
+        horizon = rng.randint(0, 3)
+        em = md.expand(m)
+        sol = oracle.solve_optimal(em, horizon)
+        best = sol.exact(sol.levels[horizon][em.initial], horizon)
+        for size in (0, 1):
+            for bound in (best, best - Fraction(1, 2), best + Fraction(1, 7)):
+                args = (m, horizon, size, bound)
+                got = _search_outcome(oracle.bounded_policy_exists, *args)
+                assert got == _search_outcome(bounded_policy_exists_reference, *args), args
+                outcomes.append(got[0])
     assert {True, False, "refused"} <= set(outcomes)
+
+
+def test_bounded_policy_search_asks_a_candidate_only_where_it_decides():
+    rng = random.Random(20)
+    n = rng.randint(1, 3)
+    m = random_bounded_mdp(rng, n, rng.randint(1, 3)).mdp
+    horizon = rng.randint(0, 3)
+    em = md.expand(m)
+    assert (n, len(m.actions), horizon, m.initial, len(em.states)) == (3, 3, 1, (0, 0, 0), 8)
+    assert oracle._reachable_depths(em, horizon).any(axis=0).sum() == 1  # the initial state
+    yes, witness = oracle.bounded_policy_exists(m, horizon, 0, Fraction(3))
+    assert yes and ct.serialize(witness.circuit).endswith("\noutputs i0 i0\n")
+    assert expected_reward_exact(m, witness, horizon).expected_reward == 3
+    # the value table asks every expanded state, so it refuses the same policy
+    with pytest.raises(PolicyError, match=re.escape("decoded action 3 >= 3 at (1, 0, 0)")):
+        value_of_policy(em, witness, horizon)
+
+
+def test_bounded_policy_search_evaluates_candidates_on_the_deciding_states_only(monkeypatch):
+    m = random_bounded_mdp(random.Random(7), 3, 2).mdp
+    em = md.expand(m)
+    deciding = oracle._reachable_depths(em, 3).any(axis=0)
+    assert (len(em.states), int(deciding.sum())) == (7, 5)
+    rows, valued = [], []
+    eval_batch, evaluate = ct.eval_batch, oracle.expected_reward_exact
+
+    def counting(c, inputs):
+        # the rows of the search's own candidate calls, not of the evaluator's
+        if isinstance(c, ct.Circuit) and c.name == "cand" and c not in valued:
+            rows.append(len(inputs))
+        return eval_batch(c, inputs)
+
+    def valuing(m, policy, horizon):
+        valued.append(policy.circuit)
+        return evaluate(m, policy, horizon)
+
+    monkeypatch.setattr(ct, "eval_batch", counting)
+    monkeypatch.setattr(oracle, "expected_reward_exact", valuing)
+    assert oracle.bounded_policy_exists(m, 3, 3, Fraction(100)) == (False, None)
+    assert rows and set(rows) == {5}
+    assert 0 < len(valued) <= 1 << 5
 
 
 def test_bounded_policy_exists_monotone_in_bounds():
