@@ -10,23 +10,28 @@ the 2**n states is a candidate successor.
 
 `_step` is the one checked successor step, under one action for every row
 or one action per row. Its unit is a piece (`_step_piece`): one rows array
-of a bool state array, stepped under one or more actions, with at most
-`_STEP_ROWS` candidate rows (or one row under one action). The piece packs
+of a bool state array, stepped under one or more actions. The piece packs
 its rows once into column words (`circuit.Columns`), in byte-aligned slot
 blocks for every action; the successor circuits read the first action's
 blocks (several actions read their slices of one run of the model's shared
 successor program, `circuit.shared_program`), and the transition circuit
 runs once on them all. The duplicate-slot check, the unpack and the scan
-for valid rows are then done once for all the actions. A piece returns each
-action's rows and its first fault, without raising: `_step` cuts each
-action's rows into pieces, and `expand_many` steps each chunk of a layer's
-frontier under every action. Each steps all its pieces before it raises the
-fault of the first faulty action, the fault one whole step per action would
-meet first, so nothing is stepped twice. `expand_many` numbers a layer's
-successors action-major after the layer is stepped, in runs of at most
-`_STEP_ROWS` rows, with `_number_rows`, the one state numbering, which the
-Monte-Carlo walk uses too: a dict keyed by each row's `bits.unsigned_rows`
-reading, one Python int at any width.
+for valid rows are then done once for all the actions. A piece with one
+action per row is masked: each action's blocks hold only its own rows, so
+a mixed-action step runs each circuit once per piece. A piece returns each
+action's rows and its first fault, without raising.
+
+`_step_each` is the one piece loop, which `_step` and `expand_many` both
+step through. Its one rule: if every action's candidates for one row fit in
+`_STEP_ROWS`, a piece holds every action, and otherwise one; a piece holds
+at most `_STEP_ROWS` candidate rows (or one row under one action). Every
+piece is stepped before the fault of the first faulty action is raised, the
+fault one whole step per action would meet first, so nothing is stepped
+twice. `expand_many` numbers a layer's successors action-major after the
+layer is stepped, in runs of at most `_STEP_ROWS` rows, with
+`_number_rows`, the one state numbering, which the Monte-Carlo walk uses
+too: a dict keyed by each row's `bits.unsigned_rows` reading, one Python
+int at any width.
 """
 
 from __future__ import annotations
@@ -54,7 +59,7 @@ from .bits import (
 )
 
 DEFAULT_STATE_LIMIT = 1 << 20
-# the most candidate rows per piece of `_step` and `expand_many`, each one
+# the most candidate rows per piece of `_step_each`, each one
 # transition-circuit pass: whole expansion layers in one pass took more
 # memory and time (see ROADMAP)
 _STEP_ROWS = 1 << 16
@@ -350,7 +355,7 @@ def _candidates(m: SuccinctMdp) -> Tuple[int, int]:
 
 def _step_piece(
     m: SuccinctMdp, states: np.ndarray, rows: np.ndarray, actions: Sequence[int], B: int,
-    index_width: int,
+    index_width: int, acts: Optional[np.ndarray] = None,
 ):
     """One step of the states ``states[rows]`` under each of `actions`
     (distinct, in range): a list of ``(action, src, succ, nums, fault)``, one
@@ -358,7 +363,10 @@ def _step_piece(
     `_step` returns them. ``fault`` is None or the action's first fault
     ``(rank, message)`` by rank, in the order `_step` checks them: 0 a
     duplicate slot, 1 a numerator over D, 2 a listed zero-probability state,
-    3 a source whose numerators do not sum to D.
+    3 a source whose numerators do not sum to D. With `acts`, the action
+    index of each of `rows`, a row is stepped only under its own action: the
+    piece is masked, so the duplicate-slot check, the valid rows and every
+    fault see only the (row, action) pairs that are stepped.
 
     The circuits run on column words (`bits.column_words`), the rows packed
     once for every action and laid out slot-major: block g·B + j of npad rows
@@ -376,7 +384,11 @@ def _step_piece(
     size = B * npad
     total, low = size * k, (1 << size) - 1
     index = list(block_index_words(index_width, B, npad))
-    real = int.from_bytes(((1 << len(rows)) - 1).to_bytes(npad // 8, "little") * (B * k), "little")
+    if acts is None:
+        real = int.from_bytes(((1 << len(rows)) - 1).to_bytes(npad // 8, "little") * (B * k), "little")
+    else:  # action g's rows in each of its B blocks, the actions' words one size apart
+        sel = acts == np.asarray(actions)[:, None]
+        (real,) = _stack([[w] for w in column_words(sel.T, B)[0]], size)
     if not m.successor_circuits:
         outputs = [[low, *index]] * k
     else:
@@ -408,6 +420,8 @@ def _step_piece(
     np.add.at(totals, which * len(rows) + local, nums.astype(totals.dtype))
     totals = totals.reshape(k, len(rows))
     bad = totals != D
+    if acts is not None:
+        bad &= sel
     faults = [None] * k
     if dup.any() or any_over or (m.successor_circuits and any_zero) or bad.any():
         for h, b in enumerate(actions):
@@ -440,12 +454,37 @@ def _step_piece(
     ]
 
 
-def _keep_first(faults: Dict[int, Tuple[int, str]], b: int, fault) -> None:
-    """Records `fault` of action b unless an earlier piece of b holds a
-    fault of the same or a lower rank: the pieces come in source order, so
-    faults[b] ends as the fault one whole step of b meets first."""
-    if fault is not None and (b not in faults or fault[0] < faults[b][0]):
-        faults[b] = fault
+def _step_each(m: SuccinctMdp, states: np.ndarray, actions: Sequence[int], acts=None):
+    """Every piece of one step of `states` under each of `actions`
+    (distinct, in range), or with `acts`, the action index of each row, of
+    each row under its own action: ``(parts, faults)``. ``parts[b]`` is
+    action b's list of ``(src, succ, nums)`` in source order, and
+    ``faults[b]``, for a faulty b only, is b's first fault ``(rank,
+    message)``: the lowest rank, from the first piece in source order, the
+    fault one whole step of b meets first.
+
+    The one rule for cutting a step: if every action's candidates for one
+    row fit in `_STEP_ROWS`, one group holds every action, and otherwise
+    each action is its own group; a piece holds at most ``_STEP_ROWS //
+    (B·len(group))`` rows, and at least one. With `acts`, a one-action group
+    steps only its own rows, and a piece of several actions is masked
+    (`_step_piece`)."""
+    B, index_width = _candidates(m)
+    groups = [actions] if len(actions) * B <= _STEP_ROWS else [[b] for b in actions]
+    size = max(1, _STEP_ROWS // (B * len(groups[0])))
+    parts, faults = {b: [] for b in actions}, {}
+    for group in groups:
+        own = acts is not None and len(group) == 1  # the group's own rows, unmasked
+        rows = np.flatnonzero(acts == group[0]) if own else np.arange(len(states))
+        for lo in range(0, len(rows), size):
+            mask = None if own or acts is None else acts[lo : lo + size]  # rows[lo] is lo
+            for b, src, succ, nums, fault in _step_piece(
+                m, states, rows[lo : lo + size], group, B, index_width, mask
+            ):
+                parts[b].append((src, succ, nums))
+                if fault is not None and (b not in faults or fault[0] < faults[b][0]):
+                    faults[b] = fault
+    return parts, faults
 
 
 def _runs(parts: list, size: int):
@@ -487,9 +526,11 @@ def _step(m: SuccinctMdp, states_arr: np.ndarray, a):
     a state twice, a numerator exceeds D, its enumerator lists a
     zero-probability state, or a source's numerators do not sum to D.
 
-    Each action's rows are cut into pieces of at most `_STEP_ROWS` candidate
-    rows (at least one row each), and every piece is stepped (`_step_piece`)
-    before the first faulty action's fault is raised.
+    The in-range actions used before the first out-of-range one are stepped
+    through `_step_each`, per-row actions as masked pieces, so a mixed step
+    runs each circuit once per piece. Every piece is stepped before the
+    first faulty action's fault is raised; the actions' rows are then put in
+    source order by a stable sort.
     """
     if isinstance(a, (int, np.integer)):
         used, acts = [int(a)], None
@@ -500,28 +541,16 @@ def _step(m: SuccinctMdp, states_arr: np.ndarray, a):
     if out_of_range is not None:
         # the actions used before it step first: a fault of theirs comes first
         used = used[: used.index(out_of_range)]
-    if not used:  # no rows, or the first action used is out of range
+    if not used or not len(states_arr):  # no rows, or the first action used is out of range
         if out_of_range is not None:
             raise ModelError(f"action index {out_of_range} out of range")
         return _no_transitions(m)
-    B, index_width = _candidates(m)
-    size = max(1, _STEP_ROWS // B)
-    out, faults = [], {}
-    for b in used:
-        rows = np.arange(len(states_arr)) if acts is None else np.flatnonzero(acts == b)
-        for lo in range(0, len(rows), size):
-            ((_, src, succ, nums, fault),) = _step_piece(
-                m, states_arr, rows[lo : lo + size], [b], B, index_width
-            )
-            out.append((src, succ, nums))
-            _keep_first(faults, b, fault)
-    for b in used:
-        if b in faults:
-            raise ModelError(faults[b][1])
+    parts, faults = _step_each(m, states_arr, used, acts)
+    if faults:  # the first faulty action in order of first use
+        raise ModelError(faults[min(faults, key=used.index)][1])
     if out_of_range is not None:  # the actions before it passed every check
         raise ModelError(f"action index {out_of_range} out of range")
-    if not out:
-        return _no_transitions(m)
+    out = [part for b in used for part in parts.pop(b)]
     src, succ, nums = map(np.concatenate, zip(*out)) if len(out) > 1 else out[0]
     out.clear()  # free the pieces before the rows are sorted
     if len(used) > 1:  # each action's rows are in source order, but not the actions
@@ -588,10 +617,10 @@ def expand_many(
     reads. A model fault, or the state limit, is met only within the layers
     that are stepped or numbered.
 
-    Each layer is stepped whole, in chunks of the frontier under every
-    action (`_step_piece`), and then numbered action-major: the states are
-    numbered, and the state limit or a fault is met first, as by one
-    whole-frontier step per action, each numbered before the next.
+    Each layer is stepped whole under every action (`_step_each`), and
+    then numbered action-major: the states are numbered, and the state
+    limit or a fault is met first, as by one whole-frontier step per action,
+    each numbered before the next.
 
     Raises ValueError for a negative depth, ModelError for a root that is not
     a 0/1 state of the model's width or a fault met in a stepped layer, and
@@ -624,28 +653,14 @@ def expand_many(
     # (src, dst, num) per action; the empty rows stand for an action with none
     layers = [[(no_rows, no_rows, no_nums)] for _ in m.actions]
     base = 0  # the frontier holds the states base .. base + len(frontier) - 1
-    B, index_width = _candidates(m)
     k = len(m.actions)
-    # a piece steps its rows under every action, or under one action when
-    # one row under every action is already more than `_STEP_ROWS` candidates
-    groups = [list(range(k))] if k * B <= _STEP_ROWS else [[a] for a in range(k)]
-    size = max(1, _STEP_ROWS // (B * len(groups[0])))
     while len(found[-1]) and (depth is None or len(found) <= depth):
         frontier, fresh = found[-1], []
-        parts, faults = [], {}
-        for lo in range(0, len(frontier), size):
-            rows = np.arange(lo, min(lo + size, len(frontier)))
-            for actions in groups:
-                for b, src, succ, nums, fault in _step_piece(
-                    m, frontier, rows, actions, B, index_width
-                ):
-                    parts.append((b, src, succ, nums))
-                    _keep_first(faults, b, fault)
+        parts, faults = _step_each(m, frontier, range(k))
         # action-major, each action's parts in source order: the successors
         # are numbered as one whole-frontier step per action would number them
-        parts.sort(key=lambda part: part[0])
         faulty = min(faults, default=k)
-        for run in _runs([part for part in parts if part[0] < faulty], _STEP_ROWS):
+        for run in _runs([(b, *part) for b in range(faulty) for part in parts[b]], _STEP_ROWS):
             dst = number(np.concatenate([succ for _, _, succ, _ in run]))
             for b, src, succ, nums in run:
                 layers[b].append((src + base, dst[: len(succ)], nums))

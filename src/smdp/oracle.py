@@ -19,7 +19,7 @@ import numpy as np
 
 from . import circuit as ct
 from . import mdp as md
-from .bits import BitVector
+from .bits import BitVector, column_words
 from .cnf import Cnf
 from .evaluator import expected_reward_exact
 from .policy import ExplicitPolicy, PolicyError, StationaryPolicy, TimedExplicitPolicy
@@ -267,13 +267,15 @@ def bounded_policy_exists(
             f"<= {MICRO_INPUT_BOUND} state bits)"
         )
     em = md.expand(m)
-    deciding = em.state_array[_reachable_depths(em, horizon).any(axis=0)]
+    rows = em.state_array[_reachable_depths(em, horizon).any(axis=0)]
+    # packed once; the row count is len(rows), so no padding row enters a key
+    deciding = ct.Columns(column_words(rows)[0], len(rows))
     seen_behaviors = set()
     candidates = _enumerate_candidate_circuits(n_bits, m.action_width, size_bound)
     for examined, cand in enumerate(candidates, 1):
         if examined > MICRO_CANDIDATE_CAP:
             raise OracleScaleError(f"candidate count exceeds cap {MICRO_CANDIDATE_CAP}")
-        key = ct.eval_batch(cand, deciding).tobytes()
+        key = tuple(ct.eval_batch(cand, deciding).words)
         if key in seen_behaviors:
             continue
         seen_behaviors.add(key)

@@ -601,6 +601,45 @@ def test_step_with_per_row_actions_matches_one_call_per_action(monkeypatch, step
     assert sum(row[0] == "error" for row in want) > 50  # the faults are met
 
 
+def test_a_step_with_one_action_per_row_is_one_masked_piece(monkeypatch):
+    m = random_bounded_mdp(random.Random(3), 6, 4, max_branching=3).mdp
+    rows = np.random.default_rng(3).random((24, 6)) < 0.5
+    acts = np.arange(24) % 4
+    calls = {"t": 0, "successors": 0}
+    eval_batch = ct.eval_batch
+
+    def counting(c, inputs):
+        if c is m.t_circuit:
+            calls["t"] += 1
+        elif c is m._successor_program or any(c is e for e in m.successor_circuits):
+            calls["successors"] += 1
+        return eval_batch(c, inputs)
+
+    want = _step_one_action_at_a_time(m, rows, acts)
+    with monkeypatch.context() as patch:
+        patch.setattr(ct, "eval_batch", counting)
+        got = md._step(m, rows, acts)
+    assert calls == {"t": 1, "successors": 1}  # one piece, not one per action
+    assert [arr.tolist() for arr in got] == [arr.tolist() for arr in want]
+    # one bit, D = 2: every state stays put, except that action b from
+    # state 1 stays with 1/2 only; no row is checked under an action it does
+    # not take
+    t_values = [(1 if (a, s) == (1, 1) else 2) * (s == s2)
+                for s in (0, 1) for s2 in (0, 1) for a in (0, 1)]
+    stay = ct.circuit_from_values(2, 2, [2 | s if slot == 0 else 0
+                                         for s in (0, 1) for slot in (0, 1)])
+    one_bad = md.SuccinctMdp(
+        ("x1",), (0,), ("a", "b"),
+        ct.circuit_from_values(3, 2, t_values), ct.circuit_from_values(1, 1, [0, 0]),
+        prob_denominator=2, successor_circuits=(stay, stay), max_branching=1,
+    )
+    states = np.array([[1], [0]], bool)
+    src, succ, nums = md._step(one_bad, states, np.array([0, 1]))
+    assert (src.tolist(), succ.tolist(), nums.tolist()) == ([0, 1], [[True], [False]], [2, 2])
+    with pytest.raises(md.ModelError, match=re.escape("from state (1,) under b sum to 1/2")):
+        md._step(one_bad, states, np.array([1, 1]))
+
+
 def _pieces(m, states, rows, actions):
     B, index_width = md._candidates(m)
     return md._step_piece(m, states, rows, actions, B, index_width)
@@ -1035,3 +1074,12 @@ def test_number_rows_numbers_rows_as_a_first_seen_tuple_dict(width):
     every = np.concatenate(found)
     assert every.dtype == bool and every.shape == (len(reference), width)
     assert list(map(tuple, every.tolist())) == list(reference)
+
+
+def test_a_plain_model_counts_its_candidates_only_when_a_layer_is_stepped(monkeypatch):
+    m = replace(make_random(0).mdp, successor_circuits=(), max_branching=0)  # 2**3 candidates
+    monkeypatch.setenv("SMDP_LIMIT_STATES", "4")
+    em, idx = md.expand_many(m, [m.initial], depth=0)
+    assert em.states == (m.initial,) and idx == [0]
+    with pytest.raises(md.EnumerationLimitError, match=re.escape("successor candidates (2^3)")):
+        md.expand_many(m, [m.initial], depth=1)

@@ -277,7 +277,7 @@ def test_bounded_policy_search_evaluates_candidates_on_the_deciding_states_only(
     def counting(c, inputs):
         # the rows of the search's own candidate calls, not of the evaluator's
         if isinstance(c, ct.Circuit) and c.name == "cand" and c not in valued:
-            rows.append(len(inputs))
+            rows.append(inputs.shape[0])
         return eval_batch(c, inputs)
 
     def valuing(m, policy, horizon):

@@ -104,3 +104,26 @@ def test_bench_pairs_verdicts():
     ahead = [141, 142, 143] * 3 + [150]  # each above every parent run, by less than its IQR
     assert bench_pairs.verdict(wide, ahead, *higher) == "flat"
     assert bench_pairs.verdict(wide, ahead[:9] + [50], *higher) == "unresolved"
+
+
+def test_loc_counts_code_lines_only(tmp_path):
+    source = '''"""A module docstring
+over two lines."""
+
+import os  # a comment after code
+
+# a comment alone
+
+
+def f(x):
+    """A function docstring."""
+    text = """a string
+that is code"""
+    return os.path.join(x, text)
+'''
+    (tmp_path / "a.py").write_text(source)
+    (tmp_path / "b.py").write_text("x = 1\n")
+    proc = run_script("loc.py", "a.py", "b.py", cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    # import, def, the two lines of the string assignment and return; x = 1
+    assert proc.stdout.split() == ["5", "a.py", "1", "b.py", "6", "total"]
