@@ -1,7 +1,9 @@
 #!/usr/bin/env python3
 """Run every correspondence suite and print a one-line summary per suite.
 
-Exit code is 0 only if every case in every suite passes.
+Each suite runs at the sizes its function defaults to, with `--seed` passed
+to the suites that read a seed. Exit code is 0 only if every case in every
+suite passes.
 """
 
 import argparse
@@ -11,20 +13,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from smdp.verify import SUITES, run_suite
-
-DEFAULTS = {
-    # suite name -> (n, cases, reads the seed); None for a count the suite
-    # does not read
-    "nextaction": (3, 100, True),
-    "evalreward": (10, 50, True),
-    "boundedpolicy": (None, None, False),
-    "consistency": (8, 50, True),
-    "valuechoice": (None, None, False),
-    "normalization": (None, 20, True),
-    "roundtrip": (None, 10, True),
-    "dnf": (8, 100, True),
-}
+from smdp.verify import SUITES, run_suite, suite_arguments
 
 
 def main() -> int:
@@ -38,9 +27,11 @@ def main() -> int:
     names = args.suite or list(SUITES)
     total_failures = 0
     for name in names:
-        n, cases, reads_seed = DEFAULTS[name]
+        sizes = suite_arguments(name)  # the suite's own defaults
+        if "seed" in sizes:
+            sizes["seed"] = args.seed
         start = time.monotonic()
-        rows = run_suite(name, n=n, cases=cases, seed=args.seed if reads_seed else None)
+        rows = run_suite(name, **sizes)
         elapsed = time.monotonic() - start
         failures = [r for r in rows if not r.ok]
         total_failures += len(failures)

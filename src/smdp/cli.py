@@ -261,6 +261,8 @@ def _cmd_solve(args, parser) -> int:
 
 def _cmd_next_action(args, parser) -> int:
     m, _ = md.load_mdp(args.mdp)
+    if args.action is not None and args.action not in m.actions:
+        parser.error(f"unknown action {args.action!r}; choose from {', '.join(m.actions)}")
     s = parse_bitstring(args.state)
     acts = oracle.best_next_action(m, args.steps, s)
     names = tuple(m.actions[a] for a in acts)
@@ -269,11 +271,7 @@ def _cmd_next_action(args, parser) -> int:
         [("optimal_actions", ",".join(names))],
         ", ".join(names),
     )
-    if args.action is not None:
-        if args.action not in m.actions:
-            parser.error(f"unknown action {args.action!r}; choose from {', '.join(m.actions)}")
-        return 0 if args.action in names else 2
-    return 0
+    return 0 if args.action is None or args.action in names else 2
 
 
 def _cmd_canon(args, parser) -> int:

@@ -32,6 +32,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import oracle
+from ._manifest import write_manifest
 from .bits import BitVector, bits_to_int, int_to_bits, width_for_count
 from .circuit import Circuit, CircuitBuilder, all_input_rows
 from .cnf import Cnf, to_dimacs
@@ -349,12 +350,8 @@ def write_instance(inst: ReductionInstance, directory) -> str:
         )
     if inst.num_x is not None:
         lines.append(f"num_x {inst.num_x}")
-    with open(os.path.join(directory, "instance.txt"), "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
-    expected_path = os.path.join(directory, "expected.txt")
-    with open(expected_path, "w", encoding="ascii") as fh:
-        fh.write("\n".join([inst.expected, *derived]) + "\n")
-    return expected_path
+    write_manifest(os.path.join(directory, "instance.txt"), lines)
+    return write_manifest(os.path.join(directory, "expected.txt"), [inst.expected, *derived])
 
 
 def _derived_lines(inst: ReductionInstance) -> List[str]:

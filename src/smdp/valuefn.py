@@ -6,7 +6,9 @@ A value circuit maps ``[s bits | step-index bits]`` to a fixed-point signed
 numerator over a declared denominator; a value table stores exact rationals
 directly. Consistency of E means: E(s, 0) = r(s) everywhere and every state
 has one action whose successor-weighted sum matches E(s, i) - r(s) at every
-step index i. All comparisons are exact, no tolerance.
+step index i. Consistency checking and policy extraction decide that one
+test, `_recursion`, on E read as integers over one denominator
+(`_reading`). All comparisons are exact, no tolerance.
 """
 
 from __future__ import annotations
@@ -180,34 +182,78 @@ def value_of_policy(em: md.ExplicitMdp, policy, horizon: int) -> ValueTable:
     return ValueTable(md._fractions(em, md._induction(em, horizon, choose)), horizon)
 
 
-def _check_num_vars(m: md.SuccinctMdp, E: ValueCircuit) -> None:
+def _reading(m: md.SuccinctMdp, E, steps: int):
+    """The one reading of E as integers at step indices 0..steps-1: the
+    common denominator L (the circuit's value denominator, or the lcm of the
+    table's denominators) and `read(rows)`, which gives the numerators over L
+    of a bool row array as a (rows, steps) array, with the mask of the rows E
+    covers. A value circuit covers every row, and must read the model's state
+    width; a table reads a row outside its domain as 0, not covered."""
+    if isinstance(E, ValueTable):
+        L = math.lcm(*(v.denominator for row in E.values.values() for v in row[:steps]))
+
+        def read(rows):
+            keys = row_tuples(rows)
+            V = [[int(v * L) for v in E.values.get(s, (0,) * steps)[:steps]] for s in keys]
+            known = np.array([s in E.values for s in keys], bool)
+            return np.array(V, dtype=object).reshape(len(keys), steps), known
+
+        return L, read
     if E.num_vars != m.num_vars:
         raise ValueFunctionError(
             f"value circuit covers {E.num_vars} variables, MDP has {m.num_vars}"
         )
+    return E.value_denominator, lambda rows: (E._numerators(rows, steps), np.ones(len(rows), bool))
 
 
-def check_consistency(
-    m: md.SuccinctMdp, E, horizon: int
-) -> ConsistencyResult:
+def _recursion(m: md.SuccinctMdp, S: np.ndarray, V: np.ndarray, L: int, values_of, vmax=None):
+    """The one test of the value recursion E(s,i) = r(s) + sum p(s'|s,a) E(s',i-1)
+    at every row s of the bool array S, every action a and every step index
+    i = 1..horizon. V holds the rows' numerators over L at step indices
+    0..horizon and the probabilities are numerators over D, so the test reads
+
+        D·V[s,i] == D·L·r(s) + sum num(s'|s,a)·V[s',i-1].
+
+    `values_of(succ)` gives the numerators of successor rows (step indices
+    0..horizon-1 in its first columns) and the mask of the rows E covers; a
+    successor E does not cover fails its action at its source. Every action
+    is stepped, and its ModelErrors raised, before any value is compared.
+    Returns ``(ok, base, R)``: ok[a, r, i-1] for the recursion, base[r] for
+    E(s,0) = r(s), and the rewards R. The arrays are int64 when `vmax` bounds
+    every |numerator| read and D·(L·max(|r|, 1) + vmax) < 2**63, exact
+    Python ints otherwise (always, with no `vmax`)."""
+    horizon = V.shape[1] - 1
+    R = md._reward_rows(m, S)
+    steps = [md._step(m, S, a) for a in range(len(m.actions))]
+    D = m.prob_denominator
+    fits = vmax is not None and D * (L * max(int(np.abs(R).max()), 1) + vmax) < 1 << 63
+    dtype = np.int64 if fits else object
+    V, R = V.astype(dtype), R.astype(dtype)
+    target = D * V[:, 1:] - (D * L) * R[:, None]
+    ok = np.empty((len(steps), len(S), horizon), dtype=bool)
+    for a, (src, succ, nums) in enumerate(steps):
+        W, known = values_of(succ)
+        sums = np.zeros_like(target)
+        np.add.at(sums, src, nums.astype(dtype)[:, None] * W[:, :horizon].astype(dtype, copy=False))
+        ok[a] = sums == target
+        ok[a, src[~known]] = False
+    return ok, V[:, 0] == L * R, R
+
+
+def check_consistency(m: md.SuccinctMdp, E, horizon: int) -> ConsistencyResult:
     """Decide whether some policy realizes E on the bounded-action MDP for
     step indices 0..horizon (0 <= horizon <= E.horizon).
 
     Covers every state: all 2**n for a value circuit, the table's domain for
-    a table. The test runs on integers in one batched pass. Values are
-    numerators V over one denominator L (the circuit's value denominator, or
-    the lcm of the table's denominators) and probabilities are numerators
-    over D, so E(s,i) = r(s) + sum p(s'|s,a) E(s',i-1) reads
-
-        D·V[s,i] == D·L·r(s) + sum num(s'|s,a)·V[s',i-1],
-
-    checked for all states and step indices at once, one action at a time.
-    The arrays are int64 when the bound D·(L·max(|r|, 1) + max|V|) on every
-    term is below 2**63, and exact Python ints otherwise. A successor outside a
-    table's domain fails that action at that state. Every action is stepped
-    (and its ModelErrors raised) before any verdict; the witness is the
-    first passing action in declared order, and the first failing state in
-    ascending order is reported.
+    a table. The test is `_recursion` over all those states at once: E is
+    read once as integers over them, and each successor's values are looked
+    up among theirs by its `unsigned_rows` key, so a successor outside a
+    table's domain fails that action at that state. The arrays are int64
+    when the bound D·(L·max(|r|, 1) + max|V|) on every term is below 2**63,
+    and exact Python ints otherwise. Every action is stepped (and its
+    ModelErrors raised) before any verdict; the witness is the first passing
+    action in declared order, and the first failing state in ascending order
+    is reported.
     """
     if not 0 <= horizon <= E.horizon:
         raise ValueFunctionError(
@@ -218,41 +264,26 @@ def check_consistency(
         if not states:
             return ConsistencyResult(True, witness={})
         S = md._state_array(states, m.num_vars, "value table state", ValueFunctionError)
-        rows = [E.values[s][: horizon + 1] for s in states]
-        L = math.lcm(*(v.denominator for row in rows for v in row))
-        V = np.array([[v.numerator * (L // v.denominator) for v in row] for row in rows], dtype=object)
     else:
         n = m.num_vars
         limit = md.state_limit()
         if (1 << n) > limit:
             raise md._limit_error(f"states to check (2^{n})", 1 << n, limit)
         _check_cells(1 << n, horizon, f"2^{n}")
-        _check_num_vars(m, E)
         S = ct.all_input_rows(n)
         states = row_tuples(S)
-        L = E.value_denominator
-        V = E._numerators(S, horizon + 1)
-    R = md._reward_rows(m, S)
-    steps = [md._step(m, S, a) for a in range(len(m.actions))]
-
-    D = m.prob_denominator
-    bound = D * (L * max(int(np.abs(R).max()), 1) + int(np.abs(V).max()))
-    dtype = np.int64 if bound < 1 << 63 else object
-    V, R = V.astype(dtype), R.astype(dtype)
-    N = len(states)
+    L, read = _reading(m, E, horizon + 1)
+    V = read(S)[0]
     keys = unsigned_rows(S)  # ascending: states are in MSB-first order
-    target = D * V[:, 1:] - (D * L) * R[:, None]
-    ok = np.empty((len(steps), N), dtype=bool)
-    for a, (src, succ, nums) in enumerate(steps):
+
+    def values_of(succ):
         succ_keys = unsigned_rows(succ)
-        j = np.minimum(np.searchsorted(keys, succ_keys), N - 1)
-        sums = np.zeros((N, horizon), dtype=dtype)
-        np.add.at(sums, src, nums.astype(dtype)[:, None] * V[j, :horizon])
-        ok[a] = (sums == target).all(axis=1)
-        if horizon:
-            ok[a, src[keys[j] != succ_keys]] = False
-    base_ok = V[:, 0] == L * R
-    bad = ~(base_ok & ok.any(axis=0))
+        j = np.minimum(np.searchsorted(keys, succ_keys), len(S) - 1)
+        return V[j, :horizon], keys[j] == succ_keys
+
+    ok, base_ok, R = _recursion(m, S, V, L, values_of, int(np.abs(V).max()))
+    fits = ok.all(axis=2)
+    bad = ~(base_ok & fits.any(axis=0))
     if bad.any():
         k = int(np.argmax(bad))
         if not base_ok[k]:
@@ -260,32 +291,26 @@ def check_consistency(
         else:
             reason = "no action satisfies the value recursion at every step index"
         return ConsistencyResult(False, counterexample=states[k], reason=reason)
-    return ConsistencyResult(True, witness=dict(zip(states, ok.argmax(axis=0).tolist())))
+    return ConsistencyResult(True, witness=dict(zip(states, fits.argmax(axis=0).tolist())))
 
 
-def extract_policy(
-    m: md.SuccinctMdp, E, horizon: int, s: BitVector, i: int
-) -> int:
+def extract_policy(m: md.SuccinctMdp, E, horizon: int, s: BitVector, i: int) -> int:
     """First action (declared order) whose successor-weighted sum equals
-    E(s, i) - r(s)."""
-    s = tuple(s)
-    if isinstance(E, ValueCircuit):
-        _check_num_vars(m, E)
-    md._check_state(s, m.num_vars, error=ValueFunctionError)
-    md._check_step(i, 1, horizon, ValueFunctionError)
-    target = E.value(s, i) - md.reward(m, s)
-    for a in range(len(m.actions)):
-        total = Fraction(0)
-        try:
-            for s2, p in md.successors(m, s, a):
-                total += p * E.value(s2, i - 1)
-        except ValueFunctionError:
-            continue
-        if total == target:
-            return a
-    raise InconsistentValueError(
-        f"no action matches E(s,{i}) - r(s) = {target} at state {s}"
-    )
+    E(s, i) - r(s): the test of `check_consistency` at one state and one
+    step index, on exact integers. As there, every action is stepped before
+    any verdict, so a ModelError of any action at s is raised even where an
+    earlier action matches."""
+    S = md._state_array([s], m.num_vars, error=ValueFunctionError)
+    md._check_step(i, 1, min(horizon, E.horizon), ValueFunctionError)
+    L, read = _reading(m, E, i + 1)
+    V, known = read(S)
+    if not known[0]:
+        raise ValueFunctionError(f"value table does not cover state {tuple(s)}")
+    ok, _, R = _recursion(m, S, V, L, read)
+    if ok[:, 0, i - 1].any():
+        return int(ok[:, 0, i - 1].argmax())
+    target = Fraction(int(V[0, i]), L) - int(R[0])
+    raise InconsistentValueError(f"no action matches E(s,{i}) - r(s) = {target} at state {tuple(s)}")
 
 
 def save_valuefn(v: ValueCircuit, directory, basename: str = "valuefn") -> str:

@@ -9,6 +9,7 @@ roundtrip (file formats), dnf (canonicalization).
 
 from __future__ import annotations
 
+import inspect
 import itertools
 import random
 import tempfile
@@ -41,48 +42,6 @@ class VerifyRow:
     expected: str
     got: str
     ok: bool
-
-
-# every suite as a callable of (n, cases, seed)
-_SUITES = {
-    "nextaction": lambda n, cases, seed: suite_nextaction(max_n=n, cases=cases, seed=seed),
-    "evalreward": lambda n, cases, seed: suite_evalreward(max_n=n, cases=cases, seed=seed),
-    "boundedpolicy": lambda n, cases, seed: suite_boundedpolicy(),
-    "consistency": lambda n, cases, seed: suite_consistency(max_n=n, cases=cases, seed=seed),
-    "valuechoice": lambda n, cases, seed: suite_valuechoice(),
-    "normalization": lambda n, cases, seed: suite_normalization(cases=cases, seed=seed),
-    "roundtrip": lambda n, cases, seed: suite_roundtrip(cases=cases, seed=seed),
-    "dnf": lambda n, cases, seed: suite_dnf(max_n=n, cases=cases, seed=seed),
-}
-# the arguments a suite does not read
-_UNREAD = {
-    "boundedpolicy": ("n", "cases", "seed"),
-    "valuechoice": ("n", "cases", "seed"),
-    "normalization": ("n",),
-    "roundtrip": ("n",),
-}
-SUITES = tuple(_SUITES)
-
-
-def run_suite(
-    name: str, n: Optional[int] = None, cases: Optional[int] = None, seed: Optional[int] = None
-) -> List[VerifyRow]:
-    """The rows of one suite. An argument left at None reads as n = 2,
-    cases = 50 and seed = 0; an explicit count must be at least 1, and an
-    explicit argument that the suite does not read is refused, so none is
-    silently ignored."""
-    if name not in _SUITES:
-        raise ValueError(f"unknown suite {name!r}; choose one of {', '.join(SUITES)}")
-    for arg, value in (("n", n), ("cases", cases), ("seed", seed)):
-        if value is None:
-            continue
-        if arg != "seed" and value < 1:
-            raise ValueError(f"{arg} must be at least 1, got {value}")
-        if arg in _UNREAD.get(name, ()):
-            raise ValueError(f"suite {name} does not read {arg}, got {arg}={value}")
-    return _SUITES[name](
-        2 if n is None else n, 50 if cases is None else cases, 0 if seed is None else seed
-    )
 
 
 # --------------------------------------------------- nextaction: next action vs SAT
@@ -143,7 +102,7 @@ def _nextaction_group(cnfs: List[Cnf], n: int) -> List[VerifyRow]:
     return rows
 
 
-def suite_nextaction(max_n: int = 2, cases: int = 100, seed: int = 0) -> List[VerifyRow]:
+def suite_nextaction(max_n: int = 3, cases: int = 100, seed: int = 0) -> List[VerifyRow]:
     """Exhaustive grid for up to two variables (three-literal clause multisets,
     up to three distinct clauses) plus random larger formulas."""
     formulas = [(n, list(_grid_cnfs(n))) for n in range(1, min(max_n, 2) + 1)]
@@ -402,3 +361,53 @@ def suite_dnf(max_n: int = 8, cases: int = 100, seed: int = 0) -> List[VerifyRow
             )
         )
     return rows
+
+
+# ------------------------------------------------------------ the registry
+
+# every suite by name
+_SUITES = {
+    "nextaction": suite_nextaction,
+    "evalreward": suite_evalreward,
+    "boundedpolicy": suite_boundedpolicy,
+    "consistency": suite_consistency,
+    "valuechoice": suite_valuechoice,
+    "normalization": suite_normalization,
+    "roundtrip": suite_roundtrip,
+    "dnf": suite_dnf,
+}
+SUITES = tuple(_SUITES)
+# each argument of `run_suite`: the suite parameter it sets, and its default
+_ARGUMENTS = {"n": ("max_n", 2), "cases": ("cases", 50), "seed": ("seed", 0)}
+
+
+def suite_arguments(name: str) -> Dict[str, int]:
+    """The `run_suite` arguments that suite `name` reads, each with the
+    suite's own default, read from the parameters of its function."""
+    params = inspect.signature(_SUITES[name]).parameters
+    return {arg: params[p].default for arg, (p, _) in _ARGUMENTS.items() if p in params}
+
+
+def run_suite(
+    name: str, n: Optional[int] = None, cases: Optional[int] = None, seed: Optional[int] = None
+) -> List[VerifyRow]:
+    """The rows of one suite. An argument left at None reads as n = 2,
+    cases = 50 and seed = 0; an explicit count must be at least 1, and an
+    explicit argument that the suite does not read is refused, so none is
+    silently ignored."""
+    if name not in _SUITES:
+        raise ValueError(f"unknown suite {name!r}; choose one of {', '.join(SUITES)}")
+    reads = suite_arguments(name)
+    given = {"n": n, "cases": cases, "seed": seed}
+    for arg, value in given.items():
+        if value is None:
+            continue
+        if arg != "seed" and value < 1:
+            raise ValueError(f"{arg} must be at least 1, got {value}")
+        if arg not in reads:
+            raise ValueError(f"suite {name} does not read {arg}, got {arg}={value}")
+    return _SUITES[name](**{
+        param: default if given[arg] is None else given[arg]
+        for arg, (param, default) in _ARGUMENTS.items()
+        if arg in reads
+    })

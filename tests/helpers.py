@@ -1,8 +1,8 @@
 """Shared test helpers, the per-state `Fraction` references that the
-integer code paths are compared against, the sample-by-sample
-Monte-Carlo walk that the lockstep sampler is compared against, the
-truth-table policy search that the bounded-size search is compared against,
-the assignment-by-assignment SAT-family oracles that the truth-column
+integer code paths are compared against (the scalar policy extraction from
+a value function among them), the sample-by-sample Monte-Carlo walk that
+the lockstep sampler is compared against, the truth-table policy search
+that the bounded-size search is compared against, the assignment-by-assignment SAT-family oracles that the truth-column
 oracles are compared against, and the quadratic-size append condition,
 majsat reward and double-mux enumerators that the linear-size sequence
 circuits are compared against."""
@@ -23,6 +23,7 @@ from smdp import oracle
 from smdp.bits import BitVector, bits_to_int, int_to_bits, row_tuples, unsigned_rows, width_for_count
 from smdp.evaluator import McEstimate, RewardReport
 from smdp.policy import ExplicitPolicy, PolicyError, StationaryPolicy
+from smdp.valuefn import InconsistentValueError, ValueCircuit, ValueFunctionError
 
 
 def transition_pairs(em, k, a):
@@ -384,6 +385,29 @@ def bounded_policy_exists_reference(
         if report.expected_reward >= reward_bound:
             return True, policy
     return False, None
+
+
+def extract_policy_reference(m: md.SuccinctMdp, E, horizon: int, s: BitVector, i: int) -> int:
+    """The scalar `Fraction` loop `valuefn.extract_policy` replaced: E read
+    one value at a time through `E.value`, each action's successors summed
+    in turn, and the first action that matches returned before a later one
+    is stepped, so a later action's ModelError is not raised."""
+    s = tuple(s)
+    if isinstance(E, ValueCircuit) and E.num_vars != m.num_vars:
+        raise ValueFunctionError(f"value circuit covers {E.num_vars} variables, MDP has {m.num_vars}")
+    md._check_state(s, m.num_vars, error=ValueFunctionError)
+    md._check_step(i, 1, horizon, ValueFunctionError)
+    target = E.value(s, i) - md.reward(m, s)
+    for a in range(len(m.actions)):
+        total = Fraction(0)
+        try:
+            for s2, p in md.successors(m, s, a):
+                total += p * E.value(s2, i - 1)
+        except ValueFunctionError:
+            continue
+        if total == target:
+            return a
+    raise InconsistentValueError(f"no action matches E(s,{i}) - r(s) = {target} at state {s}")
 
 
 def reward_circuit_calls(monkeypatch, m):

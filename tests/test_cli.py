@@ -143,6 +143,7 @@ def test_gen_satnext_and_next_action_exit_codes(tmp_path, capsys):
     with pytest.raises(SystemExit) as e:
         main(args + ["--action", "bogus"])
     assert e.value.code == 1
+    assert capsys.readouterr().out == ""  # the optimal actions went out before the usage error
 
 
 def test_next_action_rejects_a_state_of_the_wrong_width(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import random
 import re
+from dataclasses import replace
 from fractions import Fraction
 from math import lcm
 
@@ -10,7 +11,7 @@ from smdp import circuit as ct
 from smdp import mdp as md
 from smdp.bits import int_to_bits, width_for_count
 from smdp.cnf import Cnf
-from smdp.policy import TimedExplicitPolicy
+from smdp.policy import ExplicitPolicy, TimedExplicitPolicy
 from smdp.random_models import (
     random_bounded_mdp,
     random_circuit,
@@ -31,7 +32,7 @@ from smdp.valuefn import (
     value_of_policy,
 )
 
-from helpers import reward_circuit_calls
+from helpers import extract_policy_reference, reward_circuit_calls
 
 
 def test_value_table_base_case_is_reward():
@@ -311,6 +312,85 @@ def test_consistency_is_exact_where_int64_would_wrap():
     broken[(0,)] = (Fraction(0), Fraction(1 << 32))
     res = assert_same_verdict(rm.mdp, ValueTable(broken, 1), 1)
     assert not res.consistent and res.counterexample == (0,)
+
+
+# --------------------------------------------------- extract_policy vs reference
+
+
+def outcome(f, *args):
+    """What a call gives: its action, or the type and text of its error."""
+    try:
+        return f(*args)
+    except (ValueFunctionError, md.ModelError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def assert_same_extraction(m, E, horizon, states):
+    """`extract_policy` agrees with the scalar reference at every given state
+    and every step index 1..horizon; returns the kinds of outcome seen."""
+    outcomes = []
+    for s in states:
+        for i in range(1, horizon + 1):
+            want = outcome(extract_policy_reference, m, E, horizon, s, i)
+            assert outcome(extract_policy, m, E, horizon, s, i) == want, (s, i)
+            outcomes.append("action" if isinstance(want, int) else want[0])
+    return outcomes
+
+
+def test_extract_policy_matches_reference_on_tables_and_circuits():
+    rng = random.Random(17)
+    seen = set()
+    for _ in range(12):
+        rm = random_bounded_mdp(rng, rng.randint(1, 3), rng.randint(1, 3))
+        horizon = rng.randint(1, 3)
+        table = realized_table(rng, rm, horizon)
+        states = table.states()
+        perturbed = dict(table.values)
+        s = rng.choice(states)
+        row = list(perturbed[s])
+        row[rng.randint(0, horizon)] += Fraction(rng.choice((1, -1)), rng.randint(1, 7))
+        perturbed[s] = tuple(row)
+        partial = dict(table.values)
+        del partial[rng.choice(states)]
+        for values in (table.values, perturbed, partial):
+            seen.update(assert_same_extraction(rm.mdp, ValueTable(values, horizon), horizon, states))
+        every_state = [tuple(int(b) for b in row) for row in ct.all_input_rows(rm.mdp.num_vars)]
+        sw = width_for_count(horizon + 1)
+        noise = ValueCircuit(random_circuit(rng, rm.mdp.num_vars + sw, 10, 4), horizon, value_denominator=2)
+        for E in (value_circuit_of(table), noise):
+            seen.update(assert_same_extraction(rm.mdp, E, horizon, every_state))
+    # matches, mismatches, and states a partial table does not cover
+    assert seen == {"action", "InconsistentValueError", "ValueFunctionError"}
+
+
+def test_extract_policy_is_exact_where_int64_would_wrap():
+    # D = 2**32 as in the consistency case: D·2**32 wraps to 0 in int64, so
+    # E(0,1) = 2**32 would match a zero successor sum
+    rng = random.Random(13)
+    rm = random_bounded_mdp(rng, 1, 1, max_branching=1, denominator=1 << 32, reward_range=(0, 0))
+    table = ValueTable({s: (Fraction(0), Fraction(0)) for s in rm.rewards}, 1)
+    broken = ValueTable({**table.values, (0,): (Fraction(0), Fraction(1 << 32))}, 1)
+    assert assert_same_extraction(rm.mdp, table, 1, table.states()) == ["action", "action"]
+    assert assert_same_extraction(rm.mdp, broken, 1, [(0,)]) == ["InconsistentValueError"]
+
+
+def test_extract_policy_steps_every_action_before_its_verdict():
+    # action 0 realizes the table, and action 1's enumerator lists the source
+    # in both slots: its fault is raised where the scalar loop returned
+    # action 0 before it stepped action 1
+    rng = random.Random(18)
+    rm = random_bounded_mdp(rng, 2, 2, max_branching=2)
+    m = rm.mdp
+    em = md.expand_many(m, sorted(rm.rewards))[0]
+    table = value_of_policy(em, ExplicitPolicy({s: 0 for s in em.states}, 2), 2)
+    n, sw = m.num_vars, m.slot_width
+    twice = ct.circuit_from_values(n + sw, 1 + n, [(1 << n) | (r >> sw) for r in range(1 << (n + sw))])
+    faulty = replace(m, successor_circuits=(m.successor_circuits[0], twice))
+    s = table.states()[0]
+    assert extract_policy(m, table, 2, s, 2) == 0
+    assert extract_policy_reference(faulty, table, 2, s, 2) == 0
+    with pytest.raises(md.ModelError, match=f"duplicate successor slot in enumerator for {m.actions[1]}"):
+        extract_policy(faulty, table, 2, s, 2)
 
 
 # ------------------------------------------------------- horizon and row checks
