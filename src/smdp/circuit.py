@@ -10,9 +10,10 @@ construction.
 Each circuit is compiled once to one integer instruction per gate: when it
 is constructed, or by `parse` line by line as it reads a netlist. `eval` and
 `eval_batch` both run that program in one kernel over Python ints used as
-bit vectors, one bit per input row. `shared_program` merges the programs of
-several circuits over the same inputs into one `Program`, each instruction
-kept once, which `eval_batch` runs as it runs a circuit.
+bit vectors, one bit per input row. `shared_program` replays several
+circuits over the same inputs through one `CircuitBuilder`, whose structural
+hashing keeps each gate once, and compiles them into one `Program`, which
+`eval_batch` runs as it runs a circuit.
 `eval_batch` takes either a bool array, which it packs into those column
 words and unpacks again, or the words themselves as `Columns`, which it
 returns as `Columns`: a caller that builds its inputs as words and reads its
@@ -167,9 +168,11 @@ def _run(c, vals: List[int], mask: int) -> List[int]:
 
 
 class Program:
-    """A compiled program with no `Gate` objects: the instructions, as
-    `_Compiler` columns, and the output slots. `eval_batch` runs it on
-    `Columns` or a bool array as it runs a circuit."""
+    """A compiled program: the instructions, as `_Compiler` columns, and the
+    output slots. `eval_batch` runs it on `Columns` or a bool array as it
+    runs a circuit. It holds no `Gate` objects, so a model that keeps one
+    gives the garbage collector nothing more to trace; a merged `Circuit`
+    kept in its place would hold thousands of them."""
 
     __slots__ = ("num_inputs", "_program", "_output_slots")
 
@@ -177,10 +180,6 @@ class Program:
         self.num_inputs = num_inputs
         self._program = program
         self._output_slots = output_slots
-
-    @property
-    def num_outputs(self) -> int:
-        return len(self._output_slots)
 
     @property
     def gates(self) -> Tuple[int, ...]:
@@ -191,33 +190,26 @@ class Program:
 
 def shared_program(circuits: Sequence[Circuit]) -> Program:
     """One program with the outputs of every circuit, in order, for circuits
-    that read the same inputs. Structural hashing across the circuits: an
-    instruction is kept once per (opcode, operand slots) after its operands
-    are mapped to the merged slots, the operands of AND, OR and XOR sorted."""
+    that read the same inputs. Each circuit's gates are replayed in order
+    through one `CircuitBuilder`, each input as itself, so its structural
+    hashing keeps each gate once however many circuits hold it. Only the
+    compiled instructions of the merged circuit are kept, not its gates."""
     num_inputs = circuits[0].num_inputs if circuits else 0
     if any(c.num_inputs != num_inputs for c in circuits):
         raise CircuitError("shared program needs circuits over the same inputs")
-    ops, a_slots, b_slots = columns = ([], [], [])
-    slot_of: Dict[Tuple[int, int, int], int] = {}
-    outputs: List[int] = []
+    b = CircuitBuilder(num_inputs)
+    emit = {
+        "AND": b.and_, "OR": b.or_, "XOR": b.xor, "NOT": b.not_,
+        "CONST0": lambda: b.const(0), "CONST1": lambda: b.const(1),
+    }
+    outputs: List[str] = []
     for c in circuits:
-        where = list(range(num_inputs))  # the circuit's slots, merged
-        for op, a, b in zip(*c._program):
-            if op >= _CONST0:
-                key = (op, 0, 0)
-            elif op == _NOT:
-                key = (op, where[a], 0)
-            else:
-                a, b = where[a], where[b]
-                key = (op, a, b) if a <= b else (op, b, a)
-            slot = slot_of.get(key)
-            if slot is None:
-                slot = slot_of[key] = num_inputs + len(ops)
-                for column, value in zip(columns, key):
-                    column.append(value)
-            where.append(slot)
-        outputs.extend(where[k] for k in c._output_slots)
-    return Program(num_inputs, (tuple(ops), tuple(a_slots), tuple(b_slots)), tuple(outputs))
+        merged: Dict[str, str] = {}  # the circuit's gate refs, merged
+        for g in c.gates:
+            merged[f"g{g.gid}"] = emit[g.kind](*[merged.get(r, r) for r in g.args])
+        outputs.extend(merged.get(r, r) for r in c.outputs)
+    built = b.build(outputs)
+    return Program(num_inputs, built._program, built._output_slots)
 
 
 def size(c) -> int:
@@ -509,6 +501,8 @@ def parse(text: str) -> Circuit:
         if kw == "circuit":
             if len(parts) != 2:
                 raise NetlistError("circuit line needs a name", lineno)
+            if name is not None:
+                raise NetlistError("second circuit declaration", lineno)
             name = parts[1]
         elif kw == "inputs":
             if len(parts) != 2 or not parts[1].isdigit():
@@ -535,6 +529,8 @@ def parse(text: str) -> Circuit:
         elif kw == "outputs":
             if num_inputs is None:
                 raise NetlistError("outputs before inputs declaration", lineno)
+            if outputs is not None:
+                raise NetlistError("second outputs declaration", lineno)
             try:
                 for ref in parts[1:]:
                     compiled.slot(ref)

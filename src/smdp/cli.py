@@ -228,7 +228,7 @@ def _cmd_check_consistency(args, parser) -> int:
 
 
 def _cmd_extract_policy(args, parser) -> int:
-    m, declared = md.load_mdp(args.mdp)
+    m, _ = md.load_mdp(args.mdp)
     if not m.successor_circuits:
         parser.error("policy extraction needs a bounded-action manifest (successor lines)")
     v = load_valuefn(args.valuefn)

@@ -37,6 +37,8 @@ def parse_dimacs(text: str) -> Cnf:
             parts = line.split()
             if len(parts) != 4 or parts[1] != "cnf":
                 raise CnfError(f"line {lineno}: malformed problem line {line!r}")
+            if num_vars is not None:
+                raise CnfError(f"line {lineno}: second problem line")
             try:
                 num_vars, num_clauses = int(parts[2]), int(parts[3])
             except ValueError:

@@ -151,6 +151,9 @@ class SuccinctMdp:
             raise ModelError("initial state width does not match variable count")
         if not self.actions:
             raise ModelError("need at least one action")
+        if len(set(self.actions)) < len(self.actions):
+            twice = next(a for k, a in enumerate(self.actions) if a in self.actions[:k])
+            raise ModelError(f"action name {twice} is repeated")
         if self.prob_denominator < 1:
             raise ModelError("probability denominator must be positive")
         want_t = 2 * n + self.action_width

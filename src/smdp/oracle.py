@@ -192,8 +192,6 @@ def _enumerate_candidate_circuits(
             for kind, args in choices:
                 yield from rec(gates + [ct.Gate(len(gates), kind, args)])
 
-    if num_inputs == 0 and max_gates == 0:
-        return
     yield from rec([])
 
 

@@ -15,12 +15,12 @@ import random
 import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from . import circuit as ct
 from . import mdp as md
 from . import oracle
-from .bits import row_tuples
+from .bits import row_tuples, width_for_count
 from .cnf import Cnf
 from .evaluator import enumerate_trajectories, expected_reward_exact
 from .policy import compile_explicit, load_policy, save_policy
@@ -33,7 +33,7 @@ from .reductions import (
     unsat_to_consistency,
     xy_sequential_policy,
 )
-from .valuefn import check_consistency, load_valuefn, save_valuefn, value_of_policy
+from .valuefn import ValueCircuit, check_consistency, load_valuefn, save_valuefn, value_of_policy
 
 
 @dataclass(frozen=True)
@@ -52,16 +52,16 @@ def _all_triple_clauses(n: int) -> List[Tuple[int, ...]]:
     return [tuple(c) for c in itertools.combinations_with_replacement(lits, 3)]
 
 
-def _grid_cnfs(n: int, max_clauses: int = 3) -> Iterable[Cnf]:
+def _grid_cnfs(n: int) -> Iterable[Cnf]:
     clauses = _all_triple_clauses(n)
-    for k in range(1, max_clauses + 1):
+    for k in range(1, 4):
         for combo in itertools.combinations(clauses, k):
             yield Cnf(n, combo)
 
 
-def _random_triple_cnf(rng: random.Random, n: int, max_clauses: int = 3) -> Cnf:
+def _random_triple_cnf(rng: random.Random, n: int) -> Cnf:
     clauses = _all_triple_clauses(n)
-    k = rng.randint(1, max_clauses)
+    k = rng.randint(1, 3)
     return Cnf(n, tuple(rng.sample(clauses, k)))
 
 
@@ -292,16 +292,27 @@ def suite_normalization(cases: int = 20, seed: int = 0) -> List[VerifyRow]:
 
 
 def suite_roundtrip(cases: int = 10, seed: int = 0) -> List[VerifyRow]:
+    """Save and load a model, a policy and a value circuit per case. The
+    value circuits are drawn from their own generator, so the models,
+    policies and horizons are those of the seed alone."""
     rng = random.Random(seed)
+    value_rng = random.Random(f"roundtrip value circuits {seed}")
     rows = []
     for case in range(cases):
         rm = random_bounded_mdp(rng, rng.randint(1, 3), rng.randint(1, 3))
         policy = random_stationary_policy(rng, rm.mdp.num_vars, len(rm.mdp.actions))
         horizon = rng.randint(1, 4)
+        n = rm.mdp.num_vars
+        E = ValueCircuit(
+            random_circuit(value_rng, n + width_for_count(horizon + 1), 10, 4),
+            horizon,
+            value_denominator=value_rng.randint(1, 9),
+        )
         with tempfile.TemporaryDirectory() as tmp:
             manifest = md.save_mdp(rm.mdp, tmp, horizon=horizon)
             m2, h2 = md.load_mdp(manifest)
             p2 = load_policy(save_policy(policy, tmp))
+            E2 = load_valuefn(save_valuefn(E, tmp))
             em = md.expand(rm.mdp)
             table = value_of_policy(em, policy, horizon)
             before = expected_reward_exact(rm.mdp, policy, horizon).expected_reward
@@ -311,6 +322,11 @@ def suite_roundtrip(cases: int = 10, seed: int = 0) -> List[VerifyRow]:
                 and h2 == horizon
                 and ct.serialize(m2.t_circuit) == ct.serialize(rm.mdp.t_circuit)
                 and table.value(tuple(rm.mdp.initial), horizon) == before
+                and all(
+                    E2.value(s, i) == E.value(s, i)
+                    for s in row_tuples(ct.all_input_rows(n))
+                    for i in range(horizon + 1)
+                )
             )
         rows.append(
             VerifyRow(

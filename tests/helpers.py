@@ -2,7 +2,9 @@
 integer code paths are compared against (the scalar policy extraction from
 a value function among them), the sample-by-sample Monte-Carlo walk that
 the lockstep sampler is compared against, the truth-table policy search
-that the bounded-size search is compared against, the assignment-by-assignment SAT-family oracles that the truth-column
+that the bounded-size search is compared against, the instruction-level
+merge that the successor program built through `CircuitBuilder` is compared
+against, the assignment-by-assignment SAT-family oracles that the truth-column
 oracles are compared against, and the quadratic-size append condition,
 majsat reward and double-mux enumerators that the linear-size sequence
 circuits are compared against."""
@@ -24,6 +26,43 @@ from smdp.bits import BitVector, bits_to_int, int_to_bits, row_tuples, unsigned_
 from smdp.evaluator import McEstimate, RewardReport
 from smdp.policy import ExplicitPolicy, PolicyError, StationaryPolicy
 from smdp.valuefn import InconsistentValueError, ValueCircuit, ValueFunctionError
+
+
+def shared_program_reference(circuits) -> ct.Program:
+    """`ct.shared_program` as a merge of compiled instructions: an
+    instruction is kept once per (opcode, operand slots) after its operands
+    are mapped to the merged slots, the operands of AND, OR and XOR sorted.
+    It folds nothing, so a circuit without constants, repeated operands or
+    double negations merges to the same instructions as through the builder."""
+    num_inputs = circuits[0].num_inputs if circuits else 0
+    ops, a_slots, b_slots = columns = ([], [], [])
+    slot_of: Dict[Tuple[int, int, int], int] = {}
+    outputs: List[int] = []
+    for c in circuits:
+        assert c.num_inputs == num_inputs
+        where = list(range(num_inputs))  # the circuit's slots, merged
+        for op, a, b in zip(*c._program):
+            if op >= ct._CONST0:
+                key = (op, 0, 0)
+            elif op == ct._NOT:
+                key = (op, where[a], 0)
+            else:
+                a, b = where[a], where[b]
+                key = (op, a, b) if a <= b else (op, b, a)
+            slot = slot_of.get(key)
+            if slot is None:
+                slot = slot_of[key] = num_inputs + len(ops)
+                for column, value in zip(columns, key):
+                    column.append(value)
+            where.append(slot)
+        outputs.extend(where[k] for k in c._output_slots)
+    return ct.Program(num_inputs, (tuple(ops), tuple(a_slots), tuple(b_slots)), tuple(outputs))
+
+
+def constant_circuit(num_inputs: int, num_outputs: int) -> ct.Circuit:
+    """A circuit of the given shape whose every output is 0."""
+    b = ct.CircuitBuilder(num_inputs)
+    return b.build([b.const(0)] * num_outputs)
 
 
 def transition_pairs(em, k, a):

@@ -120,6 +120,10 @@ def test_netlist_parse_errors_carry_line_numbers():
         ct.parse("circuit c\ninputs 1\ngate g0 NOT i0\noutputs g9\n")
     with pytest.raises(ct.NetlistError, match="line 3: second inputs declaration"):
         ct.parse("inputs 2\ngate g0 AND i0 i1\ninputs 1\noutputs g0\n")
+    with pytest.raises(ct.NetlistError, match="^line 4: second outputs declaration$"):
+        ct.parse("circuit a\ninputs 1\noutputs i0\noutputs i0 i0\n")
+    with pytest.raises(ct.NetlistError, match="^line 3: second circuit declaration$"):
+        ct.parse("circuit a\ninputs 1\ncircuit b\noutputs i0\n")
 
 
 def test_refs_must_be_spelled_as_serialized():

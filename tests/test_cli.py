@@ -20,13 +20,13 @@ def write_cnf(tmp_path, cnf, name="f.cnf"):
     return str(path)
 
 
-def coin_files(tmp_path):
+def coin_files(tmp_path, horizon=3):
     b = ct.CircuitBuilder(3)
     t = b.build([b.const(1)])
     rb = ct.CircuitBuilder(1)
     r = rb.build([rb.const(0), rb.inp(0)])
     m = md.SuccinctMdp(("x1",), (0,), ("toss",), t, r, prob_denominator=2)
-    mpath = md.save_mdp(m, tmp_path, horizon=3)
+    mpath = md.save_mdp(m, tmp_path, horizon=horizon)
     pb = ct.CircuitBuilder(1)
     ppath = save_policy(StationaryPolicy(pb.build([pb.const(0)]), 1), tmp_path)
     return str(mpath), str(ppath)
@@ -256,6 +256,53 @@ def test_check_consistency_rejects_horizon_out_of_range(tmp_path, capsys, horizo
     assert f"horizon {horizon} out of range 0..3" in err and "Traceback" not in err
     code, text, _ = run(args + ["--horizon", "3"], capsys)
     assert code == 2 and "inconsistent at state 000" in text
+
+
+@pytest.mark.parametrize(
+    "argv, code, out, err",
+    [
+        (
+            ["extract-policy", "{inst}/mdp.manifest", "{inst}/valuefn.manifest",
+             "--state", "1", "--step", "1"],
+            2,
+            "no action: no action matches E(s,1) - r(s) = -1 at state (1,)\n",
+            [],
+        ),
+        (
+            ["check-consistency", "{plain}/mdp.manifest", "{inst}/valuefn.manifest"],
+            1,
+            "",
+            ["smdp: error: consistency checking needs a bounded-action manifest (successor lines)"],
+        ),
+        (
+            ["extract-policy", "{plain}/mdp.manifest", "{inst}/valuefn.manifest",
+             "--state", "1", "--step", "1"],
+            1,
+            "",
+            ["smdp: error: policy extraction needs a bounded-action manifest (successor lines)"],
+        ),
+        (
+            ["eval", "{plain}/mdp.manifest", "{plain}/policy.manifest"],
+            1,
+            "",
+            ["smdp: error: no horizon: the manifest declares none, pass --horizon"],
+        ),
+    ],
+    ids=["no-action", "consistency-plain", "extraction-plain", "no-horizon"],
+)
+def test_refusals_and_the_no_action_answer(tmp_path, capsys, argv, code, out, err):
+    # a satisfiable formula: the all-zero value function misses the reward of its model 1
+    cnf = write_cnf(tmp_path, Cnf(1, ((1,),)))
+    assert run(["gen-unsatcons", cnf, "-o", str(tmp_path / "inst")], capsys)[0] == 0
+    coin_files(tmp_path / "plain", horizon=None)  # no successor lines, no horizon
+    argv = [arg.format(inst=tmp_path / "inst", plain=tmp_path / "plain") for arg in argv]
+    try:
+        got = main(argv)
+    except SystemExit as exc:  # a usage error
+        got = exc.code
+    printed = capsys.readouterr()
+    assert got == code and printed.out == out
+    assert printed.err.splitlines()[-1:] == err  # the last line, after the usage
 
 
 def test_extract_policy_reads_successors_of_a_value_circuit(tmp_path, capsys):

@@ -23,6 +23,8 @@ def test_parse_errors():
         parse_dimacs("p cnf 2 1\n1 2\n")
     with pytest.raises(CnfError, match="out of range"):
         parse_dimacs("p cnf 1 1\n2 0\n")
+    with pytest.raises(CnfError, match="^line 3: second problem line$"):
+        parse_dimacs("p cnf 1 1\n1 0\np cnf 5 1\n")
 
 
 def test_literal_range_checked():

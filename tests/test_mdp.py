@@ -20,7 +20,14 @@ from smdp.reductions import (
     unsat_to_consistency,
 )
 
-from helpers import closure_depths, step_reference, transition_pairs, transition_prob
+from helpers import (
+    closure_depths,
+    constant_circuit,
+    shared_program_reference,
+    step_reference,
+    transition_pairs,
+    transition_prob,
+)
 
 
 def make_random(seed=0, **kw):
@@ -381,6 +388,67 @@ def test_load_rejects_repeated_successor_line(tmp_path):
     with open(manifest, "a") as fh:
         fh.write(first.replace("succ_u1", "succ_u2") + "\n")
     with pytest.raises(md.ModelError, match="second successor line for action u1"):
+        md.load_mdp(manifest)
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"initial": (0,)}, "initial state width does not match variable count"),
+        ({"actions": ()}, "need at least one action"),
+        ({"actions": ("u", "u")}, "action name u is repeated"),
+        ({"prob_denominator": 0}, "probability denominator must be positive"),
+        ({"t_circuit": constant_circuit(6, 3)}, "transition circuit takes 6 inputs, expected 7"),
+        ({"r_circuit": constant_circuit(2, 4)}, "reward circuit takes 2 inputs, expected 3"),
+        (
+            {"r_circuit": constant_circuit(3, 0)},
+            "transition and reward circuits need at least one output",
+        ),
+        (
+            {"successor_circuits": (constant_circuit(5, 4),)},
+            "need one successor circuit per action",
+        ),
+        ({"max_branching": 0}, "max branching must be positive"),
+        (
+            {"successor_circuits": (constant_circuit(4, 4), constant_circuit(5, 4))},
+            "successor circuit for u1 takes 4 inputs, expected 5",
+        ),
+        (
+            {"successor_circuits": (constant_circuit(5, 4), constant_circuit(5, 3))},
+            "successor circuit for u2 has 3 outputs, expected 4",
+        ),
+    ],
+)
+def test_a_model_with_mismatched_parts_is_refused(change, message):
+    m = make_random(9, num_actions=2).mdp  # 3 state bits, 2 actions, branching 3
+    with pytest.raises(md.ModelError, match=f"^{re.escape(message)}$"):
+        replace(m, **change)
+
+
+@pytest.mark.parametrize(
+    "pattern, repl, message",
+    [
+        (r"branching 3", "branches 3", r"line 10: malformed successor line"),
+        (r"successor u2 .*\n", "", r"successor lines must cover every action exactly once"),
+        (r"(successor u2 .* branching )3", r"\g<1>2", r"successor lines disagree on branching"),
+        (r"init 001", "init 0a1", r"bad init bitstring '0a1'"),
+        # one action named twice, with one successor line for it
+        (
+            r"(?s)actions u1 u2(.*)successor u2 [^\n]*\n",
+            r"actions u1 u1\1",
+            "action name u1 is repeated",
+        ),
+        (r"prob_width 3", "prob_width 4", "declared prob_width does not match transition circuit"),
+        (r"reward_width 4", "reward_width 2", "declared reward_width does not match reward circuit"),
+    ],
+)
+def test_load_refuses_a_manifest_that_disagrees_with_itself(tmp_path, pattern, repl, message):
+    manifest = md.save_mdp(make_random(9, num_actions=2).mdp, tmp_path)
+    with open(manifest) as fh:
+        text = fh.read()
+    with open(manifest, "w") as fh:
+        fh.write(re.sub(pattern, repl, text, count=1))
+    with pytest.raises(md.ModelError, match=f"^{message}$"):
         md.load_mdp(manifest)
 
 
@@ -848,6 +916,45 @@ def test_shared_successor_program_slices_match_each_enumerator(source):
         assert ct.size(program) <= sum(map(ct.size, circuits))
         merged += ct.size(program) < sum(map(ct.size, circuits))
     assert merged >= 3  # the cases hold gates that repeat across or within circuits
+
+
+def _slot_ordered(program):
+    """A program's instructions, the operands of AND, OR and XOR in slot
+    order, and its output slots."""
+    commutative = (ct._AND, ct._OR, ct._XOR)
+    return [
+        (op, *sorted((a, b))) if op in commutative else (op, a, b)
+        for op, a, b in zip(*program._program)
+    ], program._output_slots
+
+
+def _differential_models():
+    """Models from every reduction at a few sizes, and random models."""
+    rng = random.Random(30)
+    for n, k in ((1, 1), (2, 3), (2, 5), (3, 2)):
+        clauses = [[rng.choice((1, -1)) * rng.randint(1, n) for _ in range(3)] for _ in range(k)]
+        cnf = Cnf(n, tuple(map(tuple, clauses)))
+        yield sat_to_next_action(cnf, mode="compact").mdp
+        yield majsat_to_eval(cnf).mdp
+        yield emajsat_to_bounded_policy(Cnf(2 * n, cnf.clauses), n).mdp
+        yield unsat_to_consistency(cnf).mdp
+    for seed in range(20):
+        yield make_random(
+            seed, num_vars=1 + seed % 4, num_actions=1 + seed % 4, max_branching=2 + seed % 3
+        ).mdp
+
+
+def test_shared_program_merges_as_the_instruction_level_reference():
+    models = 0
+    for m in _differential_models():
+        circuits = m.successor_circuits
+        if not circuits:
+            continue
+        got, want = ct.shared_program(circuits), shared_program_reference(circuits)
+        assert ct.size(got) == ct.size(want)
+        assert _slot_ordered(got) == _slot_ordered(want)
+        models += 1
+    assert models >= 30
 
 
 def test_expand_many_steps_every_action_of_a_layer_in_one_successor_call(monkeypatch):

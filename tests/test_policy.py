@@ -18,6 +18,8 @@ from smdp.policy import (
 )
 from smdp.random_models import random_circuit
 
+from helpers import constant_circuit
+
 
 def test_stationary_decides_from_circuit():
     b = ct.CircuitBuilder(2)
@@ -263,3 +265,33 @@ def test_decide_batch_equals_the_per_row_calls_for_every_kind():
                     want = _outcome(lambda: _one_per_row(p, rows, depth, steps))
                     assert _outcome(lambda: p.decide_batch(arr, depth, steps)) == want
                     assert _outcome(lambda: p.decide_batch(rows, depth, steps)) == want
+
+
+def _load_of_kind(tmp_path, kind):
+    manifest = save_policy(StationaryPolicy(constant_circuit(2, 1), 2), tmp_path)
+    with open(manifest) as fh:
+        text = fh.read()
+    with open(manifest, "w") as fh:
+        fh.write(text.replace("kind stationary", f"kind {kind}"))
+    return load_policy(manifest)
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        # horizon 2 over 2 state bits reads 3·2 state bits and 2 step-index bits
+        (
+            lambda tmp: HistoryPolicy(constant_circuit(7, 1), 2, horizon=2, num_vars=2),
+            "history policy takes 7 inputs, expected 8",
+        ),
+        (
+            lambda tmp: HistoryPolicy(constant_circuit(8, 2), 2, horizon=2, num_vars=2),
+            "history policy output width does not match action count",
+        ),
+        (lambda tmp: _load_of_kind(tmp, "timed"), "unknown policy kind 'timed'"),
+    ],
+    ids=["inputs", "outputs", "kind"],
+)
+def test_a_malformed_policy_is_refused(tmp_path, make, message):
+    with pytest.raises(PolicyError, match=f"^{re.escape(message)}$"):
+        make(tmp_path)

@@ -9,6 +9,7 @@ import pytest
 
 from smdp import circuit as ct
 from smdp import mdp as md
+from smdp import verify
 from smdp.bits import int_to_bits, width_for_count
 from smdp.cnf import Cnf
 from smdp.policy import ExplicitPolicy, TimedExplicitPolicy
@@ -32,7 +33,7 @@ from smdp.valuefn import (
     value_of_policy,
 )
 
-from helpers import extract_policy_reference, reward_circuit_calls
+from helpers import constant_circuit, extract_policy_reference, reward_circuit_calls
 
 
 def test_value_table_base_case_is_reward():
@@ -152,6 +153,46 @@ def test_value_circuit_signed_reading_and_io(tmp_path):
     assert v2.value((1, 0), 1) == Fraction(-1, 4)
     table = v2.value_table([(0, 0), (1, 1)])
     assert table.value((1, 1), 2) == Fraction(-1, 4)
+
+
+def _load_declaring_width(tmp_path, width):
+    manifest = save_valuefn(ValueCircuit(constant_circuit(3, 2), 1, 1), tmp_path)
+    with open(manifest) as fh:
+        text = fh.read()
+    with open(manifest, "w") as fh:
+        fh.write(text.replace("value_width 2", f"value_width {width}"))
+    return load_valuefn(manifest)
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda tmp: ValueCircuit(constant_circuit(3, 2), -1, 1), "horizon must be >= 0, got -1"),
+        (lambda tmp: ValueCircuit(constant_circuit(3, 2), 1, 0), "value denominator must be positive"),
+        # horizon 2 takes 2 step-index bits, so 2 inputs leave no state bits
+        (lambda tmp: ValueCircuit(constant_circuit(2, 2), 2, 1), "value circuit has no state inputs"),
+        (
+            lambda tmp: _load_declaring_width(tmp, 3),
+            "declared value_width 3 does not match circuit output width 2",
+        ),
+    ],
+    ids=["horizon", "denominator", "no-state-inputs", "declared-width"],
+)
+def test_a_malformed_value_circuit_is_refused(tmp_path, make, message):
+    with pytest.raises(ValueFunctionError, match=f"^{re.escape(message)}$"):
+        make(tmp_path)
+
+
+def test_roundtrip_suite_round_trips_value_circuits(monkeypatch):
+    rows = verify.run_suite("roundtrip")
+    assert rows and all(row.ok for row in rows)
+
+    def wrong_denominator(path):
+        E = load_valuefn(path)
+        return replace(E, value_denominator=E.value_denominator + 1)
+
+    monkeypatch.setattr(verify, "load_valuefn", wrong_denominator)
+    assert not all(row.ok for row in verify.run_suite("roundtrip", cases=10))
 
 
 def test_value_table_reads_wide_outputs_like_value():
