@@ -149,6 +149,7 @@ class SuccinctMdp:
         n = len(self.var_names)
         if len(self.initial) != n:
             raise ModelError("initial state width does not match variable count")
+        _check_state(self.initial, n, "initial state")
         if not self.actions:
             raise ModelError("need at least one action")
         if len(set(self.actions)) < len(self.actions):

@@ -22,6 +22,18 @@ present. The transition circuit reads the appended slot once, whatever the
 number of codes, and each enumerator (`_append_enumerator`) muxes each slot
 bit once, so both grow linearly in the sequence length; the majsat reward
 checks each variable's presence once and leaves the rest to pigeonhole.
+
+Three helpers hold what the constructions share. `_length_policy` builds
+every sequential policy (take action a_k at length k), with an optional
+first case for a choice the length does not make (next action's S or U);
+`_block_sat` reads the next-action clause block, from the tail
+assignment's wires in the reward and from each assignment's literal codes
+in the policy; `_running_ands` builds the prefix and suffix AND chains of
+the append transition and of the variable-flip transition. Each takes a
+callback for the wires it reads rather than a list, so a gate the callback
+builds lands where the helper first reads it: building such wires up front
+would move NOT and equality gates ahead of the ANDs and change the
+netlists' gate order, which the golden netlist tests pin.
 """
 
 from __future__ import annotations
@@ -176,13 +188,7 @@ class _SeqPair:
             for j in range(layout.max_length)
         ]
         # all slots equal except position k
-        pre = [b.const(1)]
-        for j in range(layout.max_length):
-            pre.append(b.and_(pre[-1], self.slot_same[j]))
-        suf = [b.const(1)]
-        for j in range(layout.max_length - 1, -1, -1):
-            suf.append(b.and_(suf[-1], self.slot_same[j]))
-        suf.reverse()
+        pre, suf = _running_ands(b, layout.max_length, self.slot_same.__getitem__)
         self.others_same = [
             b.and_(pre[k], suf[k + 1]) for k in range(layout.max_length)
         ]
@@ -205,6 +211,21 @@ class _SeqPair:
         return self.b.eq_const(self.appended_code, code)
 
 
+def _running_ands(b, count: int, wire) -> Tuple[List[str], List[str]]:
+    """Prefix and suffix AND chains over ``wire(0)..wire(count - 1)``:
+    ``pre[k]`` is the AND of the wires before k, ``suf[k]`` of those from k
+    on. The chains call `wire` in their own order, so a gate it builds lands
+    where the chain first reads it."""
+    pre = [b.const(1)]
+    for j in range(count):
+        pre.append(b.and_(pre[-1], wire(j)))
+    suf = [b.const(1)]
+    for j in range(count - 1, -1, -1):
+        suf.append(b.and_(suf[-1], wire(j)))
+    suf.reverse()
+    return pre, suf
+
+
 def _assignment_wires(b, view: _SeqView, tail_offset: int, n: int) -> List[str]:
     """True-wires for variables 1..n read off ordered tail slots."""
     # positive literal codes are even, so the slot LSB is the negation flag
@@ -220,6 +241,33 @@ def _cnf_sat_wire(b, cnf: Cnf, var_true: Sequence[str]) -> str:
         ]
         clause_wires.append(b.or_all(lits))
     return b.and_all(clause_wires)
+
+
+def _block_sat(b, m: int, n: int, literals) -> str:
+    """Every clause of an m-clause block of three-literal slots has a true
+    literal. ``literals(slot, i)`` lists the wires that make the literal of
+    variable i in `slot` true; it is called slot by slot, so its gates are
+    built clause by clause."""
+    return b.and_all([
+        b.or_all([w for p in range(3) for i in range(1, n + 1) for w in literals(3 * c + p, i)])
+        for c in range(m)
+    ])
+
+
+def _length_policy(
+    layout, by_length: Sequence[int], action_count: int, circuit_name: str, name: str,
+    first=None,
+) -> StationaryPolicy:
+    """The policy that takes action ``by_length[k]`` at sequence length k,
+    and action 0 where that is 0 or past the list. ``first(view)``, when
+    given, returns (wire, action) cases ahead of those, for a choice that
+    the length alone does not make; it is called before any length test."""
+    b = CircuitBuilder(layout.state_width)
+    v = _SeqView(b, layout, 0)
+    cases = first(v) if first else []
+    cases += [(v.len_eq(k), a) for k, a in enumerate(by_length) if a]
+    out = b.select_value(cases, width_for_count(action_count))
+    return StationaryPolicy(b.build(out, circuit_name), action_count, name=name)
 
 
 def _room(view: _SeqView, action: str) -> str:
@@ -469,18 +517,10 @@ def _satnext_reward(layout: SequenceStateLayout, m: int, n: int) -> Circuit:
     is_sat_m = v.slot_is(block, layout.sat_code)
     is_unsat_m = v.slot_is(block, layout.unsat_code)
     var_true = _assignment_wires(b, v, block + 1, n)
-    clause_wires = []
-    for c in range(m):
-        lits = []
-        for p in range(3):
-            slot = 3 * c + p
-            for i in range(1, n + 1):
-                lits.append(b.and_(v.slot_is(slot, 2 * i), var_true[i - 1]))
-                lits.append(
-                    b.and_(v.slot_is(slot, 2 * i + 1), b.not_(var_true[i - 1]))
-                )
-        clause_wires.append(b.or_all(lits))
-    formula_sat = b.and_all(clause_wires)
+    formula_sat = _block_sat(b, m, n, lambda slot, i: [
+        b.and_(v.slot_is(slot, 2 * i), var_true[i - 1]),
+        b.and_(v.slot_is(slot, 2 * i + 1), b.not_(var_true[i - 1])),
+    ])
     width = n + 3  # holds 2^(n+1) as a positive two's-complement value
     cases = [
         (b.and_(proper, is_unsat_m), 2),
@@ -495,32 +535,25 @@ def _satnext_optimal_policy(
 ) -> StationaryPolicy:
     """A for the clause block, then S iff the encoded formula is satisfiable
     (exhaustive disjunction over assignments), then the tail coin flips."""
-    b = CircuitBuilder(layout.state_width)
-    v = _SeqView(b, layout, 0)
     block = layout.clause_block
-    sat_any = []
-    for truth in all_input_rows(n).tolist():
-        clause_wires = []
-        for c in range(m):
-            lits = []
-            for p in range(3):
-                slot = 3 * c + p
-                for i in range(1, n + 1):
-                    code = 2 * i if truth[i - 1] else 2 * i + 1
-                    lits.append(v.slot_is(slot, code))
-            clause_wires.append(b.or_all(lits))
-        sat_any.append(b.and_all(clause_wires))
-    satisfiable = b.or_all(sat_any)
-    at_block = v.len_eq(block)
-    cases: List[Tuple[str, int]] = [
-        (b.and_(at_block, satisfiable), 1),  # S
-        (b.and_(at_block, b.not_(satisfiable)), 2),  # U
-    ]
-    for i in range(1, n + 1):
-        cases.append((v.len_eq(block + i), 2 + i))  # a_i
-    out = b.select_value(cases, width_for_count(action_count))  # default: A
-    return StationaryPolicy(
-        b.build(out, "p_satnext"), action_count, name="satnext_optimal"
+
+    def sat_or_unsat(v: _SeqView) -> List[Tuple[str, int]]:
+        b = v.b
+        # some assignment makes a literal of every clause true
+        satisfiable = b.or_all([
+            _block_sat(b, m, n, lambda slot, i: [
+                v.slot_is(slot, 2 * i if truth[i - 1] else 2 * i + 1)
+            ])
+            for truth in all_input_rows(n).tolist()
+        ])
+        at_block = v.len_eq(block)
+        return [(b.and_(at_block, satisfiable), 1), (b.and_(at_block, b.not_(satisfiable)), 2)]
+
+    # A (action 0) while the clause block fills, S or U (the first cases) at
+    # its length, then a_i
+    by_length = [0] * (block + 1) + [2 + i for i in range(1, n + 1)]
+    return _length_policy(
+        layout, by_length, action_count, "p_satnext", "satnext_optimal", first=sat_or_unsat
     )
 
 
@@ -538,11 +571,7 @@ def majsat_to_eval(cnf: Cnf) -> ReductionInstance:
     mdp = _append_mdp(
         layout, actions, appends, 2, _room, _majsat_reward(layout, cnf), "majsat", "t_coin"
     )
-    aw = width_for_count(len(actions))
-    b = CircuitBuilder(layout.state_width)
-    v = _SeqView(b, layout, 0)
-    out = b.select_value([(v.len_eq(k), k) for k in range(1, n)], aw)
-    policy = StationaryPolicy(b.build(out, "p_majsat"), len(actions), name="majsat_seq")
+    policy = _length_policy(layout, range(n), len(actions), "p_majsat", "majsat_seq")
     return ReductionInstance(
         name="majsat",
         mdp=mdp,
@@ -636,20 +665,10 @@ def xy_sequential_policy(
     n = layout.num_formula_vars // 2
     if len(x_assignment) != n:
         raise ReductionError(f"need {n} X-assignment bits")
-    b = CircuitBuilder(layout.state_width)
-    v = _SeqView(b, layout, 0)
-    aw = width_for_count(len(mdp.actions))
-    cases = []
-    for k in range(n):
-        idx = k if x_assignment[k] else n + k  # b_{k+1} or c_{k+1}
-        if idx != 0:
-            cases.append((v.len_eq(k), idx))
-    for k in range(n, 2 * n):
-        cases.append((v.len_eq(k), 2 * n + (k - n)))  # a_{k-n+1}
-    out = b.select_value(cases, aw)
-    return StationaryPolicy(
-        b.build(out, "p_xy_seq"), len(mdp.actions), name="xy_sequential"
-    )
+    # b_{k+1} or c_{k+1} at length k < n, then a_{k-n+1}
+    by_length = [k if x else n + k for k, x in enumerate(x_assignment)]
+    by_length += range(2 * n, 3 * n)
+    return _length_policy(layout, by_length, len(mdp.actions), "p_xy_seq", "xy_sequential")
 
 
 def emajsat_to_bounded_policy(cnf: Cnf, num_x: int, faithful_k: bool = False) -> ReductionInstance:
@@ -695,13 +714,7 @@ def unsat_to_consistency(cnf: Cnf) -> ReductionInstance:
     s2 = [tb.inp(n + i) for i in range(n)]
     a0 = tb.not_(tb.inp(2 * n))
     diff = [tb.xor(x, y) for x, y in zip(s, s2)]
-    pre = [tb.const(1)]
-    for d in diff:
-        pre.append(tb.and_(pre[-1], tb.not_(d)))
-    suf = [tb.const(1)]
-    for d in reversed(diff):
-        suf.append(tb.and_(suf[-1], tb.not_(d)))
-    suf.reverse()
+    pre, suf = _running_ands(tb, n, lambda i: tb.not_(diff[i]))
     exactly_one = tb.or_all(
         [tb.and_all([pre[i], diff[i], suf[i + 1]]) for i in range(n)]
     )

@@ -61,6 +61,8 @@ class ValueCircuit:
             raise ValueFunctionError("value denominator must be positive")
         if self.circuit.num_inputs <= self.step_width:
             raise ValueFunctionError("value circuit has no state inputs")
+        if self.circuit.num_outputs < 1:
+            raise ValueFunctionError("value circuit has no outputs")
 
     @property
     def step_width(self) -> int:

@@ -417,6 +417,11 @@ def test_load_rejects_repeated_successor_line(tmp_path):
             {"successor_circuits": (constant_circuit(5, 4), constant_circuit(5, 3))},
             "successor circuit for u2 has 3 outputs, expected 4",
         ),
+        # a bit that is not 0/1 (last, so the index ids of the rows above stay)
+        (
+            {"initial": (2, 0, 0)},
+            "initial state (2, 0, 0) is not a 0/1 state of width 3 (it has width 3)",
+        ),
     ],
 )
 def test_a_model_with_mismatched_parts_is_refused(change, message):

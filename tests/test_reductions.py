@@ -310,6 +310,44 @@ def test_satnext_expansion_is_stable():
     assert digest.hexdigest() == want
 
 
+def test_reduction_circuits_are_byte_stable_over_a_wide_grid():
+    # the netlist text of every transition, reward, successor, policy and
+    # value circuit of: next action compact at n = 1..4 with 1..3 seeded
+    # clauses and faithful at n = 1, majsat at n = 1..11, unsatcons at
+    # n = 1..10, and emajsat at num_x = 1..3 with the sequential policy of
+    # every X-assignment
+    rng = random.Random(0)
+
+    def cnf(n, count, width=3):
+        clauses = [
+            tuple(rng.choice((1, -1)) * rng.randint(1, n) for _ in range(width))
+            for _ in range(count)
+        ]
+        return Cnf(n, tuple(clauses))
+
+    instances = [sat_to_next_action(cnf(n, k)) for n in range(1, 5) for k in range(1, 4)]
+    instances.append(sat_to_next_action(cnf(1, 1), mode="faithful"))
+    instances += [majsat_to_eval(cnf(n, n, 2)) for n in range(1, 12)]
+    instances += [unsat_to_consistency(cnf(n, n, 2)) for n in range(1, 11)]
+    policies = []
+    for num_x in range(1, 4):
+        inst = emajsat_to_bounded_policy(cnf(2 * num_x, 2 * num_x, 2), num_x)
+        instances.append(inst)
+        for xs in itertools.product((False, True), repeat=num_x):
+            policies.append(xy_sequential_policy(inst.mdp, inst.layout, xs))
+    digest = hashlib.sha256()
+    for inst in instances:
+        m = inst.mdp
+        circuits = [m.t_circuit, m.r_circuit, *m.successor_circuits]
+        circuits += [o.circuit for o in (inst.policy, inst.value) if o is not None]
+        for c in circuits:
+            digest.update(ct.serialize(c).encode())
+    for p in policies:
+        digest.update(ct.serialize(p.circuit).encode())
+    want = "c3e3652fceccc4b758351ac13090023908dce158897e39b7b52ce277986ed0c3"
+    assert digest.hexdigest() == want
+
+
 def test_sequence_circuits_match_the_quadratic_references(monkeypatch):
     # the linear-size append condition, majsat reward and enumerators against
     # the per-code slot tests, pairwise distinct-variable tests and

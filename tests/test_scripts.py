@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -48,6 +49,13 @@ def test_gen_examples_imports_from_a_checkout(tmp_path):
         assert names == sorted(p.name for p in out.iterdir())
         for name in names:
             assert (made / name).read_bytes() == (out / name).read_bytes(), f"{sub}/{name}"
+    # the bytes of every gallery file, its netlists, manifests and answers
+    digest = hashlib.sha256()
+    for path in sorted(p for p in gallery.rglob("*") if p.is_file()):
+        digest.update(path.relative_to(gallery).as_posix().encode())
+        digest.update(path.read_bytes())
+    want = "dbd7df4305589835a74d987dbc91cbb3a45f4b1ada30f5dbd083b578b55ed877"
+    assert digest.hexdigest() == want
 
 
 def test_bench_pairs_summarizes_the_pairs(tmp_path):

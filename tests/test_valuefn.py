@@ -171,12 +171,13 @@ def _load_declaring_width(tmp_path, width):
         (lambda tmp: ValueCircuit(constant_circuit(3, 2), 1, 0), "value denominator must be positive"),
         # horizon 2 takes 2 step-index bits, so 2 inputs leave no state bits
         (lambda tmp: ValueCircuit(constant_circuit(2, 2), 2, 1), "value circuit has no state inputs"),
+        (lambda tmp: ValueCircuit(constant_circuit(3, 0), 1, 1), "value circuit has no outputs"),
         (
             lambda tmp: _load_declaring_width(tmp, 3),
             "declared value_width 3 does not match circuit output width 2",
         ),
     ],
-    ids=["horizon", "denominator", "no-state-inputs", "declared-width"],
+    ids=["horizon", "denominator", "no-state-inputs", "no-outputs", "declared-width"],
 )
 def test_a_malformed_value_circuit_is_refused(tmp_path, make, message):
     with pytest.raises(ValueFunctionError, match=f"^{re.escape(message)}$"):
