@@ -50,11 +50,9 @@ def read_manifest(
     return fields
 
 
-def write_manifest(path, lines: Sequence[str]) -> str:
-    """Write one manifest line per entry of `lines`; returns `path`."""
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
-    return path
+def manifest_text(lines: Sequence[str]) -> str:
+    """The manifest text with one line per entry of `lines`."""
+    return "\n".join(lines) + "\n"
 
 
 def read_netlist_beside(manifest_path, fname: str, error: Type[ValueError]) -> ct.Circuit:

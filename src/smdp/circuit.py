@@ -27,6 +27,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ._files import check_name, overwrite
 from .bits import bits_to_int, column_words, int_to_bits, word_bits
 
 ARITY = {"AND": 2, "OR": 2, "XOR": 2, "NOT": 1, "CONST0": 0, "CONST1": 0}
@@ -479,6 +480,9 @@ def circuit_from_values(
 
 
 def serialize(c: Circuit) -> str:
+    """The netlist text of `c`, which `parse` reads back as `c`; a circuit
+    name that `parse` would refuse or cut short is a `CircuitError`."""
+    check_name(c.name, "circuit name", CircuitError)
     lines = [f"circuit {c.name}", f"inputs {c.num_inputs}"]
     for g in c.gates:
         lines.append(" ".join([f"gate g{g.gid}", g.kind] + list(g.args)))
@@ -552,5 +556,4 @@ def read_netlist(path) -> Circuit:
 
 
 def write_netlist(c: Circuit, path) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(serialize(c))
+    overwrite(path, serialize(c))

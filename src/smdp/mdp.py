@@ -45,7 +45,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import circuit as ct
-from ._manifest import read_manifest, read_netlist_beside, write_manifest
+from ._files import check_name, write_files
+from ._manifest import manifest_text, read_manifest, read_netlist_beside
 from .bits import (
     BitVector,
     block_index_words,
@@ -685,11 +686,19 @@ def expand_many(
     return em, root_idx
 
 
-def save_mdp(m: SuccinctMdp, directory, horizon: Optional[int] = None) -> str:
-    """Write the manifest and companion netlists; returns the manifest path."""
-    os.makedirs(directory, exist_ok=True)
-    ct.write_netlist(m.t_circuit, os.path.join(directory, "transition.net"))
-    ct.write_netlist(m.r_circuit, os.path.join(directory, "reward.net"))
+def _mdp_files(m: SuccinctMdp, horizon: Optional[int] = None) -> List[Tuple[str, str]]:
+    """The files `save_mdp` writes as ``(file name, text)`` pairs, netlists
+    first and the manifest last. A name its reader would not read back is a
+    `ModelError`, or for a circuit's name a `CircuitError`."""
+    check_name(m.name, "MDP name", ModelError, text=True)
+    for v in m.var_names:
+        check_name(v, "variable name", ModelError)
+    for a in m.actions:
+        check_name(a, "action name", ModelError, file=True)
+    files = [
+        ("transition.net", ct.serialize(m.t_circuit)),
+        ("reward.net", ct.serialize(m.r_circuit)),
+    ]
     lines = [
         f"mdp {m.name}",
         "vars " + " ".join(m.var_names),
@@ -703,11 +712,19 @@ def save_mdp(m: SuccinctMdp, directory, horizon: Optional[int] = None) -> str:
     ]
     for a, c in zip(m.actions, m.successor_circuits):
         fname = f"succ_{a}.net"
-        ct.write_netlist(c, os.path.join(directory, fname))
+        files.append((fname, ct.serialize(c)))
         lines.append(f"successor {a} {fname} branching {m.max_branching}")
     if horizon is not None:
         lines.append(f"horizon {horizon}")
-    return write_manifest(os.path.join(directory, "mdp.manifest"), lines)
+    return files + [("mdp.manifest", manifest_text(lines))]
+
+
+def save_mdp(m: SuccinctMdp, directory, horizon: Optional[int] = None) -> str:
+    """Write the manifest and companion netlists; returns the manifest path.
+    Every name is checked before the first file is opened."""
+    files = _mdp_files(m, horizon)
+    os.makedirs(directory, exist_ok=True)
+    return write_files(directory, files)
 
 
 def load_mdp(manifest_path) -> Tuple[SuccinctMdp, Optional[int]]:

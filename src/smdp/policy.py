@@ -25,14 +25,14 @@ table reads `steps_remaining`.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from . import circuit as ct
-from ._manifest import read_manifest, read_netlist_beside, write_manifest
+from ._files import check_name, write_files
+from ._manifest import manifest_text, read_manifest, read_netlist_beside
 from .bits import BitVector, int_to_bits, row_tuples, unsigned_rows, width_for_count
 from .mdp import _state_array
 
@@ -209,14 +209,21 @@ def compile_explicit(
     return StationaryPolicy(c, action_count, name="compiled_policy")
 
 
-def save_policy(p, directory, basename: str = "policy") -> str:
+def _policy_files(p, basename: str) -> List[Tuple[str, str]]:
+    """The netlist and manifest `save_policy` writes, as ``(file name,
+    text)`` pairs; a name its reader would not read back is refused first."""
+    check_name(p.name, "policy name", PolicyError, text=True)
+    check_name(basename, "file name", PolicyError, file=True)
     netfile = f"{basename}.net"
-    ct.write_netlist(p.circuit, os.path.join(directory, netfile))
     lines = [f"policy {p.name}", f"kind {p.kind}", f"actions {p.action_count}"]
     if p.kind == "history":
         lines.append(f"horizon {p.horizon}")
     lines.append(f"circuit {netfile}")
-    return write_manifest(os.path.join(directory, f"{basename}.manifest"), lines)
+    return [(netfile, ct.serialize(p.circuit)), (f"{basename}.manifest", manifest_text(lines))]
+
+
+def save_policy(p, directory, basename: str = "policy") -> str:
+    return write_files(directory, _policy_files(p, basename))
 
 
 def load_policy(manifest_path):

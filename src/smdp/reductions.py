@@ -44,13 +44,14 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import oracle
-from ._manifest import write_manifest
+from ._files import write_files
+from ._manifest import manifest_text
 from .bits import BitVector, bits_to_int, int_to_bits, width_for_count
 from .circuit import Circuit, CircuitBuilder, all_input_rows
 from .cnf import Cnf, to_dimacs
-from .mdp import SuccinctMdp, save_mdp
-from .policy import StationaryPolicy, save_policy
-from .valuefn import ValueCircuit, save_valuefn
+from .mdp import SuccinctMdp, _mdp_files
+from .policy import StationaryPolicy, _policy_files
+from .valuefn import ValueCircuit, _valuefn_files
 
 
 class ReductionError(ValueError):
@@ -372,15 +373,13 @@ def write_instance(inst: ReductionInstance, directory) -> str:
     policy / value-function manifests, the formula, the instance record, and
     `expected.txt` describing the oracle correspondence, with the answer the
     brute-force oracle derives for the instance."""
-    derived = _derived_lines(inst)  # before any file, so an oracle refusal writes none
-    os.makedirs(directory, exist_ok=True)
-    save_mdp(inst.mdp, directory, horizon=inst.horizon)
-    with open(os.path.join(directory, "formula.cnf"), "w", encoding="ascii") as fh:
-        fh.write(to_dimacs(inst.cnf))
+    # every text before any file, so an oracle refusal or a bad name writes none
+    derived = _derived_lines(inst)
+    files = [*_mdp_files(inst.mdp, inst.horizon), ("formula.cnf", to_dimacs(inst.cnf))]
     if inst.policy is not None:
-        save_policy(inst.policy, directory, "policy")
+        files += _policy_files(inst.policy, "policy")
     if inst.value is not None:
-        save_valuefn(inst.value, directory, "valuefn")
+        files += _valuefn_files(inst.value, "valuefn")
     lines = [f"instance {inst.name}"]
     if inst.mode:
         lines.append(f"mode {inst.mode}")
@@ -398,8 +397,12 @@ def write_instance(inst: ReductionInstance, directory) -> str:
         )
     if inst.num_x is not None:
         lines.append(f"num_x {inst.num_x}")
-    write_manifest(os.path.join(directory, "instance.txt"), lines)
-    return write_manifest(os.path.join(directory, "expected.txt"), [inst.expected, *derived])
+    files += [
+        ("instance.txt", manifest_text(lines)),
+        ("expected.txt", manifest_text([inst.expected, *derived])),
+    ]
+    os.makedirs(directory, exist_ok=True)
+    return write_files(directory, files)
 
 
 def _derived_lines(inst: ReductionInstance) -> List[str]:

@@ -14,7 +14,6 @@ test, `_recursion`, on E read as integers over one denominator
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -23,7 +22,8 @@ import numpy as np
 
 from . import circuit as ct
 from . import mdp as md
-from ._manifest import read_manifest, read_netlist_beside, write_manifest
+from ._files import check_name, write_files
+from ._manifest import manifest_text, read_manifest, read_netlist_beside
 from .bits import (
     BitVector,
     block_index_words,
@@ -235,8 +235,10 @@ def _recursion(m: md.SuccinctMdp, S: np.ndarray, V: np.ndarray, L: int, values_o
     ok = np.empty((len(steps), len(S), horizon), dtype=bool)
     for a, (src, succ, nums) in enumerate(steps):
         W, known = values_of(succ)
-        sums = np.zeros_like(target)
-        np.add.at(sums, src, nums.astype(dtype)[:, None] * W[:, :horizon].astype(dtype, copy=False))
+        terms = nums.astype(dtype)[:, None] * W[:, :horizon].astype(dtype, copy=False)
+        # src is in source order and every source has a row (its numerators
+        # sum to D), so each source's terms are one run starting at its first row
+        sums = np.add.reduceat(terms, np.searchsorted(src, np.arange(len(S))), axis=0)
         ok[a] = sums == target
         ok[a, src[~known]] = False
     return ok, V[:, 0] == L * R, R
@@ -315,9 +317,12 @@ def extract_policy(m: md.SuccinctMdp, E, horizon: int, s: BitVector, i: int) -> 
     raise InconsistentValueError(f"no action matches E(s,{i}) - r(s) = {target} at state {tuple(s)}")
 
 
-def save_valuefn(v: ValueCircuit, directory, basename: str = "valuefn") -> str:
+def _valuefn_files(v: ValueCircuit, basename: str) -> List[Tuple[str, str]]:
+    """The netlist and manifest `save_valuefn` writes, as ``(file name,
+    text)`` pairs; a name its reader would not read back is refused first."""
+    check_name(v.name, "value-function name", ValueFunctionError, text=True)
+    check_name(basename, "file name", ValueFunctionError, file=True)
     netfile = f"{basename}.net"
-    ct.write_netlist(v.circuit, os.path.join(directory, netfile))
     lines = [
         f"valuefn {v.name}",
         f"horizon {v.horizon}",
@@ -325,7 +330,11 @@ def save_valuefn(v: ValueCircuit, directory, basename: str = "valuefn") -> str:
         f"value_denominator {v.value_denominator}",
         f"circuit {netfile}",
     ]
-    return write_manifest(os.path.join(directory, f"{basename}.manifest"), lines)
+    return [(netfile, ct.serialize(v.circuit)), (f"{basename}.manifest", manifest_text(lines))]
+
+
+def save_valuefn(v: ValueCircuit, directory, basename: str = "valuefn") -> str:
+    return write_files(directory, _valuefn_files(v, basename))
 
 
 def load_valuefn(manifest_path) -> ValueCircuit:

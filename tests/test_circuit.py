@@ -1,4 +1,5 @@
 import random
+import re
 
 import numpy as np
 import pytest
@@ -109,6 +110,16 @@ def test_netlist_roundtrip():
         c = random_circuit(rng, rng.randint(0, 5), rng.randint(0, 10), rng.randint(1, 3))
         c2 = ct.parse(ct.serialize(c))
         assert c2 == c
+
+
+@pytest.mark.parametrize("name", ["my net", "a#b", "", "tab\there", "caf\u00e9"])
+def test_write_netlist_refuses_a_name_parse_would_not_read_back(tmp_path, name):
+    b = ct.CircuitBuilder(1)
+    c = b.build([b.inp(0)], name)
+    path = tmp_path / "c.net"
+    with pytest.raises(ct.CircuitError, match=f"^circuit name {re.escape(repr(name))} would not"):
+        ct.write_netlist(c, path)
+    assert not path.exists()
 
 
 def test_netlist_parse_errors_carry_line_numbers():

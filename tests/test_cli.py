@@ -1,11 +1,28 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from smdp import circuit as ct
 from smdp import mdp as md
+from smdp._files import overwrite
 from smdp.cli import build_parser, main
 from smdp.cnf import Cnf, to_dimacs
 from smdp.policy import StationaryPolicy, save_policy
 from smdp.verify import SUITES, run_suite, suite_dnf
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def run_module(*args, **kw):
+    """`python -m smdp args...` in a subprocess that imports this checkout."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    return subprocess.run(
+        [sys.executable, "-m", "smdp", *args], env=env, capture_output=True, timeout=120, **kw
+    )
 
 
 def run(argv, capsys):
@@ -111,6 +128,58 @@ def test_gen_writes_the_oracle_answer_to_expected_txt(tmp_path, capsys, argv, cn
     out = tmp_path / "inst"
     assert run(argv + [write_cnf(tmp_path, cnf), "-o", str(out)], capsys)[0] == 0
     assert (out / "expected.txt").read_text() == want
+
+
+def test_gen_over_an_instance_directory_writes_the_bytes_of_a_fresh_one(tmp_path, capsys):
+    def gen(cnf, out):
+        assert run(["gen-unsatcons", write_cnf(tmp_path, cnf), "-o", str(out)], capsys)[0] == 0
+        return {p.name: (p.read_bytes(), p.stat().st_ino) for p in sorted(out.iterdir())}
+
+    big, small = Cnf(3, ((1, 2, 3), (-1, -2), (2, -3))), Cnf(2, ((1,), (-1,)))
+    fresh = gen(small, tmp_path / "fresh")
+    first = gen(big, tmp_path / "inst")
+    again = gen(big, tmp_path / "inst")
+    assert again == first  # the same bytes in the same files
+    over = gen(small, tmp_path / "inst")
+    assert {k: b for k, (b, _) in over.items()} == {k: b for k, (b, _) in fresh.items()}
+    assert all(over[k][1] == first[k][1] for k in over)
+
+
+def test_overwrite_cuts_the_old_tail_keeps_the_inode_and_writes_through_a_symlink(tmp_path):
+    path = tmp_path / "f.txt"
+    overwrite(path, "a longer first text\n")
+    inode = path.stat().st_ino
+    link = tmp_path / "link.txt"
+    link.symlink_to(path)
+    assert overwrite(link, "short\n") == link
+    assert link.is_symlink()
+    assert path.read_bytes() == b"short\n"
+    assert path.stat().st_ino == inode
+
+
+def test_overwrite_of_a_text_that_is_not_ascii_leaves_the_file_as_it_was(tmp_path):
+    path = tmp_path / "f.txt"
+    overwrite(path, "old text\n")
+    with pytest.raises(UnicodeEncodeError):
+        overwrite(path, "caf\u00e9\n")
+    assert path.read_bytes() == b"old text\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")
+def test_canon_out_to_dev_stdout_into_a_pipe_exits_0(tmp_path):
+    b = ct.CircuitBuilder(2)
+    path = tmp_path / "xor.net"
+    ct.write_netlist(b.build([b.xor(b.inp(0), b.inp(1))], "xor"), path)
+    proc = run_module("canon", str(path), "--out", "/dev/stdout", text=True)
+    assert proc.returncode == 0, proc.stderr
+    text = proc.stdout.split("terms per output")[0]
+    assert ct.parse(text).name == "xor_dnf"
+
+
+def test_python_m_smdp_runs_the_command_line():
+    proc = run_module("--help", text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: smdp")
 
 
 def test_faithful_k_answers_for_the_reward_bound_of_1(tmp_path, capsys):

@@ -358,14 +358,43 @@ def test_expand_many_rejects_a_root_outside_the_model(root):
 
 def test_save_load_roundtrip(tmp_path):
     rm = make_random(8)
-    manifest = md.save_mdp(rm.mdp, tmp_path, horizon=3)
+    manifest = md.save_mdp(replace(rm.mdp, name="random model"), tmp_path, horizon=3)
     m2, horizon = md.load_mdp(manifest)
     assert horizon == 3
+    assert m2.name == "random model"
     assert m2.successor_circuits
     assert m2.actions == rm.mdp.actions
     assert m2.prob_denominator == rm.mdp.prob_denominator
     for (s, a) in list(rm.transitions)[:8]:
         assert md.successors(m2, s, a) == md.successors(rm.mdp, s, a)
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"name": "x#y"}, "MDP name 'x#y'"),
+        ({"name": "two  spaces"}, "MDP name 'two  spaces'"),
+        ({"name": "line\nbreak"}, "MDP name 'line\\nbreak'"),
+        ({"var_names": ("x 1", "x2", "x3")}, "variable name 'x 1'"),
+        ({"actions": ("x y", "u2")}, "action name 'x y'"),
+        ({"actions": ("a#", "u2")}, "action name 'a#'"),
+        ({"actions": ("", "u2")}, "action name ''"),
+        ({"actions": ("u1", "../u2")}, "action name '../u2'"),
+    ],
+)
+def test_save_refuses_a_name_its_reader_would_not_read_back(tmp_path, change, message):
+    m = replace(make_random(9, num_actions=2).mdp, **change)
+    with pytest.raises(md.ModelError, match=f"^{re.escape(message)} would not read back as written"):
+        md.save_mdp(m, tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+
+
+def test_save_checks_every_netlist_name_before_the_first_file(tmp_path):
+    m = make_random(9, num_actions=2).mdp
+    last = replace(m.successor_circuits[1], name="my net")
+    with pytest.raises(ct.CircuitError, match="^circuit name 'my net' would not read back"):
+        md.save_mdp(replace(m, successor_circuits=(m.successor_circuits[0], last)), tmp_path / "out")
+    assert not (tmp_path / "out").exists()
 
 
 def test_load_rejects_missing_fields(tmp_path):

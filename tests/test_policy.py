@@ -208,6 +208,24 @@ def test_save_load_roundtrip(tmp_path):
     assert h2.decide_history([(1, 0)], 0) == 1
 
 
+@pytest.mark.parametrize(
+    "name, basename, message",
+    [
+        ("p#q", "policy", "policy name 'p#q'"),
+        (" parity", "policy", "policy name ' parity'"),
+        ("two  words", "policy", "policy name 'two  words'"),
+        ("line\nbreak", "policy", "policy name 'line\\nbreak'"),
+        ("parity", "a#b", "file name 'a#b'"),
+        ("parity", "sub/policy", "file name 'sub/policy'"),
+    ],
+)
+def test_save_refuses_a_name_load_would_not_read_back(tmp_path, name, basename, message):
+    p = StationaryPolicy(constant_circuit(2, 1), 2, name=name)
+    with pytest.raises(PolicyError, match=f"^{re.escape(message)} would not read back"):
+        save_policy(p, tmp_path, basename)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_history_manifest_needs_horizon(tmp_path):
     hb = ct.CircuitBuilder(3 * 2 + 2)
     path = save_policy(HistoryPolicy(hb.build([hb.inp(0)]), 2, 2, 2), tmp_path, "hist")

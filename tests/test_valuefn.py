@@ -155,6 +155,23 @@ def test_value_circuit_signed_reading_and_io(tmp_path):
     assert table.value((1, 1), 2) == Fraction(-1, 4)
 
 
+@pytest.mark.parametrize(
+    "name, basename, message",
+    [
+        ("v#w", "valuefn", "value-function name 'v#w'"),
+        ("v\nw", "valuefn", "value-function name 'v\\nw'"),
+        ("trailing ", "valuefn", "value-function name 'trailing '"),
+        ("tab\tname", "valuefn", "value-function name 'tab\\tname'"),
+        ("toy", "tab\tbase", "file name 'tab\\tbase'"),
+    ],
+)
+def test_save_refuses_a_name_load_would_not_read_back(tmp_path, name, basename, message):
+    v = ValueCircuit(constant_circuit(3, 2), 1, 1, name=name)
+    with pytest.raises(ValueFunctionError, match=f"^{re.escape(message)} would not read back"):
+        save_valuefn(v, tmp_path, basename)
+    assert list(tmp_path.iterdir()) == []
+
+
 def _load_declaring_width(tmp_path, width):
     manifest = save_valuefn(ValueCircuit(constant_circuit(3, 2), 1, 1), tmp_path)
     with open(manifest) as fh:
