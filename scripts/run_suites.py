@@ -27,11 +27,9 @@ def main() -> int:
     names = args.suite or list(SUITES)
     total_failures = 0
     for name in names:
-        sizes = suite_arguments(name)  # the suite's own defaults
-        if "seed" in sizes:
-            sizes["seed"] = args.seed
+        seed = {"seed": args.seed} if "seed" in suite_arguments(name) else {}
         start = time.monotonic()
-        rows = run_suite(name, **sizes)
+        rows = run_suite(name, **seed)
         elapsed = time.monotonic() - start
         failures = [r for r in rows if not r.ok]
         total_failures += len(failures)

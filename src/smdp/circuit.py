@@ -22,8 +22,9 @@ outputs as words never converts representations per call.
 
 from __future__ import annotations
 
+import os
 from dataclasses import KW_ONLY, InitVar, dataclass
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Type
 
 import numpy as np
 
@@ -553,6 +554,16 @@ def parse(text: str) -> Circuit:
 def read_netlist(path) -> Circuit:
     with open(path, "r", encoding="ascii") as fh:
         return parse(fh.read())
+
+
+def _read_netlist_beside(manifest_path, fname: str, error: Type[ValueError]) -> Circuit:
+    """The circuit of the netlist file `fname` that a manifest names, read
+    relative to the manifest's directory; `error` if the file cannot be read."""
+    path = os.path.join(os.path.dirname(os.path.abspath(manifest_path)), fname)
+    try:
+        return read_netlist(path)
+    except OSError as exc:
+        raise error(f"cannot read netlist {fname!r}: {exc.strerror or exc}") from None
 
 
 def write_netlist(c: Circuit, path) -> None:

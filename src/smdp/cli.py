@@ -18,7 +18,7 @@ from typing import List, Optional
 from . import circuit as ct
 from . import mdp as md
 from . import oracle
-from .bits import parse_bitstring
+from .bits import format_bitstring, parse_bitstring
 from .cnf import read_dimacs
 from .evaluator import expected_reward_exact, expected_reward_mc
 from .policy import load_policy
@@ -155,9 +155,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("verify", parents=[common], help="run a correspondence suite")
     p.add_argument("suite", choices=SUITES)
-    p.add_argument("--n", type=int, default=None, help="default 2; only for suites that read it")
-    p.add_argument("--cases", type=int, default=None, help="default 50; only for suites that read it")
-    p.add_argument("--seed", type=int, default=None, help="default 0; only for suites that read it")
+    for flag in ("--n", "--cases", "--seed"):
+        p.add_argument(flag, type=int, help="default: the suite's own; only for suites that read it")
 
     return parser
 
@@ -218,7 +217,7 @@ def _cmd_check_consistency(args, parser) -> int:
     if res.consistent:
         _emit(args, [("consistent", "yes")], "consistent")
         return 0
-    cx = "".join(str(b) for b in res.counterexample)
+    cx = format_bitstring(res.counterexample)
     _emit(
         args,
         [("consistent", "no"), ("counterexample", cx), ("reason", res.reason)],

@@ -45,13 +45,13 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import circuit as ct
-from ._files import check_name, write_files
-from ._manifest import manifest_text, read_manifest, read_netlist_beside
+from ._files import check_name, manifest_text, read_manifest, write_files
 from .bits import (
     BitVector,
     block_index_words,
     block_words,
     column_words,
+    format_bitstring,
     row_tuples,
     signed_rows,
     unsigned_rows,
@@ -702,7 +702,7 @@ def _mdp_files(m: SuccinctMdp, horizon: Optional[int] = None) -> List[Tuple[str,
     lines = [
         f"mdp {m.name}",
         "vars " + " ".join(m.var_names),
-        "init " + "".join(str(b) for b in m.initial),
+        "init " + format_bitstring(m.initial),
         "actions " + " ".join(m.actions),
         f"prob_denominator {m.prob_denominator}",
         f"prob_width {m.prob_num_width}",
@@ -722,9 +722,7 @@ def _mdp_files(m: SuccinctMdp, horizon: Optional[int] = None) -> List[Tuple[str,
 def save_mdp(m: SuccinctMdp, directory, horizon: Optional[int] = None) -> str:
     """Write the manifest and companion netlists; returns the manifest path.
     Every name is checked before the first file is opened."""
-    files = _mdp_files(m, horizon)
-    os.makedirs(directory, exist_ok=True)
-    return write_files(directory, files)
+    return write_files(directory, _mdp_files(m, horizon))
 
 
 def load_mdp(manifest_path) -> Tuple[SuccinctMdp, Optional[int]]:
@@ -760,7 +758,7 @@ def load_mdp(manifest_path) -> Tuple[SuccinctMdp, Optional[int]]:
         raise ModelError(f"bad init bitstring {init!r}")
 
     def netlist(fname: str) -> ct.Circuit:
-        return read_netlist_beside(manifest_path, fname, ModelError)
+        return ct._read_netlist_beside(manifest_path, fname, ModelError)
 
     m = SuccinctMdp(
         var_names=tuple(fields["vars"].split()),

@@ -31,8 +31,7 @@ from typing import Callable, Dict, List, Sequence, Tuple
 import numpy as np
 
 from . import circuit as ct
-from ._files import check_name, write_files
-from ._manifest import manifest_text, read_manifest, read_netlist_beside
+from ._files import check_name, manifest_text, read_manifest, write_files
 from .bits import BitVector, int_to_bits, row_tuples, unsigned_rows, width_for_count
 from .mdp import _state_array
 
@@ -49,6 +48,7 @@ class StationaryPolicy:
     kind = "stationary"
 
     def __post_init__(self):
+        _check_counts(self.action_count)
         if self.circuit.num_outputs != width_for_count(self.action_count):
             raise PolicyError(
                 f"policy outputs {self.circuit.num_outputs} bits, expected "
@@ -85,6 +85,7 @@ class HistoryPolicy:
     kind = "history"
 
     def __post_init__(self):
+        _check_counts(self.action_count, self.horizon)
         want = (self.horizon + 1) * self.num_vars + width_for_count(self.horizon + 1)
         if self.circuit.num_inputs != want:
             raise PolicyError(
@@ -124,7 +125,7 @@ class ExplicitPolicy:
     kind = "stationary"
 
     def decide(self, s: BitVector) -> int:
-        return _lookup(self.mapping, tuple(s), self.action_count, "explicit policy", f"{s}")
+        return self.decide_batch([s])[0]
 
     def decide_batch(
         self, states: Sequence[BitVector], depth: int = 0, steps_remaining: int = 0
@@ -133,7 +134,10 @@ class ExplicitPolicy:
         depth and the steps remaining are not read."""
         if isinstance(states, np.ndarray):
             states = row_tuples(states)
-        return [self.decide(s) for s in states]
+        keys = list(map(tuple, states))
+        return _lookup(
+            self.mapping, keys, self.action_count, "explicit policy", lambda k: f"{states[k]}"
+        )
 
 
 @dataclass(frozen=True)
@@ -145,8 +149,7 @@ class TimedExplicitPolicy:
     kind = "timed"
 
     def decide_timed(self, s: BitVector, steps_remaining: int) -> int:
-        key, where = (tuple(s), steps_remaining), f"{s} with {steps_remaining} steps remaining"
-        return _lookup(self.mapping, key, self.action_count, "timed policy", where)
+        return self.decide_batch([s], 0, steps_remaining)[0]
 
     def decide_batch(
         self, states: Sequence[BitVector], depth: int, steps_remaining: int
@@ -155,7 +158,11 @@ class TimedExplicitPolicy:
         `steps_remaining` steps before the horizon; the depth is not read."""
         if isinstance(states, np.ndarray):
             states = row_tuples(states)
-        return [self.decide_timed(s, steps_remaining) for s in states]
+        keys = [(tuple(s), steps_remaining) for s in states]
+        return _lookup(
+            self.mapping, keys, self.action_count, "timed policy",
+            lambda k: f"{states[k]} with {steps_remaining} steps remaining",
+        )
 
 
 def _decode(
@@ -172,17 +179,31 @@ def _decode(
     return vals.tolist()
 
 
-def _lookup(mapping: dict, key, action_count: int, name: str, where: str) -> int:
-    """The action that table `name` maps `key` to. An unmapped key or an
-    action outside 0..action_count-1 is a PolicyError that places the key by
-    the text `where`."""
-    try:
-        a = mapping[key]
-    except KeyError:
-        raise PolicyError(f"{name} undefined at state {where}")
-    if not 0 <= a < action_count:
-        raise PolicyError(f"{name} maps {where} to action {a}, outside 0..{action_count - 1}")
-    return a
+def _lookup(
+    mapping: dict, keys: list, action_count: int, name: str, where: Callable[[int], str]
+) -> List[int]:
+    """The action that table `name` maps each of `keys` to. The first key in
+    order that is unmapped or maps outside 0..action_count-1 is a
+    PolicyError; `where(k)` is the text that places key k in it, built only
+    then."""
+    actions = [mapping.get(key, -1) for key in keys]  # -1: unmapped
+    if min(actions, default=0) < 0 or max(actions, default=0) >= action_count:
+        k = next(k for k, a in enumerate(actions) if not 0 <= a < action_count)
+        if keys[k] not in mapping:
+            raise PolicyError(f"{name} undefined at state {where(k)}")
+        raise PolicyError(
+            f"{name} maps {where(k)} to action {actions[k]}, outside 0..{action_count - 1}"
+        )
+    return actions
+
+
+def _check_counts(action_count: int, horizon: int = 0) -> None:
+    """A policy chooses among at least one action and a history policy looks
+    over a horizon of at least 0 steps; checked before any width is read."""
+    if action_count < 1:
+        raise PolicyError(f"policy action count must be at least 1, got {action_count}")
+    if horizon < 0:
+        raise PolicyError(f"history policy horizon must be at least 0, got {horizon}")
 
 
 def _check_policy_width(policy, n: int) -> None:
@@ -234,7 +255,7 @@ def load_policy(manifest_path):
         required=("policy", "kind", "actions", "circuit"),
         ints=("actions", "horizon"),
     )
-    circ = read_netlist_beside(manifest_path, fields["circuit"], PolicyError)
+    circ = ct._read_netlist_beside(manifest_path, fields["circuit"], PolicyError)
     count = fields["actions"]
     if fields["kind"] == "stationary":
         return StationaryPolicy(circ, count, name=fields["policy"])
@@ -242,6 +263,7 @@ def load_policy(manifest_path):
         if "horizon" not in fields:
             raise PolicyError("policy manifest missing 'horizon' line")
         horizon = fields["horizon"]
+        _check_counts(count, horizon)
         tw = width_for_count(horizon + 1)
         num_vars = (circ.num_inputs - tw) // (horizon + 1)
         return HistoryPolicy(circ, count, horizon, num_vars, name=fields["policy"])

@@ -38,15 +38,13 @@ netlists' gate order, which the golden netlist tests pin.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import oracle
-from ._files import write_files
-from ._manifest import manifest_text
-from .bits import BitVector, bits_to_int, int_to_bits, width_for_count
+from ._files import manifest_text, write_files
+from .bits import BitVector, bits_to_int, format_bitstring, int_to_bits, width_for_count
 from .circuit import Circuit, CircuitBuilder, all_input_rows
 from .cnf import Cnf, to_dimacs
 from .mdp import SuccinctMdp, _mdp_files
@@ -385,7 +383,7 @@ def write_instance(inst: ReductionInstance, directory) -> str:
         lines.append(f"mode {inst.mode}")
     lines.append(f"horizon {inst.horizon}")
     if inst.state is not None:
-        lines.append("state " + "".join(str(b) for b in inst.state))
+        lines.append("state " + format_bitstring(inst.state))
         lines.append(f"steps_remaining {inst.steps_remaining()}")
     if inst.action is not None:
         lines.append(f"action {inst.action}")
@@ -401,7 +399,6 @@ def write_instance(inst: ReductionInstance, directory) -> str:
         ("instance.txt", manifest_text(lines)),
         ("expected.txt", manifest_text([inst.expected, *derived])),
     ]
-    os.makedirs(directory, exist_ok=True)
     return write_files(directory, files)
 
 

@@ -22,8 +22,7 @@ import numpy as np
 
 from . import circuit as ct
 from . import mdp as md
-from ._files import check_name, write_files
-from ._manifest import manifest_text, read_manifest, read_netlist_beside
+from ._files import check_name, manifest_text, read_manifest, write_files
 from .bits import (
     BitVector,
     block_index_words,
@@ -345,7 +344,7 @@ def load_valuefn(manifest_path) -> ValueCircuit:
         required=("valuefn", "horizon", "value_width", "value_denominator", "circuit"),
         ints=("horizon", "value_width", "value_denominator"),
     )
-    circ = read_netlist_beside(manifest_path, fields["circuit"], ValueFunctionError)
+    circ = ct._read_netlist_beside(manifest_path, fields["circuit"], ValueFunctionError)
     v = ValueCircuit(
         circ,
         horizon=fields["horizon"],

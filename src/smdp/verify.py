@@ -393,37 +393,31 @@ _SUITES = {
     "dnf": suite_dnf,
 }
 SUITES = tuple(_SUITES)
-# each argument of `run_suite`: the suite parameter it sets, and its default
-_ARGUMENTS = {"n": ("max_n", 2), "cases": ("cases", 50), "seed": ("seed", 0)}
+# each argument of `run_suite` and the suite parameter it sets
+_ARGUMENTS = {"n": "max_n", "cases": "cases", "seed": "seed"}
 
 
 def suite_arguments(name: str) -> Dict[str, int]:
     """The `run_suite` arguments that suite `name` reads, each with the
     suite's own default, read from the parameters of its function."""
     params = inspect.signature(_SUITES[name]).parameters
-    return {arg: params[p].default for arg, (p, _) in _ARGUMENTS.items() if p in params}
+    return {arg: params[p].default for arg, p in _ARGUMENTS.items() if p in params}
 
 
 def run_suite(
     name: str, n: Optional[int] = None, cases: Optional[int] = None, seed: Optional[int] = None
 ) -> List[VerifyRow]:
-    """The rows of one suite. An argument left at None reads as n = 2,
-    cases = 50 and seed = 0; an explicit count must be at least 1, and an
-    explicit argument that the suite does not read is refused, so none is
-    silently ignored."""
+    """The rows of one suite. An argument left at None takes the suite's own
+    default; an explicit count must be at least 1, and an explicit argument
+    that the suite does not read is refused, so none is silently ignored."""
     if name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}; choose one of {', '.join(SUITES)}")
     reads = suite_arguments(name)
     given = {"n": n, "cases": cases, "seed": seed}
+    given = {arg: value for arg, value in given.items() if value is not None}
     for arg, value in given.items():
-        if value is None:
-            continue
         if arg != "seed" and value < 1:
             raise ValueError(f"{arg} must be at least 1, got {value}")
         if arg not in reads:
             raise ValueError(f"suite {name} does not read {arg}, got {arg}={value}")
-    return _SUITES[name](**{
-        param: default if given[arg] is None else given[arg]
-        for arg, (param, default) in _ARGUMENTS.items()
-        if arg in reads
-    })
+    return _SUITES[name](**{_ARGUMENTS[arg]: value for arg, value in given.items()})

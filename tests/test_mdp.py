@@ -474,6 +474,8 @@ def test_a_model_with_mismatched_parts_is_refused(change, message):
         ),
         (r"prob_width 3", "prob_width 4", "declared prob_width does not match transition circuit"),
         (r"reward_width 4", "reward_width 2", "declared reward_width does not match reward circuit"),
+        # a misspelt key is refused, not dropped
+        (r"reward_width 4", "reward_wdth 4", "line 7: unknown MDP manifest key 'reward_wdth'"),
     ],
 )
 def test_load_refuses_a_manifest_that_disagrees_with_itself(tmp_path, pattern, repl, message):
@@ -493,6 +495,28 @@ def test_load_rejects_repeated_key(tmp_path):
         fh.write("horizon 5\n")
     with pytest.raises(md.ModelError, match="second 'horizon' line"):
         md.load_mdp(manifest)
+
+
+def test_load_refuses_a_manifest_followed_by_the_tail_of_a_longer_one(tmp_path):
+    # a write cut short after the whole new text leaves the old file's last
+    # bytes behind it: here the end of the older manifest's `horizon 4` line
+    m = make_random(9).mdp
+    old = open(md.save_mdp(replace(m, name="model12"), tmp_path / "old", horizon=4)).read()
+    manifest = md.save_mdp(replace(m, name="mo"), tmp_path / "new", horizon=4)
+    new = open(manifest).read()
+    assert old[len(new) :] == "on 4\n"
+    with open(manifest, "w") as fh:
+        fh.write(new + old[len(new) :])
+    lineno = new.count("\n") + 1
+    with pytest.raises(md.ModelError, match=f"^line {lineno}: unknown MDP manifest key 'on'$"):
+        md.load_mdp(manifest)
+
+
+def test_save_into_the_empty_path_writes_the_current_directory(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    m = make_random(9).mdp
+    assert md.save_mdp(m, "") == "mdp.manifest"
+    assert md.load_mdp(tmp_path / "mdp.manifest")[0].var_names == m.var_names
 
 
 def test_validate_passes_on_generated_models():

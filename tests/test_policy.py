@@ -236,6 +236,46 @@ def test_history_manifest_needs_horizon(tmp_path):
         load_policy(path)
 
 
+def _edit(path, old, new):
+    text = open(path).read()
+    assert old in text
+    with open(path, "w") as fh:
+        fh.write(text.replace(old, new))
+    return path
+
+
+def test_load_refuses_a_misspelt_key_by_its_line(tmp_path):
+    path = save_policy(StationaryPolicy(constant_circuit(2, 1), 2), tmp_path)
+    with pytest.raises(PolicyError, match="^line 2: unknown policy manifest key 'knd'$"):
+        load_policy(_edit(path, "kind stationary", "knd stationary"))
+
+
+def test_save_makes_a_missing_nested_directory(tmp_path):
+    p = StationaryPolicy(constant_circuit(2, 1), 2, name="nested")
+    path = save_policy(p, tmp_path / "a" / "b")
+    assert load_policy(path).name == "nested"
+
+
+def test_a_policy_with_no_actions_is_refused_naming_the_field(tmp_path):
+    message = "^policy action count must be at least 1, got 0$"
+    with pytest.raises(PolicyError, match=message):
+        StationaryPolicy(constant_circuit(2, 1), 0)
+    with pytest.raises(PolicyError, match=message):
+        HistoryPolicy(constant_circuit(8, 1), 0, 2, 2)
+    path = save_policy(StationaryPolicy(constant_circuit(2, 1), 2), tmp_path)
+    with pytest.raises(PolicyError, match=message):
+        load_policy(_edit(path, "actions 2", "actions 0"))
+
+
+def test_a_history_policy_with_a_negative_horizon_is_refused_naming_the_field(tmp_path):
+    message = "^history policy horizon must be at least 0, got -1$"
+    with pytest.raises(PolicyError, match=message):
+        HistoryPolicy(constant_circuit(8, 1), 2, -1, 2)
+    path = save_policy(HistoryPolicy(constant_circuit(8, 1), 2, 2, 2), tmp_path, "hist")
+    with pytest.raises(PolicyError, match=message):
+        load_policy(_edit(path, "horizon 2", "horizon -1"))
+
+
 def _outcome(decide):
     """The actions, or the type and message of the PolicyError raised."""
     try:

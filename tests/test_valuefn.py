@@ -172,6 +172,21 @@ def test_save_refuses_a_name_load_would_not_read_back(tmp_path, name, basename, 
     assert list(tmp_path.iterdir()) == []
 
 
+def test_load_refuses_a_misspelt_key_by_its_line(tmp_path):
+    manifest = save_valuefn(ValueCircuit(constant_circuit(3, 2), 1, 1), tmp_path)
+    text = open(manifest).read()
+    with open(manifest, "w") as fh:
+        fh.write(text.replace("value_denominator 1", "value_denominatr 1"))
+    message = "^line 4: unknown value-function manifest key 'value_denominatr'$"
+    with pytest.raises(ValueFunctionError, match=message):
+        load_valuefn(manifest)
+
+
+def test_save_makes_a_missing_nested_directory(tmp_path):
+    v = ValueCircuit(constant_circuit(3, 2), 1, 1, name="nested")
+    assert load_valuefn(save_valuefn(v, tmp_path / "a" / "b")).name == "nested"
+
+
 def _load_declaring_width(tmp_path, width):
     manifest = save_valuefn(ValueCircuit(constant_circuit(3, 2), 1, 1), tmp_path)
     with open(manifest) as fh:
@@ -202,7 +217,7 @@ def test_a_malformed_value_circuit_is_refused(tmp_path, make, message):
 
 
 def test_roundtrip_suite_round_trips_value_circuits(monkeypatch):
-    rows = verify.run_suite("roundtrip")
+    rows = verify.run_suite("roundtrip", cases=50)
     assert rows and all(row.ok for row in rows)
 
     def wrong_denominator(path):
